@@ -12,7 +12,6 @@
 #include "broker/record.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
@@ -93,8 +92,7 @@ class KafkaCluster {
   /// without per-component plumbing). `auto_commit_interval_s > 0` makes
   /// consumers periodically commit delivered offsets.
   void SetClientDefaults(crayfish::RetryPolicy retry,
-                         double auto_commit_interval_s)
-      CRAYFISH_REQUIRES("setup");
+                         double auto_commit_interval_s);
   const crayfish::RetryPolicy& default_client_retry() const {
     return client_retry_;
   }
@@ -132,9 +130,8 @@ class KafkaCluster {
   /// Stores the offset; silently dropped while the coordinator is down.
   /// Pre-creates the committed-offset slot for (group, tp), keeping any
   /// offset already stored. Consumers call this while assigning partitions
-  /// (setup or a rebalance — both on the global plane), so later
-  /// CommitOffset calls from confined poll loops are value-only writes on
-  /// pre-existing entries: no structural map mutation off the global plane.
+  /// (setup or a rebalance), so later CommitOffset calls from poll loops
+  /// are value-only writes on pre-existing entries.
   void EnsureCommitSlot(const std::string& group, const TopicPartition& tp);
 
   void CommitOffset(const std::string& group, const TopicPartition& tp,
@@ -214,11 +211,8 @@ class KafkaCluster {
     /// EnsurePart so late-created slots behave identically.
     size_t retention_records = 0;
     bool has_retention = false;
-    /// Slot i is null until partition i's first produce/fetch. The slot is
-    /// only written by partition i's leader thread (confined context) or
-    /// with every partition quiescent (global/exclusive context) — the
-    /// vector itself never changes shape after CreateTopic, so lazy
-    /// materialization is race-free without locks.
+    /// Slot i is null until partition i's first produce/fetch; the vector
+    /// itself never changes shape after CreateTopic.
     std::vector<std::unique_ptr<PartitionState>> parts;
   };
 
@@ -241,13 +235,6 @@ class KafkaCluster {
     int next_member_id = 0;
   };
 
-  /// Host-confined scheduling shim: pushes onto `host`'s partition queue
-  /// when the experiment armed host scheduling (lookahead set), and falls
-  /// back to the legacy global queue otherwise so unit tests and
-  /// single-threaded tools keep their exact event order.
-  void ScheduleOnHost(const std::string& host, sim::SimTime delay,
-                      sim::InlineAction action);
-
   void Rebalance(const std::string& group, const std::string& topic);
 
   /// Flushes parked fetch waiters for all partitions led by a (newly
@@ -259,10 +246,10 @@ class KafkaCluster {
   ClusterConfig config_;
   std::vector<std::string> broker_hosts_;
   std::vector<bool> broker_up_;
-  /// Guarded (lint R11): set once during single-threaded setup, before any
-  /// client exists; clients read them at construction only.
-  crayfish::RetryPolicy client_retry_ CRAYFISH_GUARDED_BY("setup");
-  double auto_commit_interval_s_ CRAYFISH_GUARDED_BY("setup") = 0.0;
+  /// Set once during setup, before any client exists; clients read them at
+  /// construction only.
+  crayfish::RetryPolicy client_retry_;
+  double auto_commit_interval_s_ = 0.0;
   /// Ordered maps on purpose (lint R3): rebalance and fetch scheduling
   /// iterate these, so the container must enumerate in a stable order for
   /// runs to be reproducible. Do not switch to unordered_map.

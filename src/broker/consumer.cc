@@ -30,27 +30,14 @@ KafkaConsumer::KafkaConsumer(KafkaCluster* cluster, std::string client_host,
   if (auto_commit_interval_s_ > 0.0) ScheduleAutoCommit();
 }
 
-void KafkaConsumer::ScheduleOnHost(sim::SimTime delay,
-                                   sim::InlineAction action) {
-  sim::Simulation* sim = cluster_->simulation();
-  if (sim->host_scheduling_active()) {
-    sim->ScheduleOnHost(client_host_, delay, std::move(action));
-  } else {
-    sim->Schedule(delay, std::move(action));
-  }
-}
-
 void KafkaConsumer::ScheduleAutoCommit() {
   auto alive = alive_;
-  // The first tick is armed from the constructor (setup context, before
-  // the experiment sets the lookahead) and lands on the global queue;
-  // every re-arm from inside the callback then confines itself to the
-  // consumer's host — the same hand-off at every thread count.
-  ScheduleOnHost(auto_commit_interval_s_, [this, alive]() {
-    if (!*alive || closed_) return;
-    CommitPositions();
-    ScheduleAutoCommit();
-  });
+  cluster_->simulation()->Schedule(auto_commit_interval_s_,
+                                   [this, alive]() {
+                                     if (!*alive || closed_) return;
+                                     CommitPositions();
+                                     ScheduleAutoCommit();
+                                   });
 }
 
 KafkaConsumer::~KafkaConsumer() {
@@ -75,8 +62,8 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
     positions_[tp.ToString()] = pos;
     delivered_[tp.ToString()] = pos;
     paused_[tp.ToString()] = false;
-    // Pre-create the coordinator's offset slot while still on the global
-    // plane, so confined-loop commits are value-only writes.
+    // Pre-create the coordinator's offset slot, so poll-loop commits are
+    // value-only writes.
     cluster_->EnsureCommitSlot(group_, tp);
     StartFetchLoop(tp);
   }
@@ -201,11 +188,12 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
     if (obs::TimelineSampler* tl = cluster_->simulation()->timeline()) {
       tl->Count("fetch_retries", cluster_->simulation()->Now());
     }
-    ScheduleOnHost(retry_.BackoffFor(attempt, &*rng_),
-                   [this, generation, my_generation, tp]() {
-                     if (*generation != my_generation) return;
-                     FetchOnce(tp);
-                   });
+    cluster_->simulation()->Schedule(
+        retry_.BackoffFor(attempt, &*rng_),
+        [this, generation, my_generation, tp]() {
+          if (*generation != my_generation) return;
+          FetchOnce(tp);
+        });
     return;
   }
   fetch_attempts_[key] = 0;
@@ -229,7 +217,7 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
           // Client-side deserialization before records become visible.
           const double deser = config_.deserialize_per_record_s *
                                static_cast<double>(records.size());
-          ScheduleOnHost(
+          cluster_->simulation()->Schedule(
               deser, [this, generation, my_generation, tp,
                       records = std::move(records)]() mutable {
                 if (*generation != my_generation) return;
@@ -262,13 +250,13 @@ void KafkaConsumer::Poll(double timeout_s, PollCallback on_records) {
   // Deliver immediately when buffered data exists (still async: next sim
   // instant), otherwise arm the timeout.
   if (!buffer_.empty()) {
-    ScheduleOnHost(0.0, [this, done]() {
+    cluster_->simulation()->Schedule(0.0, [this, done]() {
       if (*done) return;
       MaybeDeliver();
     });
     return;
   }
-  ScheduleOnHost(timeout_s, [this, done]() {
+  cluster_->simulation()->Schedule(timeout_s, [this, done]() {
     if (*done) return;
     *done = true;
     poll_armed_at_ = -1.0;

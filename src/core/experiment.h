@@ -81,13 +81,6 @@ struct ExperimentConfig {
   uint64_t max_measurements = 0;
   uint64_t seed = 42;
 
-  /// Host partitions (and threads) for the parallel DES engine
-  /// (DESIGN.md §4.6). 1 = the serial engine; N > 1 shards hosts across N
-  /// threads under the conservative time-window protocol. Results are
-  /// byte-for-byte identical at any value — this is a wall-clock knob,
-  /// never a semantics knob (asserted by tests/determinism_test.cc).
-  int sim_threads = 1;
-
   // --- fault injection ---
   /// Deterministic fault schedule (empty = fault-free run). When active,
   /// the cluster-wide client retry/auto-commit defaults come from

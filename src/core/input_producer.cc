@@ -24,24 +24,6 @@ void InputProducer::Start() {
   EmitNext();
 }
 
-void InputProducer::ScheduleOnHost(sim::SimTime delay,
-                                   sim::InlineAction action) {
-  if (sim_->host_scheduling_active()) {
-    sim_->ScheduleOnHost(options_.client_host, delay, std::move(action));
-  } else {
-    sim_->Schedule(delay, std::move(action));
-  }
-}
-
-void InputProducer::ScheduleAtOnHost(sim::SimTime time,
-                                     sim::InlineAction action) {
-  if (sim_->host_scheduling_active()) {
-    sim_->ScheduleAtOnHost(options_.client_host, time, std::move(action));
-  } else {
-    sim_->ScheduleAt(time, std::move(action));
-  }
-}
-
 void InputProducer::EmitNext() {
   if (stopped_) return;
   if (options_.max_events > 0 && events_sent_ >= options_.max_events) {
@@ -57,7 +39,7 @@ void InputProducer::EmitNext() {
   // Start timestamp recorded prior to the Kafka write (§3.3 step 1).
   const double generate = options_.generate_per_sample_s *
                           static_cast<double>(generator_.batch_size());
-  ScheduleOnHost(generate, [this]() {
+  sim_->Schedule(generate, [this]() {
     if (stopped_) return;
     broker::Record record;
     if (options_.materialize_payloads) {
@@ -85,7 +67,7 @@ void InputProducer::EmitNext() {
     const double rate = options_.schedule.RateAt(sim_->Now());
     CRAYFISH_CHECK_GT(rate, 0.0);
     next_emit_time_ += 1.0 / rate;
-    ScheduleAtOnHost(next_emit_time_, [this]() { EmitNext(); });
+    sim_->ScheduleAt(next_emit_time_, [this]() { EmitNext(); });
   });
 }
 

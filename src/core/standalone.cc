@@ -113,7 +113,6 @@ crayfish::StatusOr<ExperimentResult> RunStandaloneFlink(
     if (config.max_events > 0 && *events_sent >= config.max_events) return;
     sim.Schedule(generate_s, [&sim, &generator, &slots, &config, gen_state,
                               events_sent, wire, emit_ptr, process_ptr]() {
-      // lint: cross-host-ok single-producer driver: the generator is owned by this callback chain and never shared with another partition
       CrayfishDataBatch batch = generator.NextMetadataOnly(sim.Now());
       broker::Record r;
       r.batch_id = batch.id;

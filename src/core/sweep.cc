@@ -14,7 +14,6 @@ namespace crayfish::core {
 namespace {
 /// Written only by SetDefaultSweepJobs (tool startup, before any sweep);
 /// sweeps read it concurrently, hence the relaxed atomic.
-// lint: global-state-ok host-level sweep default: set once at tool startup before any simulation, read via relaxed atomic; never touched from simulated code
 std::atomic<int> g_default_jobs{0};
 }  // namespace
 

@@ -1,8 +1,11 @@
 #include "fault/plan.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -36,6 +39,19 @@ Status ParseBool(const std::string& value, bool* out) {
     return Status::Ok();
   }
   return Status::InvalidArgument("not a bool: " + value);
+}
+
+/// Rejects any member of the JSON object `v` not named in `known`, so a
+/// misspelled or misplaced field is an error rather than a silent default.
+Status RejectUnknownFields(const JsonValue& v,
+                           std::initializer_list<std::string_view> known,
+                           const std::string& what) {
+  for (const auto& [key, value] : v.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::InvalidArgument("unknown " + what + " field: " + key);
+    }
+  }
+  return Status::Ok();
 }
 
 /// Sets one RetryPolicy field by name.
@@ -88,6 +104,12 @@ StatusOr<FaultSpec> SpecFromJson(const JsonValue& v, size_t index) {
   if (!v.is_object()) {
     return Status::InvalidArgument("fault spec must be a JSON object");
   }
+  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+      v,
+      {"kind", "name", "at_s", "until_s", "broker", "from", "to",
+       "latency_mult", "bandwidth_mult", "drop", "factor", "workers_delta",
+       "task_index", "restart_delay_s"},
+      "fault"));
   FaultSpec spec;
   const std::string kind_name = v.GetStringOr("kind", "");
   CRAYFISH_ASSIGN_OR_RETURN(spec.kind, ParseFaultKind(kind_name));
@@ -233,11 +255,18 @@ StatusOr<FaultPlan> FaultPlan::FromJsonText(const std::string& text) {
   if (!root.is_object()) {
     return Status::InvalidArgument("fault plan must be a JSON object");
   }
+  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+      root, {"retry", "auto_commit_interval_s", "faults"}, "fault plan"));
   FaultPlan plan;
   if (const JsonValue* retry = root.Find("retry")) {
     if (!retry->is_object()) {
       return Status::InvalidArgument("\"retry\" must be a JSON object");
     }
+    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+        *retry,
+        {"max_retries", "timeout_s", "initial_backoff_s",
+         "backoff_multiplier", "max_backoff_s", "jitter"},
+        "retry"));
     plan.retry.max_retries = static_cast<int>(
         retry->GetIntOr("max_retries", plan.retry.max_retries));
     plan.retry.timeout_s =

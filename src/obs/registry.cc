@@ -4,27 +4,14 @@
 #include <cstdio>
 #include <fstream>
 
-#include "obs/defer.h"
 
 namespace crayfish::obs {
 
-void CounterMetric::Increment(double delta) {
-  if (DeferIfConfined([this, delta]() { value_ += delta; })) return;
-  value_ += delta;
-}
+void CounterMetric::Increment(double delta) { value_ += delta; }
 
-void GaugeMetric::Set(double v) {
-  if (DeferIfConfined([this, v]() { value_ = v; })) return;
-  value_ = v;
-}
+void GaugeMetric::Set(double v) { value_ = v; }
 
 void HistogramMetric::Observe(double v) {
-  if (DeferIfConfined([this, v]() {
-        stats_.Add(v);
-        histogram_.Add(v);
-      })) {
-    return;
-  }
   stats_.Add(v);
   histogram_.Add(v);
 }

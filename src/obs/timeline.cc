@@ -6,7 +6,6 @@
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "obs/defer.h"
 
 namespace crayfish::obs {
 
@@ -78,16 +77,6 @@ TimelineWindow& TimelineSampler::WindowAt(double t) {
 
 void TimelineSampler::ObserveLatency(double t, double latency_s,
                                      uint64_t events) {
-  if (DeferIfConfined([this, t, latency_s, events]() {
-        ApplyObserveLatency(t, latency_s, events);
-      })) {
-    return;
-  }
-  ApplyObserveLatency(t, latency_s, events);
-}
-
-void TimelineSampler::ApplyObserveLatency(double t, double latency_s,
-                                          uint64_t events) {
   if (finalized_) return;
   TimelineWindow& w = WindowAt(t);
   w.completions += events;
@@ -96,34 +85,16 @@ void TimelineSampler::ApplyObserveLatency(double t, double latency_s,
 }
 
 void TimelineSampler::Count(const std::string& name, double t, double delta) {
-  if (DeferIfConfined(
-          [this, name, t, delta]() { ApplyCount(name, t, delta); })) {
-    return;
-  }
-  ApplyCount(name, t, delta);
-}
-
-void TimelineSampler::ApplyCount(const std::string& name, double t,
-                                 double delta) {
   if (finalized_) return;
   WindowAt(t).counters[name] += delta;
 }
 
 void TimelineSampler::Annotate(double t, const std::string& label) {
-  if (DeferIfConfined([this, t, label]() { ApplyAnnotate(t, label); })) {
-    return;
-  }
-  ApplyAnnotate(t, label);
-}
-
-void TimelineSampler::ApplyAnnotate(double t, const std::string& label) {
   if (finalized_) return;
   WindowAt(t).annotations.push_back(label);
 }
 
 void TimelineSampler::BeginFault(const std::string& name, double t) {
-  // Fault transitions come from the injector's exclusive events, which
-  // always run from global context — no deferral path needed.
   if (finalized_) return;
   active_faults_.insert(name);
   WindowAt(t).active_faults.insert(name);
@@ -160,16 +131,6 @@ void TimelineSampler::AdvanceTo(double t) {
     w.closed = true;
     ++next_to_close_;
   }
-}
-
-double TimelineSampler::NextBoundaryAfter(double t) const {
-  // Derived from the close-loop's predicate rather than floor(t/interval):
-  // the next boundary is the first (next_to_close_+k+1)*interval strictly
-  // greater than t, computed with the same multiplication so the two can
-  // never disagree by a rounding ulp.
-  size_t idx = next_to_close_;
-  while (static_cast<double>(idx + 1) * interval_s_ <= t) ++idx;
-  return static_cast<double>(idx + 1) * interval_s_;
 }
 
 void TimelineSampler::Finalize(double end_s) {

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/defer.h"
 
 namespace crayfish::obs {
 
@@ -42,49 +41,11 @@ std::string EscapeJson(const std::string& s) {
 }  // namespace
 
 void TraceRecorder::StartBatch(uint64_t batch_id, double create_time_s) {
-  if (DeferIfConfined([this, batch_id, create_time_s]() {
-        ApplyStartBatch(batch_id, create_time_s);
-      })) {
-    return;
-  }
-  ApplyStartBatch(batch_id, create_time_s);
-}
-
-void TraceRecorder::Mark(uint64_t batch_id, Stage stage, double time_s) {
-  if (DeferIfConfined([this, batch_id, stage, time_s]() {
-        ApplyMark(batch_id, stage, time_s);
-      })) {
-    return;
-  }
-  ApplyMark(batch_id, stage, time_s);
-}
-
-void TraceRecorder::MarkProduce(uint64_t batch_id, double time_s) {
-  if (DeferIfConfined([this, batch_id, time_s]() {
-        ApplyMarkProduce(batch_id, time_s);
-      })) {
-    return;
-  }
-  ApplyMarkProduce(batch_id, time_s);
-}
-
-void TraceRecorder::MarkAppend(uint64_t batch_id, double time_s) {
-  if (DeferIfConfined([this, batch_id, time_s]() {
-        ApplyMarkAppend(batch_id, time_s);
-      })) {
-    return;
-  }
-  ApplyMarkAppend(batch_id, time_s);
-}
-
-void TraceRecorder::ApplyStartBatch(uint64_t batch_id,
-                                    double create_time_s) {
   BatchTrace& bt = batches_[batch_id];
   bt.start_s = create_time_s;
 }
 
-void TraceRecorder::ApplyMark(uint64_t batch_id, Stage stage,
-                              double time_s) {
+void TraceRecorder::Mark(uint64_t batch_id, Stage stage, double time_s) {
   auto it = batches_.find(batch_id);
   if (it == batches_.end()) return;
   BatchTrace& bt = it->second;
@@ -101,43 +62,32 @@ void TraceRecorder::ApplyMark(uint64_t batch_id, Stage stage,
   }
 }
 
-void TraceRecorder::ApplyMarkProduce(uint64_t batch_id, double time_s) {
+void TraceRecorder::MarkProduce(uint64_t batch_id, double time_s) {
   auto it = batches_.find(batch_id);
   if (it == batches_.end() || it->second.complete) return;
-  ApplyMark(batch_id,
-            it->second.appends == 0 ? Stage::kProduce : Stage::kSinkProduce,
-            time_s);
+  Mark(batch_id,
+       it->second.appends == 0 ? Stage::kProduce : Stage::kSinkProduce,
+       time_s);
 }
 
-void TraceRecorder::ApplyMarkAppend(uint64_t batch_id, double time_s) {
+void TraceRecorder::MarkAppend(uint64_t batch_id, double time_s) {
   auto it = batches_.find(batch_id);
   if (it == batches_.end() || it->second.complete) return;
   const Stage stage = it->second.appends == 0 ? Stage::kBrokerAppend
                                               : Stage::kOutputAppend;
   ++it->second.appends;
-  ApplyMark(batch_id, stage, time_s);
+  Mark(batch_id, stage, time_s);
 }
 
 void TraceRecorder::AddTrackSpan(const std::string& track,
                                  const std::string& name, double start_s,
                                  double end_s) {
-  if (DeferIfConfined([this, track, name, start_s, end_s]() {
-        track_spans_.push_back(
-            TrackSpan{track, name, start_s, std::max(end_s, start_s)});
-      })) {
-    return;
-  }
   track_spans_.push_back(
       TrackSpan{track, name, start_s, std::max(end_s, start_s)});
 }
 
 void TraceRecorder::AddInstant(const std::string& track,
                                const std::string& name, double time_s) {
-  if (DeferIfConfined([this, track, name, time_s]() {
-        instants_.push_back(InstantEvent{track, name, time_s});
-      })) {
-    return;
-  }
   instants_.push_back(InstantEvent{track, name, time_s});
 }
 

@@ -49,8 +49,7 @@ struct AutoscaleSummary {
 /// timeline annotations ("autoscale-up:<name>:<target>" /
 /// "autoscale-down:<name>:<target>", matching the embedded serving
 /// autoscaler's naming), the `autoscale_events` window counter, and
-/// `autoscale_*` registry metrics. Runs only from exclusive global-plane
-/// events, so every mutation lands at a synchronization point.
+/// `autoscale_*` registry metrics.
 class Actuator {
  public:
   Actuator(sim::Simulation* sim, std::string name, ActuatorHooks hooks);
@@ -77,11 +76,9 @@ class Actuator {
 
 /// DES-scheduled elastic control loop.
 ///
-/// Arm() pre-schedules every evaluation tick as an exclusive event
-/// (`ScheduleExclusiveAt`, the fault-injector pattern), so the loop samples
-/// merged barrier state and mutates cross-partition substrates with every
-/// partition quiescent — decisions, and therefore the whole run, are
-/// byte-for-byte identical at any `sim_threads` value (DESIGN.md §4.8).
+/// Arm() pre-schedules every evaluation tick on the event queue (the
+/// fault-injector pattern); decisions are pure functions of the sampled
+/// state, so the whole run is byte-for-byte reproducible (DESIGN.md §4.6).
 ///
 /// Each tick: pull a PolicyInput from the sampler closure (broker lag /
 /// serving utilization gauges), evaluate the policy, clamp to
@@ -90,8 +87,8 @@ class Actuator {
 /// shrink votes, then actuate.
 class Autoscaler {
  public:
-  /// `sampler` is called at each tick (global plane, partitions quiescent)
-  /// and must fill every PolicyInput field except current_replicas.
+  /// `sampler` is called at each tick and must fill every PolicyInput field
+  /// except current_replicas.
   Autoscaler(sim::Simulation* sim, const PolicyConfig& config,
              Actuator* actuator, std::function<PolicyInput(double)> sampler);
 

@@ -193,9 +193,8 @@ PolicyDecision ReactivePolicy::Evaluate(const PolicyInput& in) {
 
 PolicyDecision PredictivePolicy::Evaluate(const PolicyInput& in) {
   // Holt's linear trend on the observed arrival rate. The recurrence is a
-  // pure function of the sample sequence, so it is deterministic across
-  // thread counts as long as the samples are (they come from exclusive
-  // global-plane ticks).
+  // pure function of the sample sequence, so it is deterministic as long
+  // as the samples are.
   if (!primed_) {
     level_ = in.arrival_rate_eps;
     trend_ = 0.0;

@@ -77,7 +77,7 @@ struct PolicyDecision {
 
 /// A deterministic scaling policy. Implementations must be pure state
 /// machines over their inputs: no wall clock, no RNG stream (seeded hashing
-/// is fine), so decisions are identical at every `sim_threads` value.
+/// is fine), so decisions are identical across runs of one config.
 class ScalingPolicy {
  public:
   virtual ~ScalingPolicy() = default;

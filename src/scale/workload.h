@@ -13,7 +13,7 @@ namespace crayfish::scale {
 /// Load-shape families for cluster-scale traffic generation (ROADMAP item
 /// 2). Every shape is a pure function of (spec, seed, t): no RNG stream is
 /// consumed, so two runs with the same config produce byte-identical
-/// producer pacing at any `sim_threads` value.
+/// producer pacing.
 enum class ShapeKind {
   kConstant,    ///< flat base_rate
   kDiurnal,     ///< sinusoid: base * (1 + amplitude * sin(2*pi*t/period))
@@ -104,7 +104,7 @@ struct WorkloadSpec {
   std::string tenant_host_prefix = "tenant-";
 
   /// Extra registered (idle) hosts standing in for the rest of the fleet;
-  /// they participate in host->partition packing and the network topology.
+  /// they join the network topology.
   int fleet_hosts = 0;
   std::string fleet_host_prefix = "fleet-";
 

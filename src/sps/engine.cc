@@ -117,7 +117,7 @@ void StreamEngine::InvokeExternalWithStress(int batch_size,
       config_.host, batch_size,
       [this, multiplier, started, done = std::move(done)]() mutable {
         const double elapsed = sim_->Now() - started;
-        ScheduleOnHost((multiplier - 1.0) * elapsed, std::move(done));
+        sim_->Schedule((multiplier - 1.0) * elapsed, std::move(done));
       });
 }
 
@@ -129,7 +129,7 @@ void StreamEngine::InvokeExternalAttempt(
   // late response to an already-abandoned attempt is ignored.
   auto settled = std::make_shared<bool>(false);
   const double started = sim_->Now();
-  ScheduleOnHost(retry.timeout_s, [this, settled, batch_size, multiplier,
+  sim_->Schedule(retry.timeout_s, [this, settled, batch_size, multiplier,
                                    attempt, done]() {
     if (*settled) return;
     *settled = true;
@@ -142,7 +142,7 @@ void StreamEngine::InvokeExternalAttempt(
       if (obs::TimelineSampler* tl = sim_->timeline()) {
         tl->Count("serving_retries", sim_->Now());
       }
-      ScheduleOnHost(scoring_.retry.BackoffFor(attempt, &rng_),
+      sim_->Schedule(scoring_.retry.BackoffFor(attempt, &rng_),
                      [this, batch_size, multiplier, attempt, done]() {
                        if (stopped_) {
                          (*done)();
@@ -162,7 +162,7 @@ void StreamEngine::InvokeExternalAttempt(
                             if (*settled) return;
                             *settled = true;
                             const double elapsed = sim_->Now() - started;
-                            ScheduleOnHost((multiplier - 1.0) * elapsed,
+                            sim_->Schedule((multiplier - 1.0) * elapsed,
                                            [done]() { (*done)(); });
                           });
 }
@@ -182,15 +182,6 @@ void StreamEngine::InvokeExternalWithStress(const broker::Record& record,
 
 void StreamEngine::TraceMark(uint64_t batch_id, obs::Stage stage) {
   CRAYFISH_TRACE_MARK(sim_, batch_id, stage);
-}
-
-void StreamEngine::ScheduleOnHost(sim::SimTime delay,
-                                  sim::InlineAction action) {
-  if (sim_->host_scheduling_active()) {
-    sim_->ScheduleOnHost(config_.host, delay, std::move(action));
-  } else {
-    sim_->Schedule(delay, std::move(action));
-  }
 }
 
 void StreamEngine::MaybeRealApply(const broker::Record& record) {

@@ -42,9 +42,7 @@ crayfish::Status KafkaStreamsEngine::Start() {
   if (!scoring_.external) {
     load_delay = scoring_.library->LoadTimeSeconds(scoring_.model);
   }
-  // The job-start seed confines every stream thread's poll loop (and all
-  // work scheduled downstream) to the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (stopped_) return;
     for (int i = 0; i < static_cast<int>(threads_.size()); ++i) {
       PollLoop(i);

@@ -55,7 +55,7 @@ crayfish::Status RayEngine::Start() {
           TraceMark(r.batch_id, obs::Stage::kQueueWait);
           const double t =
               (costs_.actor_msg_s + costs_.output_record_s) * inflation;
-          ScheduleOnHost(t, [this, c, r = std::move(r),
+          sim_->Schedule(t, [this, c, r = std::move(r),
                              done = std::move(done)]() {
             if (!stopped_) {
               TraceMark(r.batch_id, obs::Stage::kSerialize);
@@ -92,7 +92,7 @@ crayfish::Status RayEngine::Start() {
             const size_t depth = c->scoring_actor
                                      ? c->scoring_actor->queue_depth()
                                      : 0;
-            ScheduleOnHost(base + costs_.http_client_s,
+            sim_->Schedule(base + costs_.http_client_s,
                            [this, r, depth,
                             deliver = std::move(deliver)]() mutable {
                              if (stopped_) {
@@ -106,7 +106,7 @@ crayfish::Status RayEngine::Start() {
           }
           MaybeRealApply(r);
           const uint64_t batch_id = r.batch_id;
-          ScheduleOnHost(base + PyInferSeconds(static_cast<int>(
+          sim_->Schedule(base + PyInferSeconds(static_cast<int>(
                                     r.batch_size)) *
                                     inflation,
                          [this, batch_id,
@@ -125,9 +125,7 @@ crayfish::Status RayEngine::Start() {
           ? 0.0
           : 0.5 + static_cast<double>(scoring_.model.weight_bytes) /
                       (300.0 * 1024 * 1024);
-  // The job-start seed confines every actor chain's poll loop (and all
-  // work scheduled downstream) to the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (stopped_) return;
     for (int i = 0; i < static_cast<int>(chains_.size()); ++i) {
       InputPollLoop(i);

@@ -49,9 +49,7 @@ crayfish::Status SparkEngine::Start() {
     // Executors load the model once before the query starts.
     load_delay = scoring_.library->LoadTimeSeconds(scoring_.model);
   }
-  // The query-start seed confines the trigger loop (and every micro-batch
-  // scheduled downstream) to the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (!stopped_) TriggerLoop();
   });
   return crayfish::Status::Ok();

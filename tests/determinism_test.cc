@@ -213,13 +213,9 @@ TEST(DeterminismTest, TimelineExportsReproduceByteForByte) {
   EXPECT_EQ(first->timeline->ToCsv(), second->timeline->ToCsv());
 }
 
-// --- Parallel DES (DESIGN.md §4.6): sim_threads is a wall-clock knob, ---
-// --- never a semantics knob.                                          ---
-
 /// The faulted workload with timeline + SLO evaluation enabled — the
-/// widest export surface a run has. Every byte of it must be independent
-/// of the partition count.
-ExperimentConfig PartitionedProbeConfig(uint64_t seed, int threads) {
+/// widest export surface a run has.
+ExperimentConfig WideProbeConfig(uint64_t seed) {
   ExperimentConfig cfg = FaultedConfig(seed);
   cfg.timeline_interval_s = 1.0;
   auto slo = obs::SloConfig::FromJsonText(
@@ -228,7 +224,6 @@ ExperimentConfig PartitionedProbeConfig(uint64_t seed, int threads) {
                    {"metric": "throughput_eps", "min": 1.0}]})");
   CRAYFISH_CHECK(slo.ok());
   cfg.slo = *slo;
-  cfg.sim_threads = threads;
   return cfg;
 }
 
@@ -243,71 +238,58 @@ std::string WideFingerprint(const ExperimentResult& r) {
   return out;
 }
 
-TEST(DeterminismTest, PartitionedFaultedRunMatchesSerialByteForByte) {
-  auto serial = RunExperiment(PartitionedProbeConfig(1234, 1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_fault_metrics);
-  ASSERT_TRUE(serial->has_slo_report);
-  ASSERT_NE(serial->timeline, nullptr);
-  const std::string want = WideFingerprint(*serial);
-  for (const int threads : {2, 4, 8}) {
-    auto parallel = RunExperiment(PartitionedProbeConfig(1234, threads));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    const std::string got = WideFingerprint(*parallel);
-    if (got != want) {
-      size_t at = 0;
-      while (at < want.size() && at < got.size() && want[at] == got[at]) {
-        ++at;
-      }
-      FAIL() << "sim_threads=" << threads
-             << " diverged from serial at byte " << at << " (sizes "
-             << want.size() << " vs " << got.size() << "); context: \""
-             << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
-             << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-    }
+/// Byte equality with the first differing offset and its context on failure.
+void ExpectSameBytes(const std::string& want, const std::string& got,
+                     const std::string& label) {
+  if (got == want) return;
+  size_t at = 0;
+  while (at < want.size() && at < got.size() && want[at] == got[at]) ++at;
+  ADD_FAILURE() << label << ": second run diverged at byte " << at
+                << " (sizes " << want.size() << " vs " << got.size()
+                << "); context: \"" << want.substr(at > 40 ? at - 40 : 0, 80)
+                << "\" vs \"" << got.substr(at > 40 ? at - 40 : 0, 80)
+                << "\"";
+}
+
+TEST(DeterminismTest, WideFaultedRunReproducesByteForByte) {
+  auto first = RunExperiment(WideProbeConfig(1234));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_fault_metrics);
+  ASSERT_TRUE(first->has_slo_report);
+  ASSERT_NE(first->timeline, nullptr);
+  auto second = RunExperiment(WideProbeConfig(1234));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectSameBytes(WideFingerprint(*first), WideFingerprint(*second),
+                  "faulted flink");
+}
+
+// Every engine routes differently through the producer emit loop, broker
+// request/response hops, engine task graphs and serving-side work, so the
+// double-run equality is checked per engine on the same faulted pipeline
+// with the timeline + SLO surface, and a second seed must change it.
+TEST(DeterminismTest, EveryEngineReproducesByteForByte) {
+  for (const char* engine : {"flink", "kafka-streams", "spark", "ray"}) {
+    ExperimentConfig cfg = WideProbeConfig(1234);
+    cfg.engine = engine;
+    auto first = RunExperiment(cfg);
+    ASSERT_TRUE(first.ok()) << engine << ": " << first.status().ToString();
+    ASSERT_GT(first->events_scored, 0u) << engine;
+    auto second = RunExperiment(cfg);
+    ASSERT_TRUE(second.ok()) << engine << ": " << second.status().ToString();
+    const std::string want = WideFingerprint(*first);
+    ExpectSameBytes(want, WideFingerprint(*second), engine);
+    cfg.seed = 99991;
+    auto reseeded = RunExperiment(cfg);
+    ASSERT_TRUE(reseeded.ok())
+        << engine << ": " << reseeded.status().ToString();
+    EXPECT_NE(want, WideFingerprint(*reseeded))
+        << engine << ": two seeds produced identical runs";
   }
 }
 
-// After the confinement-planner migration (DESIGN.md §4.7) the hot path —
-// producer emit loop, broker request/response hops, engine task graphs,
-// serving-side work — runs host-confined whenever the experiment arms
-// host scheduling. Every engine routes differently through those paths,
-// so prove the serial-vs-partitioned equality separately per engine, on
-// the same faulted RQ1-style pipeline with the timeline + SLO surface.
-TEST(DeterminismTest, ConfinedPipelineMatchesSerialAcrossEngines) {
-  for (const char* engine : {"kafka-streams", "spark", "ray"}) {
-    ExperimentConfig serial_cfg = PartitionedProbeConfig(1234, 1);
-    serial_cfg.engine = engine;
-    auto serial = RunExperiment(serial_cfg);
-    ASSERT_TRUE(serial.ok()) << engine << ": " << serial.status().ToString();
-    ASSERT_GT(serial->events_scored, 0u) << engine;
-    const std::string want = WideFingerprint(*serial);
-    for (const int threads : {2, 8}) {
-      ExperimentConfig cfg = PartitionedProbeConfig(1234, threads);
-      cfg.engine = engine;
-      auto parallel = RunExperiment(cfg);
-      ASSERT_TRUE(parallel.ok())
-          << engine << ": " << parallel.status().ToString();
-      const std::string got = WideFingerprint(*parallel);
-      if (got != want) {
-        size_t at = 0;
-        while (at < want.size() && at < got.size() && want[at] == got[at]) {
-          ++at;
-        }
-        FAIL() << engine << " sim_threads=" << threads
-               << " diverged from serial at byte " << at << " (sizes "
-               << want.size() << " vs " << got.size() << "); context: \""
-               << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
-               << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-      }
-    }
-  }
-}
-
-/// An autoscaled flash-crowd run: the control loop executes as exclusive
-/// events at global sync points, so every resize decision — and therefore
-/// every downstream byte — must be independent of the partition count.
-ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
+/// An autoscaled flash-crowd run: every resize decision, and therefore
+/// every downstream byte, must reproduce from the seed.
+ExperimentConfig AutoscaledProbeConfig(uint64_t seed) {
   ExperimentConfig cfg;
   cfg.engine = "flink";
   // TorchServe: worker-count-bound capacity, so the control loop actually
@@ -320,7 +302,6 @@ ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
   cfg.drain_s = 8.0;
   cfg.seed = seed;
   cfg.timeline_interval_s = 1.0;
-  cfg.sim_threads = threads;
   cfg.workload.enabled = true;
   cfg.workload.shape.kind = scale::ShapeKind::kFlashCrowd;
   cfg.workload.shape.base_rate = 120.0;
@@ -343,40 +324,30 @@ ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
   return cfg;
 }
 
-TEST(DeterminismTest, AutoscaledRunMatchesSerialByteForByte) {
-  auto serial = RunExperiment(AutoscaledProbeConfig(4321, 1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_autoscale);
-  ASSERT_GE(serial->autoscale.ticks, 1u);
-  const std::string want = WideFingerprint(*serial);
-  for (const int threads : {2, 4, 8}) {
-    auto parallel = RunExperiment(AutoscaledProbeConfig(4321, threads));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    const std::string got = WideFingerprint(*parallel);
-    if (got != want) {
-      size_t at = 0;
-      while (at < want.size() && at < got.size() && want[at] == got[at]) {
-        ++at;
-      }
-      FAIL() << "autoscaled sim_threads=" << threads
-             << " diverged from serial at byte " << at << " (sizes "
-             << want.size() << " vs " << got.size() << "); context: \""
-             << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
-             << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-    }
-  }
+TEST(DeterminismTest, AutoscaledRunReproducesByteForByte) {
+  auto first = RunExperiment(AutoscaledProbeConfig(4321));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_autoscale);
+  ASSERT_GE(first->autoscale.ticks, 1u);
+  auto second = RunExperiment(AutoscaledProbeConfig(4321));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const std::string want = WideFingerprint(*first);
+  ExpectSameBytes(want, WideFingerprint(*second), "autoscaled");
+  auto reseeded = RunExperiment(AutoscaledProbeConfig(8642));
+  ASSERT_TRUE(reseeded.ok()) << reseeded.status().ToString();
+  EXPECT_NE(want, WideFingerprint(*reseeded))
+      << "two seeds produced identical autoscaled runs";
 }
 
-TEST(DeterminismTest, PartitionedRunsStillDivergeAcrossSeeds) {
-  // Partitioning must not collapse seed sensitivity either — a bug that
-  // froze RNG-dependent paths would pass the equality test above while
-  // making every seed identical.
-  auto first = RunExperiment(PartitionedProbeConfig(1234, 2));
+TEST(DeterminismTest, WideRunsDivergeAcrossSeeds) {
+  // A bug that froze RNG-dependent paths would pass the equality tests
+  // above while making every seed identical.
+  auto first = RunExperiment(WideProbeConfig(1234));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = RunExperiment(PartitionedProbeConfig(99991, 2));
+  auto second = RunExperiment(WideProbeConfig(99991));
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_NE(WideFingerprint(*first), WideFingerprint(*second))
-      << "two seeds produced identical partitioned runs";
+      << "two seeds produced identical runs";
 }
 
 TEST(DeterminismTest, TracingDoesNotPerturbTheRun) {

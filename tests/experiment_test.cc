@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/config.h"
+#include "common/logging.h"
 #include "core/experiment.h"
+#include "core/properties.h"
 
 namespace crayfish::core {
 namespace {
@@ -248,6 +254,85 @@ TEST(ExperimentTest, ValidationModeRejectsUnsupportedModels) {
   cfg.model = "resnet50";
   cfg.validate_real_inference = true;
   EXPECT_TRUE(RunExperiment(cfg).status().IsInvalidArgument());
+}
+
+// --- properties -> ExperimentConfig (core/properties.h) ---
+
+Config Props(const std::string& text) {
+  auto props = Config::FromProperties(text);
+  CRAYFISH_CHECK(props.ok()) << props.status().ToString();
+  return *props;
+}
+
+TEST(PropertiesTest, MapsEveryTableOneKey) {
+  auto cfg = ExperimentConfigFromProperties(Props(
+      "engine = spark\nserving = torchserve\nmodel = resnet50\nbsz = 8\n"
+      "ir = 750.5\nmp = 3\ngpu = true\nbursty = true\nburst_rate = 900\n"
+      "bd = 12\ntbb = 40\nfirst_burst_at_s = 5\npartitions = 16\n"
+      "max_events = 100\nmax_measurements = 50\nseed = 7\ntrace = true\n"
+      "spark.max_offsets_per_trigger = 768\n"
+      "workload.kind = flash-crowd\nautoscaler.max_replicas = 6\n"));
+  ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
+  EXPECT_EQ(cfg->engine, "spark");
+  EXPECT_EQ(cfg->serving, "torchserve");
+  EXPECT_EQ(cfg->model, "resnet50");
+  EXPECT_EQ(cfg->batch_size, 8);
+  EXPECT_DOUBLE_EQ(cfg->input_rate, 750.5);
+  EXPECT_EQ(cfg->parallelism, 3);
+  EXPECT_TRUE(cfg->use_gpu);
+  EXPECT_TRUE(cfg->bursty);
+  EXPECT_DOUBLE_EQ(cfg->burst_rate, 900.0);
+  EXPECT_DOUBLE_EQ(cfg->burst_duration_s, 12.0);
+  EXPECT_DOUBLE_EQ(cfg->time_between_bursts_s, 40.0);
+  EXPECT_DOUBLE_EQ(cfg->first_burst_at_s, 5.0);
+  EXPECT_EQ(cfg->topic_partitions, 16);
+  EXPECT_EQ(cfg->max_events, 100u);
+  EXPECT_EQ(cfg->max_measurements, 50u);
+  EXPECT_EQ(cfg->seed, 7u);
+  EXPECT_TRUE(cfg->enable_tracing);
+  // Engine keys pass through; spec overrides go to their specs only.
+  EXPECT_EQ(cfg->engine_overrides.GetStringOr(
+                "spark.max_offsets_per_trigger", ""),
+            "768");
+  EXPECT_FALSE(cfg->engine_overrides.Has("workload.kind"));
+  EXPECT_FALSE(cfg->engine_overrides.Has("autoscaler.max_replicas"));
+  EXPECT_TRUE(cfg->workload.enabled);
+  EXPECT_EQ(cfg->workload.shape.kind, scale::ShapeKind::kFlashCrowd);
+  EXPECT_TRUE(cfg->autoscaler.enabled);
+  EXPECT_EQ(cfg->autoscaler.max_replicas, 6);
+}
+
+TEST(PropertiesTest, SweptBurstDurationReachesTheConfig) {
+  // crayfish_sweep sets the swept key on the base config per point.
+  Config base = Props("engine = flink\nserving = onnx\nbursty = true\n");
+  std::vector<double> seen;
+  for (const char* bd : {"10", "30"}) {
+    Config point = base;
+    point.Set("bd", bd);
+    auto cfg = ExperimentConfigFromProperties(point);
+    ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
+    seen.push_back(cfg->burst_duration_s);
+  }
+  EXPECT_EQ(seen, (std::vector<double>{10.0, 30.0}));
+}
+
+TEST(PropertiesTest, RejectsUnknownKeysAndMalformedValues) {
+  // A key the mapping does not read, such as one left over from a removed
+  // option or a typo, must fail loudly rather than be ignored.
+  for (const std::string key : {"sim_threads", "engnie"}) {
+    auto cfg = ExperimentConfigFromProperties(Props(key + " = 4\n"));
+    ASSERT_FALSE(cfg.ok()) << key;
+    EXPECT_TRUE(cfg.status().IsInvalidArgument());
+    EXPECT_NE(cfg.status().message().find(key), std::string::npos)
+        << cfg.status().ToString();
+  }
+  EXPECT_FALSE(ExperimentConfigFromProperties(Props("bsz = four\n")).ok());
+  EXPECT_FALSE(ExperimentConfigFromProperties(Props("gpu = maybe\n")).ok());
+  EXPECT_FALSE(
+      ExperimentConfigFromProperties(Props("faults = /nonexistent.json\n"))
+          .ok());
+  EXPECT_FALSE(
+      ExperimentConfigFromProperties(Props("fault.crash0.at_s = 3\n")).ok());
 }
 
 }  // namespace

@@ -133,6 +133,26 @@ TEST(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_FALSE(fault::FaultPlan::FromFile("/nonexistent/plan.json").ok());
 }
 
+TEST(FaultPlanTest, RejectsUnknownFields) {
+  // A misspelled field must not silently fall back to its default: here
+  // "duration_s" would leave until_s unset, and the crash would never be
+  // repaired.
+  auto plan = fault::FaultPlan::FromJsonText(
+      R"({"faults": [{"kind": "broker_crash", "at_s": 2, "duration_s": 1,
+                      "broker": 0}]})");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_TRUE(plan.status().IsInvalidArgument());
+  EXPECT_NE(plan.status().message().find("duration_s"), std::string::npos)
+      << plan.status().ToString();
+  // The same holds for the retry block and the plan's top level.
+  EXPECT_FALSE(fault::FaultPlan::FromJsonText(
+                   R"({"retry": {"max_retry": 3}})")
+                   .ok());
+  EXPECT_FALSE(fault::FaultPlan::FromJsonText(
+                   R"({"fault": [{"kind": "serving_down", "at_s": 1}]})")
+                   .ok());
+}
+
 TEST(FaultPlanTest, OverridesAddressRetryNamesAndIndices) {
   auto plan = fault::FaultPlan::FromJsonText(kPlanJson);
   ASSERT_TRUE(plan.ok());
@@ -304,6 +324,38 @@ TEST(FaultExperimentTest, BrokerCrashRecoversWithoutLoss) {
   ASSERT_NE(result->metrics, nullptr);
   EXPECT_DOUBLE_EQ(
       result->metrics->Gauge("fault_downtime_s")->value(), 8.0);
+}
+
+TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
+  sim::Simulation sim(1);
+  sim::Network network(&sim);
+  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
+  ASSERT_EQ(cluster.broker_hosts().size(), 4u);
+  fault::RecoveryTracker tracker;
+  fault::FaultPlan plan;
+  plan.faults.push_back(BrokerCrash(2.0, 3.0));
+  plan.faults.back().broker = 4;
+  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
+  const Status armed = injector.Arm();
+  ASSERT_FALSE(armed.ok());
+  EXPECT_TRUE(armed.IsInvalidArgument());
+  EXPECT_NE(armed.message().find("broker 4"), std::string::npos)
+      << armed.ToString();
+  // The highest real index arms, and nothing was scheduled by the
+  // rejected plan.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  plan.faults.back().broker = 3;
+  fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
+  EXPECT_TRUE(valid.Arm().ok());
+}
+
+TEST(FaultExperimentTest, NonexistentBrokerFailsTheRun) {
+  core::ExperimentConfig cfg = FaultedConfig("tf-serving");
+  cfg.fault_plan.faults.push_back(BrokerCrash(2.0, 3.0));
+  cfg.fault_plan.faults.back().broker = 99999;
+  auto result = core::RunExperiment(cfg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(FaultExperimentTest, FaultedRunIsSeedReproducible) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -32,6 +33,16 @@ int CountRule(const std::vector<Finding>& fs, Rule r) {
   int n = 0;
   for (const Finding& f : fs) n += f.rule == r ? 1 : 0;
   return n;
+}
+
+std::vector<FileIR> ParseAll(
+    const std::vector<std::pair<std::string, std::string>>& sources) {
+  std::vector<FileIR> irs;
+  irs.reserve(sources.size());
+  for (const auto& [path, src] : sources) {
+    irs.push_back(ParseSource(path, src));
+  }
+  return irs;
 }
 
 // ---------------------------------------------------------------------------
@@ -347,44 +358,26 @@ TEST(R6HostThreadingTest, SweepRunnerAndBenchAreAllowlisted) {
                       Rule::kHostThreading), 2);
 }
 
-TEST(R6HostThreadingTest, PartitionRuntimeCarveOutPermitsItsProtocolOnly) {
-  // The parallel DES runtime may use exactly the primitives its window
-  // protocol needs: workers, the stop token, and the phase gate.
-  const std::string protocol =
-      "std::vector<std::jthread> workers_;\n"
-      "std::mutex mu_;\n"
-      "std::condition_variable work_cv_;\n"
-      "std::unique_lock<std::mutex> lock(mu_);\n"
-      "const std::lock_guard<std::mutex> g(mu_);\n"
-      "void WorkerLoop(int i, const std::stop_token& stop);\n";
-  EXPECT_TRUE(Lint("src/sim/partition.h", protocol).empty());
-  EXPECT_TRUE(Lint("src/sim/partition.cc", protocol).empty());
-  // The carve-out names a protocol, not a blanket suppression: primitives
-  // outside the list still fire in the same files...
-  const std::string outside =
-      "std::atomic<int> n{0};\n"
-      "std::thread t([] {});\n"
-      "auto f = std::async([] { return 1; });\n";
-  EXPECT_EQ(CountRule(Lint("src/sim/partition.cc", outside),
-                      Rule::kHostThreading), 3);
-  // ...and the protocol set stays banned everywhere else in the sim layer.
-  EXPECT_EQ(CountRule(Lint("src/sim/simulation.cc",
-                           "std::jthread w([] {});\n"),
-                      Rule::kHostThreading), 1);
-}
-
-TEST(R6HostThreadingTest, MailboxCarveOutIsItsMutexOnly) {
-  const std::string push =
-      "std::mutex mu_;\n"
+TEST(R6HostThreadingTest, RegistryCarveOutIsItsMutexOnly) {
+  // The metric registry guards its lookup-or-create maps with one mutex.
+  const std::string guard =
+      "mutable std::mutex mu_;\n"
       "const std::lock_guard<std::mutex> lock(mu_);\n";
-  EXPECT_TRUE(Lint("src/sim/mailbox.h", push).empty());
-  EXPECT_TRUE(Lint("src/sim/mailbox.cc", push).empty());
-  // A mailbox must not grow threads, condvars, or lock-free machinery.
+  EXPECT_TRUE(Lint("src/obs/registry.h", guard).empty());
+  EXPECT_TRUE(Lint("src/obs/registry.cc", guard).empty());
+  // The carve-out does not open the file to threads, condvars, or
+  // lock-free machinery...
   const std::string outside =
       "std::jthread w([] {});\n"
       "std::condition_variable cv;\n"
       "std::atomic<uint64_t> seq{0};\n";
-  EXPECT_EQ(CountRule(Lint("src/sim/mailbox.cc", outside),
+  EXPECT_EQ(CountRule(Lint("src/obs/registry.cc", outside),
+                      Rule::kHostThreading), 3);
+  // ...and the mutex stays banned everywhere else, the sim layer included
+  // (std::mutex twice, std::lock_guard once).
+  EXPECT_EQ(CountRule(Lint("src/obs/timeline.cc", guard),
+                      Rule::kHostThreading), 3);
+  EXPECT_EQ(CountRule(Lint("src/sim/simulation.cc", guard),
                       Rule::kHostThreading), 3);
 }
 
@@ -611,6 +604,58 @@ TEST(R7LayeringTest, AcyclicGraphHasNoCycleFindings) {
   graph.Add(ParseSource("src/broker/b.cc", "#include \"common/status.h\"\n"));
   EXPECT_TRUE(graph.FindCycles().empty());
   EXPECT_TRUE(LintIncludeCycles(graph).empty());
+}
+
+TEST(IncludeGraphTest, DiamondIncludeIsNotACycle) {
+  // core -> {sps, serving} -> common: two paths reconverge on the same base
+  // module. A naive visited-set walk can misreport the reconvergence as a
+  // back-edge; the DAG check must not.
+  const auto irs = ParseAll({
+      {"src/core/top.h",
+       "#include \"sps/a.h\"\n#include \"serving/b.h\"\n"},
+      {"src/sps/a.h", "#include \"common/base.h\"\n"},
+      {"src/serving/b.h", "#include \"common/base.h\"\n"},
+      {"src/common/base.h", "int Base();\n"},
+  });
+  IncludeGraph g;
+  for (const FileIR& ir : irs) g.Add(ir);
+  EXPECT_TRUE(g.FindCycles().empty());
+  const auto& edges = g.edges();
+  ASSERT_TRUE(edges.count("core"));
+  EXPECT_TRUE(edges.at("core").count("sps"));
+  EXPECT_TRUE(edges.at("core").count("serving"));
+  ASSERT_TRUE(edges.count("sps"));
+  EXPECT_TRUE(edges.at("sps").count("common"));
+  // The shared base edge dedupes and keeps its first observed site.
+  EXPECT_EQ(g.EdgeSite("sps", "common"), "src/sps/a.h:1");
+}
+
+TEST(IncludeGraphTest, SelfIncludeProducesNoEdgeAndNoCycle) {
+  // A header including its own module (x.cc -> x.h is the normal case, a
+  // literal self-include the pathological one) is not a module edge.
+  const auto irs = ParseAll({
+      {"src/sim/event.h", "#include \"sim/event.h\"\n#include \"sim/clock.h\"\n"},
+      {"src/sim/clock.h", "int Now();\n"},
+  });
+  IncludeGraph g;
+  for (const FileIR& ir : irs) g.Add(ir);
+  EXPECT_TRUE(g.FindCycles().empty());
+  const auto it = g.edges().find("sim");
+  if (it != g.edges().end()) {
+    EXPECT_EQ(it->second.count("sim"), 0u);
+  }
+}
+
+TEST(IncludeGraphTest, RealCycleIsStillReportedOnce) {
+  const auto irs = ParseAll({
+      {"src/sim/a.h", "#include \"broker/b.h\"\n"},
+      {"src/broker/b.h", "#include \"sim/a.h\"\n"},
+  });
+  IncludeGraph g;
+  for (const FileIR& ir : irs) g.Add(ir);
+  const auto cycles = g.FindCycles();
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0].front(), cycles[0].back());
 }
 
 // ---------------------------------------------------------------------------

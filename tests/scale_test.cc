@@ -588,9 +588,8 @@ TEST(ScaleTopologyTest, ThousandHostWideTopicConstructsLean) {
   }
   broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
   ASSERT_TRUE(cluster.CreateTopic("wide", 256).ok());
-  network.FreezeTopology();
-  // Freezing a thousand-host fleet allocates per-source buckets, not the
-  // ~10^6 host-pair links; untouched partitions stay null slots.
+  // A thousand-host fleet allocates none of the ~10^6 host-pair links up
+  // front; untouched partitions stay null slots.
   EXPECT_EQ(network.live_link_count(), 0u);
   auto n = cluster.NumPartitions("wide");
   ASSERT_TRUE(n.ok());
@@ -602,7 +601,7 @@ TEST(ScaleTopologyTest, ThousandHostWideTopicConstructsLean) {
 }
 
 // --- acceptance: 1000 hosts, 256 background partitions, flash crowd, ---
-// --- autoscaled, byte-identical across sim_threads                   ---
+// --- autoscaled, byte-identical across runs of one seed              ---
 
 void AppendBits(std::ostringstream* os, double d) {
   uint64_t bits = 0;
@@ -644,8 +643,8 @@ std::string ScaleFingerprint(const core::ExperimentResult& r) {
   return os.str();
 }
 
-core::ExperimentConfig AcceptanceConfig(int threads) {
-  core::ExperimentConfig cfg = AutoscaledFlashCrowdConfig(77);
+core::ExperimentConfig AcceptanceConfig(uint64_t seed) {
+  core::ExperimentConfig cfg = AutoscaledFlashCrowdConfig(seed);
   cfg.duration_s = 40.0;
   cfg.workload.shape.spike_at_s = 10.0;
   cfg.workload.shape.base_rate = 100.0;
@@ -657,32 +656,35 @@ core::ExperimentConfig AcceptanceConfig(int threads) {
   cfg.workload.tenant_partitions = 8;
   cfg.workload.tenant_rate_factor = 0.02;
   cfg.workload.fleet_hosts = 950;
-  cfg.sim_threads = threads;
   return cfg;
 }
 
-TEST(ScaleAcceptanceTest, ThousandHostFlashCrowdMatchesSerialByteForByte) {
-  auto serial = core::RunExperiment(AcceptanceConfig(1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_autoscale);
-  EXPECT_GE(serial->autoscale.scale_ups, 1u);
-  EXPECT_GE(serial->autoscale.scale_downs, 1u);
-  ASSERT_TRUE(serial->has_fault_metrics);
-  EXPECT_EQ(serial->fault_metrics.losses, 0u);
-  EXPECT_GT(serial->events_scored, 0u);
+TEST(ScaleAcceptanceTest, ThousandHostFlashCrowdReproducesByteForByte) {
+  auto first = core::RunExperiment(AcceptanceConfig(77));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_autoscale);
+  EXPECT_GE(first->autoscale.scale_ups, 1u);
+  EXPECT_GE(first->autoscale.scale_downs, 1u);
+  ASSERT_TRUE(first->has_fault_metrics);
+  EXPECT_EQ(first->fault_metrics.losses, 0u);
+  EXPECT_GT(first->events_scored, 0u);
 
-  const std::string want = ScaleFingerprint(*serial);
-  auto parallel = core::RunExperiment(AcceptanceConfig(4));
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  const std::string got = ScaleFingerprint(*parallel);
+  const std::string want = ScaleFingerprint(*first);
+  auto second = core::RunExperiment(AcceptanceConfig(77));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const std::string got = ScaleFingerprint(*second);
   if (got != want) {
     size_t at = 0;
     while (at < want.size() && at < got.size() && want[at] == got[at]) ++at;
-    FAIL() << "sim_threads=4 diverged from serial at byte " << at
-           << " (sizes " << want.size() << " vs " << got.size()
-           << "); context: \"" << want.substr(at > 40 ? at - 40 : 0, 80)
-           << "\" vs \"" << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
+    FAIL() << "second run diverged at byte " << at << " (sizes "
+           << want.size() << " vs " << got.size() << "); context: \""
+           << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
+           << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
   }
+  auto reseeded = core::RunExperiment(AcceptanceConfig(78));
+  ASSERT_TRUE(reseeded.ok()) << reseeded.status().ToString();
+  EXPECT_NE(want, ScaleFingerprint(*reseeded))
+      << "two seeds produced identical thousand-host runs";
 }
 
 // A small end-to-end demand table over two engines: the probe batch runs

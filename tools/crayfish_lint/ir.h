@@ -22,18 +22,9 @@ struct Include {
 /// A name the flow analysis tracks: a function parameter or a local
 /// declaration. Members and globals are deliberately not tracked by R8 — the
 /// analyzer has no aliasing model for them, so flagging them would be noise.
-/// `type` is the principal type identifier of the declaration (the last
-/// identifier of the type chain, so `broker::KafkaCluster* c` records
-/// "KafkaCluster"); the whole-program analysis uses it to resolve method
-/// receivers across translation units.
 struct VarDecl {
   std::string name;
   int line = 0;
-  bool is_param = false;
-  std::string type;        ///< principal type identifier ("" when unknown)
-  bool is_pointer = false; ///< `*` or `&` in the declarator: aliases remote state
-  bool is_static = false;  ///< function-local static (R12 input)
-  bool is_const = false;   ///< const/constexpr anywhere in the decl-specifiers
 };
 
 enum class StmtKind {
@@ -62,71 +53,14 @@ struct Stmt {
   std::vector<std::vector<Stmt>> branches;
 };
 
-/// One lambda capture, resolved against the enclosing function's scope where
-/// possible. `type` is the declared principal type of the captured name (from
-/// a param/local VarDecl or, for members via `this`, unknown here).
-struct Capture {
-  std::string name;        ///< captured identifier ("this" for this-capture)
-  bool by_ref = false;     ///< `&name` capture (aliases the host's storage)
-  bool is_this = false;
-  std::string type;        ///< principal type of the captured decl ("" unknown)
-  bool is_pointer = false; ///< the captured decl was a pointer/reference
-  int line = 0;
-};
-
-/// A call site inside a function body, with enough receiver shape for the
-/// whole-program analysis to resolve the target across translation units.
-struct CallSite {
-  std::string callee;  ///< last identifier of the call chain
-  int line = 0;
-  enum class Recv {
-    kFree,       ///< `foo(...)` — free function or own-class method
-    kThis,       ///< `this->foo(...)`
-    kIdent,      ///< `x.foo(...)` / `x->foo(...)` — receiver is an identifier
-    kQualified,  ///< `ns::Class::foo(...)` — receiver is a qualification
-    kExpr,       ///< anything more complex (`a.b()->c(...)`)
-  };
-  Recv recv = Recv::kFree;
-  std::string receiver;  ///< the identifier / qualifier text (Recv-dependent)
-  bool arrow = false;    ///< receiver accessed via `->`
-};
-
-/// A write site: `base.field = ...`, `base->field op= ...`, `field = ...`,
-/// `++base->field`, etc. `base` is empty for unqualified writes (own member
-/// or local — disambiguated later against the function's scope).
-struct WriteSite {
-  std::string base;   ///< receiver identifier ("" = unqualified, "this" ok)
-  std::string field;  ///< the written name
-  bool arrow = false;
-  int line = 0;
-};
-
 /// A parsed function (or constructor / TEST body / scheduled-callback lambda)
-/// definition. Whole-program fields: `class_name` links the definition to its
-/// class (from `Class::Method` qualifications or enclosing class bodies);
-/// `calls`/`writes` are the flat access lists the effect summaries consume;
-/// callbacks peeled out of `Schedule(...)`/`ScheduleAt(...)` lambda arguments
-/// become their own synthetic Function with `is_callback` set and the host's
-/// captures recorded.
+/// definition. Lambdas passed to `Schedule(...)`/`ScheduleAt(...)` become
+/// their own synthetic Function, so R8 walks a callback's statements too.
 struct Function {
   std::string name;
   int line = 0;
   std::vector<VarDecl> params;
   std::vector<Stmt> body;
-
-  std::string class_name;  ///< enclosing/qualifying class ("" for free fns)
-  std::vector<std::string> requires_channels;  ///< CRAYFISH_REQUIRES(...) args
-  std::vector<CallSite> calls;
-  std::vector<WriteSite> writes;
-  std::vector<VarDecl> locals;      ///< flat locals+params for receiver typing
-  std::vector<Capture> captures;    ///< callbacks only: the lambda's captures
-  bool is_callback = false;         ///< peeled from a Schedule-family call
-  int register_line = 0;            ///< callbacks: line of the Schedule call
-  std::string register_method;      ///< callbacks: "Schedule", "ScheduleOnHost",
-                                    ///< "ScheduleAt", "ScheduleAtOnHost", or
-                                    ///< "ScheduleExclusiveAt"
-  bool global_plane = false;        ///< CRAYFISH_GLOBAL_PLANE on the definition
-  std::string global_plane_reason;  ///< the annotation's justification string
 };
 
 /// A call whose result is discarded as a full expression statement
@@ -142,42 +76,6 @@ struct DiscardedCall {
 struct ImmutableSharedDecl {
   std::string name;
   int line = 0;
-};
-
-/// A member declaration inside a class body, with its capability annotation
-/// (`CRAYFISH_GUARDED_BY("channel")`) if present.
-struct MemberDecl {
-  std::string name;
-  std::string type;        ///< principal type identifier
-  bool is_pointer = false;
-  std::string guarded_by;  ///< channel from CRAYFISH_GUARDED_BY ("" = none)
-  int line = 0;
-};
-
-/// A class/struct declaration: shared-capability annotation, annotated
-/// members, and per-method CRAYFISH_REQUIRES channels (for methods declared
-/// but not defined in this file).
-struct ClassDecl {
-  std::string name;
-  int line = 0;
-  std::string shared_channel;  ///< CRAYFISH_SHARED("channel") ("" = none)
-  std::vector<MemberDecl> members;
-  std::map<std::string, std::vector<std::string>> method_requires;
-  /// CRAYFISH_GLOBAL_PLANE-annotated method declarations -> justification.
-  std::map<std::string, std::string> method_global_plane;
-  std::vector<std::string> bases;  ///< base-class names from the base list
-  int body_begin_line = 0;  ///< line of the class body `{`
-  int body_end_line = 0;    ///< line of the class body `}`
-};
-
-/// A namespace-scope variable (or extern declaration) — R12's subject.
-struct GlobalDecl {
-  std::string name;
-  std::string type;
-  int line = 0;
-  bool is_const = false;       ///< const/constexpr/enum — immutable, not flagged
-  bool is_extern_decl = false; ///< pure `extern` declaration (no storage here)
-  std::string shared_channel;  ///< CRAYFISH_SHARED-annotated type ("" = none)
 };
 
 /// `// lint: <keyword> <justification>` extracted from comments *and* from
@@ -201,8 +99,6 @@ struct FileIR {
   std::vector<DiscardedCall> discarded_calls;
   std::vector<ImmutableSharedDecl> immutable_decls;
   std::vector<Suppression> suppressions;
-  std::vector<ClassDecl> classes;
-  std::vector<GlobalDecl> globals;
 };
 
 /// Function names whose return type is known from declarations. Built over
@@ -218,17 +114,13 @@ struct SymbolTable {
   }
 };
 
-struct WholeProgram;  // callgraph.h — built in pass 1, read-only afterwards
-
 /// Cross-file facts collected in pass 1 and shared (read-only) by every
-/// per-file lint pass: the R4 call-resolution table, the R9 map from
+/// per-file lint pass: the R4 call-resolution table and the R9 map from
 /// immutable shared-buffer member names to the file that declares them
-/// (their construction site), and — when BuildWholeProgram has run — the
-/// interprocedural model R10/R11/R12 consult.
+/// (their construction site).
 struct ProjectContext {
   SymbolTable symbols;
   std::map<std::string, std::string> immutable_member_home;
-  const WholeProgram* whole_program = nullptr;  ///< not owned; may be null
 };
 
 /// Lowercase name of a statement kind ("expr", "if", "loop", ...).

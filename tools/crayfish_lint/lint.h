@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "crayfish_lint/callgraph.h"
 #include "crayfish_lint/include_graph.h"
 #include "crayfish_lint/ir.h"
 #include "crayfish_lint/lexer.h"
@@ -29,15 +28,6 @@ enum class Rule {
   kLayering,      // R7: include graph must follow the module DAG
   kUseAfterMove,  // R8: no use of a moved-from local/param on any path
   kPayloadAlias,  // R9: no mutation/aliasing of shared_ptr<const T> payloads
-  kPartitionConfinement,  // R10: event callbacks may only write host-reachable
-                          //      or CRAYFISH_SHARED state (whole-program)
-  kCapability,    // R11: CRAYFISH_GUARDED_BY members written / REQUIRES
-                  //      methods called only while holding the channel
-  kGlobalState,   // R12: no mutable namespace-scope variables or function-
-                  //      local statics in sim-reachable code
-  kConfinementPlanner,  // R13: a Schedule/ScheduleAt site the confinement
-                        //      planner proves confinable must migrate to
-                        //      ScheduleOnHost or carry a justification
 };
 
 /// Stable short name used in machine-readable output ("R1", "R2", ...).
@@ -67,9 +57,7 @@ struct LintOptions {
 
 /// Runs all per-file rules over one parsed file. `ir.path` should use
 /// forward slashes; directory-scoped rules match on path suffixes so
-/// absolute and relative invocations behave identically. The partition-
-/// safety rules (R10/R11/R12) run only when `ctx.whole_program` is set —
-/// the CLI driver always sets it; LintSource fixtures never do.
+/// absolute and relative invocations behave identically.
 std::vector<Finding> LintFile(const FileIR& ir, const ProjectContext& ctx,
                               const LintOptions& options);
 
@@ -94,15 +82,6 @@ std::vector<Finding> LintSource(const std::string& path,
                                 std::string_view source,
                                 const SymbolTable& table,
                                 const LintOptions& options);
-
-/// Whole-program convenience for tests and fixtures: lex + parse every
-/// (path, source) pair, build the cross-TU call graph and effect summaries,
-/// and lint every file against them. Findings come back grouped by input
-/// order (each file's findings sorted by line), exactly like the driver's
-/// deterministic output.
-std::vector<Finding> LintProgram(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const LintOptions& options);
 
 /// Serializes a lint run machine-readably (SARIF-ish, stable key order):
 /// `{"tool": "crayfish_lint", "schema_version": 4, "files_scanned": N,

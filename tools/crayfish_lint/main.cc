@@ -4,8 +4,7 @@
 //
 // Usage:
 //   crayfish_lint [--fix-suggestions] [--format=text|json] [--jobs=N]
-//                 [--dump-dag] [--dump-callgraph] [--dump-effects]
-//                 [--dump-confinement] <file-or-dir>...
+//                 [--dump-dag] <file-or-dir>...
 //
 // Text output is machine readable, one finding per line:
 //   <file>:<line>: <rule>: <message>
@@ -26,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "crayfish_lint/callgraph.h"
 #include "crayfish_lint/include_graph.h"
 #include "crayfish_lint/lexer.h"
 #include "crayfish_lint/lint.h"
@@ -81,9 +79,7 @@ bool ReadFile(const std::string& path, std::string* out) {
 int Usage() {
   std::cerr
       << "usage: crayfish_lint [--fix-suggestions] [--format=text|json]\n"
-         "                     [--jobs=N] [--dump-dag] [--dump-callgraph]\n"
-         "                     [--dump-effects] [--dump-confinement]\n"
-         "                     <file-or-dir>...\n"
+         "                     [--jobs=N] [--dump-dag] <file-or-dir>...\n"
          "\n"
          "Determinism & correctness rules enforced over the Crayfish "
          "sources:\n"
@@ -103,18 +99,6 @@ int Usage() {
          "  R8  no use of a moved-from local/parameter on any path\n"
          "  R9  no mutation or const-stripping of shared_ptr<const T>\n"
          "      payloads outside their construction site\n"
-         "  R10 partition confinement: Schedule/ScheduleAt callbacks may\n"
-         "      only write state reachable from their host object or from\n"
-         "      CRAYFISH_SHARED types (whole-program effect summaries)\n"
-         "  R11 capability checking: CRAYFISH_GUARDED_BY members written\n"
-         "      and CRAYFISH_REQUIRES methods called only while the channel\n"
-         "      is provably held on every entry-point path\n"
-         "  R12 no mutable namespace-scope variables or function-local\n"
-         "      statics in sim-reachable code\n"
-         "  R13 confinement planner: a Schedule/ScheduleAt site proved\n"
-         "      confinable (host anchor present, all touched state\n"
-         "      host-local, no global-plane reachability) must schedule via\n"
-         "      ScheduleOnHost/ScheduleAtOnHost or justify staying global\n"
          "\n"
          "Flags:\n"
          "  --fix-suggestions  append a remediation hint to each finding\n"
@@ -123,21 +107,12 @@ int Usage() {
          "                     order stays deterministic)\n"
          "  --dump-dag         print the observed module edges (the block\n"
          "                     DESIGN.md §4.3 embeds) and exit\n"
-         "  --dump-callgraph   print the cross-TU call graph as JSON\n"
-         "                     (deterministic: stable key order) and exit\n"
-         "  --dump-effects     print per-function effect summaries (self\n"
-         "                     writes, global writes, partition crossings)\n"
-         "                     as JSON and exit\n"
-         "  --dump-confinement print the confinement planner's verdict for\n"
-         "                     every Schedule-family call site (plus\n"
-         "                     per-component rollups) as JSON and exit\n"
          "\n"
          "Suppress a finding on its line (or the line below a standalone\n"
          "comment) with `// lint: <keyword> <justification>`, keywords:\n"
          "  wall-clock-ok unseeded-ok order-independent status-ignored "
          "float-ok\n"
-         "  host-threading-ok layering-ok move-ok aliasing-ok cross-host-ok\n"
-         "  capability-ok global-state-ok confinement-ok\n";
+         "  host-threading-ok layering-ok move-ok aliasing-ok\n";
   return 2;
 }
 
@@ -148,9 +123,6 @@ int main(int argc, char** argv) {
   std::string format = "text";
   int jobs = 1;
   bool dump_dag = false;
-  bool dump_callgraph = false;
-  bool dump_effects = false;
-  bool dump_confinement = false;
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -170,12 +142,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--dump-dag") {
       dump_dag = true;
-    } else if (arg == "--dump-callgraph") {
-      dump_callgraph = true;
-    } else if (arg == "--dump-effects") {
-      dump_effects = true;
-    } else if (arg == "--dump-confinement") {
-      dump_confinement = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -223,25 +189,8 @@ int main(int argc, char** argv) {
     graph.Add(irs.back());
   }
 
-  // The whole-program model (cross-TU call graph + effect fixpoint +
-  // capability exposure) is built once here in the serial pass and consumed
-  // read-only by R10/R11 and the dump flags — which is why --jobs never
-  // changes a byte of any output.
-  const crayfish::lint::WholeProgram whole_program =
-      crayfish::lint::BuildWholeProgram(irs);
-  ctx.whole_program = &whole_program;
-
-  if (dump_dag || dump_callgraph || dump_effects || dump_confinement) {
-    if (dump_dag) std::cout << graph.Dump();
-    if (dump_callgraph) {
-      std::cout << crayfish::lint::DumpCallGraph(whole_program);
-    }
-    if (dump_effects) {
-      std::cout << crayfish::lint::DumpEffects(whole_program);
-    }
-    if (dump_confinement) {
-      std::cout << crayfish::lint::DumpConfinement(whole_program);
-    }
+  if (dump_dag) {
+    std::cout << graph.Dump();
     for (const std::string& e : errors) {
       std::cerr << "crayfish_lint: " << e << "\n";
     }
@@ -289,8 +238,8 @@ int main(int argc, char** argv) {
   // out in path order, and this folds the project-level findings into the
   // same order instead of tacking them onto the end, so text output is
   // byte-identical for every --jobs value *and* sorted like the JSON.
-  // Rule id breaks (file, line) ties so multi-rule hits on one call site
-  // (R10 + R13) serialize identically for every --jobs value.
+  // Rule id breaks (file, line) ties so multi-rule hits on one line
+  // serialize identically for every --jobs value.
   std::stable_sort(all.begin(), all.end(),
                    [](const crayfish::lint::Finding& a,
                       const crayfish::lint::Finding& b) {

@@ -31,12 +31,6 @@ const std::set<std::string> kDeclQualifiers = {
 const std::set<std::string> kResetMethods = {"clear", "reset", "assign",
                                              "swap"};
 
-/// Operators whose left-hand side is written (R10/R11/effect-summary input).
-const std::set<std::string> kAssignOps = {
-    "=",  "+=", "-=", "*=",  "/=",  "%=",
-    "&=", "|=", "^=", "<<=", ">>=",
-};
-
 int MatchBrace(const std::vector<Token>& toks, int open) {
   int depth = 0;
   for (int k = open; k < static_cast<int>(toks.size()); ++k) {
@@ -63,48 +57,6 @@ int MatchBracket(const std::vector<Token>& toks, int open) {
     }
   }
   return -1;
-}
-
-/// `"net"` (with optional encoding prefix) -> `net`.
-std::string StripQuotes(const std::string& s) {
-  const size_t b = s.find('"');
-  const size_t e = s.rfind('"');
-  if (b == std::string::npos || e <= b) return s;
-  return s.substr(b + 1, e - b - 1);
-}
-
-/// Parses `CRAYFISH_X("ch"[, "ch2"])` where `i` is the macro identifier.
-/// Returns the string arguments and sets *past to the code-token index after
-/// the closing `)` (or past the identifier when no parens follow).
-std::vector<std::string> ParseAnnotationArgs(const std::vector<Token>& toks,
-                                             int i, int* past) {
-  std::vector<std::string> out;
-  const int p = NextCode(toks, i);
-  if (p < 0 || !toks[p].IsPunct("(")) {
-    *past = p;
-    return out;
-  }
-  const int close = MatchParen(toks, p);
-  if (close < 0) {
-    *past = -1;
-    return out;
-  }
-  for (int k = p + 1; k < close; ++k) {
-    if (toks[k].kind == TokenKind::kString) {
-      out.push_back(StripQuotes(toks[k].text));
-    }
-  }
-  *past = NextCode(toks, close);
-  return out;
-}
-
-/// Flattens every declaration in a statement tree (R10/R11 receiver typing).
-void CollectLocalsFrom(const std::vector<Stmt>& stmts,
-                       std::vector<VarDecl>* out) {
-  for (const Stmt& s : stmts) {
-    for (const VarDecl& d : s.decls) out->push_back(d);
-    for (const auto& br : s.branches) CollectLocalsFrom(br, out);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +292,8 @@ class FunctionParser {
   /// Scans the whole token stream for function definitions; statements
   /// inside a parsed body are consumed and never re-scanned. Callbacks
   /// peeled out of Schedule/ScheduleAt lambda arguments follow their host
-  /// function in token order.
+  /// function in token order, so R8 also walks each scheduled callback's
+  /// body as a function of its own.
   std::vector<Function> ParseAll() {
     std::vector<Function> out;
     const int n = static_cast<int>(toks_.size());
@@ -401,43 +354,9 @@ class FunctionParser {
     if (body_close < 0) return -1;
     fn->name = toks_[name].text;
     fn->line = toks_[name].line;
-    // `Class::Method(` — record the immediate qualifier as the class.
-    if (b.IsPunct("::")) {
-      const int qual = PrevCode(toks_, before);
-      if (qual >= 0 && toks_[qual].kind == TokenKind::kIdentifier) {
-        fn->class_name = toks_[qual].text;
-      }
-    }
     fn->params = ParseParams(open, close);
-    // CRAYFISH_REQUIRES("ch") / CRAYFISH_GLOBAL_PLANE("why") sit between the
-    // parameter list and the body.
-    for (int k = close; k >= 0 && k < body_open;) {
-      if (toks_[k].IsIdent("CRAYFISH_REQUIRES")) {
-        int past = -1;
-        for (std::string& ch : ParseAnnotationArgs(toks_, k, &past)) {
-          fn->requires_channels.push_back(std::move(ch));
-        }
-        if (past <= k) break;
-        k = past;
-        continue;
-      }
-      if (toks_[k].IsIdent("CRAYFISH_GLOBAL_PLANE")) {
-        int past = -1;
-        const auto args = ParseAnnotationArgs(toks_, k, &past);
-        fn->global_plane = true;
-        if (!args.empty()) fn->global_plane_reason = args[0];
-        if (past <= k) break;
-        k = past;
-        continue;
-      }
-      k = NextCode(toks_, k);
-    }
     fn->body = ParseStmtList(body_open + 1, body_close);
-    CollectLocalsFrom(fn->body, &fn->locals);
-    for (const VarDecl& p : fn->params) fn->locals.push_back(p);
-    const auto excluded =
-        PeelCallbacks(body_open + 1, body_close, fn, &pending_callbacks_);
-    ExtractAccesses(body_open + 1, body_close, excluded, fn);
+    PeelCallbacks(body_open + 1, body_close, fn->name, &pending_callbacks_);
     return body_close + 1;
   }
 
@@ -459,20 +378,6 @@ class FunctionParser {
           continue;
         }
         k = n;
-        continue;
-      }
-      // Capability annotations (`CRAYFISH_REQUIRES("ch")`, ...) sit between
-      // the parameter list and the body and must not end the parse.
-      if (t.kind == TokenKind::kIdentifier &&
-          t.text.rfind("CRAYFISH_", 0) == 0) {
-        const int n = NextCode(toks_, k);
-        if (n >= 0 && toks_[n].IsPunct("(")) {
-          const int c = MatchParen(toks_, n);
-          if (c < 0) return -1;
-          k = NextCode(toks_, c);
-        } else {
-          k = n;
-        }
         continue;
       }
       if (t.IsPunct("->")) {  // trailing return type
@@ -538,22 +443,11 @@ class FunctionParser {
     std::vector<VarDecl> params;
     int depth_angle = 0, depth_paren = 0, depth_brace = 0;
     std::vector<int> piece_idents;  // top-level idents of the current piece
-    bool piece_ptr = false;
-    bool piece_const = false;
     bool defaulted = false;  // inside `= default-arg`, name already seen
     const auto flush = [&] {
       if (piece_idents.empty()) return;
-      VarDecl d;
       const int name = piece_idents.back();
-      d.name = toks_[name].text;
-      d.line = toks_[name].line;
-      d.is_param = true;
-      if (piece_idents.size() >= 2) {
-        d.type = toks_[piece_idents[piece_idents.size() - 2]].text;
-      }
-      d.is_pointer = piece_ptr;
-      d.is_const = piece_const;
-      params.push_back(std::move(d));
+      params.push_back(VarDecl{toks_[name].text, toks_[name].line});
     };
     for (int k = open + 1; k < close; ++k) {
       const Token& t = toks_[k];
@@ -571,17 +465,11 @@ class FunctionParser {
       if (top && t.IsPunct(",")) {
         flush();
         piece_idents.clear();
-        piece_ptr = false;
-        piece_const = false;
         defaulted = false;
         continue;
       }
       if (top && t.IsPunct("=")) defaulted = true;
       if (top && !defaulted) {
-        if (t.IsPunct("*") || t.IsPunct("&") || t.IsPunct("&&")) {
-          piece_ptr = true;
-        }
-        if (t.IsIdent("const")) piece_const = true;
         if (t.kind == TokenKind::kIdentifier && !t.IsIdent("const") &&
             !t.IsIdent("void")) {
           piece_idents.push_back(k);
@@ -898,22 +786,11 @@ class FunctionParser {
     auto advance = [&]() { k = NextCode(toks_, k); };
     // Qualifiers and built-in type words.
     bool saw_type_word = false;
-    bool is_static = false;
-    bool is_const = false;
-    std::string type;
     while (k >= 0 && k < end && toks_[k].kind == TokenKind::kIdentifier &&
            kDeclQualifiers.count(toks_[k].text) > 0) {
-      if (toks_[k].text == "static" || toks_[k].text == "thread_local") {
-        is_static = true;
-      }
-      if (toks_[k].text == "const" || toks_[k].text == "constexpr" ||
-          toks_[k].text == "constinit") {
-        is_const = true;
-      }
       if (toks_[k].text != "static" && toks_[k].text != "constexpr" &&
           toks_[k].text != "inline" && toks_[k].text != "const") {
         saw_type_word = true;
-        type = toks_[k].text;
       }
       advance();
     }
@@ -921,7 +798,6 @@ class FunctionParser {
     if (toks_[k].kind == TokenKind::kIdentifier &&
         kStatementKeywords.count(toks_[k].text) == 0) {
       // Type name chain: ident (:: ident)* with template args.
-      type = toks_[k].text;
       while (true) {
         int n = NextCode(toks_, k);
         if (n >= 0 && n < end && toks_[n].IsPunct("<")) {
@@ -938,7 +814,6 @@ class FunctionParser {
             return;
           }
           k = m;
-          type = toks_[k].text;
           continue;
         }
         k = n;
@@ -949,11 +824,9 @@ class FunctionParser {
       return;
     }
     // Pointer / reference / const decoration.
-    bool is_pointer = false;
     while (k >= 0 && k < end &&
            (toks_[k].IsPunct("*") || toks_[k].IsPunct("&") ||
             toks_[k].IsPunct("&&") || toks_[k].IsIdent("const"))) {
-      if (!toks_[k].IsIdent("const")) is_pointer = true;
       advance();
     }
     if (k < 0 || k >= end) return;
@@ -963,10 +836,7 @@ class FunctionParser {
         if (!IsCodeToken(toks_[m])) continue;
         if (toks_[m].IsPunct("]")) break;
         if (toks_[m].kind == TokenKind::kIdentifier) {
-          VarDecl d;
-          d.name = toks_[m].text;
-          d.line = toks_[m].line;
-          s->decls.push_back(std::move(d));
+          s->decls.push_back(VarDecl{toks_[m].text, toks_[m].line});
           decl_names->insert(m);
         }
       }
@@ -984,8 +854,7 @@ class FunctionParser {
         toks_[after].IsPunct("{") || toks_[after].IsPunct("(") ||
         toks_[after].IsPunct(":");  // range-for header decl
     if (!decl_shape) return;
-    s->decls.push_back({toks_[name].text, toks_[name].line, false, type,
-                        is_pointer, is_static, is_const});
+    s->decls.push_back(VarDecl{toks_[name].text, toks_[name].line});
     decl_names->insert(name);
   }
 
@@ -1071,316 +940,15 @@ class FunctionParser {
     }
   }
 
-  // -------------------------------------------------------------------------
-  // Whole-program inputs: flat call/write extraction and callback peeling
-  // -------------------------------------------------------------------------
-
-  /// Records the write whose written name (the chain's last identifier) is
-  /// at `field_idx`: `x = `, `a.b.c += `, `p->n++`, `buf_[i] = `.
-  void RecordWriteAt(int field_idx, Function* fn) {
-    if (field_idx < 0) return;
-    // `buf_[i] = x` — hop back over the subscript to the indexed name.
-    if (toks_[field_idx].IsPunct("]")) {
-      int open = field_idx;
-      int depth = 0;
-      for (; open >= 0; --open) {
-        if (!IsCodeToken(toks_[open])) continue;
-        if (toks_[open].IsPunct("]")) ++depth;
-        if (toks_[open].IsPunct("[")) {
-          --depth;
-          if (depth == 0) break;
-        }
-      }
-      if (open < 0) return;
-      field_idx = PrevCode(toks_, open);
-      if (field_idx < 0) return;
-    }
-    if (toks_[field_idx].kind != TokenKind::kIdentifier) return;
-    WriteSite w;
-    w.field = toks_[field_idx].text;
-    w.line = toks_[field_idx].line;
-    int p = PrevCode(toks_, field_idx);
-    while (p >= 0 && (toks_[p].IsPunct(".") || toks_[p].IsPunct("->"))) {
-      if (toks_[p].IsPunct("->")) w.arrow = true;
-      const int base = PrevCode(toks_, p);
-      if (base >= 0 && toks_[base].kind == TokenKind::kIdentifier) {
-        w.base = toks_[base].text;
-        p = PrevCode(toks_, base);
-        continue;
-      }
-      w.base = "<expr>";  // `Find()->x = 1` — complex receiver, kept quiet
-      break;
-    }
-    fn->writes.push_back(std::move(w));
-  }
-
-  /// One flat pass over [begin, end): every call site and write site,
-  /// skipping `excluded` subranges (peeled Schedule-lambda bodies, which are
-  /// the callbacks' own accesses, not the host's).
-  void ExtractAccesses(int begin, int end,
-                       const std::vector<std::pair<int, int>>& excluded,
-                       Function* fn) {
-    end = std::min(end, static_cast<int>(toks_.size()));
-    for (int k = begin; k < end; ++k) {
-      bool skip = false;
-      for (const auto& r : excluded) {
-        if (k >= r.first && k <= r.second) {
-          k = r.second;  // loop ++k lands just past the range
-          skip = true;
-          break;
-        }
-      }
-      if (skip) continue;
-      const Token& t = toks_[k];
-      if (!IsCodeToken(t)) continue;
-      // --- calls: `ident (` where the previous token is not a type name ---
-      if (t.kind == TokenKind::kIdentifier &&
-          kStatementKeywords.count(t.text) == 0) {
-        const int open = NextCode(toks_, k);
-        if (open >= 0 && open < end && toks_[open].IsPunct("(")) {
-          const int prev = PrevCode(toks_, k);
-          const bool decl_like =
-              prev >= 0 && toks_[prev].kind == TokenKind::kIdentifier &&
-              kStatementKeywords.count(toks_[prev].text) == 0;
-          if (!decl_like) {
-            CallSite cs;
-            cs.callee = t.text;
-            cs.line = t.line;
-            if (prev >= 0 && toks_[prev].IsPunct("::")) {
-              cs.recv = CallSite::Recv::kQualified;
-              const int q = PrevCode(toks_, prev);
-              if (q >= 0 && toks_[q].kind == TokenKind::kIdentifier) {
-                cs.receiver = toks_[q].text;
-              }
-            } else if (prev >= 0 && (toks_[prev].IsPunct(".") ||
-                                     toks_[prev].IsPunct("->"))) {
-              cs.arrow = toks_[prev].IsPunct("->");
-              const int r = PrevCode(toks_, prev);
-              if (r >= 0 && toks_[r].IsIdent("this")) {
-                cs.recv = CallSite::Recv::kThis;
-              } else if (r >= 0 &&
-                         toks_[r].kind == TokenKind::kIdentifier) {
-                const int rr = PrevCode(toks_, r);
-                const bool chained =
-                    rr >= 0 && (toks_[rr].IsPunct(".") ||
-                                toks_[rr].IsPunct("->") ||
-                                toks_[rr].IsPunct("::") ||
-                                toks_[rr].IsPunct(")") ||
-                                toks_[rr].IsPunct("]"));
-                cs.recv = chained ? CallSite::Recv::kExpr
-                                  : CallSite::Recv::kIdent;
-                cs.receiver = toks_[r].text;
-              } else {
-                cs.recv = CallSite::Recv::kExpr;
-              }
-            } else {
-              cs.recv = CallSite::Recv::kFree;
-            }
-            fn->calls.push_back(std::move(cs));
-          }
-        }
-      }
-      // --- writes: assignment operators and increments/decrements ---
-      if (t.kind == TokenKind::kPunct && kAssignOps.count(t.text) > 0) {
-        RecordWriteAt(PrevCode(toks_, k), fn);
-      }
-      if (t.IsPunct("++") || t.IsPunct("--")) {
-        const int prev = PrevCode(toks_, k);
-        if (prev >= begin && prev >= 0 &&
-            (toks_[prev].kind == TokenKind::kIdentifier ||
-             toks_[prev].IsPunct("]"))) {
-          RecordWriteAt(prev, fn);  // postfix
-        } else {
-          // Prefix: walk the chain forward, then classify from its tail.
-          int a = NextCode(toks_, k);
-          int last = -1;
-          while (a >= 0 && a < end &&
-                 toks_[a].kind == TokenKind::kIdentifier) {
-            last = a;
-            const int sep = NextCode(toks_, a);
-            if (sep >= 0 && sep < end &&
-                (toks_[sep].IsPunct(".") || toks_[sep].IsPunct("->"))) {
-              a = NextCode(toks_, sep);
-              continue;
-            }
-            break;
-          }
-          if (last >= 0) RecordWriteAt(last, fn);
-        }
-      }
-    }
-  }
-
-  /// Parses `[captures]` between `lb` and its matching `rb`, resolving each
-  /// captured name's type against the host function's scope.
-  std::vector<Capture> ParseCaptures(int lb, int rb, const Function& host) {
-    std::vector<Capture> out;
-    std::vector<int> piece;  // code-token indices of the current capture
-    const auto resolve = [&](Capture* c) {
-      for (const VarDecl& d : host.locals) {
-        if (d.name == c->name) {
-          c->type = d.type;
-          c->is_pointer = d.is_pointer;
-          return;
-        }
-      }
-      for (const Capture& hc : host.captures) {  // nested lambda re-capture
-        if (hc.name == c->name) {
-          c->type = hc.type;
-          c->is_pointer = hc.is_pointer;
-          return;
-        }
-      }
-    };
-    const auto flush = [&] {
-      if (piece.empty()) return;
-      Capture c;
-      c.line = toks_[piece[0]].line;
-      size_t at = 0;
-      if (toks_[piece[0]].IsPunct("&")) {
-        if (piece.size() == 1) {  // default by-reference capture
-          c.name = "&";
-          c.by_ref = true;
-          out.push_back(std::move(c));
-          piece.clear();
-          return;
-        }
-        c.by_ref = true;
-        at = 1;
-      } else if (toks_[piece[0]].IsPunct("=") && piece.size() == 1) {
-        c.name = "=";  // default by-value capture
-        out.push_back(std::move(c));
-        piece.clear();
-        return;
-      } else if (toks_[piece[0]].IsPunct("*")) {
-        at = 1;  // `*this`
-      }
-      if (at >= piece.size()) {
-        piece.clear();
-        return;
-      }
-      const Token& nt = toks_[piece[at]];
-      if (nt.IsIdent("this")) {
-        c.name = "this";
-        c.is_this = true;
-        out.push_back(std::move(c));
-        piece.clear();
-        return;
-      }
-      if (nt.kind != TokenKind::kIdentifier) {
-        piece.clear();
-        return;
-      }
-      c.name = nt.text;
-      // Init-capture `x = expr`: type comes from a single-identifier expr.
-      if (at + 1 < piece.size() && toks_[piece[at + 1]].IsPunct("=")) {
-        if (at + 2 < piece.size() &&
-            toks_[piece[at + 2]].kind == TokenKind::kIdentifier) {
-          Capture src;
-          src.name = toks_[piece[at + 2]].text;
-          resolve(&src);
-          c.type = src.type;
-          c.is_pointer = src.is_pointer;
-        }
-      } else {
-        resolve(&c);
-      }
-      out.push_back(std::move(c));
-      piece.clear();
-    };
-    int depth = 0;
-    for (int k = lb + 1; k < rb; ++k) {
-      const Token& t = toks_[k];
-      if (!IsCodeToken(t)) continue;
-      if (t.IsPunct("(") || t.IsPunct("[") || t.IsPunct("{") ||
-          t.IsPunct("<")) {
-        ++depth;
-      }
-      if (t.IsPunct(")") || t.IsPunct("]") || t.IsPunct("}") ||
-          t.IsPunct(">")) {
-        --depth;
-      }
-      if (depth <= 0 && t.IsPunct(",")) {
-        flush();
-        continue;
-      }
-      piece.push_back(k);
-    }
-    flush();
-    return out;
-  }
-
-  /// With a `[=]` / `[&]` default capture, names the lambda body actually
-  /// pulls in from the host's scope are resolved here so the analysis never
-  /// has to guess. Both defaults also capture `this` in the code this tool
-  /// targets.
-  void ResolveDefaultCaptures(Function* cb, const Function& host, int begin,
-                              int end) {
-    bool def_ref = false, def_val = false;
-    for (const Capture& c : cb->captures) {
-      if (c.name == "&") def_ref = true;
-      if (c.name == "=") def_val = true;
-    }
-    if (!def_ref && !def_val) return;
-    const auto captured = [&](const std::string& name) {
-      for (const Capture& c : cb->captures) {
-        if (c.name == name) return true;
-      }
-      return false;
-    };
-    const auto local = [&](const std::string& name) {
-      for (const VarDecl& d : cb->locals) {
-        if (d.name == name) return true;
-      }
-      return false;
-    };
-    if (!captured("this") && !host.class_name.empty()) {
-      Capture c;
-      c.name = "this";
-      c.is_this = true;
-      cb->captures.push_back(std::move(c));
-    }
-    end = std::min(end, static_cast<int>(toks_.size()));
-    for (int k = begin; k < end; ++k) {
-      const Token& t = toks_[k];
-      if (!IsCodeToken(t) || t.kind != TokenKind::kIdentifier) continue;
-      const int prev = PrevCode(toks_, k);
-      if (prev >= 0 && (toks_[prev].IsPunct(".") || toks_[prev].IsPunct("->") ||
-                        toks_[prev].IsPunct("::"))) {
-        continue;
-      }
-      if (captured(t.text) || local(t.text)) continue;
-      for (const VarDecl& d : host.locals) {
-        if (d.name != t.text) continue;
-        Capture c;
-        c.name = d.name;
-        c.by_ref = def_ref;
-        c.type = d.type;
-        c.is_pointer = d.is_pointer;
-        c.line = t.line;
-        cb->captures.push_back(std::move(c));
-        break;
-      }
-    }
-  }
-
-  /// Finds Schedule-family calls (`Schedule`, `ScheduleAt`, `ScheduleOnHost`,
-  /// `ScheduleAtOnHost`, `ScheduleExclusiveAt`) in [begin, end), peels each
-  /// lambda argument into a synthetic callback Function (recursively for
-  /// nested schedules), and returns the token ranges the host's own access
-  /// extraction must skip.
-  std::vector<std::pair<int, int>> PeelCallbacks(int begin, int end,
-                                                 Function* host,
-                                                 std::vector<Function>* out) {
-    std::vector<std::pair<int, int>> excluded;
+  /// Finds `Schedule(...)` / `ScheduleAt(...)` calls in [begin, end) and
+  /// peels each lambda argument into a synthetic callback Function named
+  /// `<host>::cbN` (recursively for nested schedules).
+  void PeelCallbacks(int begin, int end, const std::string& host,
+                     std::vector<Function>* out) {
     for (int k = begin; k < end; ++k) {
       const Token& t = toks_[k];
       if (!IsCodeToken(t)) continue;
-      if (!t.IsIdent("Schedule") && !t.IsIdent("ScheduleAt") &&
-          !t.IsIdent("ScheduleOnHost") && !t.IsIdent("ScheduleAtOnHost") &&
-          !t.IsIdent("ScheduleExclusiveAt")) {
-        continue;
-      }
+      if (!t.IsIdent("Schedule") && !t.IsIdent("ScheduleAt")) continue;
       const int open = NextCode(toks_, k);
       if (open < 0 || open >= end || !toks_[open].IsPunct("(")) continue;
       const int close = MatchParen(toks_, open);
@@ -1413,471 +981,18 @@ class FunctionParser {
         const int body_close = MatchBrace(toks_, body_open);
         if (body_close < 0 || body_close > close) break;
         Function cb;
-        cb.name = host->name + "::cb" + std::to_string(++cb_counter_);
-        cb.class_name = host->class_name;
+        cb.name = host + "::cb" + std::to_string(++cb_counter_);
         cb.line = toks_[j].line;
-        cb.is_callback = true;
-        cb.register_line = toks_[k].line;
-        cb.register_method = t.text;
-        cb.captures = ParseCaptures(j, rb, *host);
         if (lp_open >= 0) cb.params = ParseParams(lp_open, lp_close);
         cb.body = ParseStmtList(body_open + 1, body_close);
-        CollectLocalsFrom(cb.body, &cb.locals);
-        for (const VarDecl& p : cb.params) cb.locals.push_back(p);
-        const auto nested =
-            PeelCallbacks(body_open + 1, body_close, &cb, out);
-        ExtractAccesses(body_open + 1, body_close, nested, &cb);
-        ResolveDefaultCaptures(&cb, *host, body_open + 1, body_close);
+        PeelCallbacks(body_open + 1, body_close, cb.name, out);
         out->push_back(std::move(cb));
-        excluded.emplace_back(j, body_close);
         break;  // one lambda per Schedule call
       }
       k = close;  // nested Schedules were handled by the recursion above
     }
-    return excluded;
   }
 };
-
-// ---------------------------------------------------------------------------
-// Class declarations with capability annotations
-// ---------------------------------------------------------------------------
-
-/// One `;`- or body-delimited piece of a class body: a member declaration
-/// (possibly `CRAYFISH_GUARDED_BY`-annotated) or a method declaration
-/// (possibly `CRAYFISH_REQUIRES`-annotated).
-void ProcessClassPiece(const std::vector<Token>& toks,
-                       const std::vector<int>& piece, ClassDecl* cd) {
-  if (piece.empty()) return;
-  const Token& first = toks[piece[0]];
-  if (first.IsIdent("using") || first.IsIdent("typedef") ||
-      first.IsIdent("friend") || first.IsIdent("static_assert") ||
-      first.IsIdent("template") || first.IsIdent("enum") ||
-      first.IsIdent("class") || first.IsIdent("struct")) {
-    return;
-  }
-  // Annotated member: `Type name_ CRAYFISH_GUARDED_BY("ch") [= init];`
-  for (size_t j = 0; j < piece.size(); ++j) {
-    if (!toks[piece[j]].IsIdent("CRAYFISH_GUARDED_BY")) continue;
-    MemberDecl m;
-    int past = -1;
-    const auto args = ParseAnnotationArgs(toks, piece[j], &past);
-    if (!args.empty()) m.guarded_by = args[0];
-    // Name is the identifier immediately before the macro; type/pointer come
-    // from the prefix.
-    std::vector<int> idents;
-    for (size_t p = 0; p < j; ++p) {
-      const Token& t = toks[piece[p]];
-      if (t.kind == TokenKind::kIdentifier &&
-          kDeclQualifiers.count(t.text) == 0) {
-        idents.push_back(piece[p]);
-      }
-      if (t.IsPunct("*") || t.IsPunct("&")) m.is_pointer = true;
-    }
-    if (idents.empty()) return;
-    m.name = toks[idents.back()].text;
-    m.line = toks[idents.back()].line;
-    if (idents.size() >= 2) m.type = toks[idents[idents.size() - 2]].text;
-    cd->members.push_back(std::move(m));
-    return;
-  }
-  // Method: the piece has a `(` at angle depth 0 (`std::function<void()>`
-  // members keep their parens inside the template args).
-  int angle = 0;
-  int call_open = -1;
-  for (size_t j = 0; j < piece.size(); ++j) {
-    const Token& t = toks[piece[j]];
-    if (t.IsPunct("<")) ++angle;
-    if (t.IsPunct(">")) --angle;
-    if (t.IsPunct("<<")) angle += 2;
-    if (t.IsPunct(">>")) angle -= 2;
-    if (angle <= 0 && t.IsPunct("(")) {
-      call_open = static_cast<int>(j);
-      break;
-    }
-  }
-  if (call_open > 0) {
-    // Method declaration: name right before the `(`.
-    const Token& name_tok = toks[piece[call_open - 1]];
-    if (name_tok.kind != TokenKind::kIdentifier) return;
-    for (size_t j = call_open; j < piece.size(); ++j) {
-      if (toks[piece[j]].IsIdent("CRAYFISH_REQUIRES")) {
-        int past = -1;
-        auto args = ParseAnnotationArgs(toks, piece[j], &past);
-        if (!args.empty()) {
-          auto& chans = cd->method_requires[name_tok.text];
-          for (std::string& ch : args) chans.push_back(std::move(ch));
-        }
-        continue;
-      }
-      if (toks[piece[j]].IsIdent("CRAYFISH_GLOBAL_PLANE")) {
-        int past = -1;
-        const auto args = ParseAnnotationArgs(toks, piece[j], &past);
-        cd->method_global_plane[name_tok.text] =
-            args.empty() ? std::string() : args[0];
-      }
-    }
-    return;
-  }
-  if (call_open == 0) return;  // leading `(` — not a declaration we model
-  // Plain member: last top-level identifier before `=` / `{` / end is the
-  // name, the one before it the principal type.
-  angle = 0;
-  std::vector<int> idents;
-  bool ptr = false;
-  for (size_t j = 0; j < piece.size(); ++j) {
-    const Token& t = toks[piece[j]];
-    if (t.IsPunct("<")) ++angle;
-    if (t.IsPunct(">")) --angle;
-    if (t.IsPunct("<<")) angle += 2;
-    if (t.IsPunct(">>")) angle -= 2;
-    if (angle > 0) continue;
-    if (t.IsPunct("=") || t.IsPunct("{")) break;
-    if (t.IsPunct("*") || t.IsPunct("&")) ptr = true;
-    if (t.kind == TokenKind::kIdentifier &&
-        kDeclQualifiers.count(t.text) == 0 && !t.IsIdent("operator")) {
-      idents.push_back(piece[j]);
-    }
-  }
-  if (idents.size() < 2) return;  // need `Type name`
-  MemberDecl m;
-  m.name = toks[idents.back()].text;
-  m.line = toks[idents.back()].line;
-  m.type = toks[idents[idents.size() - 2]].text;
-  m.is_pointer = ptr;
-  cd->members.push_back(std::move(m));
-}
-
-void ParseClassMembers(const std::vector<Token>& toks, int begin, int end,
-                       ClassDecl* cd) {
-  std::vector<int> piece;
-  for (int k = begin; k < end; ++k) {
-    const Token& t = toks[k];
-    if (!IsCodeToken(t)) continue;
-    if (t.IsPunct("{")) {  // method body / nested class / brace init
-      const int c = MatchBrace(toks, k);
-      if (c < 0 || c > end) return;
-      piece.push_back(k);
-      ProcessClassPiece(toks, piece, cd);
-      piece.clear();
-      k = c;
-      continue;
-    }
-    if (t.IsPunct(";")) {
-      ProcessClassPiece(toks, piece, cd);
-      piece.clear();
-      continue;
-    }
-    if (t.kind == TokenKind::kIdentifier &&
-        (t.text == "public" || t.text == "private" ||
-         t.text == "protected")) {
-      const int colon = NextCode(toks, k);
-      if (colon >= 0 && colon < end && toks[colon].IsPunct(":")) {
-        ProcessClassPiece(toks, piece, cd);
-        piece.clear();
-        k = colon;
-        continue;
-      }
-    }
-    piece.push_back(k);
-  }
-  ProcessClassPiece(toks, piece, cd);
-}
-
-void ExtractClasses(const std::vector<Token>& toks, FileIR* ir) {
-  const int n = static_cast<int>(toks.size());
-  for (int i = 0; i < n; ++i) {
-    if (!toks[i].IsIdent("class") && !toks[i].IsIdent("struct")) continue;
-    const int prev = PrevCode(toks, i);
-    if (prev >= 0 && toks[prev].IsIdent("enum")) continue;  // enum class
-    int k = NextCode(toks, i);
-    ClassDecl cd;
-    if (k >= 0 && toks[k].IsIdent("CRAYFISH_SHARED")) {
-      int past = -1;
-      const auto args = ParseAnnotationArgs(toks, k, &past);
-      if (!args.empty()) cd.shared_channel = args[0];
-      k = past;
-    }
-    if (k < 0 || toks[k].kind != TokenKind::kIdentifier ||
-        kStatementKeywords.count(toks[k].text) > 0) {
-      continue;
-    }
-    cd.name = toks[k].text;
-    cd.line = toks[k].line;
-    k = NextCode(toks, k);
-    // `template <class T>` parameters are not class declarations.
-    if (k >= 0 && (toks[k].IsPunct(">") || toks[k].IsPunct(">>") ||
-                   toks[k].IsPunct(",") || toks[k].IsPunct("="))) {
-      continue;
-    }
-    if (k >= 0 && toks[k].IsIdent("CRAYFISH_SHARED")) {
-      int past = -1;
-      const auto args = ParseAnnotationArgs(toks, k, &past);
-      if (!args.empty()) cd.shared_channel = args[0];
-      k = past;
-    }
-    // Scan over `final` / base list to the body `{`; `;` is a forward decl.
-    // Base-class names feed the confinement planner's host-anchor search
-    // (anchors declared on a base, e.g. StreamEngine::config_, also anchor
-    // the derived engine).
-    int body_open = -1;
-    bool in_bases = false;
-    while (k >= 0 && k < n) {
-      if (toks[k].IsPunct("{")) {
-        body_open = k;
-        break;
-      }
-      if (toks[k].IsPunct(";") || toks[k].IsPunct("(")) break;
-      if (toks[k].IsPunct(":")) in_bases = true;
-      if (in_bases && toks[k].kind == TokenKind::kIdentifier &&
-          !toks[k].IsIdent("public") && !toks[k].IsIdent("private") &&
-          !toks[k].IsIdent("protected") && !toks[k].IsIdent("virtual") &&
-          !toks[k].IsIdent("final")) {
-        // Keep the last identifier of each qualified base name: a following
-        // `::` means the current one was a namespace qualifier.
-        const int after = NextCode(toks, k);
-        if (after < 0 || !toks[after].IsPunct("::")) {
-          cd.bases.push_back(toks[k].text);
-        }
-      }
-      if (toks[k].IsPunct("<")) {
-        const int a = SkipAngles(toks, k);
-        if (a < 0) break;
-        k = a < n && IsCodeToken(toks[a]) ? a : NextCode(toks, a - 1);
-        continue;
-      }
-      k = NextCode(toks, k);
-    }
-    if (body_open < 0) continue;
-    const int body_close = MatchBrace(toks, body_open);
-    if (body_close < 0) continue;
-    cd.body_begin_line = toks[body_open].line;
-    cd.body_end_line = toks[body_close].line;
-    ParseClassMembers(toks, body_open + 1, body_close, &cd);
-    ir->classes.push_back(std::move(cd));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Namespace-scope variables (R12 input)
-// ---------------------------------------------------------------------------
-
-/// Walks one namespace scope: recurses into nested namespaces and
-/// `extern "C"` blocks, skips type definitions and function bodies, and
-/// records every variable declared at this level.
-void ScanNamespaceScope(const std::vector<Token>& toks, int begin, int end,
-                        FileIR* ir) {
-  int k = begin;
-  while (k >= 0 && k < end) {
-    if (!IsCodeToken(toks[k])) {
-      ++k;
-      continue;
-    }
-    const Token& t = toks[k];
-    if (t.IsIdent("namespace")) {
-      int j = NextCode(toks, k);
-      while (j >= 0 && j < end &&
-             (toks[j].kind == TokenKind::kIdentifier ||
-              toks[j].IsPunct("::"))) {
-        j = NextCode(toks, j);
-      }
-      if (j >= 0 && j < end && toks[j].IsPunct("{")) {
-        const int c = MatchBrace(toks, j);
-        if (c < 0 || c > end) return;
-        ScanNamespaceScope(toks, j + 1, c, ir);
-        k = c + 1;
-        continue;
-      }
-      while (j >= 0 && j < end && !toks[j].IsPunct(";")) j = NextCode(toks, j);
-      k = j < 0 ? end : j + 1;
-      continue;
-    }
-    if (t.IsIdent("class") || t.IsIdent("struct") || t.IsIdent("union") ||
-        t.IsIdent("enum")) {
-      int j = NextCode(toks, k);
-      while (j >= 0 && j < end && !toks[j].IsPunct("{") &&
-             !toks[j].IsPunct(";")) {
-        j = NextCode(toks, j);
-      }
-      if (j >= 0 && j < end && toks[j].IsPunct("{")) {
-        const int c = MatchBrace(toks, j);
-        if (c < 0) return;
-        j = NextCode(toks, c);  // `} trailing-decl ;`
-        while (j >= 0 && j < end && !toks[j].IsPunct(";")) {
-          j = NextCode(toks, j);
-        }
-      }
-      k = j < 0 ? end : j + 1;
-      continue;
-    }
-    if (t.IsIdent("template")) {
-      const int j = NextCode(toks, k);
-      if (j >= 0 && toks[j].IsPunct("<")) {
-        const int a = SkipAngles(toks, j);
-        k = a < 0 ? end : a;
-      } else {
-        k = j < 0 ? end : j;
-      }
-      continue;
-    }
-    if (t.IsIdent("using") || t.IsIdent("typedef") ||
-        t.IsIdent("static_assert")) {
-      while (k < end && !(IsCodeToken(toks[k]) && toks[k].IsPunct(";"))) ++k;
-      ++k;
-      continue;
-    }
-    if (t.IsIdent("extern")) {
-      const int j = NextCode(toks, k);
-      if (j >= 0 && j < end && toks[j].kind == TokenKind::kString) {
-        const int a = NextCode(toks, j);
-        if (a >= 0 && a < end && toks[a].IsPunct("{")) {  // extern "C" { }
-          const int c = MatchBrace(toks, a);
-          if (c < 0) return;
-          ScanNamespaceScope(toks, a + 1, c, ir);
-          k = c + 1;
-          continue;
-        }
-        k = a < 0 ? end : a;  // extern "C" <decl> — rescan from the decl
-        continue;
-      }
-      // plain `extern` qualifier falls through to the generic piece below
-    }
-    // Generic piece: classify as function-ish (skip) or variable (record).
-    int j = k;
-    int angle = 0;
-    bool function_ish = false;
-    int eq = -1, semi = -1, brace = -1;
-    while (j >= 0 && j < end) {
-      const Token& u = toks[j];
-      if (u.IsPunct("<")) ++angle;
-      if (u.IsPunct(">")) --angle;
-      if (u.IsPunct("<<")) angle += 2;
-      if (u.IsPunct(">>")) angle -= 2;
-      if (u.IsIdent("operator")) {
-        // `operator<<` would skew the angle count; classify now and let the
-        // function-ish skip below find the parameter list.
-        function_ish = true;
-        break;
-      }
-      if (u.IsPunct(";")) {
-        semi = j;
-        break;
-      }
-      if (u.IsPunct("}")) {  // scope ended without a terminator
-        semi = j;
-        break;
-      }
-      if (angle <= 0 && eq < 0) {
-        if (u.IsPunct("(")) {
-          function_ish = true;
-          break;
-        }
-        if (u.IsPunct("{")) {
-          brace = j;
-          break;
-        }
-        if (u.IsPunct("=")) eq = j;
-      }
-      j = NextCode(toks, j);
-    }
-    if (function_ish) {
-      // Skip the signature + optional body to the `;` or past the `}`.
-      int p = j;
-      while (p >= 0 && p < end) {
-        const Token& u = toks[p];
-        if (u.IsPunct("(")) {
-          const int c = MatchParen(toks, p);
-          if (c < 0) return;
-          p = NextCode(toks, c);
-          continue;
-        }
-        if (u.IsPunct("{")) {
-          const int c = MatchBrace(toks, p);
-          if (c < 0) return;
-          k = c + 1;
-          break;
-        }
-        if (u.IsPunct(";")) {
-          k = p + 1;
-          break;
-        }
-        p = NextCode(toks, p);
-      }
-      if (p < 0 || p >= end) k = end;
-      continue;
-    }
-    // Variable declaration: [qualifiers] Type name [= init | {init}] ;
-    GlobalDecl g;
-    bool extern_seen = false;
-    bool has_init = eq >= 0 || brace >= 0;
-    std::vector<int> idents;
-    const int decl_end = eq >= 0 ? eq : (brace >= 0 ? brace : semi);
-    angle = 0;
-    for (int p = k; p >= 0 && p < end && (decl_end < 0 || p < decl_end);
-         p = NextCode(toks, p)) {
-      const Token& u = toks[p];
-      if (u.IsPunct("<")) ++angle;
-      if (u.IsPunct(">")) --angle;
-      if (u.IsPunct("<<")) angle += 2;
-      if (u.IsPunct(">>")) angle -= 2;
-      if (angle > 0) continue;
-      if (u.kind != TokenKind::kIdentifier) continue;
-      if (u.text == "extern") {
-        extern_seen = true;
-      } else if (u.text == "const" || u.text == "constexpr" ||
-                 u.text == "constinit") {
-        g.is_const = true;
-      } else if (kDeclQualifiers.count(u.text) > 0) {
-        // static / inline / unsigned / ... — `unsigned g;` keeps the builtin
-        // word as the type below when it is the only identifier.
-        if (u.text == "unsigned" || u.text == "signed" ||
-            u.text == "long" || u.text == "short") {
-          g.type = u.text;
-        }
-      } else if (kStatementKeywords.count(u.text) == 0) {
-        idents.push_back(p);
-      }
-    }
-    if (!idents.empty()) {
-      g.name = toks[idents.back()].text;
-      g.line = toks[idents.back()].line;
-      if (idents.size() >= 2) {
-        g.type = toks[idents[idents.size() - 2]].text;
-      }
-      g.is_extern_decl = extern_seen && !has_init;
-      if (!g.type.empty() || idents.size() >= 2) {
-        ir->globals.push_back(std::move(g));
-      }
-    }
-    // Advance past the initializer to the terminating `;`.
-    if (brace >= 0) {
-      const int c = MatchBrace(toks, brace);
-      if (c < 0) return;
-      const int s2 = NextCode(toks, c);
-      k = s2 >= 0 && s2 < end && toks[s2].IsPunct(";") ? s2 + 1 : c + 1;
-      continue;
-    }
-    if (eq >= 0) {
-      int depth = 0;
-      int p = eq;
-      while (p < end) {
-        const Token& u = toks[p];
-        if (IsCodeToken(u)) {
-          if (u.IsPunct("(") || u.IsPunct("{") || u.IsPunct("[")) ++depth;
-          if (u.IsPunct(")") || u.IsPunct("}") || u.IsPunct("]")) --depth;
-          if (depth == 0 && u.IsPunct(";")) break;
-        }
-        ++p;
-      }
-      k = p + 1;
-      continue;
-    }
-    k = semi < 0 ? end : semi + 1;
-  }
-}
-
-void ExtractGlobals(const std::vector<Token>& toks, FileIR* ir) {
-  ScanNamespaceScope(toks, 0, static_cast<int>(toks.size()), ir);
-}
 
 }  // namespace
 
@@ -1936,24 +1051,8 @@ FileIR ParseFile(std::string path, std::vector<Token> tokens) {
   ExtractSuppressions(ir.tokens, &ir);
   ExtractImmutableDecls(ir.tokens, &ir);
   ExtractDiscardedCalls(ir.tokens, &ir);
-  ExtractClasses(ir.tokens, &ir);
-  ExtractGlobals(ir.tokens, &ir);
   FunctionParser fp(ir.tokens);
   ir.functions = fp.ParseAll();
-  // Methods defined inline inside a class body carry no `Class::` qualifier;
-  // assign the innermost enclosing class by line containment.
-  for (Function& fn : ir.functions) {
-    if (!fn.class_name.empty()) continue;
-    int best_span = -1;
-    for (const ClassDecl& cd : ir.classes) {
-      if (fn.line < cd.body_begin_line || fn.line > cd.body_end_line) continue;
-      const int span = cd.body_end_line - cd.body_begin_line;
-      if (best_span < 0 || span < best_span) {
-        best_span = span;
-        fn.class_name = cd.name;
-      }
-    }
-  }
   return ir;
 }
 

@@ -27,42 +27,36 @@
 //                       multi-tenant fan-out; see README)
 //   --autoscaler=PATH   run the elastic control loop from a policy JSON
 //                       (reactive | predictive) and report scaling actions
-//   --confinement_report[=PATH]
-//                       print the per-component scheduling-plane verdict
-//                       table (from the lint confinement plan) for the
-//                       loaded config's topology — shows which components
-//                       run host-confined (and so scale with sim_threads)
-//                       and which stay on the global plane, and why
 //   --help              this text
+// (--faults, --slo, --workload and --autoscaler win over the config keys
+// of the same name)
 // (any trace/metrics flag implicitly enables tracing for the run; any
 // timeline/SLO flag enables the telemetry timeline, which never perturbs
 // the simulation)
 //
-// Example config:
-//   engine        = flink            # flink|kafka-streams|spark|ray
-//   serving       = onnx             # dl4j|onnx|savedmodel|tf-serving|...
-//   model         = ffnn             # ffnn|resnet50
-//   bsz           = 1                # data points per event
-//   ir            = 30000            # events/s
-//   mp            = 1                # scoring parallelism
-//   gpu           = false
-//   duration_s    = 10
-//   bursty        = false
-//   bd            = 30               # burst duration (s)
-//   tbb           = 120              # time between bursts (s)
-//   burst_rate    = 1500
-//   dataset       =                  # optional JSON-lines file to replay
-//   trace         = false            # same as passing --breakdown
-//   timeline_interval_s = 0          # > 0 enables the telemetry timeline
-//   slo           =                  # SLO spec JSON (implies the timeline)
-//   seed          = 42
-//   sim_threads   = 1                # parallel DES partitions (results are
-//                                    # byte-identical at any value)
+// Example config (the keys are listed in core/properties.h; an unknown
+// dot-less key or a malformed value is an error):
+//   # flink | kafka-streams | spark | ray
+//   engine = flink
+//   # dl4j | onnx | savedmodel | tf-serving | torchserve | ray-serve
+//   serving = onnx
+//   model = ffnn
+//   # data points per event, events/s, scoring parallelism
+//   bsz = 1
+//   ir = 30000
+//   mp = 1
+//   duration_s = 10
+//   # burst duration and time between bursts (s)
+//   bursty = false
+//   bd = 30
+//   tbb = 120
+//   burst_rate = 1500
+//   # > 0 enables the telemetry timeline
+//   timeline_interval_s = 0
+//   seed = 42
 //   # workload.* / autoscaler.* keys override the respective JSON specs
 //   # (and enable them), e.g.:
-//   # workload.kind        = flash-crowd
-//   # workload.base_rate   = 500
-//   # autoscaler.kind      = reactive
+//   # workload.kind = flash-crowd
 //   # autoscaler.max_replicas = 8
 //   # engine-specific overrides pass through verbatim, e.g.:
 //   # spark.max_offsets_per_trigger = 768
@@ -71,255 +65,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
-#include "common/json.h"
-#include "common/logging.h"
 #include "core/experiment.h"
+#include "core/properties.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "scale/policy.h"
-#include "scale/workload.h"
-#include "serving/calibration.h"
 
 namespace {
 
 using namespace crayfish;
-
-core::ExperimentConfig FromConfig(const Config& cfg) {
-  core::ExperimentConfig out;
-  out.engine = cfg.GetStringOr("engine", out.engine);
-  out.serving = cfg.GetStringOr("serving", out.serving);
-  out.model = cfg.GetStringOr("model", out.model);
-  out.batch_size = static_cast<int>(cfg.GetIntOr("bsz", out.batch_size));
-  out.input_rate = cfg.GetDoubleOr("ir", out.input_rate);
-  out.parallelism = static_cast<int>(cfg.GetIntOr("mp", out.parallelism));
-  out.use_gpu = cfg.GetBoolOr("gpu", out.use_gpu);
-  out.bursty = cfg.GetBoolOr("bursty", out.bursty);
-  out.burst_rate = cfg.GetDoubleOr("burst_rate", out.burst_rate);
-  out.burst_duration_s = cfg.GetDoubleOr("bd", out.burst_duration_s);
-  out.time_between_bursts_s =
-      cfg.GetDoubleOr("tbb", out.time_between_bursts_s);
-  out.first_burst_at_s =
-      cfg.GetDoubleOr("first_burst_at_s", out.first_burst_at_s);
-  out.source_parallelism = static_cast<int>(
-      cfg.GetIntOr("source_parallelism", out.source_parallelism));
-  out.sink_parallelism = static_cast<int>(
-      cfg.GetIntOr("sink_parallelism", out.sink_parallelism));
-  out.topic_partitions = static_cast<int>(
-      cfg.GetIntOr("partitions", out.topic_partitions));
-  out.duration_s = cfg.GetDoubleOr("duration_s", out.duration_s);
-  out.drain_s = cfg.GetDoubleOr("drain_s", out.drain_s);
-  out.max_events =
-      static_cast<uint64_t>(cfg.GetIntOr("max_events", 0));
-  out.max_measurements =
-      static_cast<uint64_t>(cfg.GetIntOr("max_measurements", 0));
-  out.seed = static_cast<uint64_t>(cfg.GetIntOr("seed", 42));
-  out.sim_threads =
-      static_cast<int>(cfg.GetIntOr("sim_threads", out.sim_threads));
-  out.dataset_path = cfg.GetStringOr("dataset", "");
-  out.enable_tracing = cfg.GetBoolOr("trace", out.enable_tracing);
-  out.timeline_interval_s =
-      cfg.GetDoubleOr("timeline_interval_s", out.timeline_interval_s);
-  // Engine-specific keys pass through verbatim; "fault.*", "workload.*",
-  // and "autoscaler.*" keys are plan/spec overrides, routed separately by
-  // ApplyFaultConfig / ApplyScaleConfig.
-  for (const std::string& key : cfg.Keys()) {
-    if (key.find('.') != std::string::npos &&
-        key.rfind("fault.", 0) != 0 && key.rfind("workload.", 0) != 0 &&
-        key.rfind("autoscaler.", 0) != 0) {
-      out.engine_overrides.Set(key, cfg.GetStringOr(key, ""));
-    }
-  }
-  return out;
-}
-
-// Loads the SLO spec (--slo flag wins over the "slo" config key) and the
-// timeline-interval flag override.
-Status ApplySloConfig(const Config& cfg, const std::string& slo_flag,
-                      const std::string& interval_flag,
-                      core::ExperimentConfig* out) {
-  const std::string path =
-      !slo_flag.empty() ? slo_flag : cfg.GetStringOr("slo", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->slo, obs::SloConfig::FromFile(path));
-  }
-  if (!interval_flag.empty()) {
-    const double interval = std::atof(interval_flag.c_str());
-    if (interval <= 0.0) {
-      return Status::InvalidArgument("--timeline_interval must be > 0");
-    }
-    out->timeline_interval_s = interval;
-  }
-  return Status::Ok();
-}
-
-// Loads the fault plan (--faults flag wins over the "faults" config key)
-// and applies "fault.<target>.<field>" overrides from the config file.
-Status ApplyFaultConfig(const Config& cfg, const std::string& faults_flag,
-                        core::ExperimentConfig* out) {
-  const std::string path =
-      !faults_flag.empty() ? faults_flag : cfg.GetStringOr("faults", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->fault_plan,
-                              fault::FaultPlan::FromFile(path));
-  }
-  for (const std::string& key : cfg.Keys()) {
-    if (key.rfind("fault.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->fault_plan.ApplyOverride(
-          key.substr(6), cfg.GetStringOr(key, "")));
-    }
-  }
-  return Status::Ok();
-}
-
-// Loads the workload shape and autoscaler policy (the --workload /
-// --autoscaler flags win over the "workload" / "autoscaler" config keys)
-// and applies "workload.<key>" / "autoscaler.<key>" overrides from the
-// config file.
-Status ApplyScaleConfig(const Config& cfg, const std::string& workload_flag,
-                        const std::string& autoscaler_flag,
-                        core::ExperimentConfig* out) {
-  const std::string workload_path =
-      !workload_flag.empty() ? workload_flag : cfg.GetStringOr("workload", "");
-  if (!workload_path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->workload,
-                              scale::WorkloadSpec::FromFile(workload_path));
-  }
-  const std::string policy_path = !autoscaler_flag.empty()
-                                      ? autoscaler_flag
-                                      : cfg.GetStringOr("autoscaler", "");
-  if (!policy_path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->autoscaler,
-                              scale::PolicyConfig::FromFile(policy_path));
-  }
-  for (const std::string& key : cfg.Keys()) {
-    if (key.rfind("workload.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->workload.ApplyOverride(
-          key.substr(9), cfg.GetStringOr(key, "")));
-    } else if (key.rfind("autoscaler.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->autoscaler.ApplyOverride(
-          key.substr(11), cfg.GetStringOr(key, "")));
-    }
-  }
-  return Status::Ok();
-}
-
-// Maps the loaded config's topology onto the component classes named by
-// the confinement plan (`crayfish_lint --dump-confinement`). The broker
-// path and the engine base are always present; the engine subclass, the
-// external serving server, and the fault injector depend on the config.
-std::vector<std::string> TopologyComponents(
-    const core::ExperimentConfig& cfg) {
-  std::vector<std::string> out = {"InputProducer", "KafkaCluster",
-                                  "KafkaProducer", "KafkaConsumer"};
-  if (cfg.engine == "flink") {
-    out.push_back("FlinkEngine");
-  } else if (cfg.engine == "kafka-streams") {
-    out.push_back("KafkaStreamsEngine");
-  } else if (cfg.engine == "spark") {
-    out.push_back("SparkEngine");
-  } else if (cfg.engine == "ray") {
-    out.push_back("RayEngine");
-  }
-  out.push_back("StreamEngine");
-  out.push_back("OperatorTask");
-  if (serving::IsExternalTool(cfg.serving)) {
-    out.push_back("ExternalServingServer");
-  }
-  if (cfg.fault_plan.active()) out.push_back("FaultInjector");
-  return out;
-}
-
-// Prints the per-component verdict table from the confinement plan JSON
-// for the components this config instantiates, then lists the sites that
-// stay on the global scheduling plane — the answer to "why doesn't my
-// experiment scale with sim_threads".
-int PrintConfinementReport(const core::ExperimentConfig& cfg,
-                           const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr,
-                 "confinement report error: cannot open %s (run from the "
-                 "repo root, or pass --confinement_report=PATH; regenerate "
-                 "with ./build/tools/crayfish_lint --dump-confinement src)\n",
-                 path.c_str());
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto doc_or = JsonValue::Parse(text);
-  if (!doc_or.ok()) {
-    std::fprintf(stderr, "confinement report error (%s): %s\n", path.c_str(),
-                 doc_or.status().ToString().c_str());
-    return 1;
-  }
-  const JsonValue& doc = *doc_or;
-  const JsonValue* components = doc.Find("components");
-  const JsonValue* sites = doc.Find("sites");
-  if (components == nullptr || !components->is_object() || sites == nullptr ||
-      !sites->is_array()) {
-    std::fprintf(stderr,
-                 "confinement report error (%s): not a --dump-confinement "
-                 "document\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("confinement plan for %s (schema v%lld, %s):\n",
-              cfg.Label().c_str(),
-              static_cast<long long>(doc.GetIntOr("schema_version", 0)),
-              path.c_str());
-  std::printf("  %-22s %9s %11s %6s %7s  %s\n", "component", "confined",
-              "confinable", "split", "global", "host-plane share");
-  const std::vector<std::string> relevant = TopologyComponents(cfg);
-  for (const std::string& name : relevant) {
-    const JsonValue* comp = components->Find(name);
-    if (comp == nullptr) continue;  // not in the scanned tree
-    const long long confined = comp->GetIntOr("confined", 0);
-    const long long confinable = comp->GetIntOr("confinable", 0);
-    const long long split = comp->GetIntOr("confinable_after_split", 0);
-    const long long global = comp->GetIntOr("global", 0);
-    const long long total = confined + confinable + split + global;
-    const long long host_plane = confined + confinable;
-    std::printf("  %-22s %9lld %11lld %6lld %7lld  %lld/%lld", name.c_str(),
-                confined, confinable, split, global, host_plane, total);
-    if (total > 0) {
-      std::printf(" (%.0f%%)", 100.0 * static_cast<double>(host_plane) /
-                                   static_cast<double>(total));
-    }
-    std::printf("\n");
-  }
-  // The global-plane sites are the serialization points: each one is an
-  // event every partition must order against, so they bound scaling.
-  bool header = false;
-  for (const JsonValue& site : sites->as_array()) {
-    if (site.GetStringOr("verdict", "") != "global") continue;
-    const std::string comp = site.GetStringOr("component", "");
-    bool ours = false;
-    for (const std::string& name : relevant) {
-      if (comp == name) ours = true;
-    }
-    if (!ours) continue;
-    if (!header) {
-      std::printf("  global-plane sites (serialize across partitions):\n");
-      header = true;
-    }
-    std::printf("    %s:%lld %s — %s\n",
-                site.GetStringOr("file", "?").c_str(),
-                static_cast<long long>(site.GetIntOr("line", 0)),
-                site.GetStringOr("function", "?").c_str(),
-                site.GetStringOr("reason", "").c_str());
-  }
-  if (!header) {
-    std::printf(
-        "  no global-plane sites: this topology schedules entirely on "
-        "host-confined planes\n");
-  }
-  return 0;
-}
 
 void PrintUsage(const char* prog) {
   std::fprintf(
@@ -328,9 +86,6 @@ void PrintUsage(const char* prog) {
       "flags:\n"
       "  --jobs=N            max concurrent experiments (default: hardware\n"
       "                      concurrency; --jobs=1 runs serially)\n"
-      "  --sim_threads=N     host partitions for the parallel DES engine\n"
-      "                      (default 1; results are byte-identical at any\n"
-      "                      value — overrides the sim_threads config key)\n"
       "  --trace_out=PATH    Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --trace_csv=PATH    per-span CSV export of the trace\n"
       "  --metrics_out=PATH  metrics-registry snapshot as JSON\n"
@@ -346,10 +101,6 @@ void PrintUsage(const char* prog) {
       "                      flash-crowd|ramp|replay + multi-tenant fan-out)\n"
       "  --autoscaler=PATH   elastic-scaling policy JSON (reactive |\n"
       "                      predictive); scaling actions print after the run\n"
-      "  --confinement_report[=PATH]\n"
-      "                      print the per-component scheduling-plane\n"
-      "                      verdict table for this config's topology\n"
-      "                      (default PATH: the checked-in lint golden)\n"
       "  --help              show this text\n"
       "any observability flag enables tracing; observability flags and the\n"
       "measurements CSV require a single config file\n",
@@ -364,6 +115,20 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+// Loads one config file into an experiment. The spec-file flags win over
+// the config keys of the same name.
+StatusOr<core::ExperimentConfig> LoadExperiment(
+    const std::string& path, const std::string& faults_flag,
+    const std::string& slo_flag, const std::string& workload_flag,
+    const std::string& autoscaler_flag) {
+  CRAYFISH_ASSIGN_OR_RETURN(Config props, Config::FromFile(path));
+  if (!faults_flag.empty()) props.Set("faults", faults_flag);
+  if (!slo_flag.empty()) props.Set("slo", slo_flag);
+  if (!workload_flag.empty()) props.Set("workload", workload_flag);
+  if (!autoscaler_flag.empty()) props.Set("autoscaler", autoscaler_flag);
+  return core::ExperimentConfigFromProperties(props);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -371,7 +136,6 @@ int main(int argc, char** argv) {
   std::string trace_csv;
   std::string metrics_out;
   std::string jobs_str;
-  std::string sim_threads_str;
   std::string faults_path;
   std::string timeline_out;
   std::string timeline_csv;
@@ -380,9 +144,6 @@ int main(int argc, char** argv) {
   std::string slo_out;
   std::string workload_path;
   std::string autoscaler_path;
-  bool confinement_report = false;
-  std::string confinement_path =
-      "tools/crayfish_lint/golden/confinement_src.json";
   bool print_breakdown = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -393,12 +154,7 @@ int main(int argc, char** argv) {
     }
     if (arg == "--breakdown") {
       print_breakdown = true;
-    } else if (arg == "--confinement_report") {
-      confinement_report = true;
-    } else if (ParseFlag(arg, "--confinement_report", &confinement_path)) {
-      confinement_report = true;
     } else if (ParseFlag(arg, "--jobs", &jobs_str) ||
-               ParseFlag(arg, "--sim_threads", &sim_threads_str) ||
                ParseFlag(arg, "--trace_out", &trace_out) ||
                ParseFlag(arg, "--trace_csv", &trace_csv) ||
                ParseFlag(arg, "--metrics_out", &metrics_out) ||
@@ -427,12 +183,11 @@ int main(int argc, char** argv) {
     }
     core::SetDefaultSweepJobs(jobs);
   }
-  // 0 = not given; the config key (or its default of 1) applies.
-  int sim_threads_flag = 0;
-  if (!sim_threads_str.empty()) {
-    sim_threads_flag = std::atoi(sim_threads_str.c_str());
-    if (sim_threads_flag < 1 || sim_threads_flag > 64) {
-      std::fprintf(stderr, "--sim_threads must be in [1, 64]\n");
+  double interval_flag = 0.0;
+  if (!timeline_interval.empty()) {
+    interval_flag = std::atof(timeline_interval.c_str());
+    if (interval_flag <= 0.0) {
+      std::fprintf(stderr, "--timeline_interval must be > 0\n");
       return 2;
     }
   }
@@ -457,7 +212,6 @@ int main(int argc, char** argv) {
       !timeline_out.empty() || !timeline_csv.empty() ||
       !timeline_interval.empty() || !slo_path.empty() || !slo_out.empty();
   if (positional.size() > 1 && (want_obs_flags || want_timeline_flags ||
-                                confinement_report ||
                                 !measurements_csv.empty())) {
     std::fprintf(stderr,
                  "observability flags and the measurements CSV require a "
@@ -470,28 +224,14 @@ int main(int argc, char** argv) {
     // argument order.
     std::vector<core::ExperimentConfig> batch;
     for (const std::string& path : positional) {
-      auto cfg_or = Config::FromFile(path);
+      auto cfg_or = LoadExperiment(path, faults_path, slo_path, workload_path,
+                                   autoscaler_path);
       if (!cfg_or.ok()) {
         std::fprintf(stderr, "config error (%s): %s\n", path.c_str(),
                      cfg_or.status().ToString().c_str());
         return 2;
       }
-      batch.push_back(FromConfig(*cfg_or));
-      if (sim_threads_flag > 0) batch.back().sim_threads = sim_threads_flag;
-      crayfish::Status fs =
-          ApplyFaultConfig(*cfg_or, faults_path, &batch.back());
-      if (!fs.ok()) {
-        std::fprintf(stderr, "fault plan error (%s): %s\n", path.c_str(),
-                     fs.ToString().c_str());
-        return 2;
-      }
-      crayfish::Status scs = ApplyScaleConfig(*cfg_or, workload_path,
-                                              autoscaler_path, &batch.back());
-      if (!scs.ok()) {
-        std::fprintf(stderr, "scale config error (%s): %s\n", path.c_str(),
-                     scs.ToString().c_str());
-        return 2;
-      }
+      batch.push_back(std::move(*cfg_or));
     }
     std::printf("running %zu experiments (jobs=%d) ...\n", batch.size(),
                 std::min(core::ResolveSweepJobs(0),
@@ -508,43 +248,18 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  auto cfg_or = Config::FromFile(positional[0]);
+  auto cfg_or = LoadExperiment(positional[0], faults_path, slo_path,
+                               workload_path, autoscaler_path);
   if (!cfg_or.ok()) {
     std::fprintf(stderr, "config error: %s\n",
                  cfg_or.status().ToString().c_str());
     return 2;
   }
-  core::ExperimentConfig cfg = FromConfig(*cfg_or);
-  if (sim_threads_flag > 0) cfg.sim_threads = sim_threads_flag;
-  {
-    crayfish::Status fs = ApplyFaultConfig(*cfg_or, faults_path, &cfg);
-    if (!fs.ok()) {
-      std::fprintf(stderr, "fault plan error: %s\n", fs.ToString().c_str());
-      return 2;
-    }
-    crayfish::Status ss =
-        ApplySloConfig(*cfg_or, slo_path, timeline_interval, &cfg);
-    if (!ss.ok()) {
-      std::fprintf(stderr, "slo config error: %s\n", ss.ToString().c_str());
-      return 2;
-    }
-    crayfish::Status scs =
-        ApplyScaleConfig(*cfg_or, workload_path, autoscaler_path, &cfg);
-    if (!scs.ok()) {
-      std::fprintf(stderr, "scale config error: %s\n",
-                   scs.ToString().c_str());
-      return 2;
-    }
-  }
+  core::ExperimentConfig cfg = std::move(*cfg_or);
+  if (interval_flag > 0.0) cfg.timeline_interval_s = interval_flag;
   const bool want_obs = print_breakdown || !trace_out.empty() ||
                         !trace_csv.empty() || !metrics_out.empty();
   if (want_obs) cfg.enable_tracing = true;
-  // The verdict table is a pure passthrough: print it before the run so
-  // the scaling context precedes the numbers it explains.
-  if (confinement_report) {
-    const int rc = PrintConfinementReport(cfg, confinement_path);
-    if (rc != 0) return rc;
-  }
   // A timeline export with no interval/SLO given still means "sample":
   // fall back to the 1 s default window.
   if ((!timeline_out.empty() || !timeline_csv.empty()) &&

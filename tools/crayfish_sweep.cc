@@ -11,6 +11,10 @@
 // table is assembled in sweep order, so the CSV is byte-identical to a
 // serial run. --jobs=1 recovers fully serial execution.
 //
+// The config maps onto experiments exactly as in crayfish_run
+// (core/properties.h), so any key — including "fault.<target>.<field>",
+// "workload.<key>" and "autoscaler.<key>" overrides — is a sweep axis.
+//
 // Examples:
 //   crayfish_sweep exp.properties mp 1,2,4,8,16 fig6_onnx.csv
 //   crayfish_sweep --jobs=4 exp.properties bsz 32,128,512
@@ -25,6 +29,7 @@
 #include "common/config.h"
 #include "common/logging.h"
 #include "core/experiment.h"
+#include "core/properties.h"
 #include "core/report.h"
 #include "core/sweep.h"
 
@@ -44,81 +49,14 @@ std::vector<std::string> SplitCsv(const std::string& text) {
 
 }  // namespace
 
-// Reuses crayfish_run's config mapping by re-parsing here (the mapping is
-// small; keeping the tools self-contained beats a shared header for two
-// binaries).
-core::ExperimentConfig ConfigToExperiment(const Config& cfg);
-
-core::ExperimentConfig ConfigToExperiment(const Config& cfg) {
-  core::ExperimentConfig out;
-  out.engine = cfg.GetStringOr("engine", out.engine);
-  out.serving = cfg.GetStringOr("serving", out.serving);
-  out.model = cfg.GetStringOr("model", out.model);
-  out.batch_size = static_cast<int>(cfg.GetIntOr("bsz", out.batch_size));
-  out.input_rate = cfg.GetDoubleOr("ir", out.input_rate);
-  out.parallelism = static_cast<int>(cfg.GetIntOr("mp", out.parallelism));
-  out.use_gpu = cfg.GetBoolOr("gpu", out.use_gpu);
-  out.source_parallelism = static_cast<int>(
-      cfg.GetIntOr("source_parallelism", out.source_parallelism));
-  out.sink_parallelism = static_cast<int>(
-      cfg.GetIntOr("sink_parallelism", out.sink_parallelism));
-  out.duration_s = cfg.GetDoubleOr("duration_s", out.duration_s);
-  out.drain_s = cfg.GetDoubleOr("drain_s", out.drain_s);
-  out.seed = static_cast<uint64_t>(cfg.GetIntOr("seed", 42));
-  out.sim_threads =
-      static_cast<int>(cfg.GetIntOr("sim_threads", out.sim_threads));
-  out.dataset_path = cfg.GetStringOr("dataset", "");
-  out.timeline_interval_s =
-      cfg.GetDoubleOr("timeline_interval_s", out.timeline_interval_s);
-  for (const std::string& key : cfg.Keys()) {
-    if (key.find('.') != std::string::npos &&
-        key.rfind("fault.", 0) != 0) {
-      out.engine_overrides.Set(key, cfg.GetStringOr(key, ""));
-    }
-  }
-  return out;
-}
-
-// Fault-plan parameters are sweepable axes like any other key: the base
-// config names the plan ("faults = plan.json") and a swept
-// "fault.<target>.<field>" key (e.g. "fault.crash0.at_s") is applied as a
-// plan override per point.
-Status ApplyFaultConfig(const Config& cfg, core::ExperimentConfig* out) {
-  const std::string path = cfg.GetStringOr("faults", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->fault_plan,
-                              fault::FaultPlan::FromFile(path));
-  }
-  for (const std::string& key : cfg.Keys()) {
-    if (key.rfind("fault.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->fault_plan.ApplyOverride(
-          key.substr(6), cfg.GetStringOr(key, "")));
-    }
-  }
-  return Status::Ok();
-}
-
-// An "slo = spec.json" key makes every sweep point evaluate the SLOs per
-// timeline window and adds a pass/fail column to the report.
-Status ApplySloConfig(const Config& cfg, core::ExperimentConfig* out) {
-  const std::string path = cfg.GetStringOr("slo", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->slo, obs::SloConfig::FromFile(path));
-  }
-  return Status::Ok();
-}
-
 int main(int argc, char** argv) {
   const auto print_usage = [&argv] {
     std::fprintf(stderr,
-                 "usage: %s [--jobs=N] [--sim_threads=N] <config.properties> "
-                 "<sweep_key> <v1,v2,...> [out.csv]\n"
-                 "  --sim_threads=N  parallel-DES partitions per experiment\n"
-                 "                   (default 1; byte-identical results)\n",
+                 "usage: %s [--jobs=N] <config.properties> <sweep_key> "
+                 "<v1,v2,...> [out.csv]\n",
                  argv[0]);
   };
   std::vector<std::string> positional;
-  int sim_threads_flag = 0;  // 0 = use the config key (default 1)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
@@ -128,13 +66,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       core::SetDefaultSweepJobs(jobs);
-    } else if (arg.rfind("--sim_threads=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 14);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "--sim_threads must be in [1, 64]\n");
-        return 2;
-      }
-      sim_threads_flag = n;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       print_usage();
@@ -169,24 +100,14 @@ int main(int argc, char** argv) {
   for (const std::string& value : values) {
     Config point = *base_or;
     point.Set(sweep_key, value);
-    core::ExperimentConfig exp = ConfigToExperiment(point);
-    if (sim_threads_flag > 0) exp.sim_threads = sim_threads_flag;
-    crayfish::Status fs = ApplyFaultConfig(point, &exp);
-    if (!fs.ok()) {
-      std::fprintf(stderr, "fault plan error (%s=%s): %s\n",
-                   sweep_key.c_str(), value.c_str(),
-                   fs.ToString().c_str());
-      return 2;
-    }
-    crayfish::Status ss = ApplySloConfig(point, &exp);
-    if (!ss.ok()) {
-      std::fprintf(stderr, "slo config error (%s=%s): %s\n",
-                   sweep_key.c_str(), value.c_str(),
-                   ss.ToString().c_str());
+    auto exp = core::ExperimentConfigFromProperties(point);
+    if (!exp.ok()) {
+      std::fprintf(stderr, "config error (%s=%s): %s\n", sweep_key.c_str(),
+                   value.c_str(), exp.status().ToString().c_str());
       return 2;
     }
     std::vector<core::ExperimentConfig> repeats =
-        core::MakeRepeatedConfigs(std::move(exp), kRepeats);
+        core::MakeRepeatedConfigs(std::move(*exp), kRepeats);
     for (core::ExperimentConfig& cfg : repeats) {
       batch.push_back(std::move(cfg));
     }
