@@ -38,6 +38,7 @@ void ByteWriter::PutRaw(const uint8_t* data, size_t len) {
 
 void ByteWriter::PutF32Array(const float* data, size_t len) {
   PutU64(len);
+  if (len == 0) return;  // `data` may be null, which memcpy forbids
   const size_t offset = buf_.size();
   buf_.resize(offset + len * sizeof(float));
   std::memcpy(buf_.data() + offset, data, len * sizeof(float));
@@ -114,6 +115,7 @@ StatusOr<std::vector<float>> ByteReader::GetF32Array() {
   CRAYFISH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
   CRAYFISH_RETURN_IF_ERROR(Need(n * sizeof(float)));
   std::vector<float> out(n);
+  if (n == 0) return out;  // out.data() may be null, which memcpy forbids
   std::memcpy(out.data(), data_ + pos_, n * sizeof(float));
   pos_ += n * sizeof(float);
   return out;

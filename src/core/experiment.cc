@@ -299,6 +299,7 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     hooks.task_failure = [eng](int task_index, double restart_delay_s) {
       return eng->InjectTaskFailure(task_index, restart_delay_s);
     };
+    hooks.task_count = eng->RestartableTasks();
     injector->set_hooks(std::move(hooks));
     CRAYFISH_RETURN_IF_ERROR(injector->Arm());
   }

@@ -139,6 +139,10 @@ crayfish::StatusOr<ExperimentResult> RunStandaloneFlink(
     (*emit_ptr)();
   });
   sim.Run(config.duration_s + config.drain_s);
+  // Both callbacks capture their own shared_ptr; emptying them breaks the
+  // reference cycles so the captured state is freed.
+  *process_ptr = nullptr;
+  *emit_ptr = nullptr;
 
   ExperimentResult result;
   result.measurements = *measurements;

@@ -44,12 +44,19 @@ Status FaultInjector::Arm() {
               spec.name + ": no serving_worker_delta hook");
         }
         break;
-      case FaultKind::kTaskRestart:
+      case FaultKind::kTaskRestart: {
         if (!hooks_.task_failure) {
           return Status::FailedPrecondition(spec.name +
                                             ": no task_failure hook");
         }
+        if (spec.task_index >= hooks_.task_count) {
+          return Status::InvalidArgument(
+              spec.name + ": task " + std::to_string(spec.task_index) +
+              " does not exist (engine has " +
+              std::to_string(hooks_.task_count) + " restartable tasks)");
+        }
         break;
+      }
       case FaultKind::kBrokerCrash:
         if (static_cast<size_t>(spec.broker) >=
             cluster_->broker_hosts().size()) {

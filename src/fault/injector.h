@@ -23,6 +23,8 @@ struct FaultHooks {
   std::function<void(bool)> serving_down;
   /// Crash-restarts one operator task; returns the number of tasks hit.
   std::function<int(int task_index, double restart_delay_s)> task_failure;
+  /// Number of operator tasks task_failure can restart (indices 0..n-1).
+  int task_count = 0;
 };
 
 /// Turns a validated FaultPlan into DES events against the live topology.

@@ -1,9 +1,9 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "obs/format.h"
 
 namespace crayfish::obs {
 
@@ -80,43 +80,33 @@ std::string MetricsRegistry::SnapshotJson() const {
   return Snapshot().DumpPretty();
 }
 
-namespace {
-
-// RFC 4180 quoting for the key column: labeled identities contain commas
-// ("m{a=1,b=2}") so the cell is always quoted, and any double quote inside
-// a label value must be doubled.
-std::string QuoteCsvKey(const std::string& key) {
-  std::string out = "\"";
-  for (char c : key) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::ToCsv() const {
+  // Labeled identities contain commas ("m{a=1,b=2}"), so the key cell is
+  // always quoted (RFC 4180).
   std::string out = "key,kind,count,value_or_mean,min,max,p50,p95,p99\n";
-  char line[320];
   for (const auto& [key, counter] : counters_) {
-    std::snprintf(line, sizeof(line), "%s,counter,,%.9g,,,,,\n",
-                  QuoteCsvKey(key).c_str(), counter->value());
-    out += line;
+    AppendCsvQuoted(&out, key);
+    out += ",counter,,";
+    AppendG9(&out, counter->value());
+    out += ",,,,,\n";
   }
   for (const auto& [key, gauge] : gauges_) {
-    std::snprintf(line, sizeof(line), "%s,gauge,,%.9g,,,,,\n",
-                  QuoteCsvKey(key).c_str(), gauge->value());
-    out += line;
+    AppendCsvQuoted(&out, key);
+    out += ",gauge,,";
+    AppendG9(&out, gauge->value());
+    out += ",,,,,\n";
   }
   for (const auto& [key, hist] : histograms_) {
-    std::snprintf(line, sizeof(line),
-                  "%s,histogram,%zu,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
-                  QuoteCsvKey(key).c_str(), hist->count(), hist->mean(),
-                  hist->min(), hist->max(), hist->Percentile(50.0),
-                  hist->Percentile(95.0), hist->Percentile(99.0));
-    out += line;
+    AppendCsvQuoted(&out, key);
+    out += ",histogram,";
+    AppendUint(&out, hist->count());
+    for (double v : {hist->mean(), hist->min(), hist->max(),
+                     hist->Percentile(50.0), hist->Percentile(95.0),
+                     hist->Percentile(99.0)}) {
+      out.push_back(',');
+      AppendG9(&out, v);
+    }
+    out.push_back('\n');
   }
   return out;
 }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/format.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -72,12 +72,6 @@ double Violation(const SloSpec& spec, double value) {
   if (spec.has_max && value > spec.max) v = std::max(v, value - spec.max);
   if (spec.has_min && value < spec.min) v = std::max(v, spec.min - value);
   return v;
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -223,20 +217,34 @@ void SloMonitor::AnnotateTrace(const SloReport& report,
 std::string SloReport::Summary() const {
   std::string out;
   for (const SloObjectiveReport& obj : objectives) {
-    std::string bound;
-    if (obj.spec.has_max) bound += " <= " + FormatDouble(obj.spec.max);
-    if (obj.spec.has_min) bound += " >= " + FormatDouble(obj.spec.min);
-    out += "  [" + std::string(obj.passed ? "PASS" : "FAIL") + "] " +
-           obj.spec.name + ": " + obj.spec.metric + bound + " — " +
-           std::to_string(obj.windows_breached) + "/" +
-           std::to_string(obj.windows_evaluated) + " windows breached";
-    if (obj.has_worst) out += ", worst " + FormatDouble(obj.worst_value);
-    if (obj.spec.error_budget > 0.0) {
-      out += ", budget burn " + FormatDouble(obj.budget_burn);
+    out += obj.passed ? "  [PASS] " : "  [FAIL] ";
+    out += obj.spec.name;
+    out += ": ";
+    out += obj.spec.metric;
+    if (obj.spec.has_max) {
+      out += " <= ";
+      AppendG9(&out, obj.spec.max);
     }
-    out += "\n";
+    if (obj.spec.has_min) {
+      out += " >= ";
+      AppendG9(&out, obj.spec.min);
+    }
+    out += " — ";
+    AppendUint(&out, obj.windows_breached);
+    out.push_back('/');
+    AppendUint(&out, obj.windows_evaluated);
+    out += " windows breached";
+    if (obj.has_worst) {
+      out += ", worst ";
+      AppendG9(&out, obj.worst_value);
+    }
+    if (obj.spec.error_budget > 0.0) {
+      out += ", budget burn ";
+      AppendG9(&out, obj.budget_burn);
+    }
+    out.push_back('\n');
   }
-  out += "  overall: " + std::string(passed ? "PASS" : "FAIL") + "\n";
+  out += passed ? "  overall: PASS\n" : "  overall: FAIL\n";
   return out;
 }
 

@@ -1,44 +1,35 @@
 #include "obs/timeline.h"
 
-#include <cstdio>
 #include <fstream>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "obs/format.h"
 
 namespace crayfish::obs {
 
 namespace {
 
-// Fixed "%.9g" rendering keeps JSONL/CSV byte-identical across same-seed
-// runs without dragging full 17-digit noise into the exports.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-// RFC 4180: quote a cell when it contains a comma, quote, or newline, and
-// double every embedded quote.
-std::string CsvCell(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
+// RFC 4180: quote a cell only when it contains a comma, quote, or newline.
+void AppendCsvCell(std::string* out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out->append(s);
+  } else {
+    AppendCsvQuoted(out, s);
   }
-  out += "\"";
-  return out;
 }
 
-std::string JoinSemicolon(const std::vector<std::string>& items) {
-  std::string out;
+// Appends `items` joined by ';' as one CSV cell.
+template <typename Container>
+void AppendJoinedCell(std::string* out, const Container& items) {
+  std::string joined;
   for (const std::string& item : items) {
-    if (!out.empty()) out += ";";
-    out += item;
+    if (!joined.empty()) joined.push_back(';');
+    joined += item;
   }
-  return out;
+  AppendCsvCell(out, joined);
 }
 
 }  // namespace
@@ -233,38 +224,52 @@ std::string TimelineSampler::ToCsv() const {
   std::string out =
       "window,start_s,end_s,completions,throughput_eps,latency_mean_s,"
       "latency_p50_s,latency_p95_s,latency_p99_s,latency_max_s";
-  for (const std::string& name : counter_names) out += "," + CsvCell(name);
-  for (const std::string& name : gauge_names) out += "," + CsvCell(name);
+  for (const std::string& name : counter_names) {
+    out.push_back(',');
+    AppendCsvCell(&out, name);
+  }
+  for (const std::string& name : gauge_names) {
+    out.push_back(',');
+    AppendCsvCell(&out, name);
+  }
   out += ",active_faults,events\n";
+  // Fixed "%.9g" rendering keeps the CSV byte-identical across same-seed
+  // runs without dragging full 17-digit noise into it.
+  const auto append_value = [&out](double v) {
+    out.push_back(',');
+    AppendG9(&out, v);
+  };
   for (const TimelineWindow& w : windows_) {
-    out += std::to_string(w.index);
-    out += "," + FormatDouble(w.start_s);
-    out += "," + FormatDouble(w.end_s);
-    out += "," + std::to_string(w.completions);
-    out += "," + FormatDouble(w.throughput_eps());
+    AppendUint(&out, w.index);
+    append_value(w.start_s);
+    append_value(w.end_s);
+    out.push_back(',');
+    AppendUint(&out, w.completions);
+    append_value(w.throughput_eps());
     if (w.completions > 0) {
-      out += "," + FormatDouble(w.latency.mean());
-      out += "," + FormatDouble(w.latency_hist.Percentile(50.0));
-      out += "," + FormatDouble(w.latency_hist.Percentile(95.0));
-      out += "," + FormatDouble(w.latency_hist.Percentile(99.0));
-      out += "," + FormatDouble(w.latency.max());
+      append_value(w.latency.mean());
+      append_value(w.latency_hist.Percentile(50.0));
+      append_value(w.latency_hist.Percentile(95.0));
+      append_value(w.latency_hist.Percentile(99.0));
+      append_value(w.latency.max());
     } else {
       out += ",,,,,";
     }
     for (const std::string& name : counter_names) {
       auto it = w.counters.find(name);
-      out += ",";
-      if (it != w.counters.end()) out += FormatDouble(it->second);
+      if (it != w.counters.end()) append_value(it->second);
+      else out.push_back(',');
     }
     for (const std::string& name : gauge_names) {
       auto it = w.gauges.find(name);
-      out += ",";
-      if (it != w.gauges.end()) out += FormatDouble(it->second);
+      if (it != w.gauges.end()) append_value(it->second);
+      else out.push_back(',');
     }
-    out += "," + CsvCell(JoinSemicolon(std::vector<std::string>(
-                     w.active_faults.begin(), w.active_faults.end())));
-    out += "," + CsvCell(JoinSemicolon(w.annotations));
-    out += "\n";
+    out.push_back(',');
+    AppendJoinedCell(&out, w.active_faults);
+    out.push_back(',');
+    AppendJoinedCell(&out, w.annotations);
+    out.push_back('\n');
   }
   return out;
 }

@@ -1,42 +1,23 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
 #include <fstream>
-#include <sstream>
+#include <map>
+#include <string_view>
 
+#include "obs/format.h"
 
 namespace crayfish::obs {
 
 namespace {
 
-// Fixed-precision formatting keeps exports byte-stable across runs.
-std::string FormatDouble(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+// Byte estimates for reserve(), sized so the one output buffer is never
+// reallocated mid-export: each covers an event's fixed text plus typical
+// number widths, and the exports add the lengths of the names they write.
+constexpr size_t kChromeSpanTailBytes = 64;    // ts,dur,args after the name
+constexpr size_t kChromeTrackEventBytes = 80;  // all but the name
+constexpr size_t kCsvRowBytes = 48;            // all but the stage name
 
 }  // namespace
 
@@ -95,80 +76,118 @@ std::string TraceRecorder::ToChromeTraceJson() const {
   // Chrome trace-event (catapult) JSON. pid 1 holds one lane (tid) per
   // pipeline stage so a batch renders as a staircase across lanes; pid 2
   // holds one lane per auxiliary resource track. ts/dur are microseconds.
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& ev) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << ev;
-  };
+  // One pass appends every event, one per line, straight into `out`.
 
+  // A stage span's text up to its ts, escaped once per export.
+  std::array<std::string, kNumStages> span_head;
   for (int i = 0; i < kNumStages; ++i) {
-    emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         EscapeJson(StageName(static_cast<Stage>(i))) + "\"}}");
-  }
-  emit("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-       "\"args\":{\"name\":\"pipeline stages\"}}");
-
-  for (const auto& [batch_id, bt] : batches_) {
-    double prev = bt.start_s;
-    for (const StageMark& m : bt.marks) {
-      emit("{\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(static_cast<int>(m.stage)) + ",\"name\":\"" +
-           EscapeJson(StageName(m.stage)) +
-           "\",\"ts\":" + FormatDouble(prev * 1e6, 3) +
-           ",\"dur\":" + FormatDouble((m.time_s - prev) * 1e6, 3) +
-           ",\"args\":{\"batch_id\":" + std::to_string(batch_id) + "}}");
-      prev = m.time_s;
-    }
+    std::string& head = span_head[static_cast<size_t>(i)];
+    head = ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":";
+    AppendUint(&head, static_cast<uint64_t>(i));
+    head += ",\"name\":\"";
+    AppendJsonEscaped(&head, StageName(static_cast<Stage>(i)));
+    head += "\",\"ts\":";
   }
 
   // Auxiliary resource tracks: assign tids in first-seen order, which is
   // deterministic because spans are recorded in simulated-event order.
   // Instant-only tracks (e.g. "slo") get tids after all span tracks.
-  std::map<std::string, int> track_tid;
-  std::vector<std::string> track_order;
+  std::map<std::string_view, uint64_t> track_tid;
+  std::vector<std::string_view> track_order;
+  const auto tid_of = [&](const std::string& track) {
+    const auto [it, inserted] = track_tid.emplace(track, track_order.size());
+    if (inserted) track_order.push_back(track);
+    return it->second;
+  };
+  size_t bytes = 2048;  // header, footer, process and stage-lane names
+  std::vector<uint64_t> span_tid;
+  span_tid.reserve(track_spans_.size());
   for (const TrackSpan& s : track_spans_) {
-    if (track_tid.emplace(s.track, static_cast<int>(track_order.size()))
-            .second) {
-      track_order.push_back(s.track);
-    }
+    span_tid.push_back(tid_of(s.track));
+    bytes += kChromeTrackEventBytes + s.name.size();
   }
+  std::vector<uint64_t> instant_tid;
+  instant_tid.reserve(instants_.size());
   for (const InstantEvent& ev : instants_) {
-    if (track_tid.emplace(ev.track, static_cast<int>(track_order.size()))
-            .second) {
-      track_order.push_back(ev.track);
-    }
+    instant_tid.push_back(tid_of(ev.track));
+    bytes += kChromeTrackEventBytes + ev.name.size();
   }
-  if (!track_order.empty()) {
-    emit("{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"resources\"}}");
-    for (size_t i = 0; i < track_order.size(); ++i) {
-      emit("{\"ph\":\"M\",\"pid\":2,\"tid\":" + std::to_string(i) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-           EscapeJson(track_order[i]) + "\"}}");
-    }
-    for (const TrackSpan& s : track_spans_) {
-      emit("{\"ph\":\"X\",\"pid\":2,\"tid\":" +
-           std::to_string(track_tid[s.track]) + ",\"name\":\"" +
-           EscapeJson(s.name) +
-           "\",\"ts\":" + FormatDouble(s.start_s * 1e6, 3) +
-           ",\"dur\":" + FormatDouble((s.end_s - s.start_s) * 1e6, 3) +
-           "}");
-    }
-    for (const InstantEvent& ev : instants_) {
-      emit("{\"ph\":\"i\",\"pid\":2,\"tid\":" +
-           std::to_string(track_tid[ev.track]) + ",\"name\":\"" +
-           EscapeJson(ev.name) +
-           "\",\"ts\":" + FormatDouble(ev.time_s * 1e6, 3) +
-           ",\"s\":\"t\"}");
+  for (std::string_view track : track_order) {
+    bytes += kChromeTrackEventBytes + track.size();
+  }
+  for (const auto& [batch_id, bt] : batches_) {
+    for (const StageMark& m : bt.marks) {
+      bytes += span_head[static_cast<size_t>(m.stage)].size() +
+               kChromeSpanTailBytes;
     }
   }
 
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return os.str();
+  std::string out;
+  out.reserve(bytes);
+  out += "{\"traceEvents\":[";
+  for (int i = 0; i < kNumStages; ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
+    AppendUint(&out, static_cast<uint64_t>(i));
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    AppendJsonEscaped(&out, StageName(static_cast<Stage>(i)));
+    out += "\"}}";
+  }
+  out += ",\n{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"pipeline stages\"}}";
+
+  std::string span_tail;  // ,"args":{"batch_id":<id>}}
+  for (const auto& [batch_id, bt] : batches_) {
+    span_tail = ",\"args\":{\"batch_id\":";
+    AppendUint(&span_tail, batch_id);
+    span_tail += "}}";
+    double prev = bt.start_s;
+    for (const StageMark& m : bt.marks) {
+      out += span_head[static_cast<size_t>(m.stage)];
+      AppendFixed(&out, prev * 1e6, 3);
+      out += ",\"dur\":";
+      AppendFixed(&out, (m.time_s - prev) * 1e6, 3);
+      out += span_tail;
+      prev = m.time_s;
+    }
+  }
+
+  if (!track_order.empty()) {
+    out += ",\n{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\","
+           "\"args\":{\"name\":\"resources\"}}";
+    for (size_t i = 0; i < track_order.size(); ++i) {
+      out += ",\n{\"ph\":\"M\",\"pid\":2,\"tid\":";
+      AppendUint(&out, i);
+      out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+      AppendJsonEscaped(&out, track_order[i]);
+      out += "\"}}";
+    }
+    for (size_t i = 0; i < track_spans_.size(); ++i) {
+      const TrackSpan& s = track_spans_[i];
+      out += ",\n{\"ph\":\"X\",\"pid\":2,\"tid\":";
+      AppendUint(&out, span_tid[i]);
+      out += ",\"name\":\"";
+      AppendJsonEscaped(&out, s.name);
+      out += "\",\"ts\":";
+      AppendFixed(&out, s.start_s * 1e6, 3);
+      out += ",\"dur\":";
+      AppendFixed(&out, (s.end_s - s.start_s) * 1e6, 3);
+      out.push_back('}');
+    }
+    for (size_t i = 0; i < instants_.size(); ++i) {
+      const InstantEvent& ev = instants_[i];
+      out += ",\n{\"ph\":\"i\",\"pid\":2,\"tid\":";
+      AppendUint(&out, instant_tid[i]);
+      out += ",\"name\":\"";
+      AppendJsonEscaped(&out, ev.name);
+      out += "\",\"ts\":";
+      AppendFixed(&out, ev.time_s * 1e6, 3);
+      out += ",\"s\":\"t\"}";
+    }
+  }
+
+  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  return out;
 }
 
 crayfish::Status TraceRecorder::WriteChromeTrace(
@@ -181,21 +200,36 @@ crayfish::Status TraceRecorder::WriteChromeTrace(
 }
 
 std::string TraceRecorder::ToStageCsv() const {
-  std::ostringstream os;
-  os << "batch_id,stage,start_s,end_s,duration_ms\n";
-  char line[160];
+  std::array<std::string_view, kNumStages> stage_name;
+  for (int i = 0; i < kNumStages; ++i) {
+    stage_name[static_cast<size_t>(i)] = StageName(static_cast<Stage>(i));
+  }
+  size_t bytes = 64;  // header
+  for (const auto& [batch_id, bt] : batches_) {
+    for (const StageMark& m : bt.marks) {
+      bytes += kCsvRowBytes + stage_name[static_cast<size_t>(m.stage)].size();
+    }
+  }
+  std::string out;
+  out.reserve(bytes);
+  out += "batch_id,stage,start_s,end_s,duration_ms\n";
   for (const auto& [batch_id, bt] : batches_) {
     double prev = bt.start_s;
     for (const StageMark& m : bt.marks) {
-      std::snprintf(line, sizeof(line), "%llu,%s,%.9f,%.9f,%.6f\n",
-                    static_cast<unsigned long long>(batch_id),
-                    StageName(m.stage), prev, m.time_s,
-                    (m.time_s - prev) * 1000.0);
-      os << line;
+      AppendUint(&out, batch_id);
+      out.push_back(',');
+      out += stage_name[static_cast<size_t>(m.stage)];
+      out.push_back(',');
+      AppendFixed(&out, prev, 9);
+      out.push_back(',');
+      AppendFixed(&out, m.time_s, 9);
+      out.push_back(',');
+      AppendFixed(&out, (m.time_s - prev) * 1000.0, 6);
+      out.push_back('\n');
       prev = m.time_s;
     }
   }
-  return os.str();
+  return out;
 }
 
 crayfish::Status TraceRecorder::WriteStageCsv(

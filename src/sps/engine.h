@@ -95,12 +95,15 @@ class StreamEngine {
   /// Stops all task loops (used at experiment teardown).
   virtual void Stop() = 0;
 
-  /// Fault hook: crash-restarts one operator task (`task_index` modulo the
-  /// engine's task count). The task's consumer session dies uncommitted
+  /// Number of operator tasks InjectTaskFailure can restart, known before
+  /// Start() — 0 when the engine does not model restartable tasks.
+  virtual int RestartableTasks() const { return 0; }
+
+  /// Fault hook: crash-restarts operator task `task_index`, which must be
+  /// below RestartableTasks(). The task's consumer session dies uncommitted
   /// and resumes from the group's committed offsets after
   /// `restart_delay_s` (at-least-once: duplicates possible, no loss).
-  /// Returns the number of tasks restarted — 0 when the engine does not
-  /// model restartable tasks.
+  /// Returns the number of tasks restarted.
   virtual int InjectTaskFailure(int task_index, double restart_delay_s) {
     (void)task_index;
     (void)restart_delay_s;

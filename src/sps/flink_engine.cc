@@ -405,20 +405,24 @@ void FlinkEngine::OfferToScoring(
   });
 }
 
+int FlinkEngine::RestartableTasks() const {
+  // The counts StartChained / StartUnchained create.
+  return chained_ ? config_.parallelism
+                  : std::max(1, config_.source_parallelism);
+}
+
 int FlinkEngine::InjectTaskFailure(int task_index, double restart_delay_s) {
   if (stopped_) return 0;
+  const auto index = static_cast<size_t>(task_index);
   if (chained_) {
-    if (slots_.empty()) return 0;
-    SlotState& slot =
-        slots_[static_cast<size_t>(task_index) % slots_.size()];
+    CRAYFISH_CHECK_LT(index, slots_.size());
+    SlotState& slot = slots_[index];
     if (!slot.consumer) return 0;
     slot.consumer->FailAndRestart(restart_delay_s);
     return 1;
   }
-  if (source_consumers_.empty()) return 0;
-  source_consumers_[static_cast<size_t>(task_index) %
-                    source_consumers_.size()]
-      ->FailAndRestart(restart_delay_s);
+  CRAYFISH_CHECK_LT(index, source_consumers_.size());
+  source_consumers_[index]->FailAndRestart(restart_delay_s);
   return 1;
 }
 

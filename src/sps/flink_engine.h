@@ -66,6 +66,9 @@ class FlinkEngine : public StreamEngine {
   crayfish::Status Start() override;
   void Stop() override;
 
+  /// One task per slot (chained mode) or per source task (unchained mode).
+  int RestartableTasks() const override;
+
   /// Crash-restarts one task slot's consumer session (chained mode) or one
   /// source task (unchained mode); the restarted task resumes from the
   /// group's committed offsets.

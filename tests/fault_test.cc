@@ -349,6 +349,62 @@ TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
   EXPECT_TRUE(valid.Arm().ok());
 }
 
+TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
+  sim::Simulation sim(1);
+  sim::Network network(&sim);
+  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
+  fault::RecoveryTracker tracker;
+  fault::FaultPlan plan;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kTaskRestart;
+  spec.name = "restart";
+  spec.at_s = 1.0;
+  spec.task_index = 2;
+  plan.faults.push_back(spec);
+  int restarted = -1;
+  fault::FaultHooks hooks;
+  hooks.task_failure = [&restarted](int task_index, double) {
+    restarted = task_index;
+    return 1;
+  };
+  hooks.task_count = 2;
+  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
+  injector.set_hooks(hooks);
+  const Status armed = injector.Arm();
+  ASSERT_FALSE(armed.ok());
+  EXPECT_TRUE(armed.IsInvalidArgument());
+  EXPECT_NE(armed.message().find("task 2"), std::string::npos)
+      << armed.ToString();
+  EXPECT_NE(armed.message().find("2 restartable tasks"), std::string::npos)
+      << armed.ToString();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The highest real index arms and restarts exactly that task.
+  plan.faults.back().task_index = 1;
+  fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
+  valid.set_hooks(hooks);
+  ASSERT_TRUE(valid.Arm().ok());
+  sim.Run(2.0);
+  EXPECT_EQ(restarted, 1);
+}
+
+TEST(FaultExperimentTest, NonexistentTaskFailsTheRun) {
+  core::ExperimentConfig cfg = FaultedConfig("tf-serving");
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kTaskRestart;
+  spec.name = "restart99";
+  spec.at_s = 12.0;
+  spec.task_index = 99;
+  cfg.fault_plan.faults.push_back(spec);
+  auto result = core::RunExperiment(cfg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_NE(result.status().message().find("task 99"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("2 restartable tasks"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(FaultExperimentTest, NonexistentBrokerFailsTheRun) {
   core::ExperimentConfig cfg = FaultedConfig("tf-serving");
   cfg.fault_plan.faults.push_back(BrokerCrash(2.0, 3.0));
