@@ -1,31 +1,17 @@
-// Performance harness for the simulator's host-side hot paths. Three
-// measurements against an in-binary baseline that reproduces the
-// pre-optimization implementation, plus the cost of building a
-// cluster-scale topology:
+// Host-side wall-clock harness for two costs the per-workload benchmark
+// (bench/perf, crayfish_perf) does not cover:
 //
-//  1. DES micro — events/sec through the event queue. Baseline: the old
-//     std::function action + std::priority_queue design. Optimized: the
-//     real sim::EventQueue (InlineAction SBO + implicit 4-ary min-heap
-//     with a reused backing store).
-//  2. Records — records/sec through a producer → log → fan-out-consumer
-//     delivery chain. Baseline: payload bytes copied per delivery (the
-//     old Bytes-by-value Record). Optimized: the real broker::Record,
-//     whose payload is a shared immutable buffer.
-//  3. Sweep — wall-clock for a small figure-style sweep, --jobs=1 vs all
+//  1. Sweep — wall-clock for a small figure-style sweep, --jobs=1 vs all
 //     hardware threads through core::SweepRunner.
-//  4. Cluster construct — a 1000-host fleet with a 256-partition topic.
+//  2. Cluster construct — a 1000-host fleet with a 256-partition topic.
 //
-// Emits BENCH_perf.json (in --out, default the working directory) so the
-// numbers are tracked per commit. Wall-clock reads are fine here: this
-// binary measures the host, it never runs inside a simulation.
+// Emits BENCH_perf.json in the working directory so the numbers are
+// tracked per commit. Wall-clock reads are fine here: this binary measures
+// the host, it never runs inside a simulation.
 
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,10 +19,8 @@
 
 #include "bench/bench_common.h"
 #include "broker/cluster.h"
-#include "broker/record.h"
 #include "core/experiment.h"
 #include "core/sweep.h"
-#include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
@@ -50,167 +34,7 @@ double SecondsSince(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. DES micro
-// ---------------------------------------------------------------------------
-
-/// The pre-optimization event-queue design, kept verbatim as the baseline:
-/// type-erased std::function actions (heap-allocating for captures beyond
-/// ~16 bytes) ordered by a binary std::priority_queue that cannot reuse its
-/// storage across pops.
-struct LegacyEvent {
-  double time = 0.0;
-  uint64_t seq = 0;
-  std::function<void()> action;
-};
-
-struct LegacyAfter {
-  bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-// The workload both queues execute: a self-rescheduling event mesh. Each
-// handler captures 32 bytes (context pointer, two doubles, one counter —
-// the shape of the simulator's timer closures: above std::function's
-// 16-byte inline buffer, inside InlineAction's 48-byte one) and
-// reschedules itself until kMicroEvents have run, with kMicroWidth events
-// in flight so the heap stays populated.
-constexpr uint64_t kMicroEvents = 2'000'000;
-constexpr int kMicroWidth = 256;
-
-struct LegacyCtx {
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyAfter>
-      queue;
-  uint64_t executed = 0;
-  uint64_t sum = 0;
-  uint64_t seq = 0;
-
-  void Schedule(double time, uint64_t payload) {
-    LegacyCtx* self = this;
-    const double a = time * 1.5;
-    const double b = time + 0.25;
-    const uint64_t c = payload;
-    queue.push({time, seq++, [self, a, b, c]() {
-                  self->sum += c + static_cast<uint64_t>(a < b);
-                  ++self->executed;
-                  if (self->executed + self->queue.size() < kMicroEvents) {
-                    self->Schedule(a + b, c + 1);
-                  }
-                }});
-  }
-};
-
-double LegacyEventsPerSec(uint64_t* checksum) {
-  LegacyCtx ctx;
-  const auto start = Clock::now();
-  for (int i = 0; i < kMicroWidth; ++i) {
-    ctx.Schedule(1.0 + 0.001 * i, static_cast<uint64_t>(i));
-  }
-  while (!ctx.queue.empty()) {
-    // priority_queue::top() is const — the pre-optimization code paid a
-    // copy of the std::function here, exactly as reproduced.
-    LegacyEvent e = ctx.queue.top();
-    ctx.queue.pop();
-    e.action();
-  }
-  const double elapsed = SecondsSince(start);
-  *checksum = ctx.sum;
-  return static_cast<double>(ctx.executed) / elapsed;
-}
-
-struct OptimizedCtx {
-  sim::EventQueue queue;
-  uint64_t executed = 0;
-  uint64_t sum = 0;
-
-  void Schedule(double time, uint64_t payload) {
-    OptimizedCtx* self = this;
-    const double a = time * 1.5;
-    const double b = time + 0.25;
-    const uint64_t c = payload;
-    queue.Push(time, sim::InlineAction([self, a, b, c]() {
-                 self->sum += c + static_cast<uint64_t>(a < b);
-                 ++self->executed;
-                 if (self->executed + self->queue.size() < kMicroEvents) {
-                   self->Schedule(a + b, c + 1);
-                 }
-               }));
-  }
-};
-
-double OptimizedEventsPerSec(uint64_t* checksum) {
-  OptimizedCtx ctx;
-  ctx.queue.Reserve(kMicroWidth + 1);
-  const auto start = Clock::now();
-  for (int i = 0; i < kMicroWidth; ++i) {
-    ctx.Schedule(1.0 + 0.001 * i, static_cast<uint64_t>(i));
-  }
-  while (!ctx.queue.empty()) {
-    sim::Event e = ctx.queue.Pop();
-    e.action();
-  }
-  const double elapsed = SecondsSince(start);
-  *checksum = ctx.sum;
-  return static_cast<double>(ctx.executed) / elapsed;
-}
-
-// ---------------------------------------------------------------------------
-// 2. Record fan-out
-// ---------------------------------------------------------------------------
-
-constexpr int kRecordCount = 200'000;
-constexpr int kFanOut = 4;
-constexpr size_t kPayloadBytes = 512;
-
-/// The old ownership model: every delivery materializes its own copy of
-/// the payload bytes (producer → log append, then log → each consumer).
-struct CopyRecord {
-  uint64_t batch_id = 0;
-  Bytes payload;
-};
-
-double CopyRecordsPerSec(uint64_t* checksum) {
-  const Bytes payload(kPayloadBytes, 0x5a);
-  std::vector<CopyRecord> log;
-  log.reserve(kRecordCount);
-  uint64_t sum = 0;
-  const auto start = Clock::now();
-  for (int i = 0; i < kRecordCount; ++i) {
-    CopyRecord produced{static_cast<uint64_t>(i), payload};  // producer copy
-    log.push_back({produced.batch_id, produced.payload});    // append copy
-    for (int c = 0; c < kFanOut; ++c) {
-      CopyRecord delivered{log.back().batch_id, log.back().payload};
-      sum += delivered.payload[static_cast<size_t>(c)];
-    }
-  }
-  const double elapsed = SecondsSince(start);
-  *checksum = sum;
-  return static_cast<double>(kRecordCount) / elapsed;
-}
-
-double SharedRecordsPerSec(uint64_t* checksum) {
-  std::vector<broker::Record> log;
-  log.reserve(kRecordCount);
-  uint64_t sum = 0;
-  const auto start = Clock::now();
-  for (int i = 0; i < kRecordCount; ++i) {
-    broker::Record produced;
-    produced.batch_id = static_cast<uint64_t>(i);
-    produced.SetPayload(Bytes(kPayloadBytes, 0x5a));  // materialized once
-    log.push_back(produced);                          // refcount bump
-    for (int c = 0; c < kFanOut; ++c) {
-      broker::Record delivered = log.back();  // refcount bump per consumer
-      sum += (*delivered.payload)[static_cast<size_t>(c)];
-    }
-  }
-  const double elapsed = SecondsSince(start);
-  *checksum = sum;
-  return static_cast<double>(kRecordCount) / elapsed;
-}
-
-// ---------------------------------------------------------------------------
-// 3. Sweep wall-clock
+// 1. Sweep wall-clock
 // ---------------------------------------------------------------------------
 
 std::vector<core::ExperimentConfig> SweepConfigs() {
@@ -238,7 +62,7 @@ double SweepWallClock(const std::vector<core::ExperimentConfig>& configs,
 }
 
 // ---------------------------------------------------------------------------
-// 4. Lean cluster construction
+// 2. Lean cluster construction
 // ---------------------------------------------------------------------------
 // Cost of standing up the autoscaler's cluster-scale topology: a 1000-host
 // fleet with a 256-partition topic. With lazy per-partition bookkeeping and
@@ -279,37 +103,6 @@ ClusterConstructResult ClusterConstruct() {
 // ---------------------------------------------------------------------------
 
 void RunHarness() {
-  std::printf("bench_perf_harness: DES micro (%llu events, width %d)...\n",
-              static_cast<unsigned long long>(kMicroEvents), kMicroWidth);
-  uint64_t legacy_sum = 0;
-  uint64_t optimized_sum = 0;
-  // Warm-up pass each, then the measured pass.
-  (void)LegacyEventsPerSec(&legacy_sum);
-  (void)OptimizedEventsPerSec(&optimized_sum);
-  const double legacy_eps = LegacyEventsPerSec(&legacy_sum);
-  const double optimized_eps = OptimizedEventsPerSec(&optimized_sum);
-  CRAYFISH_CHECK(legacy_sum == optimized_sum)
-      << "baseline and optimized queues executed different workloads";
-  const double micro_speedup = optimized_eps / legacy_eps;
-  std::printf("  legacy    %12.0f events/s\n", legacy_eps);
-  std::printf("  optimized %12.0f events/s   (%.2fx)\n", optimized_eps,
-              micro_speedup);
-
-  std::printf("bench_perf_harness: record fan-out (%d records x %d "
-              "consumers, %zu B payload)...\n",
-              kRecordCount, kFanOut, kPayloadBytes);
-  uint64_t copy_sum = 0;
-  uint64_t shared_sum = 0;
-  (void)CopyRecordsPerSec(&copy_sum);
-  (void)SharedRecordsPerSec(&shared_sum);
-  const double copy_rps = CopyRecordsPerSec(&copy_sum);
-  const double shared_rps = SharedRecordsPerSec(&shared_sum);
-  CRAYFISH_CHECK(copy_sum == shared_sum);
-  const double record_speedup = shared_rps / copy_rps;
-  std::printf("  copy      %12.0f records/s\n", copy_rps);
-  std::printf("  shared    %12.0f records/s   (%.2fx)\n", shared_rps,
-              record_speedup);
-
   const unsigned hw = std::thread::hardware_concurrency();
   const int parallel_jobs = core::ResolveSweepJobs(0);
   const std::vector<core::ExperimentConfig> configs = SweepConfigs();
@@ -342,20 +135,6 @@ void RunHarness() {
       buf, sizeof(buf),
       "{\n"
       "  \"hardware_concurrency\": %u,\n"
-      "  \"des_micro\": {\n"
-      "    \"events\": %llu,\n"
-      "    \"legacy_events_per_s\": %.0f,\n"
-      "    \"optimized_events_per_s\": %.0f,\n"
-      "    \"speedup\": %.3f\n"
-      "  },\n"
-      "  \"record_fanout\": {\n"
-      "    \"records\": %d,\n"
-      "    \"fan_out\": %d,\n"
-      "    \"payload_bytes\": %zu,\n"
-      "    \"copy_records_per_s\": %.0f,\n"
-      "    \"shared_records_per_s\": %.0f,\n"
-      "    \"speedup\": %.3f\n"
-      "  },\n"
       "  \"sweep\": {\n"
       "    \"simulations\": %zu,\n"
       "    \"parallel_jobs\": %d,\n"
@@ -373,11 +152,8 @@ void RunHarness() {
       "state\"\n"
       "  }\n"
       "}\n",
-      hw, static_cast<unsigned long long>(kMicroEvents), legacy_eps,
-      optimized_eps, micro_speedup, kRecordCount, kFanOut, kPayloadBytes,
-      copy_rps, shared_rps, record_speedup, configs.size(), parallel_jobs,
-      serial_s, parallel_s, sweep_speedup, kClusterHosts, kClusterPartitions,
-      cluster.wall_s, cluster.live_links);
+      hw, configs.size(), parallel_jobs, serial_s, parallel_s, sweep_speedup,
+      kClusterHosts, kClusterPartitions, cluster.wall_s, cluster.live_links);
   out << buf;
   std::printf("wrote %s\n", path.c_str());
 }

@@ -1,6 +1,7 @@
 #include "broker/consumer.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.h"
 #include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
@@ -49,23 +50,31 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
                                        const std::vector<int>& partitions,
                                        int64_t start_offset) {
   CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(topic));
-  for (int p : partitions) {
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    const int p = partitions[i];
     if (p < 0 || p >= total) {
       return crayfish::Status::InvalidArgument(
           "partition out of range: " + topic + "-" + std::to_string(p));
     }
+    // A second fetch loop on one partition would fetch its records twice.
+    if (SlotOf(TopicPartition{topic, p}) >= 0 ||
+        std::find(partitions.begin(), partitions.begin() + i, p) !=
+            partitions.begin() + i) {
+      return crayfish::Status::InvalidArgument(
+          "partition already assigned: " + topic + "-" + std::to_string(p));
+    }
+  }
+  for (int p : partitions) {
     TopicPartition tp{topic, p};
-    assignment_.push_back(tp);
     const int64_t pos = start_offset >= 0
                             ? start_offset
                             : cluster_->CommittedOffset(group_, tp);
-    positions_[tp.ToString()] = pos;
-    delivered_[tp.ToString()] = pos;
-    paused_[tp.ToString()] = false;
     // Pre-create the coordinator's offset slot, so poll-loop commits are
     // value-only writes.
     cluster_->EnsureCommitSlot(group_, tp);
-    StartFetchLoop(tp);
+    assignment_.push_back(std::move(tp));
+    partitions_.push_back(PartitionState{pos, pos, 0, false});
+    FetchOnce(assignment_.size() - 1);
   }
   return crayfish::Status::Ok();
 }
@@ -109,13 +118,7 @@ void KafkaConsumer::Reassign(const std::string& topic,
   // sessions, drop prefetched-but-undelivered records (their new owner
   // refetches them from the committed offsets), adopt the assignment.
   CommitPositions();
-  ++(*generation_);
-  assignment_.clear();
-  positions_.clear();
-  delivered_.clear();
-  paused_.clear();
-  fetch_attempts_.clear();
-  buffer_.clear();
+  ClearAssignment();
   crayfish::Status s = Assign(topic, partitions);
   CRAYFISH_CHECK(s.ok()) << s.ToString();
 }
@@ -127,17 +130,11 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
   // The task dies without committing: everything since the last commit
   // (including prefetched and delivered-but-uncommitted records) will be
   // refetched after the restart — duplicates, never loss.
-  ++(*generation_);
   std::map<std::string, std::vector<int>> topics;
   for (const TopicPartition& tp : assignment_) {
     topics[tp.topic].push_back(tp.partition);
   }
-  assignment_.clear();
-  positions_.clear();
-  delivered_.clear();
-  paused_.clear();
-  fetch_attempts_.clear();
-  buffer_.clear();
+  ClearAssignment();
   auto alive = alive_;
   if (pending_poll_) {
     // The engine's outstanding Poll sees an empty result once the task is
@@ -151,8 +148,11 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
                                      [cb = std::move(cb)]() { cb({}); });
   }
   cluster_->simulation()->Schedule(
-      restart_delay_s, [this, alive, topics = std::move(topics)]() {
+      restart_delay_s, [this, alive, rebalances = rebalances_seen_,
+                        topics = std::move(topics)]() {
         if (!*alive || closed_) return;
+        // A rebalance while the task was down supersedes its assignment.
+        if (rebalances_seen_ != rebalances) return;
         for (const auto& [topic, parts] : topics) {
           // start_offset -1: resume from the group's committed offsets.
           crayfish::Status s = Assign(topic, parts);
@@ -161,25 +161,36 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
       });
 }
 
-void KafkaConsumer::StartFetchLoop(const TopicPartition& tp) {
-  FetchOnce(tp);
+void KafkaConsumer::ClearAssignment() {
+  ++(*generation_);
+  assignment_.clear();
+  partitions_.clear();
+  buffer_.clear();
 }
 
-void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
+int KafkaConsumer::SlotOf(const TopicPartition& tp) const {
+  for (size_t i = 0; i < assignment_.size(); ++i) {
+    if (assignment_[i] == tp) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+void KafkaConsumer::FetchOnce(size_t slot) {
   if (closed_) return;
-  const std::string key = tp.ToString();
+  PartitionState& state = partitions_[slot];
   if (buffer_.size() >= config_.max_buffered_records) {
-    paused_[key] = true;
+    state.paused = true;
     return;
   }
+  const TopicPartition& tp = assignment_[slot];
   auto generation = generation_;
   const uint64_t my_generation = *generation;
   if (retry_.enabled() && !cluster_->LeaderAvailable(tp)) {
     // Leader down: back off instead of hammering the dead broker. The loop
     // never gives up — max_retries only caps the backoff exponent.
-    const int attempt = std::min(fetch_attempts_[key],
+    const int attempt = std::min(state.fetch_attempts,
                                  retry_.max_retries - 1);
-    ++fetch_attempts_[key];
+    ++state.fetch_attempts;
     ++retries_;
     if (obs::MetricsRegistry* reg = cluster_->simulation()->metrics()) {
       reg->Counter("fault_retries", {{"component", "consumer"}})
@@ -190,21 +201,20 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
     }
     cluster_->simulation()->Schedule(
         retry_.BackoffFor(attempt, &*rng_),
-        [this, generation, my_generation, tp]() {
+        [this, generation, my_generation, slot]() {
           if (*generation != my_generation) return;
-          FetchOnce(tp);
+          FetchOnce(slot);
         });
     return;
   }
-  fetch_attempts_[key] = 0;
-  const int64_t offset = positions_[key];
+  state.fetch_attempts = 0;
   cluster_->Fetch(
-      client_host_, tp, offset, config_.fetch_max_records,
+      client_host_, tp, state.position, config_.fetch_max_records,
       config_.fetch_max_bytes, config_.fetch_max_wait_s,
-      [this, tp, generation, my_generation](std::vector<Record> records) {
+      [this, slot, generation, my_generation](std::vector<Record> records) {
         if (*generation != my_generation) return;  // closed/reassigned
         if (!records.empty()) {
-          positions_[tp.ToString()] = records.back().offset + 1;
+          partitions_[slot].position = records.back().offset + 1;
           // The fetch response has reached the client: the long-poll /
           // transfer stage of each carried batch ends here.
           if (obs::TraceRecorder* tracer =
@@ -218,7 +228,7 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
           const double deser = config_.deserialize_per_record_s *
                                static_cast<double>(records.size());
           cluster_->simulation()->Schedule(
-              deser, [this, generation, my_generation, tp,
+              deser, [this, generation, my_generation, slot,
                       records = std::move(records)]() mutable {
                 if (*generation != my_generation) return;
                 if (obs::TraceRecorder* tracer =
@@ -228,16 +238,18 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
                     tracer->Mark(r.batch_id, obs::Stage::kDeserialize, now);
                   }
                 }
-                const std::string key = tp.ToString();
                 for (Record& r : records) {
-                  buffer_.push_back(BufferedRecord{key, std::move(r)});
+                  buffer_.push_back(BufferedRecord{slot, std::move(r)});
                 }
                 MaybeDeliver();
-                FetchOnce(tp);
+                // The poll callback may have failed or reassigned this
+                // consumer, retiring `slot`.
+                if (*generation != my_generation) return;
+                FetchOnce(slot);
               });
           return;
         }
-        FetchOnce(tp);
+        FetchOnce(slot);
       });
 }
 
@@ -290,8 +302,8 @@ void KafkaConsumer::MaybeDeliver() {
     BufferedRecord& front = buffer_.front();
     // Fetch responses arrive in offset order per partition, so the
     // delivered high-water mark only ever advances.
-    delivered_[front.tp_key] =
-        std::max(delivered_[front.tp_key], front.record.offset + 1);
+    int64_t& delivered = partitions_[front.slot].delivered;
+    delivered = std::max(delivered, front.record.offset + 1);
     out.push_back(std::move(front.record));
     buffer_.pop_front();
   }
@@ -306,18 +318,18 @@ void KafkaConsumer::MaybeDeliver() {
 
 void KafkaConsumer::ResumePausedLoops() {
   if (buffer_.size() >= config_.max_buffered_records) return;
-  for (const TopicPartition& tp : assignment_) {
-    bool& paused = paused_[tp.ToString()];
-    if (paused) {
-      paused = false;
-      FetchOnce(tp);
+  for (size_t slot = 0; slot < partitions_.size(); ++slot) {
+    if (partitions_[slot].paused) {
+      partitions_[slot].paused = false;
+      FetchOnce(slot);
     }
   }
 }
 
 void KafkaConsumer::CommitPositions() {
-  for (const TopicPartition& tp : assignment_) {
-    cluster_->CommitOffset(group_, tp, delivered_[tp.ToString()]);
+  for (size_t slot = 0; slot < assignment_.size(); ++slot) {
+    cluster_->CommitOffset(group_, assignment_[slot],
+                           partitions_[slot].delivered);
   }
 }
 
@@ -333,34 +345,39 @@ void KafkaConsumer::Close() {
 }
 
 int64_t KafkaConsumer::position(const TopicPartition& tp) const {
-  auto it = positions_.find(tp.ToString());
-  return it == positions_.end() ? -1 : it->second;
+  const int slot = SlotOf(tp);
+  return slot < 0 ? -1 : partitions_[slot].position;
 }
 
 int64_t KafkaConsumer::delivered_position(const TopicPartition& tp) const {
-  auto it = delivered_.find(tp.ToString());
-  return it == delivered_.end() ? -1 : it->second;
+  const int slot = SlotOf(tp);
+  return slot < 0 ? -1 : partitions_[slot].delivered;
 }
 
 int64_t KafkaConsumer::PartitionLag(const TopicPartition& tp) const {
-  auto it = delivered_.find(tp.ToString());
-  if (it == delivered_.end()) return 0;
-  auto part_or = cluster_->GetPartition(tp);
+  const int slot = SlotOf(tp);
+  return slot < 0 ? 0 : SlotLag(slot);
+}
+
+int64_t KafkaConsumer::SlotLag(size_t slot) const {
+  auto part_or = cluster_->GetPartition(assignment_[slot]);
   if (!part_or.ok()) return 0;
-  const int64_t lag = (*part_or)->end_offset() - it->second;
+  const int64_t lag = (*part_or)->end_offset() - partitions_[slot].delivered;
   return lag > 0 ? lag : 0;
 }
 
 int64_t KafkaConsumer::TotalLag() const {
   int64_t total = 0;
-  for (const TopicPartition& tp : assignment_) total += PartitionLag(tp);
+  for (size_t slot = 0; slot < assignment_.size(); ++slot) {
+    total += SlotLag(slot);
+  }
   return total;
 }
 
 int64_t KafkaConsumer::MaxPartitionLag() const {
   int64_t worst = 0;
-  for (const TopicPartition& tp : assignment_) {
-    worst = std::max(worst, PartitionLag(tp));
+  for (size_t slot = 0; slot < assignment_.size(); ++slot) {
+    worst = std::max(worst, SlotLag(slot));
   }
   return worst;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,7 +62,8 @@ class KafkaConsumer {
 
   /// Manual partition assignment (the engines map tasks to partitions
   /// deterministically). Starts fetch loops at the committed offset (or
-  /// `start_offset` when >= 0).
+  /// `start_offset` when >= 0). Rejects, without assigning anything, a
+  /// partition that is out of range or already assigned to this consumer.
   crayfish::Status Assign(const std::string& topic,
                           const std::vector<int>& partitions,
                           int64_t start_offset = -1);
@@ -138,19 +138,37 @@ class KafkaConsumer {
   ~KafkaConsumer();
 
  private:
-  void StartFetchLoop(const TopicPartition& tp);
-  void FetchOnce(const TopicPartition& tp);
+  /// Runs one long-poll fetch for assignment slot `slot`.
+  void FetchOnce(size_t slot);
   /// Periodic delivered-offset commit (enable.auto.commit).
   void ScheduleAutoCommit();
   void MaybeDeliver();
   void ResumePausedLoops();
   /// Adopts a coordinator assignment (dynamic membership).
   void Reassign(const std::string& topic, std::vector<int> partitions);
+  /// Clears the assignment and everything indexed by its slots.
+  void ClearAssignment();
+  /// Slot of `tp` in the assignment, or -1 when it is not assigned.
+  int SlotOf(const TopicPartition& tp) const;
+  int64_t SlotLag(size_t slot) const;
 
-  /// A prefetched record plus the partition it came from, so delivery can
-  /// advance that partition's delivered offset.
+  /// Fetch and delivery state of one assigned partition.
+  struct PartitionState {
+    /// Next offset to fetch.
+    int64_t position = 0;
+    /// Next offset after the last *delivered* record; what
+    /// CommitPositions commits.
+    int64_t delivered = 0;
+    /// Consecutive unavailable-leader backoffs (reset on a healthy fetch).
+    int fetch_attempts = 0;
+    /// The fetch loop is paused on buffer pressure.
+    bool paused = false;
+  };
+
+  /// A prefetched record plus the assignment slot it came from, so delivery
+  /// can advance that partition's delivered offset.
   struct BufferedRecord {
-    std::string tp_key;
+    size_t slot;
     Record record;
   };
 
@@ -158,18 +176,13 @@ class KafkaConsumer {
   std::string client_host_;
   std::string group_;
   ConsumerConfig config_;
+  /// Assigned partitions, in assignment order: commits and paused-loop
+  /// pickup walk this vector, so their order is deterministic.
   std::vector<TopicPartition> assignment_;
-  /// Next offset to fetch per partition. Ordered (lint R3): commit order and
-  /// paused-loop pickup follow map iteration and must be deterministic.
-  std::map<std::string, int64_t> positions_;
-  /// Next offset after the last *delivered* record per partition; what
-  /// CommitPositions commits. Ordered (lint R3), same reason as above.
-  std::map<std::string, int64_t> delivered_;
-  /// Partitions whose fetch loop is paused on buffer pressure.
-  std::map<std::string, bool> paused_;
-  /// Consecutive unavailable-leader backoffs per partition (reset on a
-  /// healthy fetch). Ordered (lint R3), same reason as above.
-  std::map<std::string, int> fetch_attempts_;
+  /// Parallel to `assignment_`: slot i holds assignment_[i]'s state. Fetch
+  /// callbacks and buffered records carry the slot index; the generation
+  /// guard retires them whenever the assignment is cleared.
+  std::vector<PartitionState> partitions_;
   std::deque<BufferedRecord> buffer_;
   /// Effective retry policy (config override or cluster default).
   crayfish::RetryPolicy retry_;

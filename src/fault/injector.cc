@@ -67,6 +67,14 @@ Status FaultInjector::Arm() {
         }
         break;
       case FaultKind::kLinkDegrade:
+        // "" is the wildcard; any other name must be a host on the network.
+        for (const std::string* host : {&spec.from, &spec.to}) {
+          if (!host->empty() && !network_->HasHost(*host)) {
+            return Status::InvalidArgument(
+                spec.name + ": host '" + *host +
+                "' is not on the network (\"\" matches every host)");
+          }
+        }
         break;
     }
   }

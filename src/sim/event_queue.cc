@@ -9,20 +9,30 @@ namespace crayfish::sim {
 
 uint64_t EventQueue::Push(SimTime time, InlineAction action) {
   const uint64_t seq = next_seq_++;
-  heap_.push_back(Event{time, seq, std::move(action)});
+  CRAYFISH_CHECK_LT(seq, kMaxSeq) << "event sequence numbers exhausted";
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(action);
+  } else {
+    CRAYFISH_CHECK_LT(slots_.size(), kMaxSlots)
+        << "more than " << kMaxSlots << " pending events";
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(action));
+  }
+  const Key key{time, (seq << kSlotBits) | slot};
   // Sift up with a hole: most events are scheduled later than their parent
   // (DES schedules into the future), so the common case is zero moves.
-  size_t i = heap_.size() - 1;
-  if (i > 0 && Before(heap_[i], heap_[(i - 1) / kArity])) {
-    Event v = std::move(heap_[i]);
-    do {
-      const size_t parent = (i - 1) / kArity;
-      if (!Before(v, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    } while (i > 0);
-    heap_[i] = std::move(v);
+  size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!Before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = key;
   return seq;
 }
 
@@ -33,12 +43,11 @@ SimTime EventQueue::next_time() const {
 
 Event EventQueue::Pop() {
   CRAYFISH_CHECK(!heap_.empty());
-  Event top = std::move(heap_.front());
-  Event last = std::move(heap_.back());
+  const Key top = heap_.front();
+  const Key last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
-    // Sift `last` down from the root with a hole; the vector keeps its
-    // capacity, so the heap's storage is reused for the whole run.
+    // Sift `last` down from the root with a hole.
     const size_t n = heap_.size();
     size_t i = 0;
     for (;;) {
@@ -50,12 +59,15 @@ Event EventQueue::Pop() {
         if (Before(heap_[c], heap_[best])) best = c;
       }
       if (!Before(heap_[best], last)) break;
-      heap_[i] = std::move(heap_[best]);
+      heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = std::move(last);
+    heap_[i] = last;
   }
-  return top;
+  const auto slot = static_cast<uint32_t>(top.seq_slot & (kMaxSlots - 1));
+  Event event{top.time, top.seq_slot >> kSlotBits, std::move(slots_[slot])};
+  free_slots_.push_back(slot);
+  return event;
 }
 
 }  // namespace crayfish::sim

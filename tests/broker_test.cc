@@ -381,6 +381,43 @@ TEST_F(ClientTest, AssignValidatesPartitions) {
   EXPECT_FALSE(consumer.Assign("ghost", {0}).ok());
 }
 
+TEST_F(ClientTest, AssignRejectsAlreadyAssignedPartition) {
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("t", {0, 1}).ok());
+  // A partition this consumer holds, alone or next to a free one, and a
+  // partition named twice in one call: each is rejected whole.
+  for (const std::vector<int>& parts :
+       {std::vector<int>{1}, std::vector<int>{2, 1},
+        std::vector<int>{3, 3}}) {
+    const crayfish::Status s = consumer.Assign("t", parts);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  }
+  EXPECT_EQ(consumer.assignment(),
+            (std::vector<TopicPartition>{{"t", 0}, {"t", 1}}));
+  // One fetch loop per partition: every record arrives exactly once.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        producer.SendToPartition(TopicPartition{"t", 1}, MakeRecord(i))
+            .ok());
+  }
+  producer.Flush();
+  std::vector<uint64_t> got;
+  std::function<void()> poll = [&]() {
+    consumer.Poll(0.5, [&](std::vector<Record> records) {
+      for (const Record& r : records) got.push_back(r.batch_id);
+      poll();
+    });
+  };
+  poll();
+  sim_.Run(5.0);
+  consumer.Close();
+  EXPECT_EQ(got.size(), 10u);
+  EXPECT_EQ(consumer.position(TopicPartition{"t", 1}), 10);
+  EXPECT_EQ(consumer.delivered_position(TopicPartition{"t", 1}), 10);
+  EXPECT_EQ(consumer.position(TopicPartition{"t", 2}), -1);
+}
+
 TEST_F(ClientTest, EndToEndLatencyIsCreateToAppend) {
   // Mirrors §3.3: start time at the producer, end time = LogAppendTime.
   KafkaProducer producer(&cluster_, "client");
@@ -421,6 +458,27 @@ TEST_F(ClientTest, SecondMemberTriggersRebalanceSplit) {
   EXPECT_EQ(a.assignment().size(), 2u);
   EXPECT_EQ(b.assignment().size(), 2u);
   EXPECT_EQ(a.rebalances_seen(), 2u);
+  std::set<int> all;
+  for (const auto& tp : a.assignment()) all.insert(tp.partition);
+  for (const auto& tp : b.assignment()) all.insert(tp.partition);
+  EXPECT_EQ(all.size(), 4u);
+}
+
+TEST_F(ClientTest, RebalanceDuringTaskRestartSupersedesOldAssignment) {
+  KafkaConsumer a(&cluster_, "client", "dyn");
+  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
+  sim_.Run(1.0);
+  ASSERT_EQ(a.assignment().size(), 4u);
+  a.FailAndRestart(2.0);  // down until t=3
+  EXPECT_TRUE(a.assignment().empty());
+  sim_.Run(1.5);
+  KafkaConsumer b(&cluster_, "client", "dyn");
+  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
+  sim_.Run(4.0);
+  // The split adopted while `a` was down stands; the restart does not
+  // re-adopt the four partitions it held before the failure.
+  EXPECT_EQ(a.assignment().size(), 2u);
+  EXPECT_EQ(b.assignment().size(), 2u);
   std::set<int> all;
   for (const auto& tp : a.assignment()) all.insert(tp.partition);
   for (const auto& tp : b.assignment()) all.insert(tp.partition);

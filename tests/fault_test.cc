@@ -387,6 +387,50 @@ TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
   EXPECT_EQ(restarted, 1);
 }
 
+TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
+  sim::Simulation sim(1);
+  sim::Network network(&sim);
+  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
+  ASSERT_TRUE(network.AddHost(sim::Host{"client"}).ok());
+  fault::RecoveryTracker tracker;
+  fault::FaultPlan plan;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kLinkDegrade;
+  spec.name = "slow-net";
+  spec.at_s = 1.0;
+  spec.until_s = 2.0;
+  spec.latency_mult = 4.0;
+  spec.from = "client";
+  spec.to = "ghost";
+  plan.faults.push_back(spec);
+  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
+  const Status armed = injector.Arm();
+  ASSERT_FALSE(armed.ok());
+  EXPECT_TRUE(armed.IsInvalidArgument());
+  EXPECT_NE(armed.message().find("slow-net"), std::string::npos)
+      << armed.ToString();
+  EXPECT_NE(armed.message().find("'ghost'"), std::string::npos)
+      << armed.ToString();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // "*" is a host name like any other, not a wildcard.
+  plan.faults.back().from = "*";
+  plan.faults.back().to = "";
+  fault::FaultInjector star(&sim, &network, &cluster, &tracker, &plan);
+  const Status star_armed = star.Arm();
+  ASSERT_FALSE(star_armed.ok());
+  EXPECT_NE(star_armed.message().find("'*'"), std::string::npos)
+      << star_armed.ToString();
+  // Real hosts and the "" wildcard arm.
+  plan.faults.back().from = "client";
+  plan.faults.back().to = "";
+  fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
+  EXPECT_TRUE(valid.Arm().ok());
+  plan.faults.back().from = "";
+  plan.faults.back().to = cluster.broker_hosts().front();
+  fault::FaultInjector to_broker(&sim, &network, &cluster, &tracker, &plan);
+  EXPECT_TRUE(to_broker.Arm().ok());
+}
+
 TEST(FaultExperimentTest, NonexistentTaskFailsTheRun) {
   core::ExperimentConfig cfg = FaultedConfig("tf-serving");
   fault::FaultSpec spec;

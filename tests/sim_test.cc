@@ -1,8 +1,12 @@
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/resource.h"
@@ -19,6 +23,163 @@ TEST(EventQueueTest, OrdersByTimeThenSequence) {
   q.Push(1.0, [&] { order.push_back(11); });  // same time, later seq
   while (!q.empty()) q.Pop().action();
   EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
+}
+
+TEST(EventQueueTest, InterleavedPushPopMatchesStableSort) {
+  // DES-shaped traffic: every push lands at or after the last popped time,
+  // on a coarse grid so equal-time ties are common. The queue grows to
+  // about 10k pending events and drains again; its pop order must equal a
+  // stable sort of the push sequence by time.
+  Rng rng(20240);
+  EventQueue q;
+  std::vector<double> pushed_at;
+  std::vector<uint64_t> fired;
+  std::vector<uint64_t> popped_seq;
+  double last_popped = 0.0;
+  auto push = [&]() {
+    const double t =
+        last_popped + 0.25 * static_cast<double>(rng.NextUint64(8));
+    const uint64_t index = pushed_at.size();
+    pushed_at.push_back(t);
+    EXPECT_EQ(q.Push(t, [&fired, index] { fired.push_back(index); }), index);
+  };
+  auto pop = [&]() {
+    Event e = q.Pop();
+    EXPECT_GE(e.time, last_popped);
+    last_popped = e.time;
+    popped_seq.push_back(e.seq);
+    e.action();
+    ASSERT_FALSE(fired.empty());
+    EXPECT_EQ(pushed_at[fired.back()], e.time);
+  };
+  constexpr size_t kDepth = 10000;
+  size_t peak = 0;
+  while (q.size() < kDepth) {
+    // Push-biased growth phase: 3 pushes per pop on average.
+    if (q.empty() || rng.NextUint64(4) != 0) {
+      push();
+    } else {
+      pop();
+    }
+    peak = std::max(peak, q.size());
+  }
+  while (!q.empty()) {
+    // Pop-biased drain phase.
+    if (rng.NextUint64(4) == 0) {
+      push();
+    } else {
+      pop();
+    }
+  }
+  EXPECT_GE(peak, kDepth);
+  EXPECT_LE(q.slot_capacity(), peak);
+
+  std::vector<uint64_t> expected(pushed_at.size());
+  for (uint64_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](uint64_t a, uint64_t b) {
+                     return pushed_at[a] < pushed_at[b];
+                   });
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(popped_seq, expected);
+}
+
+/// Per-capture lifecycle counts, indexed by capture id.
+struct Lifecycle {
+  std::vector<int> invoked;
+  std::vector<int> destroyed;
+};
+
+/// A callable that counts its invocations and the destruction of its one
+/// live instance; moved-from shells count nothing. `kPad` sizes the capture
+/// below or above InlineAction::kInlineBytes.
+template <size_t kPad>
+class CountedAction {
+ public:
+  CountedAction(Lifecycle* counts, int id) : counts_(counts), id_(id) {}
+  CountedAction(CountedAction&& other) noexcept
+      : counts_(other.counts_), id_(other.id_) {
+    other.id_ = -1;
+  }
+  CountedAction& operator=(CountedAction&&) = delete;
+  CountedAction(const CountedAction&) = delete;
+  ~CountedAction() {
+    if (id_ >= 0) ++counts_->destroyed[static_cast<size_t>(id_)];
+  }
+  void operator()() { ++counts_->invoked[static_cast<size_t>(id_)]; }
+
+ private:
+  Lifecycle* counts_;
+  int id_;
+  unsigned char pad_[kPad] = {};
+};
+
+using SmallAction = CountedAction<8>;
+using LargeAction = CountedAction<InlineAction::kInlineBytes + 16>;
+static_assert(sizeof(SmallAction) <= InlineAction::kInlineBytes);
+static_assert(sizeof(LargeAction) > InlineAction::kInlineBytes);
+
+InlineAction MakeCounted(Lifecycle* counts, int id) {
+  counts->invoked.push_back(0);
+  counts->destroyed.push_back(0);
+  if (id % 3 == 0) return LargeAction(counts, id);
+  return SmallAction(counts, id);
+}
+
+TEST(EventQueueTest, EveryCaptureDestroyedOnceInvokedAtMostOnce) {
+  Lifecycle counts;
+  constexpr int kEvents = 300;
+  {
+    EventQueue q;
+    for (int id = 0; id < kEvents; ++id) {
+      q.Push(static_cast<double>((id * 7) % 50), MakeCounted(&counts, id));
+    }
+    // Invoke a third, drop a third unexecuted, leave a third pending when
+    // the queue is destroyed.
+    for (int i = 0; i < kEvents / 3; ++i) q.Pop().action();
+    for (int i = 0; i < kEvents / 3; ++i) (void)q.Pop();
+    EXPECT_EQ(q.size(), static_cast<size_t>(kEvents - 2 * (kEvents / 3)));
+  }
+  int invoked = 0;
+  for (int id = 0; id < kEvents; ++id) {
+    EXPECT_LE(counts.invoked[id], 1) << "capture " << id;
+    EXPECT_EQ(counts.destroyed[id], 1) << "capture " << id;
+    invoked += counts.invoked[id];
+  }
+  EXPECT_EQ(invoked, kEvents / 3);
+}
+
+TEST(SimulationTest, PendingCapturesDestroyedWithTheSimulation) {
+  Lifecycle counts;
+  constexpr int kEvents = 120;
+  {
+    Simulation sim;
+    for (int id = 0; id < kEvents; ++id) {
+      sim.Schedule(static_cast<double>(id % 12), MakeCounted(&counts, id));
+    }
+    sim.Run(5.5);  // Delays 0..5 fire; 6..11 stay pending.
+    EXPECT_EQ(sim.pending_events(), static_cast<size_t>(kEvents / 2));
+  }
+  for (int id = 0; id < kEvents; ++id) {
+    EXPECT_EQ(counts.invoked[id], id % 12 < 6 ? 1 : 0) << "capture " << id;
+    EXPECT_EQ(counts.destroyed[id], 1) << "capture " << id;
+  }
+}
+
+TEST(EventQueueTest, SteadyStateReusesFreedSlots) {
+  constexpr size_t kPending = 64;
+  EventQueue q;
+  auto noop = [] {};
+  for (size_t i = 0; i < kPending; ++i) q.Push(static_cast<double>(i), noop);
+  EXPECT_EQ(q.slot_capacity(), kPending);
+  // Each pop frees the slot the next push takes: a long steady run never
+  // grows the slot store past the pending depth.
+  for (int i = 0; i < 100000; ++i) {
+    const Event e = q.Pop();
+    q.Push(e.time + static_cast<double>(kPending), noop);
+  }
+  EXPECT_EQ(q.size(), kPending);
+  EXPECT_EQ(q.slot_capacity(), kPending);
 }
 
 TEST(SimulationTest, ClockAdvancesMonotonically) {

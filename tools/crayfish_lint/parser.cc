@@ -121,8 +121,9 @@ size_t TrailingCommentPos(const std::string& text) {
       if (raw) {
         const size_t open_paren = text.find('(', i + 1);
         if (open_paren == std::string::npos) return std::string::npos;
-        const std::string closer =
-            ")" + text.substr(i + 1, open_paren - i - 1) + "\"";
+        std::string closer = ")";
+        closer.append(text, i + 1, open_paren - i - 1);
+        closer += '"';
         const size_t close = text.find(closer, open_paren + 1);
         if (close == std::string::npos) return std::string::npos;
         i = close + closer.size();
