@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/trace.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
+#include "obs/timeline.h"
+#include "obs/trace.h"
 
 namespace crayfish::broker {
 

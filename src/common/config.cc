@@ -1,8 +1,11 @@
 #include "common/config.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/json.h"
@@ -38,7 +41,58 @@ void FlattenJson(const std::string& prefix, const JsonValue& v, Config* out) {
   if (v.is_array()) out->Set(prefix, v.Dump());
 }
 
+template <typename Int>
+Status ParseInteger(const std::string& text, Int* out) {
+  const char* last = text.data() + text.size();
+  Int v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ptr == last && ec == std::errc()) {
+    *out = v;
+    return Status::Ok();
+  }
+  if (ptr == last && ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("integer out of range: " + text);
+  }
+  // Not a plain decimal integer: accept an integral double ("16.0", "1e3").
+  double d = 0.0;
+  CRAYFISH_RETURN_IF_ERROR(ParseNumber(text, &d));
+  if (d != std::trunc(d)) {  // also true for NaN
+    return Status::InvalidArgument("not an integer: " + text);
+  }
+  // max() + 1 is exact in double for every Int used here (2^31, 2^63, 2^64).
+  constexpr double kLo = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double kHi =
+      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+  if (d < kLo || d >= kHi) {
+    return Status::InvalidArgument("integer out of range: " + text);
+  }
+  *out = static_cast<Int>(d);
+  return Status::Ok();
+}
+
 }  // namespace
+
+Status ParseNumber(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double d = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument("not a number: " + text);
+  }
+  *out = d;
+  return Status::Ok();
+}
+
+Status ParseNumber(const std::string& text, int* out) {
+  return ParseInteger(text, out);
+}
+
+Status ParseNumber(const std::string& text, int64_t* out) {
+  return ParseInteger(text, out);
+}
+
+Status ParseNumber(const std::string& text, uint64_t* out) {
+  return ParseInteger(text, out);
+}
 
 StatusOr<Config> Config::FromProperties(const std::string& text) {
   Config cfg;
@@ -113,29 +167,20 @@ StatusOr<std::string> Config::GetString(const std::string& key) const {
 
 StatusOr<int64_t> Config::GetInt(const std::string& key) const {
   CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    // Allow doubles that are integral ("16.0").
-    char* dend = nullptr;
-    const double d = std::strtod(s.c_str(), &dend);
-    if (dend != s.c_str() && *dend == '\0' &&
-        d == static_cast<double>(static_cast<int64_t>(d))) {
-      return static_cast<int64_t>(d);
-    }
-    return Status::InvalidArgument("config key " + key +
-                                   " is not an integer: " + s);
+  int64_t v = 0;
+  const Status st = ParseNumber(s, &v);
+  if (!st.ok()) {
+    return Status::InvalidArgument("config key " + key + ": " + st.message());
   }
-  return static_cast<int64_t>(v);
+  return v;
 }
 
 StatusOr<double> Config::GetDouble(const std::string& key) const {
   CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::InvalidArgument("config key " + key +
-                                   " is not a number: " + s);
+  double v = 0.0;
+  const Status st = ParseNumber(s, &v);
+  if (!st.ok()) {
+    return Status::InvalidArgument("config key " + key + ": " + st.message());
   }
   return v;
 }

@@ -1,6 +1,7 @@
 #ifndef CRAYFISH_COMMON_CONFIG_H_
 #define CRAYFISH_COMMON_CONFIG_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -8,6 +9,19 @@
 #include "common/status.h"
 
 namespace crayfish {
+
+/// Strict numeric parsing shared by Config's typed getters, the fault,
+/// workload and autoscaler property overrides, and the CLI flags. The whole
+/// string must be the number (strtod syntax): "4x" or "" is InvalidArgument
+/// and `*out` is left untouched.
+Status ParseNumber(const std::string& text, double* out);
+
+/// Integer overloads. Integral doubles such as "16.0" or "1e3" are accepted;
+/// a fraction ("2.5"), NaN, or a value outside the range of `*out` ("1e12"
+/// for an int, "-1" for a uint64_t) is InvalidArgument.
+Status ParseNumber(const std::string& text, int* out);
+Status ParseNumber(const std::string& text, int64_t* out);
+Status ParseNumber(const std::string& text, uint64_t* out);
 
 /// Flat key/value experiment configuration, in the spirit of Crayfish's
 /// per-experiment configuration files (Table 1 parameters such as isz, bsz,

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/output_consumer.h"
-#include "obs/stage.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/trace.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace crayfish::core {
 

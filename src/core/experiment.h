@@ -15,10 +15,10 @@
 #include "core/output_consumer.h"
 #include "fault/plan.h"
 #include "fault/recovery.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/slo.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/trace.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
+#include "obs/slo.h"
+#include "obs/timeline.h"
+#include "obs/trace.h"
 #include "scale/autoscaler.h"
 #include "scale/policy.h"
 #include "scale/workload.h"

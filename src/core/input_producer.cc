@@ -1,7 +1,7 @@
 #include "core/input_producer.h"
 
 #include "common/logging.h"
-#include "obs/trace.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/trace.h"
 
 namespace crayfish::core {
 

@@ -1,7 +1,7 @@
 #include "core/output_consumer.h"
 
 #include "common/logging.h"
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/timeline.h"
 
 namespace crayfish::core {
 

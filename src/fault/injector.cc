@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/timeline.h"
 
 namespace crayfish::fault {
 

@@ -7,27 +7,11 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/config.h"
 #include "common/json.h"
 
 namespace crayfish::fault {
 namespace {
-
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
 
 Status ParseBool(const std::string& value, bool* out) {
   if (value == "true" || value == "1") {
@@ -57,27 +41,27 @@ Status RejectUnknownFields(const JsonValue& v,
 /// Sets one RetryPolicy field by name.
 Status ApplyRetryField(crayfish::RetryPolicy* retry, const std::string& field,
                        const std::string& value) {
-  if (field == "max_retries") return ParseInt(value, &retry->max_retries);
-  if (field == "timeout_s") return ParseDouble(value, &retry->timeout_s);
+  if (field == "max_retries") return ParseNumber(value, &retry->max_retries);
+  if (field == "timeout_s") return ParseNumber(value, &retry->timeout_s);
   if (field == "initial_backoff_s") {
-    return ParseDouble(value, &retry->initial_backoff_s);
+    return ParseNumber(value, &retry->initial_backoff_s);
   }
   if (field == "backoff_multiplier") {
-    return ParseDouble(value, &retry->backoff_multiplier);
+    return ParseNumber(value, &retry->backoff_multiplier);
   }
   if (field == "max_backoff_s") {
-    return ParseDouble(value, &retry->max_backoff_s);
+    return ParseNumber(value, &retry->max_backoff_s);
   }
-  if (field == "jitter") return ParseDouble(value, &retry->jitter);
+  if (field == "jitter") return ParseNumber(value, &retry->jitter);
   return Status::InvalidArgument("unknown retry field: " + field);
 }
 
 /// Sets one FaultSpec field by name.
 Status ApplySpecField(FaultSpec* spec, const std::string& field,
                       const std::string& value) {
-  if (field == "at_s") return ParseDouble(value, &spec->at_s);
-  if (field == "until_s") return ParseDouble(value, &spec->until_s);
-  if (field == "broker") return ParseInt(value, &spec->broker);
+  if (field == "at_s") return ParseNumber(value, &spec->at_s);
+  if (field == "until_s") return ParseNumber(value, &spec->until_s);
+  if (field == "broker") return ParseNumber(value, &spec->broker);
   if (field == "from") {
     spec->from = value;
     return Status::Ok();
@@ -86,16 +70,16 @@ Status ApplySpecField(FaultSpec* spec, const std::string& field,
     spec->to = value;
     return Status::Ok();
   }
-  if (field == "latency_mult") return ParseDouble(value, &spec->latency_mult);
+  if (field == "latency_mult") return ParseNumber(value, &spec->latency_mult);
   if (field == "bandwidth_mult") {
-    return ParseDouble(value, &spec->bandwidth_mult);
+    return ParseNumber(value, &spec->bandwidth_mult);
   }
   if (field == "drop") return ParseBool(value, &spec->drop);
-  if (field == "factor") return ParseDouble(value, &spec->factor);
-  if (field == "workers_delta") return ParseInt(value, &spec->workers_delta);
-  if (field == "task_index") return ParseInt(value, &spec->task_index);
+  if (field == "factor") return ParseNumber(value, &spec->factor);
+  if (field == "workers_delta") return ParseNumber(value, &spec->workers_delta);
+  if (field == "task_index") return ParseNumber(value, &spec->task_index);
   if (field == "restart_delay_s") {
-    return ParseDouble(value, &spec->restart_delay_s);
+    return ParseNumber(value, &spec->restart_delay_s);
   }
   return Status::InvalidArgument("unknown fault field: " + field);
 }
@@ -306,7 +290,7 @@ StatusOr<FaultPlan> FaultPlan::FromFile(const std::string& path) {
 Status FaultPlan::ApplyOverride(const std::string& key,
                                 const std::string& value) {
   if (key == "auto_commit_interval_s") {
-    return ParseDouble(value, &auto_commit_interval_s);
+    return ParseNumber(value, &auto_commit_interval_s);
   }
   const size_t dot = key.find('.');
   if (dot == std::string::npos || dot == 0 || dot + 1 >= key.size()) {

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
 
 namespace crayfish::fault {
 

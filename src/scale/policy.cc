@@ -2,31 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
+
 namespace crayfish::scale {
-namespace {
-
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status PolicyConfig::Validate() const {
   if (kind != "reactive" && kind != "predictive") {
@@ -133,35 +114,30 @@ Status PolicyConfig::ApplyOverride(const std::string& key,
     kind = value;
     return Status::Ok();
   }
-  if (key == "interval_s") return ParseDouble(value, &interval_s);
-  if (key == "min_replicas") return ParseInt(value, &min_replicas);
-  if (key == "max_replicas") return ParseInt(value, &max_replicas);
-  if (key == "step") return ParseInt(value, &step);
-  if (key == "cooldown_s") return ParseDouble(value, &cooldown_s);
+  if (key == "interval_s") return ParseNumber(value, &interval_s);
+  if (key == "min_replicas") return ParseNumber(value, &min_replicas);
+  if (key == "max_replicas") return ParseNumber(value, &max_replicas);
+  if (key == "step") return ParseNumber(value, &step);
+  if (key == "cooldown_s") return ParseNumber(value, &cooldown_s);
   if (key == "scale_in_hysteresis") {
-    return ParseInt(value, &scale_in_hysteresis);
+    return ParseNumber(value, &scale_in_hysteresis);
   }
-  if (key == "scale_up_lag") return ParseDouble(value, &scale_up_lag);
+  if (key == "scale_up_lag") return ParseNumber(value, &scale_up_lag);
   if (key == "scale_up_utilization") {
-    return ParseDouble(value, &scale_up_utilization);
+    return ParseNumber(value, &scale_up_utilization);
   }
-  if (key == "scale_down_lag") return ParseDouble(value, &scale_down_lag);
+  if (key == "scale_down_lag") return ParseNumber(value, &scale_down_lag);
   if (key == "scale_down_utilization") {
-    return ParseDouble(value, &scale_down_utilization);
+    return ParseNumber(value, &scale_down_utilization);
   }
-  if (key == "hw_alpha") return ParseDouble(value, &hw_alpha);
-  if (key == "hw_beta") return ParseDouble(value, &hw_beta);
-  if (key == "horizon_s") return ParseDouble(value, &horizon_s);
-  if (key == "rate_per_replica") return ParseDouble(value, &rate_per_replica);
+  if (key == "hw_alpha") return ParseNumber(value, &hw_alpha);
+  if (key == "hw_beta") return ParseNumber(value, &hw_beta);
+  if (key == "horizon_s") return ParseNumber(value, &horizon_s);
+  if (key == "rate_per_replica") return ParseNumber(value, &rate_per_replica);
   if (key == "target_utilization") {
-    return ParseDouble(value, &target_utilization);
+    return ParseNumber(value, &target_utilization);
   }
-  if (key == "seed") {
-    double d = 0.0;
-    CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-    seed = static_cast<uint64_t>(d);
-    return Status::Ok();
-  }
+  if (key == "seed") return ParseNumber(value, &seed);
   return Status::InvalidArgument("unknown autoscaler key: " + key);
 }
 

@@ -2,36 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
+
 namespace crayfish::scale {
 namespace {
-
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-Status ParseUint64(const std::string& value, uint64_t* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<uint64_t>(d);
-  return Status::Ok();
-}
 
 /// SplitMix64: the jitter factor is a pure hash of (seed, window index),
 /// not an RNG stream — shapes consume no simulation randomness.
@@ -345,34 +322,34 @@ Status WorkloadSpec::ApplyOverride(const std::string& key,
     CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(value));
     return Status::Ok();
   }
-  if (key == "base_rate") return ParseDouble(value, &shape.base_rate);
-  if (key == "floor_rate") return ParseDouble(value, &shape.floor_rate);
-  if (key == "jitter") return ParseDouble(value, &shape.jitter);
+  if (key == "base_rate") return ParseNumber(value, &shape.base_rate);
+  if (key == "floor_rate") return ParseNumber(value, &shape.floor_rate);
+  if (key == "jitter") return ParseNumber(value, &shape.jitter);
   if (key == "jitter_window_s") {
-    return ParseDouble(value, &shape.jitter_window_s);
+    return ParseNumber(value, &shape.jitter_window_s);
   }
-  if (key == "seed") return ParseUint64(value, &shape.seed);
-  if (key == "amplitude") return ParseDouble(value, &shape.amplitude);
-  if (key == "period_s") return ParseDouble(value, &shape.period_s);
-  if (key == "phase_s") return ParseDouble(value, &shape.phase_s);
-  if (key == "spike_at_s") return ParseDouble(value, &shape.spike_at_s);
-  if (key == "spike_mult") return ParseDouble(value, &shape.spike_mult);
-  if (key == "ramp_up_s") return ParseDouble(value, &shape.ramp_up_s);
-  if (key == "hold_s") return ParseDouble(value, &shape.hold_s);
-  if (key == "decay_s") return ParseDouble(value, &shape.decay_s);
-  if (key == "ramp_start_s") return ParseDouble(value, &shape.ramp_start_s);
+  if (key == "seed") return ParseNumber(value, &shape.seed);
+  if (key == "amplitude") return ParseNumber(value, &shape.amplitude);
+  if (key == "period_s") return ParseNumber(value, &shape.period_s);
+  if (key == "phase_s") return ParseNumber(value, &shape.phase_s);
+  if (key == "spike_at_s") return ParseNumber(value, &shape.spike_at_s);
+  if (key == "spike_mult") return ParseNumber(value, &shape.spike_mult);
+  if (key == "ramp_up_s") return ParseNumber(value, &shape.ramp_up_s);
+  if (key == "hold_s") return ParseNumber(value, &shape.hold_s);
+  if (key == "decay_s") return ParseNumber(value, &shape.decay_s);
+  if (key == "ramp_start_s") return ParseNumber(value, &shape.ramp_start_s);
   if (key == "ramp_duration_s") {
-    return ParseDouble(value, &shape.ramp_duration_s);
+    return ParseNumber(value, &shape.ramp_duration_s);
   }
-  if (key == "end_rate") return ParseDouble(value, &shape.end_rate);
+  if (key == "end_rate") return ParseNumber(value, &shape.end_rate);
   if (key == "points") {
     CRAYFISH_ASSIGN_OR_RETURN(JsonValue arr, JsonValue::Parse(value));
     return PointsFromJsonArray(arr, &shape.points);
   }
-  if (key == "tenants") return ParseInt(value, &tenants);
-  if (key == "tenant_partitions") return ParseInt(value, &tenant_partitions);
+  if (key == "tenants") return ParseNumber(value, &tenants);
+  if (key == "tenant_partitions") return ParseNumber(value, &tenant_partitions);
   if (key == "tenant_rate_factor") {
-    return ParseDouble(value, &tenant_rate_factor);
+    return ParseNumber(value, &tenant_rate_factor);
   }
   if (key == "tenant_topic_prefix") {
     tenant_topic_prefix = value;
@@ -382,7 +359,7 @@ Status WorkloadSpec::ApplyOverride(const std::string& key,
     tenant_host_prefix = value;
     return Status::Ok();
   }
-  if (key == "fleet_hosts") return ParseInt(value, &fleet_hosts);
+  if (key == "fleet_hosts") return ParseNumber(value, &fleet_hosts);
   if (key == "fleet_host_prefix") {
     fleet_host_prefix = value;
     return Status::Ok();

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
 
 namespace crayfish::serving {
 

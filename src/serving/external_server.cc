@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
+#include "obs/timeline.h"
 
 namespace crayfish::serving {
 

@@ -3,8 +3,8 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
-#include "obs/trace.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace crayfish::sim {
 

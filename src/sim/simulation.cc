@@ -1,7 +1,7 @@
 #include "sim/simulation.h"
 
 #include "common/logging.h"
-#include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/timeline.h"
 
 namespace crayfish::sim {
 

@@ -10,7 +10,7 @@
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "obs/stage.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
+#include "obs/stage.h"
 #include "serving/embedded_library.h"
 #include "serving/external_server.h"
 #include "serving/model_profile.h"

@@ -116,6 +116,43 @@ TEST(ConfigTest, IntegralDoubleReadsAsInt) {
   EXPECT_EQ(*cfg.GetInt("n"), 16);
 }
 
+TEST(ConfigTest, ParseNumberIsStrictAboutTypeAndRange) {
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("2.5", &d).ok());
+  EXPECT_EQ(d, 2.5);
+  EXPECT_FALSE(ParseNumber("4x", &d).ok());
+  EXPECT_FALSE(ParseNumber("", &d).ok());
+  EXPECT_EQ(d, 2.5);  // untouched on error
+
+  int i = 0;
+  EXPECT_TRUE(ParseNumber("16.0", &i).ok());
+  EXPECT_EQ(i, 16);
+  EXPECT_TRUE(ParseNumber("1e3", &i).ok());
+  EXPECT_EQ(i, 1000);
+  EXPECT_TRUE(ParseNumber("2147483647", &i).ok());
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_FALSE(ParseNumber("2147483648", &i).ok());
+  EXPECT_FALSE(ParseNumber("1e12", &i).ok());
+  EXPECT_FALSE(ParseNumber("2.5", &i).ok());
+  EXPECT_FALSE(ParseNumber("nan", &i).ok());
+  EXPECT_FALSE(ParseNumber("4x", &i).ok());
+
+  int64_t big = 0;
+  EXPECT_TRUE(ParseNumber("9007199254740993", &big).ok());
+  EXPECT_EQ(big, 9007199254740993LL);  // exact, not rounded via double
+  EXPECT_FALSE(ParseNumber("1e20", &big).ok());
+
+  uint64_t seed = 0;
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &seed).ok());
+  EXPECT_EQ(seed, UINT64_MAX);
+  EXPECT_FALSE(ParseNumber("-1", &seed).ok());
+  EXPECT_FALSE(ParseNumber("1e30", &seed).ok());
+
+  Config cfg;
+  cfg.Set("n", "1e20");
+  EXPECT_FALSE(cfg.GetInt("n").ok());
+}
+
 TEST(ConfigTest, DefaultsAndScope) {
   Config cfg;
   cfg.Set("flink.buffer", "32768");

@@ -335,5 +335,22 @@ TEST(PropertiesTest, RejectsUnknownKeysAndMalformedValues) {
       ExperimentConfigFromProperties(Props("fault.crash0.at_s = 3\n")).ok());
 }
 
+TEST(PropertiesTest, RejectsNonIntegralAndOutOfRangeOverrides) {
+  // Integer overrides used to truncate through static_cast<int>(double):
+  // 2.5 silently became 2, and -1 or 1e12 was undefined behaviour.
+  for (const char* line :
+       {"autoscaler.min_replicas = 2.5\n", "workload.seed = -1\n",
+        "workload.tenants = 1e12\n", "mp = 1e20\n"}) {
+    auto cfg = ExperimentConfigFromProperties(
+        Props(std::string("engine = flink\nserving = onnx\n") + line));
+    ASSERT_FALSE(cfg.ok()) << line;
+    EXPECT_TRUE(cfg.status().IsInvalidArgument()) << line;
+  }
+  auto ok = ExperimentConfigFromProperties(Props(
+      "engine = flink\nserving = onnx\nautoscaler.max_replicas = 8.0\n"));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->autoscaler.max_replicas, 8);
+}
+
 }  // namespace
 }  // namespace crayfish::core

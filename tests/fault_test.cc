@@ -171,6 +171,18 @@ TEST(FaultPlanTest, OverridesAddressRetryNamesAndIndices) {
   EXPECT_FALSE(plan->ApplyOverride("retry.timeout_s", "soon").ok());
 }
 
+TEST(FaultPlanTest, IntegerOverridesRejectFractionsAndOverflow) {
+  auto plan = fault::FaultPlan::FromJsonText(kPlanJson);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_FALSE(plan->ApplyOverride("crash0.broker", "1e12").ok());
+  EXPECT_FALSE(plan->ApplyOverride("retry.max_retries", "2.5").ok());
+  EXPECT_FALSE(plan->ApplyOverride("3.task_index", "-3e9").ok());
+  EXPECT_EQ(plan->faults[0].broker, 1);  // rejected values leave no trace
+  EXPECT_EQ(plan->retry.max_retries, 4);
+  ASSERT_TRUE(plan->ApplyOverride("crash0.broker", "2.0").ok());
+  EXPECT_EQ(plan->faults[0].broker, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Link degradation (the shared transfer-time helpers)
 

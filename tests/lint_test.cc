@@ -15,11 +15,10 @@
 namespace crayfish::lint {
 namespace {
 
-std::vector<Finding> Lint(const std::string& path, const std::string& src,
-                          const SymbolTable& table = {}) {
+std::vector<Finding> Lint(const std::string& path, const std::string& src) {
   LintOptions options;
   options.fix_suggestions = true;
-  return LintSource(path, src, table, options);
+  return LintSource(path, src, options);
 }
 
 bool HasRule(const std::vector<Finding>& fs, Rule r) {
@@ -210,78 +209,6 @@ TEST(R3HashOrderTest, StandaloneSuppressionCommentCoversNextLine) {
 }
 
 // ---------------------------------------------------------------------------
-// R4: discarded Status
-// ---------------------------------------------------------------------------
-
-SymbolTable TableFromHeader() {
-  SymbolTable table;
-  CollectReturnTypes(
-      Lex("Status CreateTopic(const std::string& name, int parts);\n"
-          "StatusOr<std::vector<int>> Fetch(int n);\n"
-          "void Stop();\n"
-          "Status Flush();\n"
-          "int Flush(bool hard);\n"),  // Flush is ambiguous
-      &table);
-  return table;
-}
-
-TEST(R4IgnoredStatusTest, SymbolTableClassifiesReturnTypes) {
-  const SymbolTable table = TableFromHeader();
-  EXPECT_TRUE(table.ReturnsStatusUnambiguously("CreateTopic"));
-  EXPECT_TRUE(table.ReturnsStatusUnambiguously("Fetch"));
-  EXPECT_FALSE(table.ReturnsStatusUnambiguously("Stop"));
-  EXPECT_FALSE(table.ReturnsStatusUnambiguously("Flush"));  // ambiguous
-}
-
-TEST(R4IgnoredStatusTest, FlagsDiscardedCallStatement) {
-  const SymbolTable table = TableFromHeader();
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Broker& b) {\n"
-                       "  b.CreateTopic(\"in\", 32);\n"
-                       "  Stop();\n"
-                       "}\n",
-                       table);
-  ASSERT_EQ(CountRule(fs, Rule::kIgnoredStatus), 1);
-  EXPECT_EQ(fs[0].line, 2);
-}
-
-TEST(R4IgnoredStatusTest, CheckedAndPropagatedCallsAreFine) {
-  const SymbolTable table = TableFromHeader();
-  const auto fs = Lint(
-      "src/broker/a.cc",
-      "Status F(Broker& b) {\n"
-      "  Status st = b.CreateTopic(\"in\", 32);\n"
-      "  if (!st.ok()) return st;\n"
-      "  CRAYFISH_RETURN_IF_ERROR(b.CreateTopic(\"out\", 32));\n"
-      "  return b.CreateTopic(\"dlq\", 1);\n"
-      "}\n",
-      table);
-  EXPECT_FALSE(HasRule(fs, Rule::kIgnoredStatus));
-}
-
-TEST(R4IgnoredStatusTest, FlagsDiscardAfterIfWithoutBraces) {
-  const SymbolTable table = TableFromHeader();
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Broker& b) {\n"
-                       "  if (enabled) b.CreateTopic(\"in\", 32);\n"
-                       "}\n",
-                       table);
-  EXPECT_EQ(CountRule(fs, Rule::kIgnoredStatus), 1);
-}
-
-TEST(R4IgnoredStatusTest, SuppressedExplicitDiscard) {
-  const SymbolTable table = TableFromHeader();
-  const auto fs = Lint(
-      "src/broker/a.cc",
-      "void F(Broker& b) {\n"
-      "  // lint: status-ignored topic may already exist, both are fine\n"
-      "  b.CreateTopic(\"in\", 32);\n"
-      "}\n",
-      table);
-  EXPECT_FALSE(HasRule(fs, Rule::kIgnoredStatus));
-}
-
-// ---------------------------------------------------------------------------
 // R5: float accumulators
 // ---------------------------------------------------------------------------
 
@@ -400,6 +327,20 @@ TEST(R0SuppressionTest, UnknownKeywordIsAFinding) {
   EXPECT_NE(fs[0].message.find("order-indep"), std::string::npos);
 }
 
+TEST(R0SuppressionTest, RetiredRuleKeywordsAreUnknown) {
+  // R4 and R8 are owned by [[nodiscard]] + -Werror and clang-tidy's
+  // bugprone-use-after-move; their old keywords now suppress nothing.
+  for (const std::string keyword : {"status-ignored", "move-ok"}) {
+    const auto fs = Lint("src/sim/a.cc",
+                         "int x = 0;  // lint: " + keyword + " a reason\n");
+    ASSERT_EQ(CountRule(fs, Rule::kSuppression), 1) << keyword;
+    EXPECT_NE(fs[0].message.find("unknown lint suppression keyword '" +
+                                 keyword + "'"),
+              std::string::npos)
+        << fs[0].message;
+  }
+}
+
 TEST(R0SuppressionTest, MissingJustificationIsAFindingAndDoesNotSuppress) {
   const auto fs = Lint("src/sim/a.cc",
                        "std::unordered_map<int, int> m;\n"
@@ -435,7 +376,7 @@ TEST(R0SuppressionTest, RealTrailingSuppressionAfterStringStillWorks) {
   // text contains a quoted string before the `//`.
   const auto fs = Lint(
       "src/sim/a.cc",
-      "#include \"obs/trace.h\"  // lint: layering-ok transitional shim\n");
+      "#include \"broker/record.h\"  // lint: layering-ok transitional shim\n");
   EXPECT_EQ(CountRule(fs, Rule::kLayering), 0);
   EXPECT_EQ(CountRule(fs, Rule::kSuppression), 0);
 }
@@ -450,7 +391,7 @@ TEST(FindingTest, MachineReadableFormat) {
 
 TEST(FindingTest, SuggestionsOffByDefault) {
   const auto fs =
-      LintSource("src/sim/a.cc", "auto t = time(nullptr);\n", {}, {});
+      LintSource("src/sim/a.cc", "auto t = time(nullptr);\n", {});
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_TRUE(fs[0].suggestion.empty());
 }
@@ -466,7 +407,8 @@ TEST(R7LayeringTest, ModuleOfAndRanks) {
   EXPECT_EQ(ModuleOf("tests/lint_test.cc"), "");
   EXPECT_LT(ModuleRank("common"), ModuleRank("sim"));
   EXPECT_LT(ModuleRank("broker"), ModuleRank("sps"));
-  EXPECT_LT(ModuleRank("core"), ModuleRank("obs"));
+  EXPECT_LT(ModuleRank("common"), ModuleRank("obs"));
+  EXPECT_LT(ModuleRank("obs"), ModuleRank("sim"));
   EXPECT_EQ(ModuleRank("sim"), ModuleRank("tensor"));
   EXPECT_EQ(ModuleRank("not_a_module"), -1);
 }
@@ -474,10 +416,12 @@ TEST(R7LayeringTest, ModuleOfAndRanks) {
 TEST(R7LayeringTest, DownwardEdgesAllowedBackEdgesNot) {
   EXPECT_TRUE(LayeringAllows("sps", "broker"));
   EXPECT_TRUE(LayeringAllows("obs", "common"));
+  EXPECT_TRUE(LayeringAllows("sim", "obs"));  // instrumentation hook
   EXPECT_TRUE(LayeringAllows("core", "serving"));
   EXPECT_TRUE(LayeringAllows("sps", "serving"));   // the one sanctioned edge
   EXPECT_FALSE(LayeringAllows("serving", "sps"));  // not the reverse
-  EXPECT_FALSE(LayeringAllows("sim", "obs"));
+  EXPECT_FALSE(LayeringAllows("obs", "sim"));
+  EXPECT_FALSE(LayeringAllows("obs", "core"));
   EXPECT_FALSE(LayeringAllows("broker", "sps"));
   EXPECT_FALSE(LayeringAllows("sim", "tensor"));  // same layer, not excepted
 }
@@ -510,14 +454,15 @@ TEST(R7LayeringTest, FaultReachingIntoAnEngineIsABackEdge) {
 }
 
 TEST(R7LayeringTest, FlagsBackEdgeIncludeWithModulePath) {
-  const auto fs = Lint("src/sim/resource.cc",
-                       "#include \"obs/trace.h\"\n"
-                       "#include \"common/status.h\"\n");
-  ASSERT_EQ(CountRule(fs, Rule::kLayering), 1);
+  const auto fs = Lint("src/obs/trace.cc",
+                       "#include \"sim/simulation.h\"\n"
+                       "#include \"common/status.h\"\n"
+                       "#include \"core/experiment.h\"\n");
+  ASSERT_EQ(CountRule(fs, Rule::kLayering), 2);
   EXPECT_EQ(fs[0].line, 1);
-  ASSERT_EQ(fs[0].path.size(), 2u);
-  EXPECT_EQ(fs[0].path[0], "sim");
-  EXPECT_EQ(fs[0].path[1], "obs");
+  EXPECT_EQ(fs[0].path, (std::vector<std::string>{"obs", "sim"}));
+  EXPECT_EQ(fs[1].line, 3);
+  EXPECT_EQ(fs[1].path, (std::vector<std::string>{"obs", "core"}));
 }
 
 TEST(R7LayeringTest, DownwardAndSystemIncludesAreFine) {
@@ -538,25 +483,24 @@ TEST(R7LayeringTest, HarnessCodeIsExemptFromLayering) {
 
 TEST(R7LayeringTest, SuppressionOnIncludeLineSilences) {
   const auto fs = Lint(
-      "src/sim/resource.cc",
-      "#include \"obs/trace.h\"  // lint: layering-ok instrumentation hook\n");
+      "src/obs/trace.cc",
+      "#include \"sim/simulation.h\"  // lint: layering-ok test-only shim\n");
   EXPECT_TRUE(fs.empty());
 }
 
-TEST(R7LayeringTest, TimelineHooksAreBackEdgesUnlessJustified) {
-  // The timeline sampler is fed by hooks in broker, sps, serving, and
-  // fault — all upward includes into obs. Each real hook carries a
-  // layering-ok justification; without one the linter must flag it.
+TEST(R7LayeringTest, InstrumentationHooksAreDownwardIncludes) {
+  // The timeline sampler and the metric registry are fed by hooks in every
+  // layer above obs; those includes point down the DAG and need no
+  // suppression.
   for (const char* file :
-       {"src/broker/consumer.cc", "src/sps/operator_task.cc",
-        "src/serving/external_server.cc", "src/fault/injector.cc"}) {
-    const auto flagged = Lint(file, "#include \"obs/timeline.h\"\n");
-    EXPECT_EQ(CountRule(flagged, Rule::kLayering), 1) << file;
-    const auto ok = Lint(
-        file,
-        "#include \"obs/timeline.h\"  // lint: layering-ok instrumentation "
-        "hook; obs reads state, never feeds it back\n");
-    EXPECT_TRUE(ok.empty()) << file;
+       {"src/sim/simulation.cc", "src/broker/consumer.cc",
+        "src/sps/operator_task.cc", "src/serving/external_server.cc",
+        "src/fault/injector.cc", "src/core/experiment.h"}) {
+    EXPECT_TRUE(Lint(file,
+                     "#include \"obs/registry.h\"\n"
+                     "#include \"obs/timeline.h\"\n")
+                    .empty())
+        << file;
   }
 }
 
@@ -570,11 +514,13 @@ TEST(R7LayeringTest, SloSitsAtTheObsLayer) {
                   .empty());
   EXPECT_EQ(ModuleOf("src/obs/slo.cc"), "obs");
   EXPECT_EQ(ModuleOf("src/obs/timeline.cc"), "obs");
-  // obs observes the stack from the top: every producing layer reaches it
-  // only via justified hook includes, never the registry the other way.
-  EXPECT_FALSE(LayeringAllows("sps", "obs"));
-  EXPECT_FALSE(LayeringAllows("serving", "obs"));
-  EXPECT_FALSE(LayeringAllows("fault", "obs"));
+  // obs sits just above common: every producing layer may include its
+  // hooks, and obs may never include the layers it observes.
+  EXPECT_TRUE(LayeringAllows("sps", "obs"));
+  EXPECT_TRUE(LayeringAllows("serving", "obs"));
+  EXPECT_TRUE(LayeringAllows("fault", "obs"));
+  EXPECT_FALSE(LayeringAllows("obs", "sps"));
+  EXPECT_FALSE(LayeringAllows("obs", "fault"));
 }
 
 TEST(R7LayeringTest, AdHocIncludeFromModuleIsFlagged) {
@@ -656,172 +602,6 @@ TEST(IncludeGraphTest, RealCycleIsStillReportedOnce) {
   const auto cycles = g.FindCycles();
   ASSERT_EQ(cycles.size(), 1u);
   EXPECT_EQ(cycles[0].front(), cycles[0].back());
-}
-
-// ---------------------------------------------------------------------------
-// R8: flow-sensitive use-after-move
-// ---------------------------------------------------------------------------
-
-TEST(R8UseAfterMoveTest, FlagsStraightLineUseAfterMove) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch) {\n"
-                       "  Enqueue(std::move(batch));\n"
-                       "  size_t n = batch.size();\n"
-                       "}\n");
-  ASSERT_EQ(CountRule(fs, Rule::kUseAfterMove), 1);
-  EXPECT_EQ(fs[0].line, 3);
-  EXPECT_NE(fs[0].message.find("last move at line 2"), std::string::npos);
-}
-
-TEST(R8UseAfterMoveTest, FlagsDoubleMove) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Record rec) {\n"
-                       "  a_.Push(std::move(rec));\n"
-                       "  b_.Push(std::move(rec));\n"
-                       "}\n");
-  ASSERT_EQ(CountRule(fs, Rule::kUseAfterMove), 1);
-  EXPECT_EQ(fs[0].line, 3);
-}
-
-TEST(R8UseAfterMoveTest, ConditionalMoveDoesNotFlag) {
-  // Moved on only one branch: a must-analysis stays quiet at the join.
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch, bool fast) {\n"
-                       "  if (fast) {\n"
-                       "    Enqueue(std::move(batch));\n"
-                       "  }\n"
-                       "  Log(batch.size());\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, MovedOnBothBranchesFlags) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch, bool fast) {\n"
-                       "  if (fast) {\n"
-                       "    EnqueueFast(std::move(batch));\n"
-                       "  } else {\n"
-                       "    EnqueueSlow(std::move(batch));\n"
-                       "  }\n"
-                       "  Log(batch.size());\n"
-                       "}\n");
-  ASSERT_EQ(CountRule(fs, Rule::kUseAfterMove), 1);
-  EXPECT_EQ(fs[0].line, 7);
-}
-
-TEST(R8UseAfterMoveTest, ReassignmentMakesTheNameSafeAgain) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch) {\n"
-                       "  Enqueue(std::move(batch));\n"
-                       "  batch = NextBatch();\n"
-                       "  Log(batch.size());\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, EarlyReturnAfterMoveIsFine) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch, bool fast) {\n"
-                       "  if (fast) {\n"
-                       "    Enqueue(std::move(batch));\n"
-                       "    return;\n"
-                       "  }\n"
-                       "  Log(batch.size());\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, FlagsLoopCarriedMove) {
-  // The move escapes to the loop back-edge: the second iteration moves a
-  // value that iteration one already gave away.
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Buffer buffer) {\n"
-                       "  while (HasNext()) {\n"
-                       "    sink_.Push(std::move(buffer));\n"
-                       "  }\n"
-                       "}\n");
-  EXPECT_EQ(CountRule(fs, Rule::kUseAfterMove), 1);
-}
-
-TEST(R8UseAfterMoveTest, RetryBackupPatternInFaultPathIsClean) {
-  // The producer/injector retry idiom: the batch is copied into a
-  // shared_ptr backup before the move, and the re-send moves out of the
-  // backup — each name is moved exactly once per statement.
-  const auto fs = Lint(
-      "src/fault/injector.cc",
-      "void Resend(std::vector<Record> records) {\n"
-      "  auto backup = std::make_shared<std::vector<Record>>(records);\n"
-      "  Send(std::move(records));\n"
-      "  sim_->Schedule(delay, [this, backup]() {\n"
-      "    Send(std::move(*backup));\n"
-      "  });\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, FaultSpecDoubleMoveFlags) {
-  const auto fs = Lint("src/fault/plan.cc",
-                       "void F(FaultSpec spec) {\n"
-                       "  faults_.push_back(std::move(spec));\n"
-                       "  names_.insert(std::move(spec).name);\n"
-                       "}\n");
-  ASSERT_EQ(CountRule(fs, Rule::kUseAfterMove), 1);
-  EXPECT_EQ(fs[0].line, 3);
-}
-
-TEST(R8UseAfterMoveTest, RangeForLoopVariableRebindsEachIteration) {
-  // Moving the loop variable of a range-for is fine: it rebinds per element.
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(std::vector<Fetch> to_answer) {\n"
-                       "  for (Fetch& fetch : to_answer) {\n"
-                       "    Answer(std::move(fetch));\n"
-                       "  }\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, NestedLambdaRecaptureIsNotADoubleMove) {
-  // The real broker pattern: an outer capture moves `batch`, and the inner
-  // lambda re-moves its own copy of the capture. One statement, one move.
-  const auto fs = Lint(
-      "src/broker/a.cc",
-      "void F(Batch batch) {\n"
-      "  sim_->Schedule(1, [this, batch = std::move(batch)]() mutable {\n"
-      "    done_ = [batch = std::move(batch)]() { Commit(batch); };\n"
-      "  });\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, MemberMovesAreNotTracked) {
-  // `std::move(queue_.front())`, `std::move(this->buf_)`: no aliasing model
-  // for members, so they never flag.
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F() {\n"
-                       "  out.push_back(std::move(buffer_.front()));\n"
-                       "  out.push_back(std::move(buffer_.front()));\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, SuppressionWithJustificationSilences) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch) {\n"
-                       "  Enqueue(std::move(batch));\n"
-                       "  batch.clear();  // lint: move-ok vector guarantees "
-                       "empty after move\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
-}
-
-TEST(R8UseAfterMoveTest, ResetMethodMakesTheNameSafeAgain) {
-  const auto fs = Lint("src/broker/a.cc",
-                       "void F(Batch batch) {\n"
-                       "  Enqueue(std::move(batch));\n"
-                       "  batch.clear();\n"
-                       "  Log(batch.size());\n"
-                       "}\n");
-  EXPECT_FALSE(HasRule(fs, Rule::kUseAfterMove));
 }
 
 // ---------------------------------------------------------------------------
@@ -921,7 +701,7 @@ TEST(R9PayloadAliasTest, SuppressionWithJustificationSilences) {
 
 TEST(JsonOutputTest, RoundTripsThroughProjectJsonParser) {
   const auto fs = Lint("src/sim/a.cc",
-                       "#include \"obs/trace.h\"\n"
+                       "#include \"broker/record.h\"\n"
                        "auto t = time(nullptr);\n");
   ASSERT_GE(fs.size(), 2u);
   const std::string json =
@@ -979,27 +759,6 @@ TEST(ParserTest, ExtractsIncludesAndKinds) {
   EXPECT_TRUE(ir.includes[0].is_system);
   EXPECT_EQ(ir.includes[1].target, "broker/record.h");
   EXPECT_EQ(ir.includes[1].line, 2);
-}
-
-TEST(ParserTest, BuildsCfgSkeletonWithEvents) {
-  const FileIR ir = ParseSource("src/broker/a.cc",
-                                "void F(Batch batch) {\n"
-                                "  if (ok) {\n"
-                                "    Enqueue(std::move(batch));\n"
-                                "  } else {\n"
-                                "    Drop();\n"
-                                "  }\n"
-                                "  return;\n"
-                                "}\n");
-  ASSERT_EQ(ir.functions.size(), 1u);
-  const Function& fn = ir.functions[0];
-  EXPECT_EQ(fn.name, "F");
-  ASSERT_EQ(fn.params.size(), 1u);
-  EXPECT_EQ(fn.params[0].name, "batch");
-  const std::string dump = DumpFunction(fn);
-  EXPECT_NE(dump.find("if@2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("moves[batch]"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("return@7"), std::string::npos) << dump;
 }
 
 TEST(ParserTest, SuppressionInsidePreprocessorTokenIsExtracted) {

@@ -149,6 +149,23 @@ TEST(WorkloadSpecTest, JsonAndOverridesRoundTrip) {
   EXPECT_FALSE(o.ApplyOverride("no_such_key", "1").ok());
 }
 
+TEST(WorkloadSpecTest, IntegerOverridesRejectFractionsAndOverflow) {
+  WorkloadSpec o;
+  EXPECT_FALSE(o.ApplyOverride("seed", "-1").ok());
+  EXPECT_FALSE(o.ApplyOverride("seed", "1e30").ok());
+  EXPECT_FALSE(o.ApplyOverride("tenants", "2.5").ok());
+  EXPECT_FALSE(o.ApplyOverride("fleet_hosts", "1e12").ok());
+  EXPECT_EQ(o.shape.seed, 42u);
+  ASSERT_TRUE(o.ApplyOverride("seed", "7").ok());
+  EXPECT_EQ(o.shape.seed, 7u);
+
+  PolicyConfig p;
+  EXPECT_FALSE(p.ApplyOverride("min_replicas", "2.5").ok());
+  EXPECT_FALSE(p.ApplyOverride("seed", "-1").ok());
+  ASSERT_TRUE(p.ApplyOverride("max_replicas", "16.0").ok());
+  EXPECT_EQ(p.max_replicas, 16);
+}
+
 TEST(PolicyConfigTest, JsonAndOverridesRoundTrip) {
   auto cfg = PolicyConfig::FromJsonText(R"({
     "kind": "predictive", "interval_s": 2, "min_replicas": 1,

@@ -10,10 +10,9 @@ namespace {
 /// Layer ranks of the module DAG. Same-layer modules may not include each
 /// other; the single sanctioned same-layer edge is sps → serving.
 const std::map<std::string, int, std::less<>> kModuleRanks = {
-    {"common", 0}, {"sim", 1},     {"tensor", 1},
-    {"broker", 2}, {"model", 2},   {"fault", 3},
-    {"scale", 4},  {"sps", 5},     {"serving", 5},
-    {"core", 6},   {"obs", 7},
+    {"common", 0}, {"obs", 1},     {"sim", 2},   {"tensor", 2},
+    {"broker", 3}, {"model", 3},   {"fault", 4}, {"scale", 5},
+    {"sps", 6},    {"serving", 6}, {"core", 7},
 };
 
 }  // namespace

@@ -13,21 +13,24 @@ namespace crayfish::lint {
 
 /// The architecture layering R7 enforces (DESIGN.md §4.3):
 ///
-///   common → {sim, tensor} → {broker, model} → fault → scale →
-///   {sps, serving} → core → obs
+///   common → obs → {sim, tensor} → {broker, model} → fault → scale →
+///   {sps, serving} → core
 ///
 /// An arrow means "may be included by what follows": a module may include
 /// itself and any module of a strictly lower layer. One extra documented
 /// edge exists inside the {sps, serving} layer: sps → serving, because the
 /// serving backends sit below the SPS engines that invoke them. Everything
-/// else — same-layer includes and back-edges — is rejected.
+/// else — same-layer includes and back-edges — is rejected. obs sits just
+/// above common so every layer can call its instrumentation hooks, while obs
+/// itself can never reach into the stack it observes.
 
 /// Module of a source path: the `<m>` of `src/<m>/...`, or "" for files
 /// outside src/ (tools/, bench/, tests/ are harness code above the DAG and
 /// exempt from layering).
 std::string ModuleOf(std::string_view path);
 
-/// Layer rank of a module (0 = common ... 7 = obs), or -1 when unknown.
+/// Layer rank of a module (0 = common, 1 = obs ... 7 = core), or -1 when
+/// unknown.
 int ModuleRank(std::string_view module);
 
 /// True when a file of module `from` may include a header of module `to`.

@@ -107,37 +107,11 @@ const std::map<std::string, Rule, std::less<>> kKeywordToRule = {
     {"wall-clock-ok", Rule::kWallClock},
     {"unseeded-ok", Rule::kRandomness},
     {"order-independent", Rule::kHashOrder},
-    {"status-ignored", Rule::kIgnoredStatus},
     {"float-ok", Rule::kFloatAccum},
     {"host-threading-ok", Rule::kHostThreading},
     {"layering-ok", Rule::kLayering},
-    {"move-ok", Rule::kUseAfterMove},
     {"aliasing-ok", Rule::kPayloadAlias},
 };
-
-// ---------------------------------------------------------------------------
-// R8 flow state
-// ---------------------------------------------------------------------------
-
-/// Must-moved analysis state at one program point: the names that were moved
-/// away on *every* path reaching here, with the line of the latest move.
-struct FlowState {
-  std::map<std::string, int> moved;
-  bool reachable = true;
-};
-
-/// Join at a control-flow merge: a name stays moved only when both incoming
-/// edges moved it (must-analysis, so a conditional move never fires R8).
-FlowState MergeFlow(const FlowState& a, const FlowState& b) {
-  if (!a.reachable) return b;
-  if (!b.reachable) return a;
-  FlowState out;
-  for (const auto& [name, line] : a.moved) {
-    const auto it = b.moved.find(name);
-    if (it != b.moved.end()) out.moved[name] = std::min(line, it->second);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Linter
@@ -155,11 +129,9 @@ class Linter {
     if (!IsWallClockAllowlisted(path_)) CheckWallClock();
     if (!IsRngAllowlisted(path_)) CheckRandomness();
     if (InSchedulingDir(path_)) CheckHashOrder();
-    CheckIgnoredStatus();
     if (InMetricsCode(path_)) CheckFloatAccumulators();
     if (!IsHostThreadingAllowlisted(path_)) CheckHostThreading();
     CheckLayering();
-    CheckUseAfterMove();
     CheckPayloadAlias();
     // Rule id is the final tie-break so that multi-rule hits on one
     // (file, line) order identically no matter which check enqueued first.
@@ -201,8 +173,7 @@ class Linter {
         Report(Rule::kSuppression, s.line,
                "unknown lint suppression keyword '" + s.keyword + "'",
                "use one of: wall-clock-ok, unseeded-ok, order-independent, "
-               "status-ignored, float-ok, host-threading-ok, layering-ok, "
-               "move-ok, aliasing-ok");
+               "float-ok, host-threading-ok, layering-ok, aliasing-ok");
       } else if (s.justification.empty()) {
         Report(Rule::kSuppression, s.line,
                "lint suppression '" + s.keyword +
@@ -364,20 +335,6 @@ class Linter {
                "or annotate the line `// lint: order-independent <why>`");
   }
 
-  // R4 --------------------------------------------------------------------
-  void CheckIgnoredStatus() {
-    for (const DiscardedCall& c : ir_.discarded_calls) {
-      if (!ctx_.symbols.ReturnsStatusUnambiguously(c.callee)) continue;
-      Report(Rule::kIgnoredStatus, c.line,
-             "result of '" + c.callee +
-                 "' (returns common::Status) is discarded; failures would "
-                 "vanish silently",
-             "check it (Status st = ...; if (!st.ok()) ...), propagate with "
-             "CRAYFISH_RETURN_IF_ERROR(...), or make the discard explicit "
-             "with (void) plus a `// lint: status-ignored <why>` comment");
-    }
-  }
-
   // R5 --------------------------------------------------------------------
   void CheckFloatAccumulators() {
     // Declared `float <name>` variables in this file.
@@ -498,8 +455,8 @@ class Linter {
           << "\" is a back-edge in the module DAG: '" << from << "' (layer "
           << ModuleRank(from) << ") may only include strictly lower layers, "
           << "but '" << to << "' is layer " << ModuleRank(to)
-          << "; allowed order is common -> {sim, tensor} -> {broker, model} "
-          << "-> fault -> scale -> {sps, serving} -> core -> obs "
+          << "; allowed order is common -> obs -> {sim, tensor} -> "
+          << "{broker, model} -> fault -> scale -> {sps, serving} -> core "
           << "(plus sps -> serving)";
       Report(Rule::kLayering, inc.line, msg.str(),
              "invert the dependency: move the shared type into a lower "
@@ -508,119 +465,6 @@ class Linter {
              "annotate `// lint: layering-ok <why>`",
              {from, to});
     }
-  }
-
-  // R8 --------------------------------------------------------------------
-  void CheckUseAfterMove() {
-    for (const Function& fn : ir_.functions) {
-      std::set<std::string> tracked;
-      for (const VarDecl& p : fn.params) tracked.insert(p.name);
-      CollectDeclNames(fn.body, &tracked);
-      if (tracked.empty()) continue;
-      reported_moves_.clear();
-      FlowState in;
-      RunStmts(fn.body, in, tracked);
-    }
-  }
-
-  void CollectDeclNames(const std::vector<Stmt>& stmts,
-                        std::set<std::string>* out) {
-    for (const Stmt& s : stmts) {
-      for (const VarDecl& d : s.decls) out->insert(d.name);
-      for (const auto& branch : s.branches) CollectDeclNames(branch, out);
-    }
-  }
-
-  FlowState RunStmts(const std::vector<Stmt>& stmts, FlowState st,
-                     const std::set<std::string>& tracked) {
-    for (const Stmt& s : stmts) {
-      if (!st.reachable) break;
-      st = RunStmt(s, std::move(st), tracked);
-    }
-    return st;
-  }
-
-  FlowState RunStmt(const Stmt& s, FlowState st,
-                    const std::set<std::string>& tracked) {
-    // Uses are checked before this statement's own moves so `f(x, move(y))`
-    // never flags within one statement (argument order is unspecified; the
-    // analysis stays conservative and only reports cross-statement facts).
-    for (const auto& [name, line] : s.uses) {
-      const auto it = st.moved.find(name);
-      if (it == st.moved.end()) continue;
-      ReportMove(name, line, it->second, /*second_move=*/false);
-    }
-    for (const auto& [name, line] : s.moves) {
-      if (tracked.count(name) == 0) continue;
-      const auto it = st.moved.find(name);
-      if (it != st.moved.end()) {
-        ReportMove(name, line, it->second, /*second_move=*/true);
-      }
-      st.moved[name] = line;
-    }
-    for (const auto& [name, line] : s.resets) {
-      (void)line;
-      st.moved.erase(name);
-    }
-    for (const VarDecl& d : s.decls) st.moved.erase(d.name);
-
-    switch (s.kind) {
-      case StmtKind::kExpr:
-        return st;
-      case StmtKind::kReturn:
-        st.reachable = false;
-        return st;
-      case StmtKind::kBlock:
-        return s.branches.empty() ? st
-                                  : RunStmts(s.branches.front(), st, tracked);
-      case StmtKind::kIf: {
-        if (s.branches.empty()) return st;
-        FlowState then_out = RunStmts(s.branches[0], st, tracked);
-        FlowState else_out =
-            s.branches.size() > 1 ? RunStmts(s.branches[1], st, tracked) : st;
-        return MergeFlow(then_out, else_out);
-      }
-      case StmtKind::kLoop: {
-        if (s.branches.empty()) return st;
-        // Two passes: the second sees the first iteration's end state, so a
-        // move that survives to the loop back-edge is reported (dedup keeps
-        // each site at one finding).
-        FlowState once = RunStmts(s.branches.front(), st, tracked);
-        RunStmts(s.branches.front(), once, tracked);
-        return MergeFlow(st, once);  // body may run zero times
-      }
-      case StmtKind::kSwitch:
-      case StmtKind::kTry: {
-        // Any branch (or none) may run: merge every branch exit with the
-        // fall-through state.
-        FlowState out = st;
-        for (const auto& branch : s.branches) {
-          out = MergeFlow(out, RunStmts(branch, st, tracked));
-        }
-        return out;
-      }
-    }
-    return st;
-  }
-
-  void ReportMove(const std::string& name, int line, int moved_line,
-                  bool second_move) {
-    if (!reported_moves_.insert({line, name}).second) return;
-    std::ostringstream msg;
-    if (second_move) {
-      msg << "'" << name << "' is moved again here, but every path reaching "
-          << "this line already moved it (last move at line " << moved_line
-          << "); the second move hands over an empty value";
-    } else {
-      msg << "use of '" << name << "' after move: every path reaching this "
-          << "line moved it away (last move at line " << moved_line
-          << "), so only destruction or reassignment is safe";
-    }
-    Report(Rule::kUseAfterMove, line, msg.str(),
-           "reassign '" + name +
-               "' before this line or restructure so the move is the final "
-               "use; if the moved-from state is deliberately reused (e.g. a "
-               "pooled buffer), annotate `// lint: move-ok <why>`");
   }
 
   // R9 --------------------------------------------------------------------
@@ -702,7 +546,6 @@ class Linter {
   const LintOptions& options_;
   const std::string& path_;
   const std::vector<Token>& toks_;
-  std::set<std::pair<int, std::string>> reported_moves_;
   std::vector<Finding> findings_;
 };
 
@@ -743,16 +586,12 @@ std::string_view RuleName(Rule rule) {
       return "R2";
     case Rule::kHashOrder:
       return "R3";
-    case Rule::kIgnoredStatus:
-      return "R4";
     case Rule::kFloatAccum:
       return "R5";
     case Rule::kHostThreading:
       return "R6";
     case Rule::kLayering:
       return "R7";
-    case Rule::kUseAfterMove:
-      return "R8";
     case Rule::kPayloadAlias:
       return "R9";
   }
@@ -769,16 +608,12 @@ std::string_view SuppressionKeyword(Rule rule) {
       return "unseeded-ok";
     case Rule::kHashOrder:
       return "order-independent";
-    case Rule::kIgnoredStatus:
-      return "status-ignored";
     case Rule::kFloatAccum:
       return "float-ok";
     case Rule::kHostThreading:
       return "host-threading-ok";
     case Rule::kLayering:
       return "layering-ok";
-    case Rule::kUseAfterMove:
-      return "move-ok";
     case Rule::kPayloadAlias:
       return "aliasing-ok";
   }
@@ -827,26 +662,13 @@ std::vector<Finding> LintIncludeCycles(const IncludeGraph& graph) {
   return out;
 }
 
-std::vector<Finding> LintTokens(const std::string& path,
-                                const std::vector<Token>& tokens,
-                                const SymbolTable& table,
-                                const LintOptions& options) {
-  FileIR ir = ParseFile(path, tokens);
-  ProjectContext ctx;
-  ctx.symbols = table;
-  // Only this file's immutable decls: the legacy single-file entry points
-  // keep R4 resolution exactly as the caller-supplied table dictates.
-  for (const ImmutableSharedDecl& d : ir.immutable_decls) {
-    ctx.immutable_member_home.emplace(d.name, ir.path);
-  }
-  return LintFile(ir, ctx, options);
-}
-
 std::vector<Finding> LintSource(const std::string& path,
                                 std::string_view source,
-                                const SymbolTable& table,
                                 const LintOptions& options) {
-  return LintTokens(path, Lex(source), table, options);
+  const FileIR ir = ParseSource(path, source);
+  ProjectContext ctx;
+  CollectProject(ir, &ctx);
+  return LintFile(ir, ctx, options);
 }
 
 std::string FindingsToJson(const std::vector<Finding>& findings,

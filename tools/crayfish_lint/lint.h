@@ -14,19 +14,19 @@
 namespace crayfish::lint {
 
 /// Rule identifiers. R0 is the meta-rule that validates suppression comments
-/// themselves (unknown keyword, missing justification).
+/// themselves (unknown keyword, missing justification). R4 and R8 belonged
+/// to retired rules and are not reused, so existing annotations and reports
+/// keep their meaning (DESIGN.md §4.1 names the checks that own them).
 enum class Rule {
   kSuppression,   // R0
   kWallClock,     // R1: no wall-clock reads in simulated code
   kRandomness,    // R2: no ambient randomness outside common/rng
   kHashOrder,     // R3: no iteration over unordered containers in
                   //     scheduling-adjacent directories
-  kIgnoredStatus, // R4: no discarded common::Status results
   kFloatAccum,    // R5: no float accumulators in metrics/stats code
   kHostThreading, // R6: no host-threading primitives outside the sweep
                   //     runner (src/core/sweep*), bench/, and the lint tool
   kLayering,      // R7: include graph must follow the module DAG
-  kUseAfterMove,  // R8: no use of a moved-from local/param on any path
   kPayloadAlias,  // R9: no mutation/aliasing of shared_ptr<const T> payloads
 };
 
@@ -67,20 +67,11 @@ std::vector<Finding> LintFile(const FileIR& ir, const ProjectContext& ctx,
 /// suppressible at any one site.
 std::vector<Finding> LintIncludeCycles(const IncludeGraph& graph);
 
-/// Convenience used by the unit tests and the two-pass driver: parse + lint
-/// one file with a caller-supplied symbol table (legacy signature; the rest
-/// of the project context defaults to empty).
-std::vector<Finding> LintTokens(const std::string& path,
-                                const std::vector<Token>& tokens,
-                                const SymbolTable& table,
-                                const LintOptions& options);
-
-/// Convenience: lex + parse + lint one in-memory source. The file's own
-/// declarations feed its project context, so single-file fixtures exercise
-/// R7-R9 without a separate pass.
+/// Convenience used by the unit tests: lex + parse + lint one in-memory
+/// source. The file's own declarations feed its project context, so
+/// single-file fixtures exercise R7 and R9 without a separate pass.
 std::vector<Finding> LintSource(const std::string& path,
                                 std::string_view source,
-                                const SymbolTable& table,
                                 const LintOptions& options);
 
 /// Serializes a lint run machine-readably (SARIF-ish, stable key order):

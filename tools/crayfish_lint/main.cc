@@ -88,15 +88,14 @@ int Usage() {
          "  R2  no ambient randomness outside src/common/rng.{h,cc}\n"
          "  R3  no unordered-container iteration in scheduling dirs\n"
          "      (src/sim, src/broker, src/sps, src/serving, src/core)\n"
-         "  R4  no discarded common::Status results (call-graph aware)\n"
          "  R5  no float accumulators in metrics/stats code\n"
          "  R6  no host-threading primitives (std::thread, std::mutex,\n"
          "      std::atomic, ...) outside src/core/sweep.{h,cc}, bench/,\n"
          "      and tools/crayfish_lint/\n"
          "  R7  include graph must follow the module DAG\n"
-         "      common -> {sim, tensor} -> {broker, model} ->\n"
-         "      {sps, serving} -> core -> obs (plus sps -> serving)\n"
-         "  R8  no use of a moved-from local/parameter on any path\n"
+         "      common -> obs -> {sim, tensor} -> {broker, model} ->\n"
+         "      fault -> scale -> {sps, serving} -> core\n"
+         "      (plus sps -> serving)\n"
          "  R9  no mutation or const-stripping of shared_ptr<const T>\n"
          "      payloads outside their construction site\n"
          "\n"
@@ -110,9 +109,8 @@ int Usage() {
          "\n"
          "Suppress a finding on its line (or the line below a standalone\n"
          "comment) with `// lint: <keyword> <justification>`, keywords:\n"
-         "  wall-clock-ok unseeded-ok order-independent status-ignored "
-         "float-ok\n"
-         "  host-threading-ok layering-ok move-ok aliasing-ok\n";
+         "  wall-clock-ok unseeded-ok order-independent float-ok\n"
+         "  host-threading-ok layering-ok aliasing-ok\n";
   return 2;
 }
 
@@ -169,9 +167,9 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   // Pass 1 (serial): read, lex, and parse every file; fold each file's
-  // declarations into the shared project context (the R4 return-type table
-  // and the R9 construction-site map) and the R7 include graph. Unreadable
-  // files become errors, not an early exit, so the rest still gets linted.
+  // `shared_ptr<const T>` declarations into the R9 construction-site map and
+  // its includes into the R7 include graph. Unreadable files become errors,
+  // not an early exit, so the rest still gets linted.
   std::vector<crayfish::lint::FileIR> irs;
   irs.reserve(files.size());
   crayfish::lint::ProjectContext ctx;
@@ -183,8 +181,7 @@ int main(int argc, char** argv) {
       errors.push_back("cannot read " + file);
       continue;
     }
-    irs.push_back(
-        crayfish::lint::ParseSource(file, content));
+    irs.push_back(crayfish::lint::ParseSource(file, content));
     crayfish::lint::CollectProject(irs.back(), &ctx);
     graph.Add(irs.back());
   }

@@ -10,25 +10,17 @@
 
 namespace crayfish::lint {
 
-/// Parses one tokenized file into the rule IR: include directives,
-/// suppression comments, per-function statement/CFG skeletons, discarded
-/// call statements, and `shared_ptr<const T>` declarations. Like the lexer,
-/// the parser is forgiving — on code it cannot model it records nothing
-/// rather than failing, because lint must never block a build the compiler
-/// accepts.
-FileIR ParseFile(std::string path, std::vector<Token> tokens);
-
-/// Convenience: lex + parse one in-memory source.
+/// Lexes and parses one in-memory source into the rule IR: include
+/// directives, suppression comments, and `shared_ptr<const T>` declarations.
+/// Like the lexer, the parser is forgiving — on code it cannot model it
+/// records nothing rather than failing, because lint must never block a
+/// build the compiler accepts.
 FileIR ParseSource(std::string path, std::string_view source);
 
-/// Records this file's declarations into the project-wide context: the R4
-/// return-type table and the R9 immutable-member home map. Called once per
-/// file in pass 1, before any rule runs.
+/// Records this file's `shared_ptr<const T>` declarations into the R9
+/// immutable-member home map. Called once per file in pass 1, before any
+/// rule runs.
 void CollectProject(const FileIR& ir, ProjectContext* ctx);
-
-/// Scans one file's tokens for function declarations/definitions and records
-/// their return-type class into `table` (the R4 resolution pass).
-void CollectReturnTypes(const std::vector<Token>& tokens, SymbolTable* table);
 
 // --- Token-stream helpers shared by the parser and the token-level rules --
 

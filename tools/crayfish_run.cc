@@ -62,8 +62,8 @@
 //   # spark.max_offsets_per_trigger = 768
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -176,18 +176,18 @@ int main(int argc, char** argv) {
     }
   }
   if (!jobs_str.empty()) {
-    const int jobs = std::atoi(jobs_str.c_str());
-    if (jobs < 1) {
-      std::fprintf(stderr, "--jobs must be >= 1\n");
+    int jobs = 0;
+    if (!ParseNumber(jobs_str, &jobs).ok() || jobs < 1) {
+      std::fprintf(stderr, "--jobs must be an integer >= 1\n");
       return 2;
     }
     core::SetDefaultSweepJobs(jobs);
   }
   double interval_flag = 0.0;
   if (!timeline_interval.empty()) {
-    interval_flag = std::atof(timeline_interval.c_str());
-    if (interval_flag <= 0.0) {
-      std::fprintf(stderr, "--timeline_interval must be > 0\n");
+    if (!ParseNumber(timeline_interval, &interval_flag).ok() ||
+        !std::isfinite(interval_flag) || interval_flag <= 0.0) {
+      std::fprintf(stderr, "--timeline_interval must be a finite number > 0\n");
       return 2;
     }
   }

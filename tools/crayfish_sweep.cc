@@ -21,7 +21,6 @@
 //   crayfish_sweep exp.properties serving onnx,tf-serving,torchserve
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,9 +59,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
-      const int jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
+      int jobs = 0;
+      if (!ParseNumber(arg.substr(7), &jobs).ok() || jobs < 1) {
+        std::fprintf(stderr, "--jobs must be an integer >= 1\n");
         return 2;
       }
       core::SetDefaultSweepJobs(jobs);
