@@ -37,8 +37,10 @@ void BM_NetworkTransfers(benchmark::State& state) {
     sim::Network net(&sim);
     CRAYFISH_CHECK_OK(net.AddHost(sim::Host{"a", 4, 1ULL << 30, false}));
     CRAYFISH_CHECK_OK(net.AddHost(sim::Host{"b", 4, 1ULL << 30, false}));
+    const sim::HostId a = *net.FindHost("a");
+    const sim::HostId b = *net.FindHost("b");
     for (int i = 0; i < 5000; ++i) {
-      net.Send("a", "b", 3300, nullptr);
+      net.Send(a, b, 3300, nullptr);
     }
     sim.RunUntilIdle();
     benchmark::DoNotOptimize(net.total_bytes_sent());

@@ -67,8 +67,7 @@ class MiniBatchEngine : public sps::StreamEngine {
   const char* name() const override { return "mini-batch"; }
 
   crayfish::Status Start() override {
-    CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                              cluster_->NumPartitions(config_.input_topic));
+    CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
     std::vector<int> all(static_cast<size_t>(partitions));
     for (int p = 0; p < partitions; ++p) all[static_cast<size_t>(p)] = p;
     consumer_ = std::make_unique<broker::KafkaConsumer>(

@@ -21,6 +21,7 @@ KafkaCluster::KafkaCluster(sim::Simulation* sim, sim::Network* network,
           sim::Host{host, /*vcpus=*/4, /*memory_bytes=*/15ULL << 30,
                     /*has_gpu=*/false}));
     }
+    broker_host_ids_.push_back(*network_->FindHost(host));
   }
 }
 
@@ -29,22 +30,32 @@ crayfish::Status KafkaCluster::CreateTopic(const std::string& name,
   if (partitions <= 0) {
     return crayfish::Status::InvalidArgument("partitions must be > 0");
   }
-  if (topics_.count(name) > 0) {
+  const TopicId id{static_cast<int32_t>(topics_.size())};
+  if (!topic_ids_.try_emplace(name, id).second) {
     return crayfish::Status::AlreadyExists("topic: " + name);
   }
-  TopicState state;
+  TopicState& state = topics_.emplace_back();
+  state.name = name;
   state.partition_count = partitions;
   // Null slots only: per-partition state materializes on first
   // produce/fetch (EnsurePart), so creating a 256-partition topic on a
   // thousand-host fleet allocates 256 pointers, nothing more.
   state.parts.resize(static_cast<size_t>(partitions));
-  topics_[name] = std::move(state);
   return crayfish::Status::Ok();
 }
 
-KafkaCluster::PartitionState& KafkaCluster::EnsurePart(TopicState& state,
-                                                       int partition) {
-  auto& slot = state.parts[static_cast<size_t>(partition)];
+const KafkaCluster::TopicState* KafkaCluster::FindState(TopicId topic) const {
+  const auto idx = static_cast<size_t>(topic);
+  return idx < topics_.size() ? &topics_[idx] : nullptr;
+}
+
+KafkaCluster::PartitionState& KafkaCluster::EnsurePart(
+    const TopicPartition& tp) {
+  CRAYFISH_CHECK(FindState(tp.topic) != nullptr)
+      << "unknown topic id " << static_cast<int32_t>(tp.topic);
+  TopicState& state = topics_[static_cast<size_t>(tp.topic)];
+  CRAYFISH_CHECK_LT(tp.partition, state.partition_count);
+  auto& slot = state.parts[static_cast<size_t>(tp.partition)];
   if (slot == nullptr) {
     slot = std::make_unique<PartitionState>();
     if (state.has_retention) {
@@ -56,36 +67,63 @@ KafkaCluster::PartitionState& KafkaCluster::EnsurePart(TopicState& state,
 
 crayfish::Status KafkaCluster::SetTopicRetention(
     const std::string& name, size_t records_per_partition) {
-  auto it = topics_.find(name);
-  if (it == topics_.end()) {
-    return crayfish::Status::NotFound("topic: " + name);
-  }
-  it->second.retention_records = records_per_partition;
-  it->second.has_retention = true;
-  for (auto& slot : it->second.parts) {
+  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, FindTopic(name));
+  TopicState& state = topics_[static_cast<size_t>(id)];
+  state.retention_records = records_per_partition;
+  state.has_retention = true;
+  for (auto& slot : state.parts) {
     if (slot != nullptr) slot->log.SetRetentionRecords(records_per_partition);
   }
   return crayfish::Status::Ok();
 }
 
-bool KafkaCluster::HasTopic(const std::string& name) const {
-  return topics_.count(name) > 0;
-}
-
-crayfish::StatusOr<int> KafkaCluster::NumPartitions(
+crayfish::StatusOr<TopicId> KafkaCluster::FindTopic(
     const std::string& name) const {
-  auto it = topics_.find(name);
-  if (it == topics_.end()) return crayfish::Status::NotFound("topic: " + name);
-  return it->second.partition_count;
+  auto it = topic_ids_.find(name);
+  if (it == topic_ids_.end()) {
+    return crayfish::Status::NotFound("topic: " + name);
+  }
+  return it->second;
 }
 
-const std::string& KafkaCluster::LeaderHost(const TopicPartition& tp) const {
+crayfish::StatusOr<int> KafkaCluster::NumPartitions(TopicId topic) const {
+  const TopicState* state = FindState(topic);
+  if (state == nullptr) {
+    return crayfish::Status::NotFound(
+        "topic id " + std::to_string(static_cast<int32_t>(topic)));
+  }
+  return state->partition_count;
+}
+
+const std::string& KafkaCluster::topic_name(TopicId topic) const {
+  const TopicState* state = FindState(topic);
+  CRAYFISH_CHECK(state != nullptr)
+      << "unknown topic id " << static_cast<int32_t>(topic);
+  return state->name;
+}
+
+std::string KafkaCluster::PartitionName(const TopicPartition& tp) const {
+  const TopicState* state = FindState(tp.topic);
+  const std::string topic =
+      state != nullptr
+          ? state->name
+          : "topic#" + std::to_string(static_cast<int32_t>(tp.topic));
+  return topic + "-" + std::to_string(tp.partition);
+}
+
+int KafkaCluster::LeaderIndex(const TopicPartition& tp) const {
   // Round-robin leadership: partition p of any topic lives on broker
   // p % num_brokers, which spreads a 32-partition topic evenly over the
   // 4-broker cluster.
-  const size_t idx =
-      static_cast<size_t>(tp.partition) % broker_hosts_.size();
-  return broker_hosts_[idx];
+  return tp.partition % static_cast<int>(broker_hosts_.size());
+}
+
+sim::HostId KafkaCluster::LeaderHost(const TopicPartition& tp) const {
+  return broker_host_ids_[static_cast<size_t>(LeaderIndex(tp))];
+}
+
+const std::string& KafkaCluster::LeaderName(const TopicPartition& tp) const {
+  return broker_hosts_[static_cast<size_t>(LeaderIndex(tp))];
 }
 
 bool KafkaCluster::IsBrokerUp(int broker_index) const {
@@ -95,7 +133,7 @@ bool KafkaCluster::IsBrokerUp(int broker_index) const {
 }
 
 bool KafkaCluster::LeaderAvailable(const TopicPartition& tp) const {
-  return IsBrokerUp(tp.partition % static_cast<int>(broker_hosts_.size()));
+  return IsBrokerUp(LeaderIndex(tp));
 }
 
 void KafkaCluster::SetClientDefaults(crayfish::RetryPolicy retry,
@@ -116,11 +154,7 @@ void KafkaCluster::CrashBroker(int broker_index) {
   // Crash-triggered rebalance: every dynamic group loses its sessions
   // through the crashed broker and re-syncs. Members keep their callbacks;
   // new owners resume from committed offsets (at-least-once).
-  for (const auto& [key, state] : groups_) {
-    const size_t slash = key.rfind('/');
-    CRAYFISH_CHECK(slash != std::string::npos);
-    Rebalance(key.substr(0, slash), key.substr(slash + 1));
-  }
+  for (auto& [key, state] : groups_) Rebalance(state);
 }
 
 void KafkaCluster::RestartBroker(int broker_index) {
@@ -133,24 +167,20 @@ void KafkaCluster::RestartBroker(int broker_index) {
 
 void KafkaCluster::FlushWaitersOfBroker(int broker_index) {
   const int brokers = static_cast<int>(broker_hosts_.size());
-  for (auto& [topic, state] : topics_) {
+  // Topic-name order, not id order: each flush schedules an event.
+  for (const auto& [name, id] : topic_ids_) {
+    TopicState& state = topics_[static_cast<size_t>(id)];
     for (size_t p = 0; p < state.parts.size(); ++p) {
       if (static_cast<int>(p) % brokers != broker_index) continue;
       if (state.parts[p] == nullptr) continue;  // never touched: no waiters
-      auto& waiters = state.parts[p]->waiters;
-      if (waiters.empty()) continue;
-      std::vector<PendingFetch> flushed;
-      flushed.swap(waiters);
-      for (PendingFetch& fetch : flushed) {
-        if (*fetch.done) continue;
-        *fetch.done = true;
+      for (const uint32_t r : state.parts[p]->waiters) {
+        requests_[r].parked = false;
         // The connection died with the broker: the client sees an empty
         // response after the error delay; no network traffic is modelled.
         sim_->Schedule(config_.unavailable_error_delay_s,
-                       [on_records = std::move(fetch.on_records)]() mutable {
-                         if (on_records) on_records({});
-                       });
+                       [this, r]() { DeliverFetch(r); });
       }
+      state.parts[p]->waiters.clear();
     }
   }
 }
@@ -161,178 +191,189 @@ uint64_t KafkaCluster::BatchWireSize(const std::vector<Record>& batch) const {
   return total;
 }
 
-void KafkaCluster::Produce(const std::string& client_host,
-                           const TopicPartition& tp,
-                           std::vector<Record> batch,
-                           std::function<void(crayfish::Status)> on_ack) {
-  auto it = topics_.find(tp.topic);
-  if (it == topics_.end() || tp.partition >= it->second.partition_count) {
-    sim_->Schedule(0.0, [on_ack = std::move(on_ack), tp]() {
-      if (on_ack) on_ack(crayfish::Status::NotFound(tp.ToString()));
+uint32_t KafkaCluster::NewRequest(sim::HostId client,
+                                  const TopicPartition& tp) {
+  const uint32_t r = requests_.Acquire();
+  requests_[r].client = client;
+  requests_[r].tp = tp;
+  return r;
+}
+
+void KafkaCluster::ReleaseRequest(uint32_t r) {
+  Request& req = requests_[r];
+  ++req.generation;
+  req.parked = false;
+  req.records = std::vector<Record>();  // frees it, as a moved-on batch was
+  req.on_ack = nullptr;
+  req.on_records = nullptr;
+  requests_.Release(r);
+}
+
+uint32_t KafkaCluster::StageProduce(sim::HostId client,
+                                    const TopicPartition& tp,
+                                    std::vector<Record> batch,
+                                    ProduceAck on_ack) {
+  const uint32_t r = NewRequest(client, tp);
+  requests_[r].records = std::move(batch);
+  requests_[r].on_ack = std::move(on_ack);
+  return r;
+}
+
+void KafkaCluster::SendProduce(uint32_t r) {
+  Request& req = requests_[r];
+  const TopicState* state = FindState(req.tp.topic);
+  if (state == nullptr || req.tp.partition < 0 ||
+      req.tp.partition >= state->partition_count) {
+    sim_->Schedule(0.0, [this, r]() {
+      CompleteProduce(r, crayfish::Status::NotFound(
+                             PartitionName(requests_[r].tp)));
     });
     return;
   }
-  const uint64_t request_bytes = BatchWireSize(batch);
+  const uint64_t request_bytes = BatchWireSize(req.records);
   if (request_bytes > config_.max_request_bytes) {
-    sim_->Schedule(0.0, [on_ack = std::move(on_ack)]() {
-      if (on_ack) {
-        on_ack(crayfish::Status::InvalidArgument(
-            "produce request exceeds max.request.size"));
-      }
+    sim_->Schedule(0.0, [this, r]() {
+      CompleteProduce(r, crayfish::Status::InvalidArgument(
+                             "produce request exceeds max.request.size"));
     });
     return;
   }
-  const std::string leader = LeaderHost(tp);
-  if (!LeaderAvailable(tp)) {
+  if (!LeaderAvailable(req.tp)) {
     // Connection refused: the leader is down, nothing crosses the network.
-    sim_->Schedule(config_.unavailable_error_delay_s,
-                   [on_ack = std::move(on_ack), leader]() {
-                     if (on_ack) {
-                       on_ack(crayfish::Status::Unavailable(
-                           "broker down: " + leader));
-                     }
-                   });
+    sim_->Schedule(config_.unavailable_error_delay_s, [this, r]() {
+      CompleteProduce(r, crayfish::Status::Unavailable(
+                             "broker down: " +
+                             LeaderName(requests_[r].tp)));
+    });
     return;
   }
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_in", {{"broker", leader}})
+    reg->Counter("broker_bytes_in", {{"broker", LeaderName(req.tp)}})
         ->Increment(static_cast<double>(request_bytes));
-    reg->Counter("broker_records_in", {{"broker", leader}})
-        ->Increment(static_cast<double>(batch.size()));
+    reg->Counter("broker_records_in", {{"broker", LeaderName(req.tp)}})
+        ->Increment(static_cast<double>(req.records.size()));
   }
   // Client -> broker transfer, then broker-side append, then ack back.
-  network_->Send(
-      client_host, leader, request_bytes,
-      [this, tp, leader, client_host, batch = std::move(batch),
-       on_ack = std::move(on_ack)]() mutable {
-        const double process =
-            config_.request_overhead_s +
-            config_.append_per_record_s * static_cast<double>(batch.size());
-        sim_->Schedule(
-            process,
-            [this, tp, leader, client_host, batch = std::move(batch),
-             on_ack = std::move(on_ack)]() mutable {
-              if (!LeaderAvailable(tp)) {
-                // The broker died while the request was in flight: the
-                // batch was never appended; the client sees the dropped
-                // connection as a retriable error (a dead leader sends no
-                // traffic, so this is the one leader->client hop that
-                // skips the network).
-                sim_->Schedule(
-                    config_.unavailable_error_delay_s,
-                    [on_ack = std::move(on_ack), leader]() {
-                      if (on_ack) {
-                        on_ack(crayfish::Status::Unavailable(
-                            "broker crashed mid-produce: " + leader));
-                      }
-                    });
-                return;
-              }
-              auto topic_it = topics_.find(tp.topic);
-              CRAYFISH_CHECK(topic_it != topics_.end());
-              Partition& part =
-                  EnsurePart(topic_it->second, tp.partition).log;
-              // LogAppendTime: broker local time at append (§3.3 step 5).
-              obs::TraceRecorder* tracer = sim_->tracer();
-              for (Record& r : batch) {
-                const uint64_t batch_id = r.batch_id;
-                part.Append(std::move(r), sim_->Now());
-                // MarkAppend resolves input vs. output topic by append
-                // count; the second append completes the batch's trace.
-                if (tracer) tracer->MarkAppend(batch_id, sim_->Now());
-              }
-              WakeWaiters(tp);
-              network_->Send(leader, client_host, /*ack bytes=*/64,
-                             [on_ack = std::move(on_ack)]() {
-                               if (on_ack) on_ack(crayfish::Status::Ok());
-                             });
-            });
-      });
+  if (!network_->Send(req.client, LeaderHost(req.tp), request_bytes,
+                      [this, r]() {
+                        const double process =
+                            config_.request_overhead_s +
+                            config_.append_per_record_s *
+                                static_cast<double>(
+                                    requests_[r].records.size());
+                        sim_->Schedule(process,
+                                       [this, r]() { ServeProduce(r); });
+                      })) {
+    ReleaseRequest(r);
+  }
 }
 
-void KafkaCluster::Fetch(const std::string& client_host,
-                         const TopicPartition& tp, int64_t offset,
-                         size_t max_records, uint64_t max_bytes,
-                         double max_wait_s,
-                         std::function<void(std::vector<Record>)> on_records) {
-  auto it = topics_.find(tp.topic);
-  CRAYFISH_CHECK(it != topics_.end()) << "fetch from unknown " << tp.topic;
-  CRAYFISH_CHECK_LT(tp.partition, it->second.partition_count);
-  const std::string leader = LeaderHost(tp);
+void KafkaCluster::ServeProduce(uint32_t r) {
+  Request& req = requests_[r];
+  if (!LeaderAvailable(req.tp)) {
+    // The broker died while the request was in flight: the batch was never
+    // appended; the client sees the dropped connection as a retriable
+    // error (a dead leader sends no traffic, so this is the one
+    // leader->client hop that skips the network).
+    sim_->Schedule(config_.unavailable_error_delay_s, [this, r]() {
+      CompleteProduce(r, crayfish::Status::Unavailable(
+                             "broker crashed mid-produce: " +
+                             LeaderName(requests_[r].tp)));
+    });
+    return;
+  }
+  Partition& part = EnsurePart(req.tp).log;
+  // LogAppendTime: broker local time at append (§3.3 step 5).
+  obs::TraceRecorder* tracer = sim_->tracer();
+  for (Record& rec : req.records) {
+    const uint64_t batch_id = rec.batch_id;
+    part.Append(std::move(rec), sim_->Now());
+    // MarkAppend resolves input vs. output topic by append count; the
+    // second append completes the batch's trace.
+    if (tracer) tracer->MarkAppend(batch_id, sim_->Now());
+  }
+  req.records.clear();
+  WakeWaiters(req.tp);
+  if (!network_->Send(LeaderHost(req.tp), req.client, /*ack bytes=*/64,
+                      [this, r]() {
+                        CompleteProduce(r, crayfish::Status::Ok());
+                      })) {
+    ReleaseRequest(r);
+  }
+}
+
+void KafkaCluster::CompleteProduce(uint32_t r, crayfish::Status status) {
+  ProduceAck on_ack = std::move(requests_[r].on_ack);
+  ReleaseRequest(r);
+  if (on_ack) on_ack(std::move(status));
+}
+
+void KafkaCluster::Fetch(sim::HostId client, const TopicPartition& tp,
+                         int64_t offset, size_t max_records,
+                         uint64_t max_bytes, double max_wait_s,
+                         FetchCallback on_records) {
+  const TopicState* state = FindState(tp.topic);
+  CRAYFISH_CHECK(state != nullptr)
+      << "fetch from unknown topic id " << static_cast<int32_t>(tp.topic);
+  CRAYFISH_CHECK_LT(tp.partition, state->partition_count);
+  const uint32_t r = NewRequest(client, tp);
+  Request& req = requests_[r];
+  req.offset = offset;
+  req.max_records = max_records;
+  req.max_bytes = max_bytes;
+  req.max_wait_s = max_wait_s;
+  req.on_records = std::move(on_records);
   if (!LeaderAvailable(tp)) {
     // Connection refused: empty response after the error delay.
     sim_->Schedule(config_.unavailable_error_delay_s,
-                   [on_records = std::move(on_records)]() mutable {
-                     if (on_records) on_records({});
-                   });
+                   [this, r]() { DeliverFetch(r); });
     return;
   }
   // Fetch request (small) travels to the leader.
-  network_->Send(
-      client_host, leader, /*request bytes=*/128,
-      [this, tp, offset, max_records, max_bytes, max_wait_s, client_host,
-       on_records = std::move(on_records)]() mutable {
-        sim_->Schedule(
-            config_.request_overhead_s,
-            [this, tp, offset, max_records, max_bytes, max_wait_s,
-             client_host = std::move(client_host),
-             on_records = std::move(on_records)]() mutable {
-              if (!LeaderAvailable(tp)) {
-                // Crashed while the request was in flight: the empty
-                // response arrives without crossing the network (the dead
-                // leader sends nothing).
-                sim_->Schedule(
-                    config_.unavailable_error_delay_s,
-                    [on_records = std::move(on_records)]() mutable {
-                      if (on_records) on_records({});
-                    });
-                return;
-              }
-              auto topic_it = topics_.find(tp.topic);
-              CRAYFISH_CHECK(topic_it != topics_.end());
-              PartitionState& ps = EnsurePart(topic_it->second, tp.partition);
-              PendingFetch fetch{offset, max_records, max_bytes,
-                                 std::move(client_host),
-                                 std::move(on_records),
-                                 std::make_shared<bool>(false)};
-              if (ps.log.end_offset() > offset) {
-                AnswerFetch(tp, std::move(fetch));
-                return;
-              }
-              // Long-poll: park until append or timeout. The timeout event
-              // captures only the done token; the parked fetch itself is
-              // moved into the waiter list and re-located on expiry, so the
-              // callback and host string are never copied.
-              auto done = fetch.done;
-              ps.waiters.push_back(std::move(fetch));
-              sim_->Schedule(max_wait_s, [this, tp, done]() {
-                if (*done) return;
-                *done = true;
-                auto wt_it = topics_.find(tp.topic);
-                CRAYFISH_CHECK(wt_it != topics_.end());
-                auto& waiters =
-                    EnsurePart(wt_it->second, tp.partition).waiters;
-                for (auto w = waiters.begin(); w != waiters.end(); ++w) {
-                  if (w->done == done) {
-                    PendingFetch parked = std::move(*w);
-                    waiters.erase(w);
-                    AnswerFetch(tp, std::move(parked));
-                    return;
-                  }
-                }
-                CRAYFISH_CHECK(false)
-                    << "pending fetch missing for " << tp.ToString();
-              });
-            });
-      });
+  if (!network_->Send(client, LeaderHost(tp), /*request bytes=*/128,
+                      [this, r]() {
+                        sim_->Schedule(config_.request_overhead_s,
+                                       [this, r]() { ServeFetch(r); });
+                      })) {
+    ReleaseRequest(r);
+  }
 }
 
-void KafkaCluster::AnswerFetch(const TopicPartition& tp, PendingFetch fetch) {
-  auto topic_it = topics_.find(tp.topic);
-  CRAYFISH_CHECK(topic_it != topics_.end());
-  Partition& part = EnsurePart(topic_it->second, tp.partition).log;
-  std::vector<Record> records;
-  int64_t offset = fetch.offset;
+void KafkaCluster::ServeFetch(uint32_t r) {
+  Request& req = requests_[r];
+  if (!LeaderAvailable(req.tp)) {
+    // Crashed while the request was in flight: the empty response arrives
+    // without crossing the network (the dead leader sends nothing).
+    sim_->Schedule(config_.unavailable_error_delay_s,
+                   [this, r]() { DeliverFetch(r); });
+    return;
+  }
+  PartitionState& ps = EnsurePart(req.tp);
+  if (ps.log.end_offset() > req.offset) {
+    AnswerFetch(r);
+    return;
+  }
+  // Long-poll: park until append or timeout.
+  req.parked = true;
+  ps.waiters.push_back(r);
+  const uint32_t generation = req.generation;
+  sim_->Schedule(req.max_wait_s, [this, r, generation]() {
+    Request& waiting = requests_[r];
+    if (waiting.generation != generation || !waiting.parked) return;
+    waiting.parked = false;
+    auto& waiters = EnsurePart(waiting.tp).waiters;
+    auto w = std::find(waiters.begin(), waiters.end(), r);
+    CRAYFISH_CHECK(w != waiters.end())
+        << "pending fetch missing for " << PartitionName(waiting.tp);
+    waiters.erase(w);
+    AnswerFetch(r);
+  });
+}
+
+void KafkaCluster::AnswerFetch(uint32_t r) {
+  Request& req = requests_[r];
+  Partition& part = EnsurePart(req.tp).log;
+  int64_t offset = req.offset;
   if (offset < part.log_start_offset()) {
     // The consumer fell behind retention: auto-reset to the earliest
     // retained record (auto.offset.reset=earliest); the skipped records
@@ -340,50 +381,51 @@ void KafkaCluster::AnswerFetch(const TopicPartition& tp, PendingFetch fetch) {
     offset = part.log_start_offset();
   }
   crayfish::Status s =
-      part.Fetch(offset, fetch.max_records, fetch.max_bytes, &records);
-  if (!s.ok()) records.clear();
-  const uint64_t response_bytes = 256 + BatchWireSize(records);
-  const std::string leader = LeaderHost(tp);
+      part.Fetch(offset, req.max_records, req.max_bytes, &req.records);
+  if (!s.ok()) req.records.clear();
+  const uint64_t response_bytes = 256 + BatchWireSize(req.records);
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_out", {{"broker", leader}})
+    reg->Counter("broker_bytes_out", {{"broker", LeaderName(req.tp)}})
         ->Increment(static_cast<double>(response_bytes));
-    reg->Counter("broker_records_out", {{"broker", leader}})
-        ->Increment(static_cast<double>(records.size()));
+    reg->Counter("broker_records_out", {{"broker", LeaderName(req.tp)}})
+        ->Increment(static_cast<double>(req.records.size()));
   }
-  network_->Send(leader, fetch.client_host, response_bytes,
-                 [on_records = std::move(fetch.on_records),
-                  records = std::move(records)]() mutable {
-                   if (on_records) on_records(std::move(records));
-                 });
+  if (!network_->Send(LeaderHost(req.tp), req.client, response_bytes,
+                      [this, r]() { DeliverFetch(r); })) {
+    ReleaseRequest(r);
+  }
+}
+
+void KafkaCluster::DeliverFetch(uint32_t r) {
+  Request& req = requests_[r];
+  FetchCallback on_records = std::move(req.on_records);
+  std::vector<Record> records = std::move(req.records);
+  ReleaseRequest(r);
+  if (on_records) on_records(std::move(records));
 }
 
 void KafkaCluster::WakeWaiters(const TopicPartition& tp) {
-  auto topic_it = topics_.find(tp.topic);
-  CRAYFISH_CHECK(topic_it != topics_.end());
-  auto& slot = topic_it->second.parts[static_cast<size_t>(tp.partition)];
+  auto& slot = topics_[static_cast<size_t>(tp.topic)]
+                   .parts[static_cast<size_t>(tp.partition)];
   if (slot == nullptr) return;  // never touched: nothing parked
-  auto& waiters = slot->waiters;
-  if (waiters.empty()) return;
-  std::vector<PendingFetch> to_answer;
-  to_answer.swap(waiters);
-  for (PendingFetch& fetch : to_answer) {
-    if (*fetch.done) continue;
-    *fetch.done = true;
-    AnswerFetch(tp, std::move(fetch));
+  // AnswerFetch only schedules, so the list is stable while it is walked.
+  for (const uint32_t r : slot->waiters) {
+    requests_[r].parked = false;
+    AnswerFetch(r);
   }
+  slot->waiters.clear();
 }
 
 crayfish::StatusOr<int> KafkaCluster::JoinGroup(
     const std::string& group, const std::string& topic,
     RebalanceCallback on_assignment) {
-  if (!HasTopic(topic)) {
-    return crayfish::Status::NotFound("topic: " + topic);
-  }
+  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, FindTopic(topic));
   GroupState& state = groups_[group + "/" + topic];
-  const int id = state.next_member_id++;
-  state.members.push_back(GroupMember{id, std::move(on_assignment)});
-  Rebalance(group, topic);
-  return id;
+  state.topic = id;
+  const int member = state.next_member_id++;
+  state.members.push_back(GroupMember{member, std::move(on_assignment)});
+  Rebalance(state);
+  return member;
 }
 
 void KafkaCluster::LeaveGroup(const std::string& group,
@@ -397,7 +439,7 @@ void KafkaCluster::LeaveGroup(const std::string& group,
                                  return m.id == member_id;
                                }),
                 members.end());
-  if (members.size() != before) Rebalance(group, topic);
+  if (members.size() != before) Rebalance(it->second);
 }
 
 int KafkaCluster::GroupSize(const std::string& group,
@@ -407,25 +449,24 @@ int KafkaCluster::GroupSize(const std::string& group,
                              : static_cast<int>(it->second.members.size());
 }
 
-void KafkaCluster::Rebalance(const std::string& group,
-                             const std::string& topic) {
-  auto git = groups_.find(group + "/" + topic);
-  CRAYFISH_CHECK(git != groups_.end());
-  auto pit = topics_.find(topic);
-  CRAYFISH_CHECK(pit != topics_.end());
-  const int partitions = pit->second.partition_count;
-  const int member_count = static_cast<int>(git->second.members.size());
+void KafkaCluster::Rebalance(GroupState& state) {
+  const int partitions =
+      topics_[static_cast<size_t>(state.topic)].partition_count;
+  const int member_count = static_cast<int>(state.members.size());
   // Eager rebalance: every member gets its new assignment after the
   // coordinator round trip (~50 ms, a fraction of a real rebalance since
-  // we do not model the sync barrier in detail).
+  // we do not model the sync barrier in detail). The event names the
+  // member by id, so one that has left meanwhile is skipped.
   for (int idx = 0; idx < member_count; ++idx) {
-    const GroupMember& member =
-        git->second.members[static_cast<size_t>(idx)];
-    std::vector<int> assignment =
-        RangeAssign(partitions, member_count, idx);
-    sim_->Schedule(0.05, [cb = member.on_assignment,
-                          assignment = std::move(assignment)]() mutable {
-      if (cb) cb(std::move(assignment));
+    sim_->Schedule(0.05, [state = &state,
+                          id = state.members[static_cast<size_t>(idx)].id,
+                          assignment = RangeAssign(partitions, member_count,
+                                                   idx)]() mutable {
+      for (GroupMember& m : state->members) {
+        if (m.id != id) continue;
+        m.on_assignment(std::move(assignment));
+        return;
+      }
     });
   }
 }
@@ -439,56 +480,46 @@ int KafkaCluster::CoordinatorBroker(const std::string& group) const {
   return static_cast<int>(h % broker_hosts_.size());
 }
 
-void KafkaCluster::EnsureCommitSlot(const std::string& group,
-                                    const TopicPartition& tp) {
-  // emplace keeps an already-committed offset (rebalance re-assignment).
-  committed_[group].emplace(tp.ToString(), 0);
+GroupId KafkaCluster::InternGroup(const std::string& group) {
+  const GroupId id{static_cast<int32_t>(committed_.size())};
+  auto [it, inserted] = group_ids_.try_emplace(group, id);
+  if (inserted) committed_.push_back(GroupOffsets{CoordinatorBroker(group), {}});
+  return it->second;
 }
 
-void KafkaCluster::CommitOffset(const std::string& group,
-                                const TopicPartition& tp, int64_t offset) {
-  if (!broker_up_[static_cast<size_t>(CoordinatorBroker(group))]) return;
-  // Hot path is a value-only write on a slot EnsureCommitSlot pre-created
-  // during assignment. The insert fallback serves direct test usage that
-  // skips Assign.
-  auto git = committed_.find(group);
-  if (git != committed_.end()) {
-    auto oit = git->second.find(tp.ToString());
-    if (oit != git->second.end()) {
-      oit->second = offset;
-      return;
-    }
-  }
-  committed_[group][tp.ToString()] = offset;
+void KafkaCluster::CommitOffset(GroupId group, const TopicPartition& tp,
+                                int64_t offset) {
+  CRAYFISH_CHECK_LT(static_cast<size_t>(group), committed_.size());
+  GroupOffsets& g = committed_[static_cast<size_t>(group)];
+  if (!broker_up_[static_cast<size_t>(g.coordinator)]) return;
+  const auto t = static_cast<size_t>(tp.topic);
+  const auto p = static_cast<size_t>(tp.partition);
+  if (t >= g.offsets.size()) g.offsets.resize(t + 1);
+  if (p >= g.offsets[t].size()) g.offsets[t].resize(p + 1, 0);
+  g.offsets[t][p] = offset;
 }
 
-int64_t KafkaCluster::CommittedOffset(const std::string& group,
+int64_t KafkaCluster::CommittedOffset(GroupId group,
                                       const TopicPartition& tp) const {
-  auto git = committed_.find(group);
-  if (git == committed_.end()) return 0;
-  auto oit = git->second.find(tp.ToString());
-  return oit == git->second.end() ? 0 : oit->second;
+  CRAYFISH_CHECK_LT(static_cast<size_t>(group), committed_.size());
+  const GroupOffsets& g = committed_[static_cast<size_t>(group)];
+  const auto t = static_cast<size_t>(tp.topic);
+  const auto p = static_cast<size_t>(tp.partition);
+  if (t >= g.offsets.size() || p >= g.offsets[t].size()) return 0;
+  return g.offsets[t][p];
 }
 
 crayfish::StatusOr<Partition*> KafkaCluster::GetPartition(
     const TopicPartition& tp) {
-  auto it = topics_.find(tp.topic);
-  if (it == topics_.end()) {
-    return crayfish::Status::NotFound("topic: " + tp.topic);
+  const TopicState* state = FindState(tp.topic);
+  if (state == nullptr) {
+    return crayfish::Status::NotFound(
+        "topic id " + std::to_string(static_cast<int32_t>(tp.topic)));
   }
-  if (tp.partition < 0 || tp.partition >= it->second.partition_count) {
-    return crayfish::Status::NotFound("partition: " + tp.ToString());
+  if (tp.partition < 0 || tp.partition >= state->partition_count) {
+    return crayfish::Status::NotFound("partition: " + PartitionName(tp));
   }
-  // Callers run in global context (tests, the metrics analyzer, setup), so
-  // materializing an untouched partition here cannot race a leader thread.
-  return &EnsurePart(it->second, tp.partition).log;
-}
-
-crayfish::Status KafkaCluster::TrimPartition(const TopicPartition& tp,
-                                             int64_t offset) {
-  CRAYFISH_ASSIGN_OR_RETURN(Partition * part, GetPartition(tp));
-  part->TrimTo(offset);
-  return crayfish::Status::Ok();
+  return &EnsurePart(tp).log;
 }
 
 std::vector<int> KafkaCluster::RangeAssign(int partitions, int member_count,

@@ -2,7 +2,6 @@
 #define CRAYFISH_BROKER_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,17 +11,26 @@
 #include "broker/record.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "sim/inline_function.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
+#include "sim/slot_pool.h"
 
 namespace crayfish::broker {
+
+/// Completion of a produce request: the broker ack (or the error).
+using ProduceAck = sim::InlineFunction<void(crayfish::Status)>;
+/// Completion of a fetch request: the records (empty on timeout or error).
+using FetchCallback = sim::InlineFunction<void(std::vector<Record>)>;
+
+/// Dense id of a consumer group, handed out by KafkaCluster::InternGroup.
+enum class GroupId : int32_t {};
 
 /// Cluster-level configuration, matching the paper's deployment (§4.2/§4.3):
 /// 4 brokers, 32 partitions per topic, LogAppendTime timestamps, 50 MB max
 /// request size.
 struct ClusterConfig {
   int num_brokers = 4;
-  int default_partitions = 32;
   /// Broker-side processing overhead per produce/fetch request.
   double request_overhead_s = 100e-6;
   /// Additional broker-side cost per record appended.
@@ -55,16 +63,28 @@ class KafkaCluster {
   KafkaCluster(const KafkaCluster&) = delete;
   KafkaCluster& operator=(const KafkaCluster&) = delete;
 
+  /// Creates a topic under the next dense TopicId.
   crayfish::Status CreateTopic(const std::string& name, int partitions);
 
   /// Applies per-partition size-based retention (records) to a topic.
   crayfish::Status SetTopicRetention(const std::string& name,
                                      size_t records_per_partition);
-  bool HasTopic(const std::string& name) const;
-  crayfish::StatusOr<int> NumPartitions(const std::string& name) const;
+  /// NotFound for an unknown name. Clients resolve a topic once.
+  crayfish::StatusOr<TopicId> FindTopic(const std::string& name) const;
+  /// The name -> id index: walks whose order schedules events (a
+  /// producer's Flush, a crashed broker's parked fetches) run in name order.
+  const std::map<std::string, TopicId>& topics_by_name() const {
+    return topic_ids_;
+  }
+  /// NotFound for an unknown id.
+  crayfish::StatusOr<int> NumPartitions(TopicId topic) const;
+  /// Name of a topic; CHECK-fails on an unknown id.
+  const std::string& topic_name(TopicId topic) const;
+  /// "<topic>-<partition>" for log lines and errors.
+  std::string PartitionName(const TopicPartition& tp) const;
 
-  /// Leader broker host for a partition; CHECK-fails on unknown topic.
-  const std::string& LeaderHost(const TopicPartition& tp) const;
+  /// Leader broker host for a partition.
+  sim::HostId LeaderHost(const TopicPartition& tp) const;
 
   // --- fault injection (broker host crash/restart) ---
   //
@@ -100,21 +120,25 @@ class KafkaCluster {
     return auto_commit_interval_s_;
   }
 
-  /// Produce a batch of records to one partition. The callback fires when
-  /// the client receives the broker ack. Requests above
-  /// `max_request_bytes` fail fast with InvalidArgument (delivered on the
-  /// next sim instant).
-  void Produce(const std::string& client_host, const TopicPartition& tp,
-               std::vector<Record> batch,
-               std::function<void(crayfish::Status)> on_ack);
+  /// Two-phase produce: StageProduce moves the batch and ack into a request
+  /// slot (KafkaProducer stages at flush time, so flushed records outlive
+  /// the producer) and SendProduce sends it. `on_ack` fires when the client
+  /// receives the broker ack; requests above `max_request_bytes` fail fast
+  /// with InvalidArgument (delivered on the next sim instant).
+  uint32_t StageProduce(sim::HostId client, const TopicPartition& tp,
+                        std::vector<Record> batch, ProduceAck on_ack);
+  /// The records of a staged, not yet sent, request.
+  const std::vector<Record>& staged_batch(uint32_t request) const {
+    return requests_[request].records;
+  }
+  void SendProduce(uint32_t request);
 
   /// Long-polling fetch from one partition starting at `offset`.
   /// Responds with up to `max_records`/`max_bytes` records once data is
   /// available, or with an empty vector after `max_wait_s`.
-  void Fetch(const std::string& client_host, const TopicPartition& tp,
-             int64_t offset, size_t max_records, uint64_t max_bytes,
-             double max_wait_s,
-             std::function<void(std::vector<Record>)> on_records);
+  void Fetch(sim::HostId client, const TopicPartition& tp, int64_t offset,
+             size_t max_records, uint64_t max_bytes, double max_wait_s,
+             FetchCallback on_records);
 
   // --- consumer-group offset store ---
   //
@@ -124,21 +148,15 @@ class KafkaCluster {
   // last offset that did land, which is exactly the duplicate window
   // at-least-once delivery permits.
 
+  /// Id of `group`, created on first use (consumers intern theirs once).
+  GroupId InternGroup(const std::string& group);
   /// Broker index hosting `group`'s coordinator (FNV-1a of the group
   /// name, so it is stable across runs and platforms).
   int CoordinatorBroker(const std::string& group) const;
   /// Stores the offset; silently dropped while the coordinator is down.
-  /// Pre-creates the committed-offset slot for (group, tp), keeping any
-  /// offset already stored. Consumers call this while assigning partitions
-  /// (setup or a rebalance), so later CommitOffset calls from poll loops
-  /// are value-only writes on pre-existing entries.
-  void EnsureCommitSlot(const std::string& group, const TopicPartition& tp);
-
-  void CommitOffset(const std::string& group, const TopicPartition& tp,
-                    int64_t offset);
+  void CommitOffset(GroupId group, const TopicPartition& tp, int64_t offset);
   /// Committed offset or 0 when none.
-  int64_t CommittedOffset(const std::string& group,
-                          const TopicPartition& tp) const;
+  int64_t CommittedOffset(GroupId group, const TopicPartition& tp) const;
 
   // --- group coordinator (dynamic membership) ---
   //
@@ -146,10 +164,10 @@ class KafkaCluster {
   // assignment through the callback; every join/leave triggers an eager
   // rebalance that re-invokes every member's callback with its new
   // assignment (range strategy). Delivery is at-least-once across
-  // rebalances: new owners resume from committed offsets.
+  // rebalances: new owners resume from committed offsets. Membership
+  // changes are rare, so this bookkeeping is keyed by name.
 
-  using RebalanceCallback =
-      std::function<void(std::vector<int> partitions)>;
+  using RebalanceCallback = sim::InlineFunction<void(std::vector<int>)>;
 
   /// Joins; returns the member id used for LeaveGroup. The callback fires
   /// (asynchronously, after the rebalance delay) on this and every later
@@ -167,10 +185,8 @@ class KafkaCluster {
 
   /// Direct partition access for tests and the metrics analyzer (reads the
   /// output topic log "at the broker", per the SUT-separation rule).
+  /// NotFound for an unknown topic id or partition.
   crayfish::StatusOr<Partition*> GetPartition(const TopicPartition& tp);
-
-  /// Drops consumed records below `offset` (retention).
-  crayfish::Status TrimPartition(const TopicPartition& tp, int64_t offset);
 
   const ClusterConfig& config() const { return config_; }
   const std::vector<std::string>& broker_hosts() const {
@@ -185,14 +201,23 @@ class KafkaCluster {
                                       int member_index);
 
  private:
-  struct PendingFetch {
-    int64_t offset;
-    size_t max_records;
-    uint64_t max_bytes;
-    std::string client_host;
-    std::function<void(std::vector<Record>)> on_records;
-    /// Set when the waiter has been answered (by data or timeout).
-    std::shared_ptr<bool> done;
+  /// An in-flight produce or fetch request. Events on its path capture
+  /// only `{this, slot}`; the slot returns to the free list when the client
+  /// gets its answer, or when a partitioned link drops a hop.
+  struct Request {
+    sim::HostId client{};
+    TopicPartition tp;
+    /// Produce: the batch. Fetch: the response.
+    std::vector<Record> records;
+    ProduceAck on_ack;
+    FetchCallback on_records;
+    int64_t offset = 0;
+    size_t max_records = 0;
+    uint64_t max_bytes = 0;
+    double max_wait_s = 0.0;
+    /// Bumped on release: a parked fetch's timeout ignores a reused slot.
+    uint32_t generation = 0;
+    bool parked = false;  // a fetch in its partition's waiter list
   };
 
   /// Per-partition broker state: the log plus its parked long-poll
@@ -201,11 +226,12 @@ class KafkaCluster {
   /// pointer per untouched partition, not a Partition object.
   struct PartitionState {
     Partition log;
-    /// Parked long-poll fetches.
-    std::vector<PendingFetch> waiters;
+    /// Fetch-request slots parked on this partition, in arrival order.
+    std::vector<uint32_t> waiters;
   };
 
   struct TopicState {
+    std::string name;
     int partition_count = 0;
     /// Retention configured before the partition materialized; applied in
     /// EnsurePart so late-created slots behave identically.
@@ -216,26 +242,44 @@ class KafkaCluster {
     std::vector<std::unique_ptr<PartitionState>> parts;
   };
 
-  /// Materializes (or returns) partition `partition`'s state.
-  PartitionState& EnsurePart(TopicState& state, int partition);
-
-  /// Completes a fetch at the broker and sends the response back. Takes the
-  /// fetch by value so the records callback moves end-to-end (a PendingFetch
-  /// copy would copy its std::function and client-host string).
-  void AnswerFetch(const TopicPartition& tp, PendingFetch fetch);
-  void WakeWaiters(const TopicPartition& tp);
-  uint64_t BatchWireSize(const std::vector<Record>& batch) const;
-
   struct GroupMember {
     int id;
     RebalanceCallback on_assignment;
   };
+  /// The members of one (group, topic) pair.
   struct GroupState {
+    TopicId topic{};
     std::vector<GroupMember> members;
     int next_member_id = 0;
   };
+  void Rebalance(GroupState& state);
 
-  void Rebalance(const std::string& group, const std::string& topic);
+  /// Committed offsets, [topic id][partition], grown on first commit.
+  struct GroupOffsets {
+    int coordinator = 0;
+    std::vector<std::vector<int64_t>> offsets;
+  };
+
+  /// The topic's state, or null for an unknown id.
+  const TopicState* FindState(TopicId topic) const;
+  /// Materializes (or returns) partition `tp`'s state; `tp` must be valid.
+  PartitionState& EnsurePart(const TopicPartition& tp);
+  int LeaderIndex(const TopicPartition& tp) const;
+  const std::string& LeaderName(const TopicPartition& tp) const;
+
+  uint32_t NewRequest(sim::HostId client, const TopicPartition& tp);
+  void ReleaseRequest(uint32_t request);
+  void ServeProduce(uint32_t request);
+  /// Frees the slot, then hands the ack (or error) to the client.
+  void CompleteProduce(uint32_t request, crayfish::Status status);
+
+  void ServeFetch(uint32_t request);
+  /// Reads the response at the broker and sends it back.
+  void AnswerFetch(uint32_t request);
+  /// Frees the slot, then hands the response to the client.
+  void DeliverFetch(uint32_t request);
+  void WakeWaiters(const TopicPartition& tp);
+  uint64_t BatchWireSize(const std::vector<Record>& batch) const;
 
   /// Flushes parked fetch waiters for all partitions led by a (newly
   /// crashed) broker with empty responses.
@@ -245,18 +289,22 @@ class KafkaCluster {
   sim::Network* network_;
   ClusterConfig config_;
   std::vector<std::string> broker_hosts_;
+  std::vector<sim::HostId> broker_host_ids_;
   std::vector<bool> broker_up_;
   /// Set once during setup, before any client exists; clients read them at
   /// construction only.
   crayfish::RetryPolicy client_retry_;
   double auto_commit_interval_s_ = 0.0;
-  /// Ordered maps on purpose (lint R3): rebalance and fetch scheduling
-  /// iterate these, so the container must enumerate in a stable order for
-  /// runs to be reproducible. Do not switch to unordered_map.
-  std::map<std::string, TopicState> topics_;
-  std::map<std::string, std::map<std::string, int64_t>> committed_;
-  /// Keyed by "group/topic".
+  /// Topics by id, plus the name index the edges resolve through.
+  std::vector<TopicState> topics_;
+  std::map<std::string, TopicId> topic_ids_;
+  /// Committed offsets by group id, plus the group-name index.
+  std::vector<GroupOffsets> committed_;
+  std::map<std::string, GroupId> group_ids_;
+  /// Dynamic groups keyed by "group/topic"; a crash rebalances them in
+  /// that order. Nodes are stable, so rebalance events point at them.
   std::map<std::string, GroupState> groups_;
+  sim::SlotPool<Request> requests_;
 };
 
 }  // namespace crayfish::broker

@@ -10,15 +10,18 @@
 
 namespace crayfish::broker {
 
-KafkaConsumer::KafkaConsumer(KafkaCluster* cluster, std::string client_host,
+KafkaConsumer::KafkaConsumer(KafkaCluster* cluster,
+                             const std::string& client_host,
                              std::string group, ConsumerConfig config)
-    : cluster_(cluster), client_host_(std::move(client_host)),
-      group_(std::move(group)), config_(config),
+    : cluster_(cluster), group_(std::move(group)), config_(config),
       generation_(std::make_shared<uint64_t>(0)),
       alive_(std::make_shared<bool>(true)) {
   CRAYFISH_CHECK(cluster != nullptr);
-  CRAYFISH_CHECK(cluster->network()->HasHost(client_host_))
-      << "consumer host " << client_host_ << " not on the network";
+  auto id = cluster->network()->FindHost(client_host);
+  CRAYFISH_CHECK(id.ok()) << "consumer host " << client_host
+                          << " not on the network";
+  client_id_ = *id;
+  group_id_ = cluster->InternGroup(group_);
   retry_ = config_.retry.enabled() ? config_.retry
                                    : cluster->default_client_retry();
   if (retry_.enabled()) {
@@ -49,7 +52,8 @@ KafkaConsumer::~KafkaConsumer() {
 crayfish::Status KafkaConsumer::Assign(const std::string& topic,
                                        const std::vector<int>& partitions,
                                        int64_t start_offset) {
-  CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(topic));
+  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, cluster_->FindTopic(topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(id));
   for (size_t i = 0; i < partitions.size(); ++i) {
     const int p = partitions[i];
     if (p < 0 || p >= total) {
@@ -57,7 +61,7 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
           "partition out of range: " + topic + "-" + std::to_string(p));
     }
     // A second fetch loop on one partition would fetch its records twice.
-    if (SlotOf(TopicPartition{topic, p}) >= 0 ||
+    if (SlotOf(TopicPartition{id, p}) >= 0 ||
         std::find(partitions.begin(), partitions.begin() + i, p) !=
             partitions.begin() + i) {
       return crayfish::Status::InvalidArgument(
@@ -65,15 +69,12 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
     }
   }
   for (int p : partitions) {
-    TopicPartition tp{topic, p};
+    const TopicPartition tp{id, p};
     const int64_t pos = start_offset >= 0
                             ? start_offset
-                            : cluster_->CommittedOffset(group_, tp);
-    // Pre-create the coordinator's offset slot, so poll-loop commits are
-    // value-only writes.
-    cluster_->EnsureCommitSlot(group_, tp);
-    assignment_.push_back(std::move(tp));
-    partitions_.push_back(PartitionState{pos, pos, 0, false});
+                            : cluster_->CommittedOffset(group_id_, tp);
+    assignment_.push_back(tp);
+    partitions_.push_back(PartitionState{pos, pos, 0, false, {}});
     FetchOnce(assignment_.size() - 1);
   }
   return crayfish::Status::Ok();
@@ -82,7 +83,8 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
 crayfish::Status KafkaConsumer::Subscribe(const std::string& topic,
                                           int member_count,
                                           int member_index) {
-  CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(topic));
+  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, cluster_->FindTopic(topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(id));
   return Assign(topic,
                 KafkaCluster::RangeAssign(total, member_count, member_index));
 }
@@ -92,14 +94,12 @@ crayfish::Status KafkaConsumer::SubscribeDynamic(const std::string& topic) {
     return crayfish::Status::FailedPrecondition(
         "already dynamically subscribed");
   }
-  auto alive = alive_;
+  // A member is never closed or destroyed: both leave the group first.
   CRAYFISH_ASSIGN_OR_RETURN(
       group_member_id_,
-      cluster_->JoinGroup(group_, topic,
-                          [this, alive, topic](std::vector<int> partitions) {
-                            if (!*alive || closed_) return;
-                            Reassign(topic, std::move(partitions));
-                          }));
+      cluster_->JoinGroup(group_, topic, [this](std::vector<int> partitions) {
+        Reassign(std::move(partitions));
+      }));
   dynamic_topic_ = topic;
   return crayfish::Status::Ok();
 }
@@ -111,41 +111,37 @@ void KafkaConsumer::Unsubscribe() {
   dynamic_topic_.clear();
 }
 
-void KafkaConsumer::Reassign(const std::string& topic,
-                             std::vector<int> partitions) {
+void KafkaConsumer::Reassign(std::vector<int> partitions) {
   ++rebalances_seen_;
   // Eager rebalance: commit what we have consumed, stop the old fetch
   // sessions, drop prefetched-but-undelivered records (their new owner
   // refetches them from the committed offsets), adopt the assignment.
   CommitPositions();
   ClearAssignment();
-  crayfish::Status s = Assign(topic, partitions);
+  crayfish::Status s = Assign(dynamic_topic_, partitions);
   CRAYFISH_CHECK(s.ok()) << s.ToString();
 }
 
 void KafkaConsumer::FailAndRestart(double restart_delay_s) {
   CRAYFISH_CHECK_GE(restart_delay_s, 0.0);
   if (closed_) return;
-  ++restarts_;
   // The task dies without committing: everything since the last commit
   // (including prefetched and delivered-but-uncommitted records) will be
   // refetched after the restart — duplicates, never loss.
   std::map<std::string, std::vector<int>> topics;
   for (const TopicPartition& tp : assignment_) {
-    topics[tp.topic].push_back(tp.partition);
+    topics[cluster_->topic_name(tp.topic)].push_back(tp.partition);
   }
   ClearAssignment();
   auto alive = alive_;
   if (pending_poll_) {
     // The engine's outstanding Poll sees an empty result once the task is
     // back (never before: the task is down in between).
-    *pending_poll_done_ = true;
     poll_armed_at_ = -1.0;
     PollCallback cb = std::move(pending_poll_);
     pending_poll_ = nullptr;
-    pending_poll_done_ = nullptr;
-    cluster_->simulation()->Schedule(restart_delay_s,
-                                     [cb = std::move(cb)]() { cb({}); });
+    cluster_->simulation()->Schedule(
+        restart_delay_s, [cb = std::move(cb)]() mutable { cb({}); });
   }
   cluster_->simulation()->Schedule(
       restart_delay_s, [this, alive, rebalances = rebalances_seen_,
@@ -209,7 +205,7 @@ void KafkaConsumer::FetchOnce(size_t slot) {
   }
   state.fetch_attempts = 0;
   cluster_->Fetch(
-      client_host_, tp, state.position, config_.fetch_max_records,
+      client_id_, tp, state.position, config_.fetch_max_records,
       config_.fetch_max_bytes, config_.fetch_max_wait_s,
       [this, slot, generation, my_generation](std::vector<Record> records) {
         if (*generation != my_generation) return;  // closed/reassigned
@@ -227,20 +223,22 @@ void KafkaConsumer::FetchOnce(size_t slot) {
           // Client-side deserialization before records become visible.
           const double deser = config_.deserialize_per_record_s *
                                static_cast<double>(records.size());
+          partitions_[slot].fetched = std::move(records);
           cluster_->simulation()->Schedule(
-              deser, [this, generation, my_generation, slot,
-                      records = std::move(records)]() mutable {
+              deser, [this, generation, my_generation, slot]() {
                 if (*generation != my_generation) return;
+                std::vector<Record>& fetched = partitions_[slot].fetched;
                 if (obs::TraceRecorder* tracer =
                         cluster_->simulation()->tracer()) {
                   const double now = cluster_->simulation()->Now();
-                  for (const Record& r : records) {
+                  for (const Record& r : fetched) {
                     tracer->Mark(r.batch_id, obs::Stage::kDeserialize, now);
                   }
                 }
-                for (Record& r : records) {
+                for (Record& r : fetched) {
                   buffer_.push_back(BufferedRecord{slot, std::move(r)});
                 }
+                fetched = std::vector<Record>();
                 MaybeDeliver();
                 // The poll callback may have failed or reassigned this
                 // consumer, retiring `slot`.
@@ -256,25 +254,23 @@ void KafkaConsumer::FetchOnce(size_t slot) {
 void KafkaConsumer::Poll(double timeout_s, PollCallback on_records) {
   CRAYFISH_CHECK(!pending_poll_) << "only one outstanding Poll is allowed";
   pending_poll_ = std::move(on_records);
-  pending_poll_done_ = std::make_shared<bool>(false);
+  const uint64_t seq = ++poll_seq_;
   poll_armed_at_ = cluster_->simulation()->Now();
-  auto done = pending_poll_done_;
   // Deliver immediately when buffered data exists (still async: next sim
-  // instant), otherwise arm the timeout.
+  // instant), otherwise arm the timeout. Either event acts only while this
+  // Poll is still the outstanding one.
   if (!buffer_.empty()) {
-    cluster_->simulation()->Schedule(0.0, [this, done]() {
-      if (*done) return;
+    cluster_->simulation()->Schedule(0.0, [this, alive = alive_, seq]() {
+      if (!*alive || !pending_poll_ || poll_seq_ != seq) return;
       MaybeDeliver();
     });
     return;
   }
-  cluster_->simulation()->Schedule(timeout_s, [this, done]() {
-    if (*done) return;
-    *done = true;
+  cluster_->simulation()->Schedule(timeout_s, [this, alive = alive_, seq]() {
+    if (!*alive || !pending_poll_ || poll_seq_ != seq) return;
     poll_armed_at_ = -1.0;
     PollCallback cb = std::move(pending_poll_);
     pending_poll_ = nullptr;
-    pending_poll_done_ = nullptr;
     if (cb) cb({});
   });
 }
@@ -308,10 +304,8 @@ void KafkaConsumer::MaybeDeliver() {
     buffer_.pop_front();
   }
   records_consumed_ += out.size();
-  *pending_poll_done_ = true;
   PollCallback cb = std::move(pending_poll_);
   pending_poll_ = nullptr;
-  pending_poll_done_ = nullptr;
   ResumePausedLoops();
   cb(std::move(out));
 }
@@ -328,7 +322,7 @@ void KafkaConsumer::ResumePausedLoops() {
 
 void KafkaConsumer::CommitPositions() {
   for (size_t slot = 0; slot < assignment_.size(); ++slot) {
-    cluster_->CommitOffset(group_, assignment_[slot],
+    cluster_->CommitOffset(group_id_, assignment_[slot],
                            partitions_[slot].delivered);
   }
 }
@@ -337,11 +331,7 @@ void KafkaConsumer::Close() {
   closed_ = true;
   Unsubscribe();
   ++(*generation_);
-  if (pending_poll_) {
-    *pending_poll_done_ = true;
-    pending_poll_ = nullptr;
-    pending_poll_done_ = nullptr;
-  }
+  pending_poll_ = nullptr;
 }
 
 int64_t KafkaConsumer::position(const TopicPartition& tp) const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,9 +54,10 @@ struct ConsumerConfig {
 /// efficiency.
 class KafkaConsumer {
  public:
-  using PollCallback = std::function<void(std::vector<Record>)>;
+  using PollCallback = sim::InlineFunction<void(std::vector<Record>)>;
 
-  KafkaConsumer(KafkaCluster* cluster, std::string client_host,
+  /// `client_host` must be registered on the cluster's network.
+  KafkaConsumer(KafkaCluster* cluster, const std::string& client_host,
                 std::string group, ConsumerConfig config = {});
 
   /// Manual partition assignment (the engines map tasks to partitions
@@ -127,8 +127,8 @@ class KafkaConsumer {
   size_t buffered() const { return buffer_.size(); }
   uint64_t records_consumed() const { return records_consumed_; }
   uint64_t retries() const { return retries_; }
-  uint64_t restarts() const { return restarts_; }
-  const std::string& group() const { return group_; }
+  /// Coordinator assignments adopted (dynamic membership).
+  uint64_t rebalances_seen() const { return rebalances_seen_; }
   const std::vector<TopicPartition>& assignment() const {
     return assignment_;
   }
@@ -145,7 +145,7 @@ class KafkaConsumer {
   void MaybeDeliver();
   void ResumePausedLoops();
   /// Adopts a coordinator assignment (dynamic membership).
-  void Reassign(const std::string& topic, std::vector<int> partitions);
+  void Reassign(std::vector<int> partitions);
   /// Clears the assignment and everything indexed by its slots.
   void ClearAssignment();
   /// Slot of `tp` in the assignment, or -1 when it is not assigned.
@@ -163,6 +163,9 @@ class KafkaConsumer {
     int fetch_attempts = 0;
     /// The fetch loop is paused on buffer pressure.
     bool paused = false;
+    /// The fetched records being deserialized (the slot's one fetch loop
+    /// has at most one response in that stage).
+    std::vector<Record> fetched;
   };
 
   /// A prefetched record plus the assignment slot it came from, so delivery
@@ -173,8 +176,9 @@ class KafkaConsumer {
   };
 
   KafkaCluster* cluster_;
-  std::string client_host_;
+  sim::HostId client_id_{};
   std::string group_;
+  GroupId group_id_{};
   ConsumerConfig config_;
   /// Assigned partitions, in assignment order: commits and paused-loop
   /// pickup walk this vector, so their order is deterministic.
@@ -196,7 +200,9 @@ class KafkaConsumer {
   std::shared_ptr<uint64_t> generation_;
 
   PollCallback pending_poll_;
-  std::shared_ptr<bool> pending_poll_done_;
+  /// Bumped by every Poll: a poll event acts only while its Poll is the
+  /// outstanding one.
+  uint64_t poll_seq_ = 0;
   /// Simulated instant the outstanding Poll was armed (-1 when none);
   /// feeds the poll-wait histogram.
   double poll_armed_at_ = -1.0;
@@ -205,16 +211,12 @@ class KafkaConsumer {
   obs::HistogramMetric* buffer_hist_ = nullptr;
   uint64_t records_consumed_ = 0;
   uint64_t retries_ = 0;
-  uint64_t restarts_ = 0;
-  /// Guards coordinator callbacks against consumer destruction.
+  /// Guards scheduled callbacks against consumer destruction.
   std::shared_ptr<bool> alive_;
   /// Dynamic-membership state (-1 = not dynamically subscribed).
   int group_member_id_ = -1;
   std::string dynamic_topic_;
   uint64_t rebalances_seen_ = 0;
-
- public:
-  uint64_t rebalances_seen() const { return rebalances_seen_; }
 };
 
 }  // namespace crayfish::broker

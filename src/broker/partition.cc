@@ -7,7 +7,6 @@ namespace crayfish::broker {
 int64_t Partition::Append(Record record, sim::SimTime log_append_time) {
   record.offset = end_offset();
   record.log_append_time = log_append_time;
-  total_bytes_ += record.wire_size;
   ++total_appended_;
   log_.push_back(std::move(record));
   const int64_t assigned = log_.back().offset;

@@ -34,7 +34,6 @@ class Partition {
     return start_offset_ + static_cast<int64_t>(log_.size());
   }
   uint64_t total_appended() const { return total_appended_; }
-  uint64_t total_bytes() const { return total_bytes_; }
 
   /// Drops records with offset < `offset` (retention / manual trim).
   void TrimTo(int64_t offset);
@@ -45,14 +44,12 @@ class Partition {
   void SetRetentionRecords(size_t max_records) {
     retention_records_ = max_records;
   }
-  size_t retention_records() const { return retention_records_; }
 
  private:
   std::deque<Record> log_;
   size_t retention_records_ = 0;
   int64_t start_offset_ = 0;
   uint64_t total_appended_ = 0;
-  uint64_t total_bytes_ = 0;
 };
 
 }  // namespace crayfish::broker

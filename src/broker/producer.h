@@ -2,8 +2,6 @@
 #define CRAYFISH_BROKER_PRODUCER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,6 +12,7 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "sim/slot_pool.h"
 
 namespace crayfish::broker {
 
@@ -38,17 +37,22 @@ struct ProducerConfig {
 /// sends produce requests to the leader broker over the network.
 class KafkaProducer {
  public:
-  using AckCallback = std::function<void(crayfish::Status)>;
+  using AckCallback = sim::InlineFunction<void(crayfish::Status)>;
 
-  KafkaProducer(KafkaCluster* cluster, std::string client_host,
+  /// `client_host` must be registered on the cluster's network.
+  KafkaProducer(KafkaCluster* cluster, const std::string& client_host,
                 ProducerConfig config = {});
-  /// Scheduled flushes and in-flight acks referencing this producer are
-  /// silently dropped once it is destroyed.
+  /// Unflushed records, scheduled flushes and retries are dropped once it
+  /// is destroyed. Flushed batches are still sent, and their acks fire
+  /// unless the batch was under the retry policy.
   ~KafkaProducer();
 
   /// Sends one record to `topic`, choosing a partition round-robin.
   /// `on_ack` (optional) fires when the broker acknowledges the batch
   /// containing this record.
+  crayfish::Status Send(TopicId topic, Record record,
+                        AckCallback on_ack = nullptr);
+  /// Resolves `topic` by name, then sends as above.
   crayfish::Status Send(const std::string& topic, Record record,
                         AckCallback on_ack = nullptr);
 
@@ -56,40 +60,56 @@ class KafkaProducer {
   crayfish::Status SendToPartition(const TopicPartition& tp, Record record,
                                    AckCallback on_ack = nullptr);
 
-  /// Flushes all pending batches immediately.
+  /// Flushes all pending batches now, in (topic name, partition) order.
   void Flush();
 
   uint64_t records_sent() const { return records_sent_; }
   uint64_t batches_sent() const { return batches_sent_; }
   uint64_t send_errors() const { return send_errors_; }
   uint64_t retries() const { return retries_; }
-  const std::string& client_host() const { return client_host_; }
-  const crayfish::RetryPolicy& retry_policy() const { return retry_; }
 
  private:
   struct PendingBatch {
     std::vector<Record> records;
+    /// Non-null acks only, in send order.
     std::vector<AckCallback> acks;
     uint64_t bytes = 0;
     bool flush_scheduled = false;
   };
 
+  /// A batch under the retry policy: the copy each re-send stages and the
+  /// acks it owes. Settling an attempt bumps the generation, so the loser
+  /// of {timeout, ack} is ignored.
+  struct InFlight {
+    TopicPartition tp;
+    std::vector<Record> records;
+    std::vector<AckCallback> acks;
+    int attempt = 0;
+    uint32_t generation = 0;
+  };
+
   void FlushPartition(const TopicPartition& tp);
-  /// Sends one produce attempt (0-based `attempt`), arming a timeout and
-  /// re-sending with backoff on retriable failure.
-  void SendBatch(const TopicPartition& tp, std::vector<Record> records,
-                 std::shared_ptr<std::vector<AckCallback>> acks, int attempt);
+  /// The ack of attempt `generation` of in-flight batch `slot`.
+  AckCallback AttemptAck(uint32_t slot);
+  /// Arms batch `slot`'s attempt timeout, then sends the staged request.
+  void SendAttempt(uint32_t slot, uint32_t staged);
+  /// Re-sends with backoff when retriable, otherwise fails the acks.
+  void FailAttempt(uint32_t slot, const crayfish::Status& s);
+  void ReleaseInFlight(uint32_t slot);
 
   KafkaCluster* cluster_;
-  std::string client_host_;
+  sim::HostId client_id_;
   ProducerConfig config_;
   /// Lifetime token: scheduled lambdas hold a copy and bail out when the
   /// producer is gone (simulated callbacks may outlive client objects).
   std::shared_ptr<bool> alive_;
-  /// Ordered (lint R3): flushes walk `pending_`, so batch emission order —
-  /// and therefore broker append order — must not depend on hash order.
-  std::map<std::string, int> round_robin_;
-  std::map<TopicPartition, PendingBatch> pending_;
+  /// Next round-robin partition, by topic id.
+  std::vector<int> round_robin_;
+  /// Accumulating batches, [topic id][partition]; Flush walks them in
+  /// topic-name order, so broker append order does not depend on ids.
+  std::vector<std::vector<PendingBatch>> pending_;
+  /// Retry-policy batches by slot.
+  sim::SlotPool<InFlight> in_flight_;
   /// Effective retry policy (config override or cluster default).
   crayfish::RetryPolicy retry_;
   /// Jitter RNG, forked only when retries are enabled so fault-free runs

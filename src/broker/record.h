@@ -53,20 +53,18 @@ struct Record {
 /// of the payload when computing wire sizes.
 inline constexpr uint64_t kRecordEnvelopeBytes = 64;
 
+/// Dense id of a topic: KafkaCluster::CreateTopic hands them out in
+/// creation order. The request path addresses topics by id (as Kafka's
+/// does since KIP-516); names stay at the edges.
+enum class TopicId : int32_t {};
+
 /// Identifies one partition of one topic.
 struct TopicPartition {
-  std::string topic;
+  TopicId topic{};
   int partition = 0;
 
-  bool operator<(const TopicPartition& other) const {
-    if (topic != other.topic) return topic < other.topic;
-    return partition < other.partition;
-  }
   bool operator==(const TopicPartition& other) const {
     return topic == other.topic && partition == other.partition;
-  }
-  std::string ToString() const {
-    return topic + "-" + std::to_string(partition);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -374,6 +375,17 @@ bool JsonValue::operator==(const JsonValue& other) const {
       return object_ == other.object_;
   }
   return false;
+}
+
+Status RejectUnknownFields(const JsonValue& v,
+                           std::initializer_list<std::string_view> known,
+                           const std::string& what) {
+  for (const auto& [key, value] : v.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::InvalidArgument("unknown " + what + " field: " + key);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace crayfish

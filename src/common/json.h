@@ -2,9 +2,11 @@
 #define CRAYFISH_COMMON_JSON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -100,6 +102,14 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON (adds surrounding quotes).
 std::string JsonEscape(const std::string& s);
+
+/// Rejects any member of the JSON object `v` not named in `known`, so a
+/// misspelled or misplaced config field is an error rather than a silent
+/// default. `what` names the object in the message ("unknown <what> field:
+/// <key>"). Every JSON config loader checks its objects with this.
+Status RejectUnknownFields(const JsonValue& v,
+                           std::initializer_list<std::string_view> known,
+                           const std::string& what);
 
 }  // namespace crayfish
 

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -301,7 +302,12 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     };
     hooks.task_count = eng->RestartableTasks();
     injector->set_hooks(std::move(hooks));
-    CRAYFISH_RETURN_IF_ERROR(injector->Arm());
+    // A zero-length run (duration and drain 0) only builds and tears down
+    // the deployment, which is how crayfish_perf times set-up: no fault of
+    // any plan could fire, so no horizon applies.
+    const double horizon = config.duration_s + config.drain_s;
+    CRAYFISH_RETURN_IF_ERROR(injector->Arm(
+        horizon > 0.0 ? horizon : std::numeric_limits<double>::infinity()));
   }
 
   // Elastic autoscaler: all ticks are pre-scheduled here, before the first
@@ -427,9 +433,12 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   result.real_inferences = engine->real_inferences();
   result.sim_end_s = sim.Now();
   result.sim_events_executed = sim.events_executed();
+  result.sim_heap_actions = sim.heap_actions();
   if (timed) {
     result.timeline = timeline;
     if (config.slo.active()) {
+      CRAYFISH_RETURN_IF_ERROR(
+          obs::SloMonitor::CheckMetrics(config.slo, *timeline));
       result.slo_report = obs::SloMonitor::Evaluate(config.slo, *timeline);
       result.has_slo_report = true;
       // SLO verdicts ride on the registry when one exists (or is created

@@ -141,6 +141,9 @@ struct ExperimentResult {
   uint64_t real_inferences = 0;
   double sim_end_s = 0.0;
   uint64_t sim_events_executed = 0;
+  /// Scheduled actions whose captures spilled to the heap
+  /// (Simulation::heap_actions); in memory only, never exported.
+  uint64_t sim_heap_actions = 0;
 
   // --- populated only when config.fault_plan is active ---
   bool has_fault_metrics = false;

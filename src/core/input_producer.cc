@@ -59,7 +59,12 @@ void InputProducer::EmitNext() {
     CRAYFISH_TRACE_WITH(sim_, tracer, {
       tracer->StartBatch(record.batch_id, record.create_time);
     });
-    CRAYFISH_CHECK_OK(producer_->Send(options_.topic, std::move(record)));
+    if (!topic_) {
+      auto topic = cluster_->FindTopic(options_.topic);
+      CRAYFISH_CHECK(topic.ok()) << topic.status().ToString();
+      topic_ = *topic;
+    }
+    CRAYFISH_CHECK_OK(producer_->Send(*topic_, std::move(record)));
     ++events_sent_;
 
     // Pace the next event from the *scheduled* emission time, not the

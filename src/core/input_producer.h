@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "broker/cluster.h"
@@ -52,6 +53,8 @@ class InputProducer {
   DataGenerator generator_;
   Options options_;
   std::unique_ptr<broker::KafkaProducer> producer_;
+  /// The input topic, resolved on the first send.
+  std::optional<broker::TopicId> topic_;
   bool stopped_ = false;
   uint64_t events_sent_ = 0;
   double next_emit_time_ = 0.0;

@@ -22,9 +22,9 @@ OutputConsumer::OutputConsumer(sim::Simulation* sim,
 }
 
 void OutputConsumer::Start() {
-  auto partitions_or = cluster_->NumPartitions(options_.topic);
-  CRAYFISH_CHECK(partitions_or.ok()) << partitions_or.status().ToString();
-  const int partitions = *partitions_or;
+  auto topic = cluster_->FindTopic(options_.topic);
+  CRAYFISH_CHECK(topic.ok()) << topic.status().ToString();
+  const int partitions = *cluster_->NumPartitions(*topic);
   std::vector<int> all(static_cast<size_t>(partitions));
   for (int p = 0; p < partitions; ++p) all[static_cast<size_t>(p)] = p;
   CRAYFISH_CHECK_OK(consumer_->Assign(options_.topic, all));

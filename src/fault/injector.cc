@@ -20,10 +20,16 @@ FaultInjector::FaultInjector(sim::Simulation* sim, sim::Network* network,
   CRAYFISH_CHECK(plan_ != nullptr);
 }
 
-Status FaultInjector::Arm() {
+Status FaultInjector::Arm(double until_s) {
   if (armed_) return Status::FailedPrecondition("injector already armed");
   CRAYFISH_RETURN_IF_ERROR(plan_->Validate());
   for (const FaultSpec& spec : plan_->faults) {
+    if (spec.at_s >= until_s) {
+      return Status::InvalidArgument(
+          spec.name + ": at_s " + std::to_string(spec.at_s) +
+          " is not before the end of the run (" + std::to_string(until_s) +
+          " s), so the fault would never fire");
+    }
     switch (spec.kind) {
       case FaultKind::kServingSlowdown:
         if (!hooks_.serving_slowdown) {

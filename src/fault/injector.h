@@ -41,9 +41,12 @@ class FaultInjector {
 
   void set_hooks(FaultHooks hooks) { hooks_ = std::move(hooks); }
 
-  /// Validates the plan against the wired hooks and schedules every
-  /// inject/repair event. Call once, before Simulation::Run.
-  Status Arm();
+  /// Validates the plan against the wired hooks and the run horizon
+  /// `until_s` (duration plus drain), and schedules every inject/repair
+  /// event. A fault that would inject at or after the horizon could never
+  /// fire, so it is an InvalidArgument rather than a silent no-op. Call
+  /// once, before Simulation::Run.
+  Status Arm(double until_s);
 
  private:
   void Inject(const FaultSpec& spec);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <sstream>
-#include <string_view>
 
 #include "common/config.h"
 #include "common/json.h"
@@ -23,19 +21,6 @@ Status ParseBool(const std::string& value, bool* out) {
     return Status::Ok();
   }
   return Status::InvalidArgument("not a bool: " + value);
-}
-
-/// Rejects any member of the JSON object `v` not named in `known`, so a
-/// misspelled or misplaced field is an error rather than a silent default.
-Status RejectUnknownFields(const JsonValue& v,
-                           std::initializer_list<std::string_view> known,
-                           const std::string& what) {
-  for (const auto& [key, value] : v.as_object()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      return Status::InvalidArgument("unknown " + what + " field: " + key);
-    }
-  }
-  return Status::Ok();
 }
 
 /// Sets one RetryPolicy field by name.

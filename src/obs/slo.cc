@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "obs/format.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
@@ -16,6 +17,23 @@ namespace {
 
 /// Sentinel burn rate for a breached objective with a zero error budget.
 constexpr double kInfiniteBurn = 1e9;
+
+bool IsBuiltinMetric(const std::string& m) {
+  return m == "throughput_eps" || m == "completions" ||
+         m == "p50_latency_s" || m == "p95_latency_s" ||
+         m == "p99_latency_s" || m == "mean_latency_s" ||
+         m == "max_latency_s";
+}
+
+/// A built-in, or a counter/gauge some window recorded. A timeline with no
+/// windows (a zero-length run) evaluates nothing, so it rejects no name.
+bool IsKnownMetric(const std::string& m, const TimelineSampler& timeline) {
+  if (IsBuiltinMetric(m) || timeline.windows().empty()) return true;
+  for (const TimelineWindow& w : timeline.windows()) {
+    if (w.counters.count(m) > 0 || w.gauges.count(m) > 0) return true;
+  }
+  return false;
+}
 
 /// Resolves `spec.metric` for one window. Returns false when the metric is
 /// undefined for this window (latency percentiles on an empty window, a
@@ -52,9 +70,8 @@ bool ResolveMetric(const SloSpec& spec, const TimelineWindow& w,
     *out = git->second;
     return true;
   }
-  // Known counter-style metrics that simply never fired resolve to 0 only
-  // when some *other* window recorded them — the caller handles that by
-  // treating unknown names as counters with value 0.
+  // A counter or gauge some *other* window recorded (Evaluate only asks
+  // for known metrics) resolves to 0 here: this window saw none of it.
   *out = 0.0;
   return true;
 }
@@ -81,6 +98,7 @@ StatusOr<SloConfig> SloConfig::FromJsonText(const std::string& text) {
   if (!root.is_object()) {
     return Status::InvalidArgument("SLO config: top level must be an object");
   }
+  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(root, {"slos"}, "SLO config"));
   const JsonValue* slos = root.Find("slos");
   if (slos == nullptr || !slos->is_array()) {
     return Status::InvalidArgument(
@@ -91,6 +109,8 @@ StatusOr<SloConfig> SloConfig::FromJsonText(const std::string& text) {
     if (!entry.is_object()) {
       return Status::InvalidArgument("SLO config: each slo must be an object");
     }
+    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+        entry, {"name", "metric", "max", "min", "error_budget"}, "SLO"));
     SloSpec spec;
     spec.metric = entry.GetStringOr("metric", "");
     if (spec.metric.empty()) {
@@ -132,6 +152,18 @@ StatusOr<SloConfig> SloConfig::FromFile(const std::string& path) {
   return FromJsonText(text.str());
 }
 
+Status SloMonitor::CheckMetrics(const SloConfig& config,
+                               const TimelineSampler& timeline) {
+  for (const SloSpec& spec : config.slos) {
+    if (!IsKnownMetric(spec.metric, timeline)) {
+      return Status::InvalidArgument(
+          "SLO \"" + spec.name + "\": unknown metric \"" + spec.metric +
+          "\" (not built in, and no window recorded it)");
+    }
+  }
+  return Status::Ok();
+}
+
 SloReport SloMonitor::Evaluate(const SloConfig& config,
                                const TimelineSampler& timeline) {
   SloReport report;
@@ -139,6 +171,12 @@ SloReport SloMonitor::Evaluate(const SloConfig& config,
   for (const SloSpec& spec : config.slos) {
     SloObjectiveReport obj;
     obj.spec = spec;
+    if (!IsKnownMetric(spec.metric, timeline)) {
+      obj.passed = false;
+      report.passed = false;
+      report.objectives.push_back(std::move(obj));
+      continue;
+    }
     bool in_breach = false;
     for (const TimelineWindow& w : timeline.windows()) {
       double value = 0.0;

@@ -96,7 +96,17 @@ struct SloReport {
 /// simulation, never during it.
 class SloMonitor {
  public:
-  /// `timeline` must be finalized.
+  /// InvalidArgument naming the first SLO whose metric is neither a
+  /// built-in (throughput_eps, completions, the latency statistics) nor a
+  /// counter or gauge that at least one window of `timeline` recorded — a
+  /// misspelled metric is an error, never a silent 0. A timeline with no
+  /// windows evaluates nothing and rejects no name. RunExperiment calls
+  /// this before Evaluate.
+  static crayfish::Status CheckMetrics(const SloConfig& config,
+                                       const TimelineSampler& timeline);
+
+  /// `timeline` must be finalized. An objective whose metric CheckMetrics
+  /// rejects evaluates no window and fails, so it can never pass.
   static SloReport Evaluate(const SloConfig& config,
                             const TimelineSampler& timeline);
 

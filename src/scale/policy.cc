@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/config.h"
+#include "common/json.h"
 
 namespace crayfish::scale {
 
@@ -66,6 +67,14 @@ StatusOr<PolicyConfig> PolicyConfig::FromJson(const JsonValue& v) {
   if (!v.is_object()) {
     return Status::InvalidArgument("autoscaler config must be a JSON object");
   }
+  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+      v,
+      {"kind", "interval_s", "min_replicas", "max_replicas", "step",
+       "cooldown_s", "scale_in_hysteresis", "scale_up_lag",
+       "scale_up_utilization", "scale_down_lag", "scale_down_utilization",
+       "hw_alpha", "hw_beta", "horizon_s", "rate_per_replica",
+       "target_utilization", "seed"},
+      "autoscaler"));
   PolicyConfig c;
   c.enabled = true;
   c.kind = v.GetStringOr("kind", c.kind);

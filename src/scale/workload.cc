@@ -4,8 +4,10 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/config.h"
+#include "common/json.h"
 
 namespace crayfish::scale {
 namespace {
@@ -222,10 +224,27 @@ Status WorkloadShape::Validate() const {
   return Status::Ok();
 }
 
+namespace {
+
+/// A workload spec's own (non-shape) JSON keys.
+constexpr std::string_view kSpecKeys[] = {
+    "tenants", "tenant_partitions", "tenant_rate_factor",
+    "tenant_topic_prefix", "tenant_host_prefix", "fleet_hosts",
+    "fleet_host_prefix"};
+
+}  // namespace
+
 StatusOr<WorkloadShape> WorkloadShape::FromJson(const JsonValue& v) {
   if (!v.is_object()) {
     return Status::InvalidArgument("workload shape must be a JSON object");
   }
+  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
+      v,
+      {"kind", "base_rate", "floor_rate", "jitter", "jitter_window_s", "seed",
+       "amplitude", "period_s", "phase_s", "spike_at_s", "spike_mult",
+       "ramp_up_s", "hold_s", "decay_s", "ramp_start_s", "ramp_duration_s",
+       "end_rate", "points"},
+      "workload shape"));
   WorkloadShape shape;
   const std::string kind_name = v.GetStringOr("kind", "constant");
   CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(kind_name));
@@ -280,11 +299,19 @@ StatusOr<WorkloadSpec> WorkloadSpec::FromJson(const JsonValue& v) {
   spec.enabled = true;
   // Shape fields live in a nested "shape" object when present; a flat
   // layout (shape keys at the top level) is accepted too, so small
-  // hand-written specs don't need the extra nesting.
+  // hand-written specs don't need the extra nesting. Either way, what is
+  // left once the spec's own keys are set aside must be shape keys (flat)
+  // or the "shape" object alone (nested).
+  JsonValue rest = v;
+  for (const std::string_view key : kSpecKeys) {
+    rest.as_object().erase(std::string(key));
+  }
   const JsonValue* shape = v.Find("shape");
-  CRAYFISH_ASSIGN_OR_RETURN(spec.shape,
-                            WorkloadShape::FromJson(shape != nullptr ? *shape
-                                                                     : v));
+  if (shape != nullptr) {
+    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(rest, {"shape"}, "workload"));
+  }
+  CRAYFISH_ASSIGN_OR_RETURN(
+      spec.shape, WorkloadShape::FromJson(shape != nullptr ? *shape : rest));
   spec.tenants = static_cast<int>(v.GetIntOr("tenants", spec.tenants));
   spec.tenant_partitions = static_cast<int>(
       v.GetIntOr("tenant_partitions", spec.tenant_partitions));

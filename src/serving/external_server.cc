@@ -22,6 +22,7 @@ ExternalServingServer::ExternalServingServer(sim::Simulation* sim,
         sim::Host{options_.host, /*vcpus=*/16, /*memory_bytes=*/60ULL << 30,
                   options_.use_gpu}));
   }
+  host_id_ = *network_->FindHost(options_.host);
   workers_ = std::make_unique<sim::ServerPool>(
       sim_, tool_name_ + "-workers", options_.workers);
   if (costs_.shared_intra_op_pool) {
@@ -37,6 +38,7 @@ ExternalServingServer::ExternalServingServer(sim::Simulation* sim,
   }
   models_[options_.model.name] = options_.model;
   model_versions_[options_.model.name] = 1;
+  default_model_ = &models_[options_.model.name];
 }
 
 void ExternalServingServer::Start() {
@@ -70,13 +72,6 @@ int ExternalServingServer::ModelVersion(
   return it == model_versions_.end() ? 0 : it->second;
 }
 
-const ModelProfile& ExternalServingServer::ResolveModel(
-    const std::string& name) const {
-  auto it = models_.find(name);
-  CRAYFISH_CHECK(it != models_.end()) << "unresolved model " << name;
-  return it->second;
-}
-
 uint64_t ExternalServingServer::RequestWireBytes(const ModelProfile& model,
                                                  int batch_size) const {
   // gRPC sends the tensor as packed f32 protobuf; HTTP (Ray Serve) ships
@@ -95,62 +90,91 @@ uint64_t ExternalServingServer::ResponseWireBytes(const ModelProfile& model,
                    static_cast<uint64_t>(batch_size);
 }
 
+uint32_t ExternalServingServer::NewRequest(sim::HostId client,
+                                           const ModelProfile* model,
+                                           int batch_size,
+                                           OnResponse on_response) {
+  const uint32_t r = requests_.Acquire();
+  PendingRequest& req = requests_[r];
+  req.client = client;
+  req.model = model;
+  req.batch_size = batch_size;
+  req.on_response = std::move(on_response);
+  req.next = kNoRequest;
+  return r;
+}
+
+void ExternalServingServer::ReleaseRequest(uint32_t r) {
+  requests_[r].on_response = nullptr;
+  requests_.Release(r);
+}
+
 void ExternalServingServer::Invoke(const std::string& client_host,
-                                   int batch_size,
-                                   std::function<void()> on_response) {
+                                   int batch_size, OnResponse on_response) {
+  auto client = network_->FindHost(client_host);
+  CRAYFISH_CHECK(client.ok()) << client.status().ToString();
+  Invoke(*client, batch_size, std::move(on_response));
+}
+
+void ExternalServingServer::Invoke(sim::HostId client, int batch_size,
+                                   OnResponse on_response) {
   CRAYFISH_CHECK_GT(batch_size, 0);
-  PendingRequest request;
-  request.client_host = client_host;
-  request.model_name = options_.model.name;
-  request.batch_size = batch_size;
-  request.on_response = std::move(on_response);
+  const uint32_t r =
+      NewRequest(client, default_model_, batch_size, std::move(on_response));
   const uint64_t bytes = RequestWireBytes(options_.model, batch_size);
-  network_->Send(client_host, options_.host, bytes,
-                 [this, request = std::move(request)]() mutable {
-                   HandleArrival(std::move(request));
-                 });
+  if (!network_->Send(client, host_id_, bytes,
+                      [this, r]() { HandleArrival(r); })) {
+    ReleaseRequest(r);
+  }
 }
 
 void ExternalServingServer::InvokeModel(
     const std::string& client_host, const std::string& model_name,
-    int batch_size, std::function<void(bool)> on_response) {
+    int batch_size, sim::InlineFunction<void(bool)> on_response) {
+  auto client = network_->FindHost(client_host);
+  CRAYFISH_CHECK(client.ok()) << client.status().ToString();
   auto it = models_.find(model_name);
   if (it == models_.end()) {
     // Error responses still cross the network.
-    network_->Send(client_host, options_.host, 256, [this, client_host,
-                                                     on_response]() {
-      network_->Send(options_.host, client_host, 128,
-                     [on_response]() { on_response(false); });
-    });
+    const uint32_t r = NewRequest(
+        *client, nullptr, batch_size,
+        [on_response = std::move(on_response)]() mutable {
+          on_response(false);
+        });
+    if (!network_->Send(*client, host_id_, 256, [this, r]() {
+          if (!network_->Send(host_id_, requests_[r].client, 128,
+                              [this, r]() { DeliverResponse(r); })) {
+            ReleaseRequest(r);
+          }
+        })) {
+      ReleaseRequest(r);
+    }
     return;
   }
-  PendingRequest request;
-  request.client_host = client_host;
-  request.model_name = model_name;
-  request.batch_size = batch_size;
-  request.on_response = [on_response = std::move(on_response)]() {
-    on_response(true);
-  };
+  const uint32_t r = NewRequest(
+      *client, &it->second, batch_size,
+      [on_response = std::move(on_response)]() mutable {
+        on_response(true);
+      });
   const uint64_t bytes = RequestWireBytes(it->second, batch_size);
-  network_->Send(client_host, options_.host, bytes,
-                 [this, request = std::move(request)]() mutable {
-                   HandleArrival(std::move(request));
-                 });
+  if (!network_->Send(*client, host_id_, bytes,
+                      [this, r]() { HandleArrival(r); })) {
+    ReleaseRequest(r);
+  }
 }
 
-void ExternalServingServer::HandleArrival(PendingRequest request) {
+void ExternalServingServer::HandleArrival(uint32_t r) {
   if (server_down_) {
     // Crashed serving process: the request vanishes; no response ever
     // leaves the host. Clients notice via their own timeouts.
     ++requests_dropped_;
+    ReleaseRequest(r);
     return;
   }
   if (!ready_) {
     // The service is still loading the model: retry shortly (clients
     // observe this as slow first responses).
-    sim_->Schedule(0.01, [this, request = std::move(request)]() mutable {
-      HandleArrival(std::move(request));
-    });
+    sim_->Schedule(0.01, [this, r]() { HandleArrival(r); });
     return;
   }
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
@@ -162,27 +186,26 @@ void ExternalServingServer::HandleArrival(PendingRequest request) {
   }
   if (http_proxy_ != nullptr) {
     // Ray Serve: one proxy per node forwards every request serially.
-    http_proxy_->Post(costs_.proxy_per_request_s,
-                      [this, request = std::move(request)]() mutable {
-                        if (options_.adaptive_batching) {
-                          EnqueueForBatching(std::move(request));
-                        } else {
-                          RunOnWorkers(std::move(request));
-                        }
-                      });
+    http_proxy_->Post(costs_.proxy_per_request_s, [this, r]() {
+      if (options_.adaptive_batching) {
+        EnqueueForBatching(r);
+      } else {
+        RunGroupOnWorkers(r);
+      }
+    });
     return;
   }
   if (options_.adaptive_batching) {
-    EnqueueForBatching(std::move(request));
+    EnqueueForBatching(r);
     return;
   }
-  RunOnWorkers(std::move(request));
+  RunGroupOnWorkers(r);
 }
 
-void ExternalServingServer::EnqueueForBatching(PendingRequest request) {
-  batch_queue_.push_back(std::move(request));
+void ExternalServingServer::EnqueueForBatching(uint32_t r) {
+  batch_queue_.push_back(r);
   int samples = 0;
-  for (const PendingRequest& r : batch_queue_) samples += r.batch_size;
+  for (const uint32_t q : batch_queue_) samples += requests_[q].batch_size;
   if (samples >= options_.max_batch) {
     FlushBatch();
     return;
@@ -198,9 +221,13 @@ void ExternalServingServer::EnqueueForBatching(PendingRequest request) {
 
 void ExternalServingServer::FlushBatch() {
   if (batch_queue_.empty()) return;
-  std::vector<PendingRequest> group;
-  group.swap(batch_queue_);
-  RunGroupOnWorkers(std::move(group));
+  // Chain the queued slots into one worker group, in arrival order.
+  for (size_t i = 0; i + 1 < batch_queue_.size(); ++i) {
+    requests_[batch_queue_[i]].next = batch_queue_[i + 1];
+  }
+  const uint32_t head = batch_queue_.front();
+  batch_queue_.clear();
+  RunGroupOnWorkers(head);
 }
 
 double ExternalServingServer::ComputeSeconds(const ModelProfile& model,
@@ -230,15 +257,7 @@ double ExternalServingServer::ComputeSeconds(const ModelProfile& model,
   return compute;
 }
 
-void ExternalServingServer::RunOnWorkers(PendingRequest request) {
-  std::vector<PendingRequest> group;
-  group.push_back(std::move(request));
-  RunGroupOnWorkers(std::move(group));
-}
-
-void ExternalServingServer::RunGroupOnWorkers(
-    std::vector<PendingRequest> group) {
-  CRAYFISH_CHECK(!group.empty());
+void ExternalServingServer::RunGroupOnWorkers(uint32_t head) {
   // Worker contention: tools whose workers own their compute (TorchServe
   // processes contend on the host/GIL) inflate the whole service; tools
   // with a shared compute pool only inflate request handling.
@@ -250,53 +269,60 @@ void ExternalServingServer::RunGroupOnWorkers(
   // batching is off). Mixed-model groups are charged per model run.
   double compute = 0.0;
   int samples_per_model = 0;
-  const std::string& model_name = group.front().model_name;
-  for (const PendingRequest& r : group) {
-    if (r.model_name == model_name) {
-      samples_per_model += r.batch_size;
+  const ModelProfile* model = requests_[head].model;
+  for (uint32_t r = head; r != kNoRequest; r = requests_[r].next) {
+    const PendingRequest& req = requests_[r];
+    if (req.model == model) {
+      samples_per_model += req.batch_size;
     } else {
-      compute += ComputeSeconds(ResolveModel(r.model_name), r.batch_size);
+      compute += ComputeSeconds(*req.model, req.batch_size);
     }
   }
-  compute += ComputeSeconds(ResolveModel(model_name), samples_per_model);
+  compute += ComputeSeconds(*model, samples_per_model);
   ++batches_executed_;
 
   const bool offload_compute =
       intra_op_pool_ != nullptr || gpu_ != nullptr;
   const double worker_service =
       offload_compute ? overhead : overhead + compute * contention;
-  auto shared_group =
-      std::make_shared<std::vector<PendingRequest>>(std::move(group));
-  auto respond_all = [this, shared_group]() {
-    for (PendingRequest& r : *shared_group) {
-      Respond(r.client_host, r.batch_size, std::move(r.on_response));
+  // The group's compute time rides in its head slot, so every closure
+  // below is `{this, head}` and fits std::function's inline buffer.
+  requests_[head].compute = compute;
+  workers_->Submit(worker_service, [this, head](sim::SimTime) {
+    const double group_compute = requests_[head].compute;
+    if (gpu_ != nullptr) {
+      gpu_->Post(group_compute, [this, head]() { RespondAll(head); });
+      return;
     }
-  };
-  workers_->Submit(
-      worker_service,
-      [this, compute, respond_all = std::move(respond_all)](
-          sim::SimTime) mutable {
-        if (gpu_ != nullptr) {
-          gpu_->Post(compute, std::move(respond_all));
-          return;
-        }
-        if (intra_op_pool_ != nullptr) {
-          // §4.3: intra-op parallelism pinned to 1 — all compute
-          // serializes on this pool regardless of worker count.
-          intra_op_pool_->Post(compute, std::move(respond_all));
-          return;
-        }
-        respond_all();
-      });
+    if (intra_op_pool_ != nullptr) {
+      // §4.3: intra-op parallelism pinned to 1 — all compute serializes on
+      // this pool regardless of worker count.
+      intra_op_pool_->Post(group_compute,
+                           [this, head]() { RespondAll(head); });
+      return;
+    }
+    RespondAll(head);
+  });
 }
 
-void ExternalServingServer::Respond(const std::string& client_host,
-                                    int batch_size,
-                                    std::function<void()> on_response) {
-  ++requests_served_;
-  network_->Send(options_.host, client_host,
-                 ResponseWireBytes(options_.model, batch_size),
-                 std::move(on_response));
+void ExternalServingServer::RespondAll(uint32_t head) {
+  for (uint32_t r = head; r != kNoRequest;) {
+    PendingRequest& req = requests_[r];
+    const uint32_t next = req.next;
+    ++requests_served_;
+    if (!network_->Send(host_id_, req.client,
+                        ResponseWireBytes(options_.model, req.batch_size),
+                        [this, r]() { DeliverResponse(r); })) {
+      ReleaseRequest(r);
+    }
+    r = next;
+  }
+}
+
+void ExternalServingServer::DeliverResponse(uint32_t r) {
+  OnResponse on_response = std::move(requests_[r].on_response);
+  ReleaseRequest(r);
+  if (on_response) on_response();
 }
 
 void ExternalServingServer::AutoscaleTick() {

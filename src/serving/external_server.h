@@ -2,18 +2,20 @@
 #define CRAYFISH_SERVING_EXTERNAL_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "serving/calibration.h"
 #include "serving/model_profile.h"
+#include "sim/inline_function.h"
 #include "sim/network.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
+#include "sim/slot_pool.h"
 
 namespace crayfish::obs {
 class HistogramMetric;
@@ -74,20 +76,24 @@ class ExternalServingServer {
   /// queue until the model is ready.
   void Start();
 
-  /// Issues one inference RPC from `client_host` for `batch_size` samples
+  using OnResponse = sim::InlineFunction<void()>;
+
+  /// Issues one inference RPC from `client` for `batch_size` samples
   /// against the default model. `on_response` fires at the simulated
   /// instant the client receives the response. The caller is responsible
   /// for modeling its own (blocking) thread occupancy (§4.3: all external
   /// calls execute as blocking).
+  void Invoke(sim::HostId client, int batch_size, OnResponse on_response);
+  /// Resolves `client_host` by name, then invokes as above.
   void Invoke(const std::string& client_host, int batch_size,
-              std::function<void()> on_response);
+              OnResponse on_response);
 
   /// Multi-model variant (§7: "deploy and serve thousands of models
   /// concurrently"): targets a model registered via DeployModel.
   /// Unknown model names answer with an error flag.
   void InvokeModel(const std::string& client_host,
                    const std::string& model_name, int batch_size,
-                   std::function<void(bool ok)> on_response);
+                   sim::InlineFunction<void(bool ok)> on_response);
 
   /// Registers (or hot-swaps, bumping the version) a model. The new
   /// version serves after its load time; in-flight requests for the
@@ -142,26 +148,41 @@ class ExternalServingServer {
   void PublishMetrics(obs::MetricsRegistry* registry) const;
 
  private:
+  static constexpr uint32_t kNoRequest = ~uint32_t{0};
+
+  /// An in-flight request. Events on its path capture only `{this, slot}`;
+  /// the slot returns to the free list when the client receives the
+  /// response, or when the request is dropped.
   struct PendingRequest {
-    std::string client_host;
-    std::string model_name;
+    sim::HostId client{};
+    /// Points into `models_` (map nodes are stable), so a hot-swap is seen
+    /// by requests already in flight, as before.
+    const ModelProfile* model = nullptr;
     int batch_size = 1;
-    std::function<void()> on_response;
+    OnResponse on_response;
+    /// Next request of the same worker group (adaptive batching), or
+    /// kNoRequest.
+    uint32_t next = kNoRequest;
+    /// Compute seconds of the group this request heads.
+    double compute = 0.0;
   };
 
+  uint32_t NewRequest(sim::HostId client, const ModelProfile* model,
+                      int batch_size, OnResponse on_response);
+  void ReleaseRequest(uint32_t request);
   /// Server-side handling once the request bytes arrive.
-  void HandleArrival(PendingRequest request);
-  void RunOnWorkers(PendingRequest request);
+  void HandleArrival(uint32_t request);
   /// Adaptive-batching path: queue and flush groups.
-  void EnqueueForBatching(PendingRequest request);
+  void EnqueueForBatching(uint32_t request);
   void FlushBatch();
-  void RunGroupOnWorkers(std::vector<PendingRequest> group);
-  void Respond(const std::string& client_host, int batch_size,
-               std::function<void()> on_response);
+  /// Runs the group of requests chained from `head` as one inference.
+  void RunGroupOnWorkers(uint32_t head);
+  void RespondAll(uint32_t head);
+  /// Hands the response to the client and frees the slot.
+  void DeliverResponse(uint32_t request);
   /// Reads queue depth across the whole service and resizes the worker
   /// pool.
   void AutoscaleTick();
-  const ModelProfile& ResolveModel(const std::string& name) const;
   double ComputeSeconds(const ModelProfile& model, int batch_size);
   uint64_t RequestWireBytes(const ModelProfile& model,
                             int batch_size) const;
@@ -172,6 +193,7 @@ class ExternalServingServer {
   sim::Network* network_;
   std::string tool_name_;
   ExternalServerOptions options_;
+  sim::HostId host_id_{};
   ExternalCosts costs_;
   crayfish::Rng rng_;
   bool ready_ = false;
@@ -192,8 +214,11 @@ class ExternalServingServer {
   /// simulated serving, so iteration order is scheduling-visible.
   std::map<std::string, ModelProfile> models_;
   std::map<std::string, int> model_versions_;
-  /// Adaptive-batching queue.
-  std::vector<PendingRequest> batch_queue_;
+  /// The default model's entry in `models_`.
+  const ModelProfile* default_model_ = nullptr;
+  sim::SlotPool<PendingRequest> requests_;
+  /// Adaptive-batching queue of request slots.
+  std::vector<uint32_t> batch_queue_;
   bool batch_timer_armed_ = false;
   uint64_t batches_executed_ = 0;
   /// Lazily resolved total-queue-depth histogram labeled by tool.

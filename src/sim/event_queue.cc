@@ -10,17 +10,10 @@ namespace crayfish::sim {
 uint64_t EventQueue::Push(SimTime time, InlineAction action) {
   const uint64_t seq = next_seq_++;
   CRAYFISH_CHECK_LT(seq, kMaxSeq) << "event sequence numbers exhausted";
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(action);
-  } else {
-    CRAYFISH_CHECK_LT(slots_.size(), kMaxSlots)
-        << "more than " << kMaxSlots << " pending events";
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(std::move(action));
-  }
+  const uint32_t slot = actions_.Acquire();
+  CRAYFISH_CHECK_LT(slot, kMaxSlots)
+      << "more than " << kMaxSlots << " pending events";
+  actions_[slot] = std::move(action);
   const Key key{time, (seq << kSlotBits) | slot};
   // Sift up with a hole: most events are scheduled later than their parent
   // (DES schedules into the future), so the common case is zero moves.
@@ -65,8 +58,8 @@ Event EventQueue::Pop() {
     heap_[i] = last;
   }
   const auto slot = static_cast<uint32_t>(top.seq_slot & (kMaxSlots - 1));
-  Event event{top.time, top.seq_slot >> kSlotBits, std::move(slots_[slot])};
-  free_slots_.push_back(slot);
+  Event event{top.time, top.seq_slot >> kSlotBits, std::move(actions_[slot])};
+  actions_.Release(slot);
   return event;
 }
 

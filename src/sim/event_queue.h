@@ -6,7 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/inline_action.h"
+#include "sim/inline_function.h"
+#include "sim/slot_pool.h"
 
 namespace crayfish::sim {
 
@@ -50,17 +51,9 @@ class EventQueue {
   /// Removes and returns the earliest event.
   Event Pop();
 
-  /// Pre-sizes the heap and the slot store (both are reused in place; this
-  /// only avoids the first few vector growths of a large run).
-  void Reserve(size_t n) {
-    heap_.reserve(n);
-    slots_.reserve(n);
-    free_slots_.reserve(n);
-  }
-
   /// Number of action slots ever allocated (live plus free). A steady run
   /// reuses freed slots, so this tracks the peak number of pending events.
-  size_t slot_capacity() const { return slots_.size(); }
+  size_t slot_capacity() const { return actions_.capacity(); }
 
  private:
   static constexpr size_t kArity = 4;
@@ -84,10 +77,7 @@ class EventQueue {
 
   std::vector<Key> heap_;
   /// Pending actions by slot; a slot keeps its address while the heap sifts.
-  std::vector<InlineAction> slots_;
-  /// Freed slots, reused last-in first-out (the most recently freed slot is
-  /// the one most likely still in cache).
-  std::vector<uint32_t> free_slots_;
+  SlotPool<InlineAction> actions_;
   uint64_t next_seq_ = 0;
 };
 

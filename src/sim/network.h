@@ -55,22 +55,17 @@ class Link {
 
   /// Delivers `bytes` to the receiver, invoking `on_delivered` at the
   /// simulated arrival instant. Under a `drop` degradation the transfer is
-  /// counted as dropped and `on_delivered` never fires.
-  void Transfer(uint64_t bytes, InlineAction on_delivered);
-
-  /// Time a transfer of `bytes` would take on an idle link.
-  double IdleTransferTime(uint64_t bytes) const;
+  /// counted as dropped, `on_delivered` is destroyed without running, and
+  /// Transfer returns false.
+  bool Transfer(uint64_t bytes, InlineAction on_delivered);
 
   /// Applies (or, with a default-constructed argument, lifts) a fault
   /// overlay. CHECK-fails unless the multipliers keep bandwidth strictly
   /// positive and latency non-negative.
   void SetDegradation(LinkDegradation deg);
-  const LinkDegradation& degradation() const { return degradation_; }
 
   uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t transfers() const { return transfers_; }
   uint64_t dropped_transfers() const { return dropped_transfers_; }
-  const LinkSpec& spec() const { return spec_; }
 
  private:
   Simulation* sim_;
@@ -78,9 +73,12 @@ class Link {
   LinkDegradation degradation_;
   SimTime tx_free_at_ = 0.0;
   uint64_t bytes_sent_ = 0;
-  uint64_t transfers_ = 0;
   uint64_t dropped_transfers_ = 0;
 };
+
+/// Dense id of a host, handed out by Network::AddHost in registration
+/// order. Events address hosts by id; names stay at the edges.
+enum class HostId : uint32_t {};
 
 /// A machine in the simulated cluster. Hosts are bookkeeping entities: they
 /// name endpoints for the network and describe the resources (vCPUs,
@@ -99,17 +97,19 @@ class Network {
  public:
   explicit Network(Simulation* sim);
 
-  /// Registers a host. Returns AlreadyExists if the name is taken.
+  /// Registers a host under the next HostId; AlreadyExists if the name is
+  /// taken.
   crayfish::Status AddHost(Host host);
   bool HasHost(const std::string& name) const;
   crayfish::StatusOr<Host> GetHost(const std::string& name) const;
+  /// NotFound for an unknown name. Components resolve ids at construction.
+  crayfish::StatusOr<HostId> FindHost(const std::string& name) const;
 
   /// Overrides the spec used for the (from, to) directed pair; affects the
   /// link created on first use (or re-creates an existing one).
   void SetLinkSpec(const std::string& from, const std::string& to,
                    LinkSpec spec);
-  /// Default spec for pairs with no override.
-  void SetDefaultLinkSpec(LinkSpec spec) { default_spec_ = spec; }
+  /// Spec for pairs with no override.
   const LinkSpec& default_spec() const { return default_spec_; }
 
   /// Installs a degradation rule for the (from, to) directed pair; an empty
@@ -127,40 +127,35 @@ class Network {
 
   /// Sends `bytes` from `from` to `to`; `on_delivered` fires at arrival.
   /// Transfers between a host and itself are instantaneous (loopback).
-  /// CHECK-fails on unknown hosts (topology errors are programmer errors).
-  void Send(const std::string& from, const std::string& to, uint64_t bytes,
-            InlineAction on_delivered);
+  /// Returns false when a partitioned link dropped the transfer (and with
+  /// it `on_delivered`), so a sender can release request state it keeps.
+  /// CHECK-fails on an out-of-range id.
+  bool Send(HostId from, HostId to, uint64_t bytes, InlineAction on_delivered);
 
   /// Idle-link transfer estimate between two hosts.
   double IdleTransferTime(const std::string& from, const std::string& to,
                           uint64_t bytes) const;
 
   uint64_t total_bytes_sent() const;
-  size_t host_count() const { return hosts_.size(); }
   /// Materialized directed links (links are lazy; this counts only pairs
   /// that actually communicated, so a thousand-host topology does not cost
   /// a million Link objects).
   size_t live_link_count() const;
 
  private:
-  /// Outgoing links of one source host, created on first use.
-  struct HostLinks {
-    std::map<std::string, std::unique_ptr<Link>> out;
-  };
-
-  Link* GetOrCreateLink(const std::string& from, const std::string& to);
+  Link* GetOrCreateLink(HostId from, HostId to);
+  LinkSpec SpecFor(const std::string& from, const std::string& to) const;
 
   Simulation* sim_;
   LinkSpec default_spec_;
-  /// Ordered (lint R3): topology walks schedule simulated transfers, so
-  /// host/link enumeration order is part of the reproducible event order.
-  std::map<std::string, Host> hosts_;
+  /// Hosts by id, plus the name -> id index the edges resolve through.
+  std::vector<Host> hosts_;
+  std::map<std::string, HostId> host_ids_;
   std::map<std::pair<std::string, std::string>, LinkSpec> spec_overrides_;
   std::map<std::pair<std::string, std::string>, LinkDegradation> degradations_;
-  /// Source host -> its outgoing-link bucket. Both levels are sorted maps,
-  /// so every enumeration (degradation re-resolution, byte totals) is
-  /// deterministic regardless of which link materialized first.
-  std::map<std::string, HostLinks> links_by_src_;
+  /// links_[from][to], grown on first use (null: never communicated).
+  /// Enumerations update or sum each link on its own: order-independent.
+  std::vector<std::vector<std::unique_ptr<Link>>> links_;
 };
 
 }  // namespace crayfish::sim

@@ -49,7 +49,6 @@ void ServerPool::StartJob(Job job) {
   ++busy_;
   const SimTime wait = sim_->Now() - job.enqueue_time;
   wait_stats_.Add(wait);
-  service_stats_.Add(job.service_time);
   busy_time_ += job.service_time;
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
     if (!wait_hist_) {

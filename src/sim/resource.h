@@ -73,10 +73,6 @@ class ServerPool {
   double Utilization() const;
   /// Utilization plus cumulative queue-wait statistics (count, mean, max).
   UtilizationStats UtilizationReport() const;
-  const crayfish::RunningStats& wait_stats() const { return wait_stats_; }
-  const crayfish::RunningStats& service_stats() const {
-    return service_stats_;
-  }
   const std::string& name() const { return name_; }
 
  private:
@@ -100,7 +96,6 @@ class ServerPool {
   double busy_time_ = 0.0;
   SimTime created_at_;
   crayfish::RunningStats wait_stats_;
-  crayfish::RunningStats service_stats_;
   // Lazily resolved from sim_->metrics(); null when metrics are disabled.
   obs::HistogramMetric* wait_hist_ = nullptr;
   obs::HistogramMetric* depth_hist_ = nullptr;

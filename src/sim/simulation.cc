@@ -5,15 +5,17 @@
 
 namespace crayfish::sim {
 
-Simulation::Simulation(uint64_t seed) : seed_(seed), rng_(seed) {}
+Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 void Simulation::Schedule(SimTime delay, InlineAction action) {
   if (delay < 0.0) delay = 0.0;
+  if (action.on_heap()) ++heap_actions_;
   queue_.Push(now_ + delay, std::move(action));
 }
 
 void Simulation::ScheduleAt(SimTime time, InlineAction action) {
   if (time < now_) time = now_;
+  if (action.on_heap()) ++heap_actions_;
   queue_.Push(time, std::move(action));
 }
 

@@ -37,7 +37,8 @@ class Simulation {
   /// Schedules `action` to run `delay` seconds from now. Negative delays
   /// clamp to zero (fire at the current instant, after pending same-time
   /// events). Accepts any void() callable; captures up to
-  /// InlineAction::kInlineBytes are stored without allocating.
+  /// InlineAction::kInlineBytes are stored without allocating (larger ones
+  /// are counted in heap_actions()).
   void Schedule(SimTime delay, InlineAction action);
 
   /// Schedules `action` at an absolute time; times before Now() clamp to
@@ -53,14 +54,14 @@ class Simulation {
 
   /// Requests that Run() return after the current event completes.
   void Stop() { stop_requested_ = true; }
-  bool stopped() const { return stop_requested_; }
 
   /// Per-experiment root RNG; components call ForkRng() to obtain private
   /// deterministic streams.
   Rng ForkRng() { return rng_.Fork(); }
-  uint64_t seed() const { return seed_; }
 
   uint64_t events_executed() const { return events_executed_; }
+  /// Scheduled actions whose captures spilled to the heap (deterministic).
+  uint64_t heap_actions() const { return heap_actions_; }
   size_t pending_events() const { return queue_.size(); }
 
   /// Attaches observability collectors (either may be nullptr). The
@@ -84,12 +85,12 @@ class Simulation {
   obs::TimelineSampler* timeline() const { return timeline_; }
 
  private:
-  uint64_t seed_;
   Rng rng_;
   SimTime now_ = 0.0;
   EventQueue queue_;
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;
+  uint64_t heap_actions_ = 0;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TimelineSampler* timeline_ = nullptr;

@@ -33,6 +33,13 @@ StreamEngine::StreamEngine(sim::Simulation* sim, sim::Network* network,
         sim::Host{config_.host, /*vcpus=*/64, /*memory_bytes=*/240ULL << 30,
                   scoring_.use_gpu}));
   }
+  host_id_ = *network_->FindHost(config_.host);
+}
+
+crayfish::StatusOr<int> StreamEngine::InputPartitions() const {
+  CRAYFISH_ASSIGN_OR_RETURN(broker::TopicId topic,
+                            cluster_->FindTopic(config_.input_topic));
+  return cluster_->NumPartitions(topic);
 }
 
 double StreamEngine::StressMultiplier(size_t queue_depth) {
@@ -114,7 +121,7 @@ void StreamEngine::InvokeExternalWithStress(int batch_size,
   }
   const double started = sim_->Now();
   scoring_.server->Invoke(
-      config_.host, batch_size,
+      host_id_, batch_size,
       [this, multiplier, started, done = std::move(done)]() mutable {
         const double elapsed = sim_->Now() - started;
         sim_->Schedule((multiplier - 1.0) * elapsed, std::move(done));
@@ -157,7 +164,7 @@ void StreamEngine::InvokeExternalAttempt(
     // the record keeps flowing (scoring work is lost, the record is not).
     (*done)();
   });
-  scoring_.server->Invoke(config_.host, batch_size,
+  scoring_.server->Invoke(host_id_, batch_size,
                           [this, settled, multiplier, started, done]() {
                             if (*settled) return;
                             *settled = true;
@@ -227,7 +234,11 @@ crayfish::Status StreamEngine::EmitScored(broker::KafkaProducer* producer,
   out.wire_size = scoring_.model.OutputBatchWireBytes(
       static_cast<int>(in.batch_size));
   ++records_emitted_;
-  return producer->Send(config_.output_topic, std::move(out));
+  if (!output_topic_) {
+    CRAYFISH_ASSIGN_OR_RETURN(output_topic_,
+                              cluster_->FindTopic(config_.output_topic));
+  }
+  return producer->Send(*output_topic_, std::move(out));
 }
 
 crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "broker/cluster.h"
@@ -172,6 +173,9 @@ class StreamEngine {
   crayfish::Status EmitScored(broker::KafkaProducer* producer,
                               const broker::Record& in);
 
+  /// Partition count of the input topic.
+  crayfish::StatusOr<int> InputPartitions() const;
+
   /// Validation mode: when the embedded library holds a real model and
   /// the record carries a materialized payload, actually runs inference
   /// on it (true JSON parse -> tensor -> forward pass). The result is
@@ -191,6 +195,10 @@ class StreamEngine {
   EngineConfig config_;
   ScoringConfig scoring_;
   crayfish::Rng rng_;
+  /// The engine host and the output topic, resolved once (the output
+  /// topic on the first emit, as it may be created after the engine).
+  sim::HostId host_id_{};
+  std::optional<broker::TopicId> output_topic_;
   bool stopped_ = false;
   uint64_t events_scored_ = 0;
   uint64_t records_emitted_ = 0;

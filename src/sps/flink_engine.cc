@@ -74,8 +74,7 @@ crayfish::Status FlinkEngine::Start() {
 }
 
 crayfish::Status FlinkEngine::StartChained() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                            cluster_->NumPartitions(config_.input_topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
   for (int i = 0; i < n; ++i) {
     SlotState slot;
@@ -229,8 +228,7 @@ void FlinkEngine::ProcessChainedRecords(
 }
 
 crayfish::Status FlinkEngine::StartUnchained() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                            cluster_->NumPartitions(config_.input_topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int s = std::max(1, config_.source_parallelism);
   const int n = config_.parallelism;
   const int k = std::max(1, config_.sink_parallelism);

@@ -22,8 +22,7 @@ KafkaStreamsEngine::KafkaStreamsEngine(sim::Simulation* sim,
 KafkaStreamsEngine::~KafkaStreamsEngine() { Stop(); }
 
 crayfish::Status KafkaStreamsEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                            cluster_->NumPartitions(config_.input_topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
   for (int i = 0; i < n; ++i) {
     StreamThread thread;

@@ -33,8 +33,7 @@ double RayEngine::PyInferSeconds(int batch_size) const {
 }
 
 crayfish::Status RayEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                            cluster_->NumPartitions(config_.input_topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
   const double inflation =
       1.0 + costs_.contention_alpha * static_cast<double>(n - 1);

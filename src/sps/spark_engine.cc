@@ -25,8 +25,7 @@ SparkEngine::SparkEngine(sim::Simulation* sim, sim::Network* network,
 SparkEngine::~SparkEngine() { Stop(); }
 
 crayfish::Status SparkEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions,
-                            cluster_->NumPartitions(config_.input_topic));
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   std::vector<int> all(static_cast<size_t>(partitions));
   for (int p = 0; p < partitions; ++p) all[static_cast<size_t>(p)] = p;
   broker::ConsumerConfig cc;

@@ -86,40 +86,71 @@ class ClusterTest : public ::testing::Test {
     CRAYFISH_CHECK_OK(
         network_.AddHost(sim::Host{"client", 4, 1ULL << 30, false}));
     CRAYFISH_CHECK_OK(cluster_.CreateTopic("t", 4));
+    client_ = *network_.FindHost("client");
+  }
+  /// Stages and sends one produce request, as KafkaProducer does.
+  void Produce(const TopicPartition& tp, std::vector<Record> batch,
+               ProduceAck on_ack) {
+    cluster_.SendProduce(cluster_.StageProduce(client_, tp, std::move(batch),
+                                               std::move(on_ack)));
+  }
+  /// Resolves a topic name the way clients do, once, at the edge.
+  TopicPartition Tp(const std::string& topic, int partition) const {
+    auto id = cluster_.FindTopic(topic);
+    CRAYFISH_CHECK(id.ok()) << id.status().ToString();
+    return TopicPartition{*id, partition};
   }
   sim::Simulation sim_;
   sim::Network network_;
   KafkaCluster cluster_;
+  sim::HostId client_{};
 };
 
 TEST_F(ClusterTest, TopicManagement) {
-  EXPECT_TRUE(cluster_.HasTopic("t"));
-  EXPECT_FALSE(cluster_.HasTopic("x"));
-  EXPECT_EQ(*cluster_.NumPartitions("t"), 4);
+  EXPECT_TRUE(cluster_.FindTopic("t").ok());
+  EXPECT_EQ(*cluster_.NumPartitions(Tp("t", 0).topic), 4);
   EXPECT_EQ(cluster_.CreateTopic("t", 2).code(),
             crayfish::StatusCode::kAlreadyExists);
   EXPECT_FALSE(cluster_.CreateTopic("bad", 0).ok());
-  EXPECT_FALSE(cluster_.NumPartitions("x").ok());
+  EXPECT_EQ(cluster_.FindTopic("x").status().code(),
+            crayfish::StatusCode::kNotFound);
+}
+
+TEST_F(ClusterTest, TopicIdsAreDenseAndUnknownIdsAreNotFound) {
+  ASSERT_TRUE(cluster_.CreateTopic("a", 2).ok());
+  EXPECT_EQ(Tp("t", 0).topic, TopicId{0});
+  EXPECT_EQ(Tp("a", 0).topic, TopicId{1});
+  EXPECT_EQ(cluster_.topic_name(TopicId{1}), "a");
+  EXPECT_EQ(cluster_.PartitionName(Tp("a", 1)), "a-1");
+  const TopicId ghost{7};
+  EXPECT_EQ(cluster_.NumPartitions(ghost).status().code(),
+            crayfish::StatusCode::kNotFound);
+  EXPECT_EQ(cluster_.GetPartition(TopicPartition{ghost, 0}).status().code(),
+            crayfish::StatusCode::kNotFound);
+  EXPECT_EQ(cluster_.GetPartition(Tp("t", 4)).status().code(),
+            crayfish::StatusCode::kNotFound);
+  EXPECT_EQ(cluster_.GetPartition(Tp("t", -1)).status().code(),
+            crayfish::StatusCode::kNotFound);
 }
 
 TEST_F(ClusterTest, LeadershipSpreadsAcrossBrokers) {
-  std::set<std::string> leaders;
+  std::set<sim::HostId> leaders;
   for (int p = 0; p < 4; ++p) {
-    leaders.insert(cluster_.LeaderHost(TopicPartition{"t", p}));
+    leaders.insert(cluster_.LeaderHost(Tp("t", p)));
   }
   EXPECT_EQ(leaders.size(), 4u);
 }
 
 TEST_F(ClusterTest, ProduceStampsLogAppendTimeAtBroker) {
   bool acked = false;
-  cluster_.Produce("client", TopicPartition{"t", 0}, {MakeRecord(7, 0.0)},
+  Produce(Tp("t", 0), {MakeRecord(7, 0.0)},
                    [&](crayfish::Status s) {
                      EXPECT_TRUE(s.ok());
                      acked = true;
                    });
   sim_.RunUntilIdle();
   EXPECT_TRUE(acked);
-  Partition* p = *cluster_.GetPartition(TopicPartition{"t", 0});
+  Partition* p = *cluster_.GetPartition(Tp("t", 0));
   EXPECT_EQ(p->end_offset(), 1);
   std::vector<Record> out;
   ASSERT_TRUE(p->Fetch(0, 1, 1 << 20, &out).ok());
@@ -130,7 +161,7 @@ TEST_F(ClusterTest, ProduceStampsLogAppendTimeAtBroker) {
 TEST_F(ClusterTest, ProduceOverMaxRequestSizeFails) {
   Record big = MakeRecord(1, 0.0, 60ULL * 1024 * 1024);
   crayfish::Status got;
-  cluster_.Produce("client", TopicPartition{"t", 0}, {big},
+  Produce(Tp("t", 0), {big},
                    [&](crayfish::Status s) { got = s; });
   sim_.RunUntilIdle();
   EXPECT_TRUE(got.IsInvalidArgument());
@@ -138,18 +169,18 @@ TEST_F(ClusterTest, ProduceOverMaxRequestSizeFails) {
 
 TEST_F(ClusterTest, ProduceToUnknownTopicReportsNotFound) {
   crayfish::Status got;
-  cluster_.Produce("client", TopicPartition{"nope", 0}, {MakeRecord(1)},
+  Produce(TopicPartition{TopicId{99}, 0}, {MakeRecord(1)},
                    [&](crayfish::Status s) { got = s; });
   sim_.RunUntilIdle();
   EXPECT_TRUE(got.IsNotFound());
 }
 
 TEST_F(ClusterTest, FetchReturnsAppendedRecords) {
-  cluster_.Produce("client", TopicPartition{"t", 1},
+  Produce(Tp("t", 1),
                    {MakeRecord(1), MakeRecord(2)}, nullptr);
   std::vector<Record> got;
   sim_.Schedule(0.5, [&] {
-    cluster_.Fetch("client", TopicPartition{"t", 1}, 0, 10, 1 << 20, 0.5,
+    cluster_.Fetch(client_, Tp("t", 1), 0, 10, 1 << 20, 0.5,
                    [&](std::vector<Record> records) { got = records; });
   });
   sim_.RunUntilIdle();
@@ -161,7 +192,7 @@ TEST_F(ClusterTest, FetchReturnsAppendedRecords) {
 TEST_F(ClusterTest, LongPollWakesOnAppend) {
   std::vector<Record> got;
   double got_at = -1.0;
-  cluster_.Fetch("client", TopicPartition{"t", 0}, 0, 10, 1 << 20,
+  cluster_.Fetch(client_, Tp("t", 0), 0, 10, 1 << 20,
                  /*max_wait=*/10.0, [&](std::vector<Record> records) {
                    got = records;
                    got_at = sim_.Now();
@@ -169,7 +200,7 @@ TEST_F(ClusterTest, LongPollWakesOnAppend) {
   // Append arrives at t=1: the parked fetch must answer promptly, far
   // before the 10 s timeout.
   sim_.Schedule(1.0, [&] {
-    cluster_.Produce("client", TopicPartition{"t", 0}, {MakeRecord(5)},
+    Produce(Tp("t", 0), {MakeRecord(5)},
                      nullptr);
   });
   sim_.RunUntilIdle();
@@ -181,7 +212,7 @@ TEST_F(ClusterTest, LongPollWakesOnAppend) {
 TEST_F(ClusterTest, LongPollTimesOutEmpty) {
   bool answered = false;
   size_t n = 99;
-  cluster_.Fetch("client", TopicPartition{"t", 0}, 0, 10, 1 << 20, 0.2,
+  cluster_.Fetch(client_, Tp("t", 0), 0, 10, 1 << 20, 0.2,
                  [&](std::vector<Record> records) {
                    answered = true;
                    n = records.size();
@@ -194,12 +225,12 @@ TEST_F(ClusterTest, LongPollTimesOutEmpty) {
 TEST_F(ClusterTest, FetchBelowRetentionAutoResets) {
   ASSERT_TRUE(cluster_.SetTopicRetention("t", 2).ok());
   for (int i = 0; i < 5; ++i) {
-    cluster_.Produce("client", TopicPartition{"t", 0}, {MakeRecord(i)},
+    Produce(Tp("t", 0), {MakeRecord(i)},
                      nullptr);
   }
   std::vector<Record> got;
   sim_.Schedule(1.0, [&] {
-    cluster_.Fetch("client", TopicPartition{"t", 0}, 0, 10, 1 << 20, 0.1,
+    cluster_.Fetch(client_, Tp("t", 0), 0, 10, 1 << 20, 0.1,
                    [&](std::vector<Record> records) { got = records; });
   });
   sim_.RunUntilIdle();
@@ -208,11 +239,11 @@ TEST_F(ClusterTest, FetchBelowRetentionAutoResets) {
 }
 
 TEST_F(ClusterTest, OffsetCommitStore) {
-  TopicPartition tp{"t", 2};
-  EXPECT_EQ(cluster_.CommittedOffset("g", tp), 0);
-  cluster_.CommitOffset("g", tp, 41);
-  EXPECT_EQ(cluster_.CommittedOffset("g", tp), 41);
-  EXPECT_EQ(cluster_.CommittedOffset("other", tp), 0);
+  const TopicPartition tp = Tp("t", 2);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 0);
+  cluster_.CommitOffset(cluster_.InternGroup("g"), tp, 41);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 41);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("other"), tp), 0);
 }
 
 TEST(RangeAssignTest, CoversAllPartitionsDisjointly) {
@@ -237,7 +268,7 @@ TEST_F(ClientTest, ProducerRoundRobinsPartitions) {
   producer.Flush();
   sim_.RunUntilIdle();
   for (int p = 0; p < 4; ++p) {
-    Partition* part = *cluster_.GetPartition(TopicPartition{"t", p});
+    Partition* part = *cluster_.GetPartition(Tp("t", p));
     EXPECT_EQ(part->end_offset(), 2) << "partition " << p;
   }
   EXPECT_EQ(producer.records_sent(), 8u);
@@ -248,7 +279,7 @@ TEST_F(ClientTest, ProducerBatchesSameInstantSends) {
   int acks = 0;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(producer
-                    .SendToPartition(TopicPartition{"t", 0}, MakeRecord(i),
+                    .SendToPartition(Tp("t", 0), MakeRecord(i),
                                      [&](crayfish::Status s) {
                                        EXPECT_TRUE(s.ok());
                                        ++acks;
@@ -261,6 +292,65 @@ TEST_F(ClientTest, ProducerBatchesSameInstantSends) {
   EXPECT_EQ(producer.batches_sent(), 1u);
 }
 
+TEST_F(ClientTest, FlushWalksTopicsInNameOrderNotIdOrder) {
+  // "zz" gets the lower id; Flush must still send "aa" first, so on the
+  // shared leader link its batch is appended first.
+  ASSERT_TRUE(cluster_.CreateTopic("zz", 4).ok());
+  ASSERT_TRUE(cluster_.CreateTopic("aa", 4).ok());
+  KafkaProducer producer(&cluster_, "client");
+  ASSERT_TRUE(producer.SendToPartition(Tp("zz", 0), MakeRecord(1)).ok());
+  ASSERT_TRUE(producer.SendToPartition(Tp("aa", 0), MakeRecord(2)).ok());
+  producer.Flush();
+  sim_.RunUntilIdle();
+  std::vector<Record> zz;
+  std::vector<Record> aa;
+  ASSERT_TRUE((*cluster_.GetPartition(Tp("zz", 0)))->Fetch(0, 1, 1 << 20, &zz)
+                  .ok());
+  ASSERT_TRUE((*cluster_.GetPartition(Tp("aa", 0)))->Fetch(0, 1, 1 << 20, &aa)
+                  .ok());
+  ASSERT_EQ(zz.size(), 1u);
+  ASSERT_EQ(aa.size(), 1u);
+  EXPECT_LT(aa[0].log_append_time, zz[0].log_append_time);
+}
+
+TEST_F(ClientTest, FlushedRecordsOutliveTheProducer) {
+  bool acked = false;
+  {
+    KafkaProducer producer(&cluster_, "client");
+    ASSERT_TRUE(producer
+                    .SendToPartition(Tp("t", 0), MakeRecord(1),
+                                     [&](crayfish::Status s) {
+                                       acked = s.ok();
+                                     })
+                    .ok());
+    producer.Flush();
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ((*cluster_.GetPartition(Tp("t", 0)))->end_offset(), 1);
+  EXPECT_TRUE(acked);
+}
+
+TEST_F(ClientTest, RetryingProducerDropsAcksButNotRecordsWhenDestroyed) {
+  // Under the retry policy a batch's acks live in the producer's retry
+  // state and go with it; the flushed records are still appended.
+  crayfish::RetryPolicy retry;
+  retry.max_retries = 3;
+  retry.timeout_s = 0.5;
+  cluster_.SetClientDefaults(retry, /*auto_commit_interval_s=*/0.0);
+  bool acked = false;
+  {
+    KafkaProducer producer(&cluster_, "client");
+    ASSERT_TRUE(producer
+                    .SendToPartition(Tp("t", 0), MakeRecord(1),
+                                     [&](crayfish::Status) { acked = true; })
+                    .ok());
+    producer.Flush();
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ((*cluster_.GetPartition(Tp("t", 0)))->end_offset(), 1);
+  EXPECT_FALSE(acked);
+}
+
 TEST_F(ClientTest, ProducerRejectsOversizeRecord) {
   KafkaProducer producer(&cluster_, "client");
   EXPECT_FALSE(
@@ -271,7 +361,7 @@ TEST_F(ClientTest, ProducerRejectsUnknownTopicAndPartition) {
   KafkaProducer producer(&cluster_, "client");
   EXPECT_FALSE(producer.Send("ghost", MakeRecord(1)).ok());
   EXPECT_FALSE(
-      producer.SendToPartition(TopicPartition{"t", 9}, MakeRecord(1)).ok());
+      producer.SendToPartition(Tp("t", 9), MakeRecord(1)).ok());
 }
 
 TEST_F(ClientTest, ConsumerReceivesProducedRecords) {
@@ -328,16 +418,16 @@ TEST_F(ClientTest, ConsumerPositionAdvancesAndCommits) {
   ASSERT_TRUE(consumer.Assign("t", {0}).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        producer.SendToPartition(TopicPartition{"t", 0}, MakeRecord(i))
+        producer.SendToPartition(Tp("t", 0), MakeRecord(i))
             .ok());
   }
   producer.Flush();
   consumer.Poll(1.0, [&](std::vector<Record>) {});
   sim_.Run(3.0);
-  TopicPartition tp{"t", 0};
+  const TopicPartition tp = Tp("t", 0);
   EXPECT_EQ(consumer.position(tp), 3);
   consumer.CommitPositions();
-  EXPECT_EQ(cluster_.CommittedOffset("g", tp), 3);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 3);
 
   // A new consumer in the same group resumes at the committed offset.
   KafkaConsumer resumed(&cluster_, "client", "g");
@@ -351,7 +441,7 @@ TEST_F(ClientTest, CloseStopsDelivery) {
   ASSERT_TRUE(consumer.Assign("t", {0}).ok());
   consumer.Close();
   ASSERT_TRUE(
-      producer.SendToPartition(TopicPartition{"t", 0}, MakeRecord(1)).ok());
+      producer.SendToPartition(Tp("t", 0), MakeRecord(1)).ok());
   producer.Flush();
   sim_.Run(2.0);
   EXPECT_EQ(consumer.buffered(), 0u);
@@ -366,7 +456,7 @@ TEST_F(ClientTest, BufferBoundPausesFetching) {
   ASSERT_TRUE(consumer.Assign("t", {0}).ok());
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(
-        producer.SendToPartition(TopicPartition{"t", 0}, MakeRecord(i))
+        producer.SendToPartition(Tp("t", 0), MakeRecord(i))
             .ok());
   }
   producer.Flush();
@@ -394,11 +484,11 @@ TEST_F(ClientTest, AssignRejectsAlreadyAssignedPartition) {
     EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   }
   EXPECT_EQ(consumer.assignment(),
-            (std::vector<TopicPartition>{{"t", 0}, {"t", 1}}));
+            (std::vector<TopicPartition>{Tp("t", 0), Tp("t", 1)}));
   // One fetch loop per partition: every record arrives exactly once.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        producer.SendToPartition(TopicPartition{"t", 1}, MakeRecord(i))
+        producer.SendToPartition(Tp("t", 1), MakeRecord(i))
             .ok());
   }
   producer.Flush();
@@ -413,20 +503,20 @@ TEST_F(ClientTest, AssignRejectsAlreadyAssignedPartition) {
   sim_.Run(5.0);
   consumer.Close();
   EXPECT_EQ(got.size(), 10u);
-  EXPECT_EQ(consumer.position(TopicPartition{"t", 1}), 10);
-  EXPECT_EQ(consumer.delivered_position(TopicPartition{"t", 1}), 10);
-  EXPECT_EQ(consumer.position(TopicPartition{"t", 2}), -1);
+  EXPECT_EQ(consumer.position(Tp("t", 1)), 10);
+  EXPECT_EQ(consumer.delivered_position(Tp("t", 1)), 10);
+  EXPECT_EQ(consumer.position(Tp("t", 2)), -1);
 }
 
 TEST_F(ClientTest, EndToEndLatencyIsCreateToAppend) {
   // Mirrors §3.3: start time at the producer, end time = LogAppendTime.
   KafkaProducer producer(&cluster_, "client");
   Record r = MakeRecord(1, /*create_time=*/0.0);
-  ASSERT_TRUE(producer.SendToPartition(TopicPartition{"t", 0}, r).ok());
+  ASSERT_TRUE(producer.SendToPartition(Tp("t", 0), r).ok());
   producer.Flush();
   sim_.RunUntilIdle();
   std::vector<Record> out;
-  ASSERT_TRUE((*cluster_.GetPartition(TopicPartition{"t", 0}))
+  ASSERT_TRUE((*cluster_.GetPartition(Tp("t", 0)))
                   ->Fetch(0, 1, 1 << 20, &out)
                   .ok());
   ASSERT_EQ(out.size(), 1u);
@@ -436,6 +526,59 @@ TEST_F(ClientTest, EndToEndLatencyIsCreateToAppend) {
   EXPECT_LT(latency, 0.01);
 }
 
+
+TEST_F(ClientTest, BrokerCrashRetriesAreAtLeastOnce) {
+  // Crash a leader mid-stream: its parked fetch flushes empty, the
+  // consumer backs off until the restart, and the producer keeps retrying
+  // sends into the dead partition (timeouts and Unavailable errors both
+  // re-send from the producer's in-flight copy). At-least-once = every
+  // record delivered exactly once here: nothing is rewound.
+  crayfish::RetryPolicy retry;
+  retry.max_retries = 8;
+  retry.timeout_s = 0.5;
+  cluster_.SetClientDefaults(retry, /*auto_commit_interval_s=*/0.0);
+
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("t", {0, 1, 2, 3}).ok());
+
+  std::multiset<uint64_t> seen;
+  std::function<void()> drain = [&]() {
+    consumer.Poll(0.3, [&](std::vector<Record> records) {
+      for (const Record& r : records) seen.insert(r.batch_id);
+      drain();
+    });
+  };
+
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(producer.Send("t", MakeRecord(i)).ok());
+  }
+  producer.Flush();
+  drain();
+
+  const int coord = 1;
+  sim_.Schedule(2.0, [&]() { cluster_.CrashBroker(coord); });
+  sim_.Schedule(3.0, [&]() {
+    // Produced mid-outage: sends to the dead broker's partition retry
+    // with backoff until the leader is back.
+    for (int i = 40; i < 80; ++i) {
+      CRAYFISH_CHECK_OK(producer.Send("t", MakeRecord(i)));
+    }
+    producer.Flush();
+  });
+  sim_.Schedule(6.0, [&]() { cluster_.RestartBroker(coord); });
+  sim_.Run(25.0);
+
+  for (uint64_t id = 0; id < 80; ++id) {
+    EXPECT_GE(seen.count(id), 1u) << "record " << id << " lost";
+  }
+  std::set<uint64_t> unique(seen.begin(), seen.end());
+  EXPECT_EQ(unique.size(), 80u);
+  EXPECT_GT(producer.retries(), 0u);
+  EXPECT_GT(consumer.retries(), 0u);
+  EXPECT_EQ(producer.send_errors(), 0u);
+  EXPECT_TRUE(cluster_.IsBrokerUp(coord));  // restarted
+}
 
 // ---------------------------------------------------- group coordinator --
 

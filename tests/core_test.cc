@@ -179,7 +179,8 @@ TEST_F(PipelineTest, ProducerRecordsStartTimestamps) {
   int64_t total = 0;
   for (int p = 0; p < 8; ++p) {
     broker::Partition* part =
-        *cluster_.GetPartition(broker::TopicPartition{"crayfish-in", p});
+        *cluster_.GetPartition(broker::TopicPartition{
+            *cluster_.FindTopic("crayfish-in"), p});
     std::vector<broker::Record> out;
     CRAYFISH_CHECK_OK(part->Fetch(0, 100, 1 << 30, &out));
     for (const broker::Record& r : out) {

@@ -338,6 +338,47 @@ TEST(FaultExperimentTest, BrokerCrashRecoversWithoutLoss) {
       result->metrics->Gauge("fault_downtime_s")->value(), 8.0);
 }
 
+/// Run horizon (duration + drain) the injector tests arm against.
+constexpr double kHorizonS = 10.0;
+
+TEST(FaultInjectorTest, ArmRejectsAFaultAtOrAfterTheRunHorizon) {
+  sim::Simulation sim(1);
+  sim::Network network(&sim);
+  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
+  fault::RecoveryTracker tracker;
+  fault::FaultPlan plan;
+  plan.faults.push_back(BrokerCrash(2.0, 3.0));
+  plan.faults.push_back(BrokerCrash(kHorizonS, kHorizonS + 1.0));
+  plan.faults.back().name = "too-late";
+  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
+  const Status armed = injector.Arm(kHorizonS);
+  ASSERT_TRUE(armed.IsInvalidArgument()) << armed.ToString();
+  EXPECT_NE(armed.message().find("too-late"), std::string::npos)
+      << armed.ToString();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // Just inside the horizon arms (a repair past the end is fine: the
+  // outage simply lasts until the run stops).
+  plan.faults.back().at_s = kHorizonS - 0.5;
+  fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
+  EXPECT_TRUE(valid.Arm(kHorizonS).ok());
+}
+
+TEST(FaultExperimentTest, FaultAfterTheRunEndsFailsTheRun) {
+  core::ExperimentConfig cfg = FaultedConfig("tf-serving");
+  const double end_s = cfg.duration_s + cfg.drain_s;
+  cfg.fault_plan.faults.push_back(BrokerCrash(end_s, end_s + 1.0));
+  auto result = core::RunExperiment(cfg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  // A zero-length run only builds and tears down the deployment (how set-up
+  // is timed): it has no horizon to check.
+  cfg.duration_s = 0.0;
+  cfg.drain_s = 0.0;
+  auto setup_only = core::RunExperiment(cfg);
+  EXPECT_TRUE(setup_only.ok()) << setup_only.status().ToString();
+}
+
 TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
   sim::Simulation sim(1);
   sim::Network network(&sim);
@@ -348,7 +389,7 @@ TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
   plan.faults.push_back(BrokerCrash(2.0, 3.0));
   plan.faults.back().broker = 4;
   fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
-  const Status armed = injector.Arm();
+  const Status armed = injector.Arm(kHorizonS);
   ASSERT_FALSE(armed.ok());
   EXPECT_TRUE(armed.IsInvalidArgument());
   EXPECT_NE(armed.message().find("broker 4"), std::string::npos)
@@ -358,7 +399,7 @@ TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
   EXPECT_EQ(sim.pending_events(), 0u);
   plan.faults.back().broker = 3;
   fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
-  EXPECT_TRUE(valid.Arm().ok());
+  EXPECT_TRUE(valid.Arm(kHorizonS).ok());
 }
 
 TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
@@ -382,7 +423,7 @@ TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
   hooks.task_count = 2;
   fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
   injector.set_hooks(hooks);
-  const Status armed = injector.Arm();
+  const Status armed = injector.Arm(kHorizonS);
   ASSERT_FALSE(armed.ok());
   EXPECT_TRUE(armed.IsInvalidArgument());
   EXPECT_NE(armed.message().find("task 2"), std::string::npos)
@@ -394,7 +435,7 @@ TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
   plan.faults.back().task_index = 1;
   fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
   valid.set_hooks(hooks);
-  ASSERT_TRUE(valid.Arm().ok());
+  ASSERT_TRUE(valid.Arm(kHorizonS).ok());
   sim.Run(2.0);
   EXPECT_EQ(restarted, 1);
 }
@@ -416,7 +457,7 @@ TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
   spec.to = "ghost";
   plan.faults.push_back(spec);
   fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
-  const Status armed = injector.Arm();
+  const Status armed = injector.Arm(kHorizonS);
   ASSERT_FALSE(armed.ok());
   EXPECT_TRUE(armed.IsInvalidArgument());
   EXPECT_NE(armed.message().find("slow-net"), std::string::npos)
@@ -428,7 +469,7 @@ TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
   plan.faults.back().from = "*";
   plan.faults.back().to = "";
   fault::FaultInjector star(&sim, &network, &cluster, &tracker, &plan);
-  const Status star_armed = star.Arm();
+  const Status star_armed = star.Arm(kHorizonS);
   ASSERT_FALSE(star_armed.ok());
   EXPECT_NE(star_armed.message().find("'*'"), std::string::npos)
       << star_armed.ToString();
@@ -436,11 +477,11 @@ TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
   plan.faults.back().from = "client";
   plan.faults.back().to = "";
   fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
-  EXPECT_TRUE(valid.Arm().ok());
+  EXPECT_TRUE(valid.Arm(kHorizonS).ok());
   plan.faults.back().from = "";
   plan.faults.back().to = cluster.broker_hosts().front();
   fault::FaultInjector to_broker(&sim, &network, &cluster, &tracker, &plan);
-  EXPECT_TRUE(to_broker.Arm().ok());
+  EXPECT_TRUE(to_broker.Arm(kHorizonS).ok());
 }
 
 TEST(FaultExperimentTest, NonexistentTaskFailsTheRun) {

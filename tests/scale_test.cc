@@ -22,6 +22,7 @@
 #include "common/logging.h"
 #include "core/experiment.h"
 #include "core/sweep.h"
+#include "fault/plan.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "scale/autoscaler.h"
@@ -164,6 +165,49 @@ TEST(WorkloadSpecTest, IntegerOverridesRejectFractionsAndOverflow) {
   EXPECT_FALSE(p.ApplyOverride("seed", "-1").ok());
   ASSERT_TRUE(p.ApplyOverride("max_replicas", "16.0").ok());
   EXPECT_EQ(p.max_replicas, 16);
+}
+
+TEST(WorkloadSpecTest, MisspelledJsonFieldIsRejected) {
+  // Flat layout: "base_rat" is neither a shape key nor a spec key.
+  auto flat = WorkloadSpec::FromJsonText(
+      R"({"kind": "flash-crowd", "base_rat": 300, "spike_at_s": 12})");
+  ASSERT_TRUE(flat.status().IsInvalidArgument()) << flat.status().ToString();
+  EXPECT_NE(flat.status().message().find("base_rat"), std::string::npos);
+  // Nested layout: a shape key beside "shape", and a typo inside it.
+  EXPECT_TRUE(WorkloadSpec::FromJsonText(
+                  R"({"shape": {"kind": "constant"}, "base_rate": 300})")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(WorkloadSpec::FromJsonText(
+                  R"({"shape": {"kind": "constant", "base_rat": 300}})")
+                  .status()
+                  .IsInvalidArgument());
+  // Spec keys sit beside either layout.
+  EXPECT_TRUE(WorkloadSpec::FromJsonText(
+                  R"({"shape": {"kind": "constant"}, "tenants": 2})")
+                  .ok());
+  EXPECT_TRUE(
+      WorkloadSpec::FromJsonText(R"({"kind": "constant", "tenants": 2})")
+          .ok());
+}
+
+TEST(PolicyConfigTest, MisspelledJsonFieldIsRejected) {
+  auto cfg = PolicyConfig::FromJsonText(
+      R"({"kind": "reactive", "interval_s": 2, "cooldwn_s": 4})");
+  ASSERT_TRUE(cfg.status().IsInvalidArgument()) << cfg.status().ToString();
+  EXPECT_NE(cfg.status().message().find("cooldwn_s"), std::string::npos);
+}
+
+TEST(ExampleConfigsTest, EveryJsonConfigLoadsUnderStrictFieldChecks) {
+  const std::string dir = CRAYFISH_EXAMPLE_CONFIGS_DIR;
+  auto workload = WorkloadSpec::FromFile(dir + "/workload_flash_crowd.json");
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  auto policy = PolicyConfig::FromFile(dir + "/autoscaler_reactive.json");
+  EXPECT_TRUE(policy.ok()) << policy.status().ToString();
+  auto slo = obs::SloConfig::FromFile(dir + "/slo_default.json");
+  EXPECT_TRUE(slo.ok()) << slo.status().ToString();
+  auto plan = fault::FaultPlan::FromFile(dir + "/faults_broker_crash.json");
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
 }
 
 TEST(PolicyConfigTest, JsonAndOverridesRoundTrip) {
@@ -608,11 +652,12 @@ TEST(ScaleTopologyTest, ThousandHostWideTopicConstructsLean) {
   // A thousand-host fleet allocates none of the ~10^6 host-pair links up
   // front; untouched partitions stay null slots.
   EXPECT_EQ(network.live_link_count(), 0u);
-  auto n = cluster.NumPartitions("wide");
+  auto n = cluster.NumPartitions(*cluster.FindTopic("wide"));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 256);
   // Touching one partition materializes exactly that partition's state.
-  auto p = cluster.GetPartition(broker::TopicPartition{"wide", 17});
+  auto p = cluster.GetPartition(
+      broker::TopicPartition{*cluster.FindTopic("wide"), 17});
   ASSERT_TRUE(p.ok());
   EXPECT_EQ((*p)->end_offset(), 0);
 }

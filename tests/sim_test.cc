@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "sim/event_queue.h"
+#include "sim/inline_function.h"
 #include "sim/network.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
@@ -180,6 +182,45 @@ TEST(EventQueueTest, SteadyStateReusesFreedSlots) {
   }
   EXPECT_EQ(q.size(), kPending);
   EXPECT_EQ(q.slot_capacity(), kPending);
+}
+
+TEST(InlineFunctionTest, ReportsHeapSpillsAndForwardsArguments) {
+  Lifecycle counts;
+  InlineAction large = MakeCounted(&counts, 0);  // ids 0, 3, ... spill
+  InlineAction small = MakeCounted(&counts, 1);
+  InlineAction empty;
+  EXPECT_FALSE(small.on_heap());
+  EXPECT_TRUE(large.on_heap());
+  EXPECT_FALSE(empty.on_heap());
+  // Relocation keeps the storage class.
+  InlineAction moved = std::move(large);
+  EXPECT_TRUE(moved.on_heap());
+
+  InlineFunction<int(std::vector<int>, int)> sum =
+      [base = 10](std::vector<int> v, int extra) {
+        int total = base + extra;
+        for (int x : v) total += x;
+        return total;
+      };
+  EXPECT_FALSE(sum.on_heap());
+  EXPECT_EQ(sum({1, 2, 3}, 4), 20);
+  auto owned = std::make_unique<int>(5);
+  InlineFunction<int()> move_only = [p = std::move(owned)] { return *p; };
+  EXPECT_EQ(move_only(), 5);
+}
+
+TEST(SimulationTest, CountsHeapActionsAtScheduleTime) {
+  Lifecycle counts;
+  Simulation sim;
+  for (int id = 0; id < 9; ++id) {
+    sim.Schedule(0.1, MakeCounted(&counts, id));  // ids 0, 3, 6 spill
+  }
+  sim.ScheduleAt(0.2, MakeCounted(&counts, 9));
+  sim.ScheduleAt(0.2, MakeCounted(&counts, 10));
+  EXPECT_EQ(sim.heap_actions(), 4u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.heap_actions(), 4u);
+  EXPECT_EQ(sim.events_executed(), 11u);
 }
 
 TEST(SimulationTest, ClockAdvancesMonotonically) {
@@ -386,6 +427,12 @@ TEST(SerialExecutorTest, UtilizationReportZeroSpanIsAllZero) {
 
 // ----------------------------------------------------------------- network --
 
+HostId Id(const Network& net, const std::string& name) {
+  auto id = net.FindHost(name);
+  CRAYFISH_CHECK(id.ok()) << id.status().ToString();
+  return *id;
+}
+
 TEST(NetworkTest, TransferTimeIsLatencyPlusSerialization) {
   Simulation sim;
   Network net(&sim);
@@ -396,7 +443,7 @@ TEST(NetworkTest, TransferTimeIsLatencyPlusSerialization) {
   spec.bandwidth_bytes_per_s = 1000.0;
   net.SetLinkSpec("a", "b", spec);
   double delivered = -1.0;
-  net.Send("a", "b", 500, [&] { delivered = sim.Now(); });
+  net.Send(Id(net, "a"), Id(net, "b"), 500, [&] { delivered = sim.Now(); });
   sim.RunUntilIdle();
   EXPECT_NEAR(delivered, 0.01 + 0.5, 1e-9);
 }
@@ -411,8 +458,10 @@ TEST(NetworkTest, BandwidthSerializesLatencyOverlaps) {
   spec.bandwidth_bytes_per_s = 1000.0;
   net.SetLinkSpec("a", "b", spec);
   std::vector<double> delivered;
-  net.Send("a", "b", 1000, [&] { delivered.push_back(sim.Now()); });
-  net.Send("a", "b", 1000, [&] { delivered.push_back(sim.Now()); });
+  const HostId a = Id(net, "a");
+  const HostId b = Id(net, "b");
+  net.Send(a, b, 1000, [&] { delivered.push_back(sim.Now()); });
+  net.Send(a, b, 1000, [&] { delivered.push_back(sim.Now()); });
   sim.RunUntilIdle();
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_NEAR(delivered[0], 1.1, 1e-9);   // tx [0,1] + latency
@@ -424,7 +473,8 @@ TEST(NetworkTest, LoopbackIsInstant) {
   Network net(&sim);
   ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
   double delivered = -1.0;
-  net.Send("a", "a", 1 << 20, [&] { delivered = sim.Now(); });
+  net.Send(Id(net, "a"), Id(net, "a"), 1 << 20,
+           [&] { delivered = sim.Now(); });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(delivered, 0.0);
 }
@@ -437,13 +487,55 @@ TEST(NetworkTest, DuplicateHostRejected) {
                   .code() == crayfish::StatusCode::kAlreadyExists);
 }
 
+TEST(NetworkTest, HostIdsAreDenseInRegistrationOrder) {
+  Simulation sim;
+  Network net(&sim);
+  ASSERT_TRUE(net.AddHost(Host{"zeta"}).ok());
+  ASSERT_TRUE(net.AddHost(Host{"alpha"}).ok());
+  // A rejected duplicate takes no id.
+  EXPECT_EQ(net.AddHost(Host{"zeta"}).code(),
+            crayfish::StatusCode::kAlreadyExists);
+  ASSERT_TRUE(net.AddHost(Host{"mid"}).ok());
+  EXPECT_EQ(Id(net, "zeta"), HostId{0});
+  EXPECT_EQ(Id(net, "alpha"), HostId{1});
+  EXPECT_EQ(Id(net, "mid"), HostId{2});
+  EXPECT_EQ(net.FindHost("nope").status().code(),
+            crayfish::StatusCode::kNotFound);
+}
+
+TEST(NetworkDeathTest, OutOfRangeHostIdChecks) {
+  Simulation sim;
+  Network net(&sim);
+  ASSERT_TRUE(net.AddHost(Host{"a"}).ok());
+  EXPECT_DEATH(net.Send(HostId{0}, HostId{1}, 10, nullptr), "unknown host");
+  EXPECT_DEATH(net.Send(HostId{7}, HostId{0}, 10, nullptr), "unknown host");
+}
+
+TEST(NetworkTest, DroppedTransferReportsFalseAndDestroysTheCallback) {
+  Simulation sim;
+  Network net(&sim);
+  ASSERT_TRUE(net.AddHost(Host{"a"}).ok());
+  ASSERT_TRUE(net.AddHost(Host{"b"}).ok());
+  LinkDegradation cut;
+  cut.drop = true;
+  net.SetDegradation("a", "b", cut);
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  EXPECT_FALSE(net.Send(Id(net, "a"), Id(net, "b"), 10,
+                        [token, &ran] { ran = true; }));
+  EXPECT_EQ(token.use_count(), 1);  // the callback is already gone
+  EXPECT_TRUE(net.Send(Id(net, "b"), Id(net, "a"), 10, [&ran] { ran = true; }));
+  sim.RunUntilIdle();
+  EXPECT_TRUE(ran);
+}
+
 TEST(NetworkTest, TotalBytesAccounting) {
   Simulation sim;
   Network net(&sim);
   ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
   ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
-  net.Send("a", "b", 100, nullptr);
-  net.Send("b", "a", 50, nullptr);
+  net.Send(Id(net, "a"), Id(net, "b"), 100, nullptr);
+  net.Send(Id(net, "b"), Id(net, "a"), 50, nullptr);
   sim.RunUntilIdle();
   EXPECT_EQ(net.total_bytes_sent(), 150u);
 }

@@ -170,8 +170,8 @@ struct EngineHarness {
   int64_t OutputCount() {
     int64_t total = 0;
     for (int p = 0; p < 8; ++p) {
-      total += (*cluster.GetPartition(
-                    broker::TopicPartition{"crayfish-out", p}))
+      total += (*cluster.GetPartition(broker::TopicPartition{
+                    *cluster.FindTopic("crayfish-out"), p}))
                    ->end_offset();
     }
     return total;
@@ -204,7 +204,8 @@ TEST_P(AllEnginesTest, OutputPreservesCreateTimeAndBatchIdentity) {
   for (int p = 0; p < 8; ++p) {
     std::vector<broker::Record> out;
     CRAYFISH_CHECK_OK(
-        (*h.cluster.GetPartition(broker::TopicPartition{"crayfish-out", p}))
+        (*h.cluster.GetPartition(broker::TopicPartition{
+             *h.cluster.FindTopic("crayfish-out"), p}))
             ->Fetch(0, 100, 1 << 30, &out));
     for (const broker::Record& r : out) {
       ids.insert(r.batch_id);

@@ -230,6 +230,53 @@ void FillThroughputTimeline(TimelineSampler* tl) {
   tl->Finalize(6.0);
 }
 
+TEST(SloConfigTest, RejectsMisspelledFields) {
+  // A misspelled "max" beside a valid "min" must not load as min-only.
+  auto cfg = SloConfig::FromJsonText(
+      R"({"slos": [{"name": "lat", "metric": "p99_latency_s", "mx": 0.1,
+                    "min": 0}]})");
+  ASSERT_TRUE(cfg.status().IsInvalidArgument()) << cfg.status().ToString();
+  EXPECT_NE(cfg.status().message().find("mx"), std::string::npos);
+  EXPECT_TRUE(SloConfig::FromJsonText(
+                  R"({"slos": [{"metric": "completions", "min": 1}],
+                      "slo": []})")
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(SloMonitorTest, MisspelledMetricIsAnErrorNeverAPass) {
+  TimelineSampler tl(1.0);
+  FillThroughputTimeline(&tl);
+  SloConfig cfg;
+  SloSpec spec;
+  spec.name = "p99";
+  spec.metric = "p99_latncy_s";
+  spec.max = 0.1;
+  spec.has_max = true;
+  cfg.slos.push_back(spec);
+  const crayfish::Status checked = SloMonitor::CheckMetrics(cfg, tl);
+  ASSERT_TRUE(checked.IsInvalidArgument()) << checked.ToString();
+  EXPECT_NE(checked.message().find("p99_latncy_s"), std::string::npos);
+  const SloReport report = SloMonitor::Evaluate(cfg, tl);
+  EXPECT_FALSE(report.passed);
+  EXPECT_FALSE(report.objectives[0].passed);
+  EXPECT_EQ(report.objectives[0].windows_evaluated, 0u);
+  // With no windows there is nothing to evaluate, so no name is rejected.
+  TimelineSampler empty(1.0);
+  empty.Finalize(0.0);
+  ASSERT_TRUE(empty.windows().empty());
+  EXPECT_TRUE(SloMonitor::CheckMetrics(cfg, empty).ok());
+  // A gauge some window recorded is a known metric.
+  TimelineSampler gauges(1.0);
+  gauges.AddProbe("depth", ProbeKind::kGauge, [] { return 3.0; });
+  gauges.AdvanceTo(2.5);
+  gauges.Finalize(2.5);
+  cfg.slos[0].metric = "depth";
+  cfg.slos[0].max = 5.0;
+  EXPECT_TRUE(SloMonitor::CheckMetrics(cfg, gauges).ok());
+  EXPECT_TRUE(SloMonitor::Evaluate(cfg, gauges).passed);
+}
+
 TEST(SloMonitorTest, BuildsContiguousBreachRunsAndBudgetVerdicts) {
   TimelineSampler tl(1.0);
   FillThroughputTimeline(&tl);
@@ -485,6 +532,21 @@ TEST(TimelineExperimentTest, BrokerCrashSpikeAndSloBreachOverlapTheFault) {
     measured += m.batch_size;
   }
   EXPECT_EQ(completions, measured);
+}
+
+TEST(TimelineExperimentTest, MisspelledSloMetricFailsTheRun) {
+  core::ExperimentConfig cfg = CrashConfig();
+  cfg.duration_s = 8.0;
+  cfg.drain_s = 4.0;
+  cfg.fault_plan = fault::FaultPlan{};
+  auto slo = SloConfig::FromJsonText(
+      R"({"slos": [{"name": "p99", "metric": "p99_latncy_s", "max": 0.1}]})");
+  ASSERT_TRUE(slo.ok()) << slo.status().ToString();
+  cfg.slo = *slo;
+  auto result = core::RunExperiment(cfg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 TEST(TimelineExperimentTest, SloAloneImpliesATimelineWithDefaultWindows) {
