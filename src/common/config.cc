@@ -78,6 +78,11 @@ Status ParseNumber(const std::string& text, double* out) {
   if (end == text.c_str() || *end != '\0') {
     return Status::InvalidArgument("not a number: " + text);
   }
+  // "nan", "inf" and overflowing literals such as "1e999" parse, but no
+  // parameter means anything by them.
+  if (!std::isfinite(d)) {
+    return Status::InvalidArgument("not a finite number: " + text);
+  }
   *out = d;
   return Status::Ok();
 }

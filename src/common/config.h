@@ -12,8 +12,8 @@ namespace crayfish {
 
 /// Strict numeric parsing shared by Config's typed getters, the fault,
 /// workload and autoscaler property overrides, and the CLI flags. The whole
-/// string must be the number (strtod syntax): "4x" or "" is InvalidArgument
-/// and `*out` is left untouched.
+/// string must be the number (strtod syntax) and finite: "4x", "", "nan",
+/// "inf" or "1e999" is InvalidArgument and `*out` is left untouched.
 Status ParseNumber(const std::string& text, double* out);
 
 /// Integer overloads. Integral doubles such as "16.0" or "1e3" are accepted;

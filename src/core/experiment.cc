@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -59,6 +60,18 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
       config.input_rate <= 0.0) {
     return crayfish::Status::InvalidArgument(
         "batch_size, parallelism and input_rate must be positive");
+  }
+  // Every comparison with NaN is false, so the check above lets it through.
+  // A run with zero duration and drain is valid: it only builds and tears
+  // down the deployment.
+  if (!std::isfinite(config.input_rate) || !std::isfinite(config.duration_s) ||
+      !std::isfinite(config.drain_s)) {
+    return crayfish::Status::InvalidArgument(
+        "input_rate, duration_s and drain_s must be finite");
+  }
+  if (config.duration_s < 0.0 || config.drain_s < 0.0) {
+    return crayfish::Status::InvalidArgument(
+        "duration_s and drain_s must not be negative");
   }
   const bool external = serving::IsExternalTool(config.serving);
   if (!external && !serving::IsEmbeddedLibrary(config.serving)) {

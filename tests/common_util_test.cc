@@ -122,6 +122,10 @@ TEST(ConfigTest, ParseNumberIsStrictAboutTypeAndRange) {
   EXPECT_EQ(d, 2.5);
   EXPECT_FALSE(ParseNumber("4x", &d).ok());
   EXPECT_FALSE(ParseNumber("", &d).ok());
+  for (const char* non_finite : {"nan", "-nan", "inf", "-inf", "infinity",
+                                 "1e999", "-1e999"}) {
+    EXPECT_FALSE(ParseNumber(non_finite, &d).ok()) << non_finite;
+  }
   EXPECT_EQ(d, 2.5);  // untouched on error
 
   int i = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,35 @@ TEST(ExperimentTest, RejectsInvalidParameters) {
   EXPECT_FALSE(RunExperiment(cfg).ok());
   cfg = QuickConfig("storm", "onnx");
   EXPECT_FALSE(RunExperiment(cfg).ok());
+}
+
+TEST(ExperimentTest, RejectsNonFiniteRateAndNegativeOrNonFiniteHorizon) {
+  // Each of these used to run zero events and succeed, never terminate,
+  // or abort in InputProducer's CHECK instead of returning an error.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejected = [](const ExperimentConfig& cfg) {
+    auto result = RunExperiment(cfg);
+    return !result.ok() && result.status().IsInvalidArgument();
+  };
+  for (double v : {kNaN, kInf, -kInf}) {
+    ExperimentConfig cfg = QuickConfig("flink", "tf-serving");
+    cfg.input_rate = v;
+    EXPECT_TRUE(rejected(cfg)) << "input_rate " << v;
+  }
+  for (double v : {kNaN, -1.0, kInf, -kInf}) {
+    ExperimentConfig cfg = QuickConfig("flink", "tf-serving");
+    cfg.duration_s = v;
+    EXPECT_TRUE(rejected(cfg)) << "duration_s " << v;
+    cfg = QuickConfig("flink", "tf-serving");
+    cfg.drain_s = v;
+    EXPECT_TRUE(rejected(cfg)) << "drain_s " << v;
+  }
+  // A zero-length run only builds and tears down the deployment.
+  ExperimentConfig zero = QuickConfig("flink", "tf-serving");
+  zero.duration_s = 0.0;
+  zero.drain_s = 0.0;
+  EXPECT_TRUE(RunExperiment(zero).ok());
 }
 
 TEST(ExperimentTest, SampleShapesFollowModel) {
@@ -328,6 +358,10 @@ TEST(PropertiesTest, RejectsUnknownKeysAndMalformedValues) {
   }
   EXPECT_FALSE(ExperimentConfigFromProperties(Props("bsz = four\n")).ok());
   EXPECT_FALSE(ExperimentConfigFromProperties(Props("gpu = maybe\n")).ok());
+  for (const char* line : {"duration_s = nan\n", "drain_s = inf\n",
+                           "drain_s = -inf\n", "ir = nan\n", "ir = 1e999\n"}) {
+    EXPECT_FALSE(ExperimentConfigFromProperties(Props(line)).ok()) << line;
+  }
   EXPECT_FALSE(
       ExperimentConfigFromProperties(Props("faults = /nonexistent.json\n"))
           .ok());

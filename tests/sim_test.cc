@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,6 +86,99 @@ TEST(EventQueueTest, InterleavedPushPopMatchesStableSort) {
                    });
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(popped_seq, expected);
+}
+
+TEST(EventQueueTest, NearAndFarDelaysInterleaveInStableSortOrder) {
+  // Pipeline-shaped delays: zero, network hops of 1 us to 1 ms, timeouts of
+  // 50 ms to 2 s, and far-future keys pushed before anything pops (fault
+  // windows armed at set-up). The two bands sit on either side of the
+  // queue's timeout horizon, and every time is snapped up to a 1/1024 s
+  // grid, so a hop often lands on exactly the time of a timeout pushed
+  // long before it. The pop order must equal a stable sort by time.
+  Rng rng(31337);
+  EventQueue q;
+  std::vector<double> pushed_at;
+  std::vector<bool> short_delay;
+  std::vector<uint64_t> fired;
+  double last_popped = 0.0;
+  auto push = [&](double delay) {
+    const double t = std::ceil((last_popped + delay) * 1024.0) / 1024.0;
+    const uint64_t index = pushed_at.size();
+    pushed_at.push_back(t);
+    short_delay.push_back(delay <= 1e-3);
+    EXPECT_EQ(q.Push(t, [&fired, index] { fired.push_back(index); }), index);
+  };
+  for (const double far : {36.0, 30.0, 36.0, 12.5}) push(far);
+  constexpr size_t kEvents = 60000;
+  while (pushed_at.size() < kEvents) {
+    switch (rng.NextUint64(8)) {
+      case 0:
+        push(0.0);
+        break;
+      case 1:
+      case 2:
+        push(rng.Uniform(0.05, 2.0));
+        break;
+      default:
+        push(rng.Uniform(1e-6, 1e-3));
+        break;
+    }
+    // Pop a little less often than we push, so timeouts pile up.
+    if (q.size() > 1 && rng.NextUint64(16) != 0) {
+      Event e = q.Pop();
+      EXPECT_GE(e.time, last_popped);
+      last_popped = e.time;
+      e.action();
+    }
+  }
+  while (!q.empty()) q.Pop().action();
+
+  std::vector<uint64_t> expected(pushed_at.size());
+  for (uint64_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](uint64_t a, uint64_t b) {
+                     return pushed_at[a] < pushed_at[b];
+                   });
+  EXPECT_EQ(fired, expected);
+  // Equal-time neighbours pushed from opposite delay bands: a hop tied
+  // with a timeout, the two on opposite sides of the horizon.
+  size_t cross_band_ties = 0;
+  for (size_t i = 1; i < expected.size(); ++i) {
+    if (pushed_at[expected[i]] == pushed_at[expected[i - 1]] &&
+        short_delay[expected[i]] != short_delay[expected[i - 1]]) {
+      ++cross_band_ties;
+    }
+  }
+  EXPECT_GT(cross_band_ties, 100u);
+}
+
+TEST(EventQueueTest, NegativeZeroFiresFirstAndInfinityLast) {
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(std::numeric_limits<double>::infinity(), [&] { order.push_back(4); });
+  q.Push(1.0, [&] { order.push_back(3); });
+  q.Push(-0.0, [&] { order.push_back(1); });
+  q.Push(0.0, [&] { order.push_back(2); });  // ties -0.0, later seq
+  EXPECT_EQ(q.next_time(), 0.0);
+  std::vector<double> times;
+  while (!q.empty()) {
+    Event e = q.Pop();
+    times.push_back(e.time);
+    e.action();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(std::signbit(times[0]));
+  EXPECT_EQ(times.back(), std::numeric_limits<double>::infinity());
+}
+
+TEST(EventQueueDeathTest, PushRejectsNaNAndNegativeTimes) {
+  EventQueue q;
+  q.Push(1.0, [] {});
+  EXPECT_DEATH(q.Push(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               "negative or NaN");
+  EXPECT_DEATH(q.Push(-1e-9, [] {}), "negative or NaN");
+  EXPECT_DEATH(q.Push(-std::numeric_limits<double>::infinity(), [] {}),
+               "negative or NaN");
 }
 
 /// Per-capture lifecycle counts, indexed by capture id.

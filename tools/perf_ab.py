@@ -4,8 +4,9 @@
 Usage, from the repository root:
 
     python3 tools/perf_ab.py [--base REF] [--head REF | --head-tree DIR]
-                             [--pairs N] [--workloads W1,W2] [--seed 42]
+                             [--pairs N] [--workloads W1,W2] [--seed 42,7]
                              [--seconds S] [--workdir DIR]
+                             [--claim METRIC/WORKLOAD]
 
 Both commits are extracted (git archive) into their own trees under
 --workdir and built there by bench/perf/run.py. Each workload then runs N
@@ -14,14 +15,21 @@ drift in the machine's speed cancels) of
 
     python3 bench/perf/run.py --workload W --seed SEED --seconds S
 
-For every end-to-end metric of BENCHMARK.json the report gives the median
+for each seed of the comma-separated --seed list. For every end-to-end
+metric of BENCHMARK.json the report gives, per workload and seed, the median
 and interquartile range of each side, the change of the head median, and
 the number of pairs the head won. A metric whose base runs spread wider
 than its BENCHMARK.json bound (interquartile range over median) is
 reported as unresolved: the runs cannot tell a change of that size from
-noise, so it neither passes nor fails. The exit status is 1 when a
-resolved head median is worse than the base median by more than the
-bound, or when any run fails or reports an incorrect result; 0 otherwise.
+noise, so it neither passes nor fails. 
+--claim METRIC/WORKLOAD states a gain the head claims, and may be given
+more than once. On every seed, a claim is met when the head wins at least
+nine tenths of the pairs (ties count for neither side) and its median is
+better than the base median by more than the base interquartile range.
+
+The exit status is 1 when a resolved head median is worse than the base
+median by more than the bound, when a claim is not met, or when any run
+fails or reports an incorrect result; 0 otherwise.
 The script reads bench/perf and BENCHMARK.json and changes neither.
 """
 
@@ -90,6 +98,20 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def claim_verdict(lower, base, head, wins):
+    """Whether a claimed gain holds: at least 90% of pairs won and a median
+    gap wider than the base interquartile range. Returns (met, text)."""
+    bq = quartiles(base)
+    iqr = bq[1] - bq[0]
+    gap = statistics.median(base) - statistics.median(head)
+    if not lower:
+        gap = -gap
+    met = wins >= 0.9 * len(base) and gap > iqr
+    return met, "%s: %d/%d pairs won, median gap %.4g %s base IQR %.4g" % (
+        "met" if met else "NOT MET", wins, len(base), gap,
+        ">" if gap > iqr else "<=", iqr)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="base ref (default: merge-base with "
@@ -102,10 +124,15 @@ def main():
     parser.add_argument("--workloads",
                         help="comma-separated (default: all in "
                         "BENCHMARK.json)")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", default="42",
+                        help="comma-separated seeds, each reported in its "
+                        "own rows (e.g. 42,7)")
     parser.add_argument("--seconds", type=int)
     parser.add_argument("--workdir",
                         default=os.path.join(ROOT, ".bench_build", "ab"))
+    parser.add_argument("--claim", action="append", default=[],
+                        metavar="METRIC/WORKLOAD",
+                        help="a claimed gain to check on every seed")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -114,6 +141,15 @@ def main():
                  [w["name"] for w in bench["workloads"]])
     seconds = args.seconds or bench.get("run_seconds", 25)
     metrics = bench["end_to_end"]
+    seeds = [int(seed) for seed in args.seed.split(",")]
+    claims = set()
+    for claim in args.claim:
+        metric, _, workload = claim.partition("/")
+        if (metric not in [m["name"] for m in metrics] or
+                workload not in workloads):
+            sys.exit("perf_ab.py: --claim %s names no end-to-end metric of "
+                     "a workload being run" % claim)
+        claims.add((metric, workload))
 
     shas = {"base": git("rev-parse", args.base or default_base())}
     trees = {}
@@ -128,24 +164,28 @@ def main():
         print("%s %s -> %s" % (side, sha[:12], trees[side]), flush=True)
 
     failed = False
-    for workload in workloads:
+    verdicts = []
+    for workload, seed in [(w, s) for w in workloads for s in seeds]:
         runs = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                m = run_once(trees[side], workload, args.seed, seconds)
+                m = run_once(trees[side], workload, seed, seconds)
                 if m is None:
                     print("%s: %s run %d failed" % (workload, side, i))
                     failed = True
                 runs[side].append(m)
         pairs = [(b, h) for b, h in zip(runs["base"], runs["head"])
                  if b is not None and h is not None]
-        print("\n%s (%d pairs)" % (workload, len(pairs)))
+        print("\n%s seed %d (%d pairs)" % (workload, seed, len(pairs)))
         print("  %-16s %12s %12s %8s %22s %22s %5s" %
               ("metric", "base", "head", "change", "base IQR", "head IQR",
                "wins"))
         if not pairs:
             failed = True
+            verdicts += ["claim %s/%s seed %d: NOT MET, no pairs" %
+                         (m, workload, seed)
+                         for m, w in sorted(claims) if w == workload]
             continue
         for metric in metrics:
             name = metric["name"]
@@ -173,6 +213,14 @@ def main():
                   (name, mb, mh, 100.0 * change, bq[0], bq[1], hq[0], hq[1],
                    wins, len(pairs), verdict))
             failed = failed or worse
+            if (name, workload) in claims:
+                met, text = claim_verdict(lower, base, head, wins)
+                verdicts.append("claim %s/%s seed %d %s" %
+                                (name, workload, seed, text))
+                failed = failed or not met
+    if verdicts:
+        print()
+        print("\n".join(verdicts))
     return 1 if failed else 0
 
 
