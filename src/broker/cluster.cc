@@ -151,10 +151,6 @@ void KafkaCluster::CrashBroker(int broker_index) {
                      << broker_hosts_[static_cast<size_t>(broker_index)]
                      << " crashed at t=" << sim_->Now();
   FlushWaitersOfBroker(broker_index);
-  // Crash-triggered rebalance: every dynamic group loses its sessions
-  // through the crashed broker and re-syncs. Members keep their callbacks;
-  // new owners resume from committed offsets (at-least-once).
-  for (auto& [key, state] : groups_) Rebalance(state);
 }
 
 void KafkaCluster::RestartBroker(int broker_index) {
@@ -414,61 +410,6 @@ void KafkaCluster::WakeWaiters(const TopicPartition& tp) {
     AnswerFetch(r);
   }
   slot->waiters.clear();
-}
-
-crayfish::StatusOr<int> KafkaCluster::JoinGroup(
-    const std::string& group, const std::string& topic,
-    RebalanceCallback on_assignment) {
-  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, FindTopic(topic));
-  GroupState& state = groups_[group + "/" + topic];
-  state.topic = id;
-  const int member = state.next_member_id++;
-  state.members.push_back(GroupMember{member, std::move(on_assignment)});
-  Rebalance(state);
-  return member;
-}
-
-void KafkaCluster::LeaveGroup(const std::string& group,
-                              const std::string& topic, int member_id) {
-  auto it = groups_.find(group + "/" + topic);
-  if (it == groups_.end()) return;
-  auto& members = it->second.members;
-  const size_t before = members.size();
-  members.erase(std::remove_if(members.begin(), members.end(),
-                               [member_id](const GroupMember& m) {
-                                 return m.id == member_id;
-                               }),
-                members.end());
-  if (members.size() != before) Rebalance(it->second);
-}
-
-int KafkaCluster::GroupSize(const std::string& group,
-                            const std::string& topic) const {
-  auto it = groups_.find(group + "/" + topic);
-  return it == groups_.end() ? 0
-                             : static_cast<int>(it->second.members.size());
-}
-
-void KafkaCluster::Rebalance(GroupState& state) {
-  const int partitions =
-      topics_[static_cast<size_t>(state.topic)].partition_count;
-  const int member_count = static_cast<int>(state.members.size());
-  // Eager rebalance: every member gets its new assignment after the
-  // coordinator round trip (~50 ms, a fraction of a real rebalance since
-  // we do not model the sync barrier in detail). The event names the
-  // member by id, so one that has left meanwhile is skipped.
-  for (int idx = 0; idx < member_count; ++idx) {
-    sim_->Schedule(0.05, [state = &state,
-                          id = state.members[static_cast<size_t>(idx)].id,
-                          assignment = RangeAssign(partitions, member_count,
-                                                   idx)]() mutable {
-      for (GroupMember& m : state->members) {
-        if (m.id != id) continue;
-        m.on_assignment(std::move(assignment));
-        return;
-      }
-    });
-  }
 }
 
 int KafkaCluster::CoordinatorBroker(const std::string& group) const {

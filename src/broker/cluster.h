@@ -94,8 +94,7 @@ class KafkaCluster {
   // paper's single-replica deployment would see). Produce/fetch requests
   // against a down leader fail with retriable errors after
   // `unavailable_error_delay_s`; parked long-poll fetches are flushed with
-  // empty responses; every dynamic consumer group rebalances (the crash
-  // severs member sessions, as losing a coordinator/leader does in Kafka).
+  // empty responses; commits to a group whose coordinator it was are lost.
 
   /// Marks broker `broker_index` down. Idempotent.
   void CrashBroker(int broker_index);
@@ -158,31 +157,6 @@ class KafkaCluster {
   /// Committed offset or 0 when none.
   int64_t CommittedOffset(GroupId group, const TopicPartition& tp) const;
 
-  // --- group coordinator (dynamic membership) ---
-  //
-  // Members join a (group, topic) pair and receive their partition
-  // assignment through the callback; every join/leave triggers an eager
-  // rebalance that re-invokes every member's callback with its new
-  // assignment (range strategy). Delivery is at-least-once across
-  // rebalances: new owners resume from committed offsets. Membership
-  // changes are rare, so this bookkeeping is keyed by name.
-
-  using RebalanceCallback = sim::InlineFunction<void(std::vector<int>)>;
-
-  /// Joins; returns the member id used for LeaveGroup. The callback fires
-  /// (asynchronously, after the rebalance delay) on this and every later
-  /// membership change.
-  crayfish::StatusOr<int> JoinGroup(const std::string& group,
-                                    const std::string& topic,
-                                    RebalanceCallback on_assignment);
-
-  /// Leaves; remaining members are rebalanced. Unknown ids are ignored.
-  void LeaveGroup(const std::string& group, const std::string& topic,
-                  int member_id);
-
-  /// Current member count of a (group, topic) pair.
-  int GroupSize(const std::string& group, const std::string& topic) const;
-
   /// Direct partition access for tests and the metrics analyzer (reads the
   /// output topic log "at the broker", per the SUT-separation rule).
   /// NotFound for an unknown topic id or partition.
@@ -242,18 +216,6 @@ class KafkaCluster {
     std::vector<std::unique_ptr<PartitionState>> parts;
   };
 
-  struct GroupMember {
-    int id;
-    RebalanceCallback on_assignment;
-  };
-  /// The members of one (group, topic) pair.
-  struct GroupState {
-    TopicId topic{};
-    std::vector<GroupMember> members;
-    int next_member_id = 0;
-  };
-  void Rebalance(GroupState& state);
-
   /// Committed offsets, [topic id][partition], grown on first commit.
   struct GroupOffsets {
     int coordinator = 0;
@@ -301,9 +263,6 @@ class KafkaCluster {
   /// Committed offsets by group id, plus the group-name index.
   std::vector<GroupOffsets> committed_;
   std::map<std::string, GroupId> group_ids_;
-  /// Dynamic groups keyed by "group/topic"; a crash rebalances them in
-  /// that order. Nodes are stable, so rebalance events point at them.
-  std::map<std::string, GroupState> groups_;
   sim::SlotPool<Request> requests_;
 };
 

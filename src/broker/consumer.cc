@@ -44,10 +44,7 @@ void KafkaConsumer::ScheduleAutoCommit() {
                                    });
 }
 
-KafkaConsumer::~KafkaConsumer() {
-  *alive_ = false;
-  Unsubscribe();
-}
+KafkaConsumer::~KafkaConsumer() { *alive_ = false; }
 
 crayfish::Status KafkaConsumer::Assign(const std::string& topic,
                                        const std::vector<int>& partitions,
@@ -80,48 +77,6 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
   return crayfish::Status::Ok();
 }
 
-crayfish::Status KafkaConsumer::Subscribe(const std::string& topic,
-                                          int member_count,
-                                          int member_index) {
-  CRAYFISH_ASSIGN_OR_RETURN(TopicId id, cluster_->FindTopic(topic));
-  CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(id));
-  return Assign(topic,
-                KafkaCluster::RangeAssign(total, member_count, member_index));
-}
-
-crayfish::Status KafkaConsumer::SubscribeDynamic(const std::string& topic) {
-  if (group_member_id_ >= 0) {
-    return crayfish::Status::FailedPrecondition(
-        "already dynamically subscribed");
-  }
-  // A member is never closed or destroyed: both leave the group first.
-  CRAYFISH_ASSIGN_OR_RETURN(
-      group_member_id_,
-      cluster_->JoinGroup(group_, topic, [this](std::vector<int> partitions) {
-        Reassign(std::move(partitions));
-      }));
-  dynamic_topic_ = topic;
-  return crayfish::Status::Ok();
-}
-
-void KafkaConsumer::Unsubscribe() {
-  if (group_member_id_ < 0) return;
-  cluster_->LeaveGroup(group_, dynamic_topic_, group_member_id_);
-  group_member_id_ = -1;
-  dynamic_topic_.clear();
-}
-
-void KafkaConsumer::Reassign(std::vector<int> partitions) {
-  ++rebalances_seen_;
-  // Eager rebalance: commit what we have consumed, stop the old fetch
-  // sessions, drop prefetched-but-undelivered records (their new owner
-  // refetches them from the committed offsets), adopt the assignment.
-  CommitPositions();
-  ClearAssignment();
-  crayfish::Status s = Assign(dynamic_topic_, partitions);
-  CRAYFISH_CHECK(s.ok()) << s.ToString();
-}
-
 void KafkaConsumer::FailAndRestart(double restart_delay_s) {
   CRAYFISH_CHECK_GE(restart_delay_s, 0.0);
   if (closed_) return;
@@ -132,7 +87,10 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
   for (const TopicPartition& tp : assignment_) {
     topics[cluster_->topic_name(tp.topic)].push_back(tp.partition);
   }
-  ClearAssignment();
+  ++(*generation_);
+  assignment_.clear();
+  partitions_.clear();
+  buffer_.clear();
   auto alive = alive_;
   if (pending_poll_) {
     // The engine's outstanding Poll sees an empty result once the task is
@@ -144,24 +102,14 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
         restart_delay_s, [cb = std::move(cb)]() mutable { cb({}); });
   }
   cluster_->simulation()->Schedule(
-      restart_delay_s, [this, alive, rebalances = rebalances_seen_,
-                        topics = std::move(topics)]() {
+      restart_delay_s, [this, alive, topics = std::move(topics)]() {
         if (!*alive || closed_) return;
-        // A rebalance while the task was down supersedes its assignment.
-        if (rebalances_seen_ != rebalances) return;
         for (const auto& [topic, parts] : topics) {
           // start_offset -1: resume from the group's committed offsets.
           crayfish::Status s = Assign(topic, parts);
           CRAYFISH_CHECK(s.ok()) << s.ToString();
         }
       });
-}
-
-void KafkaConsumer::ClearAssignment() {
-  ++(*generation_);
-  assignment_.clear();
-  partitions_.clear();
-  buffer_.clear();
 }
 
 int KafkaConsumer::SlotOf(const TopicPartition& tp) const {
@@ -208,7 +156,7 @@ void KafkaConsumer::FetchOnce(size_t slot) {
       client_id_, tp, state.position, config_.fetch_max_records,
       config_.fetch_max_bytes, config_.fetch_max_wait_s,
       [this, slot, generation, my_generation](std::vector<Record> records) {
-        if (*generation != my_generation) return;  // closed/reassigned
+        if (*generation != my_generation) return;  // closed or failed
         if (!records.empty()) {
           partitions_[slot].position = records.back().offset + 1;
           // The fetch response has reached the client: the long-poll /
@@ -240,7 +188,7 @@ void KafkaConsumer::FetchOnce(size_t slot) {
                 }
                 fetched = std::vector<Record>();
                 MaybeDeliver();
-                // The poll callback may have failed or reassigned this
+                // The poll callback may have failed or closed this
                 // consumer, retiring `slot`.
                 if (*generation != my_generation) return;
                 FetchOnce(slot);
@@ -329,7 +277,6 @@ void KafkaConsumer::CommitPositions() {
 
 void KafkaConsumer::Close() {
   closed_ = true;
-  Unsubscribe();
   ++(*generation_);
   pending_poll_ = nullptr;
 }

@@ -68,23 +68,6 @@ class KafkaConsumer {
                           const std::vector<int>& partitions,
                           int64_t start_offset = -1);
 
-  /// Subscribe-with-group: range-assigns `member_index` of `member_count`
-  /// consumers across all partitions of the topic (static membership, as
-  /// the engines use).
-  crayfish::Status Subscribe(const std::string& topic, int member_count,
-                             int member_index);
-
-  /// Dynamic group membership through the cluster's coordinator: the
-  /// assignment (and every future rebalance) is adopted automatically —
-  /// current fetch sessions stop, positions are committed, and new
-  /// sessions resume from the group's committed offsets. Delivery is
-  /// at-least-once across rebalances (undelivered prefetched records are
-  /// dropped and refetched by their new owner).
-  crayfish::Status SubscribeDynamic(const std::string& topic);
-
-  /// Leaves a dynamic group (no-op otherwise); also invoked by Close().
-  void Unsubscribe();
-
   /// Delivers up to max_poll_records buffered records. If the buffer is
   /// empty, parks until data arrives or `timeout_s` elapses (then delivers
   /// an empty vector). At most one outstanding Poll at a time.
@@ -94,7 +77,7 @@ class KafkaConsumer {
   /// partitions (offset bookkeeping only; no simulated round trip, as
   /// commits piggyback on fetch sessions). Prefetched-but-undelivered
   /// records are deliberately not covered: committing past them would lose
-  /// them across a rebalance or restart (at-least-once requires the commit
+  /// them across a task restart (at-least-once requires the commit
   /// high-water mark to trail delivery, never lead it).
   void CommitPositions();
 
@@ -127,8 +110,6 @@ class KafkaConsumer {
   size_t buffered() const { return buffer_.size(); }
   uint64_t records_consumed() const { return records_consumed_; }
   uint64_t retries() const { return retries_; }
-  /// Coordinator assignments adopted (dynamic membership).
-  uint64_t rebalances_seen() const { return rebalances_seen_; }
   const std::vector<TopicPartition>& assignment() const {
     return assignment_;
   }
@@ -144,10 +125,6 @@ class KafkaConsumer {
   void ScheduleAutoCommit();
   void MaybeDeliver();
   void ResumePausedLoops();
-  /// Adopts a coordinator assignment (dynamic membership).
-  void Reassign(std::vector<int> partitions);
-  /// Clears the assignment and everything indexed by its slots.
-  void ClearAssignment();
   /// Slot of `tp` in the assignment, or -1 when it is not assigned.
   int SlotOf(const TopicPartition& tp) const;
   int64_t SlotLag(size_t slot) const;
@@ -195,8 +172,8 @@ class KafkaConsumer {
   std::optional<crayfish::Rng> rng_;
   double auto_commit_interval_s_ = 0.0;
   bool closed_ = false;
-  /// Generation counter: Close() bumps it so stale fetch responses are
-  /// ignored.
+  /// Generation counter: Close() and FailAndRestart() bump it so stale
+  /// fetch responses are ignored.
   std::shared_ptr<uint64_t> generation_;
 
   PollCallback pending_poll_;
@@ -213,10 +190,6 @@ class KafkaConsumer {
   uint64_t retries_ = 0;
   /// Guards scheduled callbacks against consumer destruction.
   std::shared_ptr<bool> alive_;
-  /// Dynamic-membership state (-1 = not dynamically subscribed).
-  int group_member_id_ = -1;
-  std::string dynamic_topic_;
-  uint64_t rebalances_seen_ = 0;
 };
 
 }  // namespace crayfish::broker

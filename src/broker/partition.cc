@@ -38,11 +38,4 @@ crayfish::Status Partition::Fetch(int64_t offset, size_t max_records,
   return crayfish::Status::Ok();
 }
 
-void Partition::TrimTo(int64_t offset) {
-  while (!log_.empty() && start_offset_ < offset) {
-    log_.pop_front();
-    ++start_offset_;
-  }
-}
-
 }  // namespace crayfish::broker

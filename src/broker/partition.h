@@ -35,9 +35,6 @@ class Partition {
   }
   uint64_t total_appended() const { return total_appended_; }
 
-  /// Drops records with offset < `offset` (retention / manual trim).
-  void TrimTo(int64_t offset);
-
   /// Size-based retention: appends beyond this many records evict the
   /// oldest (0 = unlimited). Mirrors Kafka's retention.bytes for the
   /// simulation's memory bound.

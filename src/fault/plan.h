@@ -12,8 +12,8 @@ namespace crayfish::fault {
 /// What a single fault does to the simulated stack.
 enum class FaultKind {
   /// Broker host crash at `at_s`, restart at `until_s` (its partitions are
-  /// unavailable in between; producers get retriable errors; every dynamic
-  /// consumer group rebalances on the crash).
+  /// unavailable in between; producers get retriable errors; offset commits
+  /// to a group it coordinates are lost).
   kBrokerCrash,
   /// Network degradation on a (from, to) host pair ("" = wildcard):
   /// latency/bandwidth multipliers, or a full partition with `drop`.

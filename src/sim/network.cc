@@ -73,23 +73,6 @@ crayfish::StatusOr<HostId> Network::FindHost(const std::string& name) const {
   return it->second;
 }
 
-LinkSpec Network::SpecFor(const std::string& from,
-                          const std::string& to) const {
-  auto ov = spec_overrides_.find(std::make_pair(from, to));
-  return ov != spec_overrides_.end() ? ov->second : default_spec_;
-}
-
-void Network::SetLinkSpec(const std::string& from, const std::string& to,
-                          LinkSpec spec) {
-  spec_overrides_[std::make_pair(from, to)] = spec;
-  auto src = host_ids_.find(from);
-  auto dst = host_ids_.find(to);
-  if (src == host_ids_.end() || dst == host_ids_.end()) return;
-  const auto s = static_cast<size_t>(src->second);
-  const auto d = static_cast<size_t>(dst->second);
-  if (s < links_.size() && d < links_[s].size()) links_[s][d].reset();
-}
-
 Link* Network::GetOrCreateLink(HostId from, HostId to) {
   const auto s = static_cast<size_t>(from);
   const auto d = static_cast<size_t>(to);
@@ -100,10 +83,8 @@ Link* Network::GetOrCreateLink(HostId from, HostId to) {
   // A Link's initial state is a pure function of (spec, degradation
   // rules), never of creation time, so materializing it at first use
   // keeps every export byte-identical.
-  const std::string& src_name = hosts_[s].name;
-  const std::string& dst_name = hosts_[d].name;
-  out[d] = std::make_unique<Link>(sim_, SpecFor(src_name, dst_name));
-  out[d]->SetDegradation(DegradationFor(src_name, dst_name));
+  out[d] = std::make_unique<Link>(sim_, default_spec_);
+  out[d]->SetDegradation(DegradationFor(hosts_[s].name, hosts_[d].name));
   return out[d].get();
 }
 
@@ -145,15 +126,6 @@ bool Network::Send(HostId from, HostId to, uint64_t bytes,
     return true;
   }
   return GetOrCreateLink(from, to)->Transfer(bytes, std::move(on_delivered));
-}
-
-double Network::IdleTransferTime(const std::string& from,
-                                 const std::string& to,
-                                 uint64_t bytes) const {
-  if (from == to) return 0.0;
-  const LinkSpec spec = SpecFor(from, to);
-  const LinkDegradation deg = DegradationFor(from, to);
-  return PropagationSeconds(spec, deg) + TransmitSeconds(spec, deg, bytes);
 }
 
 uint64_t Network::total_bytes_sent() const {

@@ -2,7 +2,6 @@
 #define CRAYFISH_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,8 +90,8 @@ struct Host {
 };
 
 /// The simulated cluster network: a set of hosts plus directed links
-/// between them. Links are created lazily with the default spec; tests and
-/// experiments can override per-pair specs (e.g. to model a degraded path).
+/// between them. Links are created lazily with the default spec; faults
+/// degrade them through SetDegradation.
 class Network {
  public:
   explicit Network(Simulation* sim);
@@ -104,13 +103,6 @@ class Network {
   crayfish::StatusOr<Host> GetHost(const std::string& name) const;
   /// NotFound for an unknown name. Components resolve ids at construction.
   crayfish::StatusOr<HostId> FindHost(const std::string& name) const;
-
-  /// Overrides the spec used for the (from, to) directed pair; affects the
-  /// link created on first use (or re-creates an existing one).
-  void SetLinkSpec(const std::string& from, const std::string& to,
-                   LinkSpec spec);
-  /// Spec for pairs with no override.
-  const LinkSpec& default_spec() const { return default_spec_; }
 
   /// Installs a degradation rule for the (from, to) directed pair; an empty
   /// string is a wildcard ("kafka-0" -> "" degrades every link out of
@@ -132,10 +124,6 @@ class Network {
   /// CHECK-fails on an out-of-range id.
   bool Send(HostId from, HostId to, uint64_t bytes, InlineAction on_delivered);
 
-  /// Idle-link transfer estimate between two hosts.
-  double IdleTransferTime(const std::string& from, const std::string& to,
-                          uint64_t bytes) const;
-
   uint64_t total_bytes_sent() const;
   /// Materialized directed links (links are lazy; this counts only pairs
   /// that actually communicated, so a thousand-host topology does not cost
@@ -144,14 +132,13 @@ class Network {
 
  private:
   Link* GetOrCreateLink(HostId from, HostId to);
-  LinkSpec SpecFor(const std::string& from, const std::string& to) const;
 
   Simulation* sim_;
+  /// Spec every link is built with.
   LinkSpec default_spec_;
   /// Hosts by id, plus the name -> id index the edges resolve through.
   std::vector<Host> hosts_;
   std::map<std::string, HostId> host_ids_;
-  std::map<std::pair<std::string, std::string>, LinkSpec> spec_overrides_;
   std::map<std::pair<std::string, std::string>, LinkDegradation> degradations_;
   /// links_[from][to], grown on first use (null: never communicated).
   /// Enumerations update or sum each link on its own: order-independent.

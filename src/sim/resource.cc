@@ -108,11 +108,7 @@ SerialExecutor::SerialExecutor(Simulation* sim, std::string name)
     : sim_(sim), name_(std::move(name)), created_at_(sim->Now()) {}
 
 void SerialExecutor::Post(SimTime duration, std::function<void()> on_done) {
-  PostDeferred([duration]() { return duration; }, std::move(on_done));
-}
-
-void SerialExecutor::PostDeferred(std::function<SimTime()> duration_fn,
-                                  std::function<void()> on_done) {
+  CRAYFISH_CHECK_GE(duration, 0.0);
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
     if (!depth_hist_) {
       depth_hist_ =
@@ -120,8 +116,7 @@ void SerialExecutor::PostDeferred(std::function<SimTime()> duration_fn,
     }
     depth_hist_->Observe(static_cast<double>(queue_.size()));
   }
-  queue_.push_back(
-      Item{std::move(duration_fn), std::move(on_done), sim_->Now()});
+  queue_.push_back(Item{duration, std::move(on_done), sim_->Now()});
   if (!busy_) StartNext();
 }
 
@@ -134,13 +129,12 @@ void SerialExecutor::StartNext() {
   Item item = std::move(queue_.front());
   queue_.pop_front();
   wait_stats_.Add(sim_->Now() - item.enqueue_time);
-  const SimTime duration = item.duration_fn();
-  CRAYFISH_CHECK_GE(duration, 0.0);
-  busy_time_ += duration;
+  busy_time_ += item.duration;
   if (obs::TraceRecorder* tracer = sim_->tracer()) {
-    tracer->AddTrackSpan(name_, "run", sim_->Now(), sim_->Now() + duration);
+    tracer->AddTrackSpan(name_, "run", sim_->Now(),
+                         sim_->Now() + item.duration);
   }
-  sim_->Schedule(duration, [this, on_done = std::move(item.on_done)]() {
+  sim_->Schedule(item.duration, [this, on_done = std::move(item.on_done)]() {
     ++completed_;
     if (on_done) on_done();
     StartNext();

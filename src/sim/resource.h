@@ -113,11 +113,6 @@ class SerialExecutor {
   /// simulated completion. Items run back to back.
   void Post(SimTime duration, std::function<void()> on_done);
 
-  /// Like Post but the duration is computed when the item *starts*
-  /// executing — needed when the cost depends on queue state at start time.
-  void PostDeferred(std::function<SimTime()> duration_fn,
-                    std::function<void()> on_done);
-
   size_t queue_depth() const { return queue_.size(); }
   bool busy() const { return busy_; }
   /// Total busy seconds accumulated.
@@ -131,7 +126,7 @@ class SerialExecutor {
 
  private:
   struct Item {
-    std::function<SimTime()> duration_fn;
+    SimTime duration;
     std::function<void()> on_done;
     SimTime enqueue_time;
   };

@@ -1,5 +1,8 @@
+#include <functional>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,8 +63,8 @@ TEST(PartitionTest, FetchAlwaysReturnsAtLeastOneRecord) {
 
 TEST(PartitionTest, FetchBelowLogStartIsOutOfRange) {
   Partition p;
+  p.SetRetentionRecords(2);
   for (int i = 0; i < 5; ++i) p.Append(MakeRecord(i), 0.0);
-  p.TrimTo(3);
   EXPECT_EQ(p.log_start_offset(), 3);
   EXPECT_EQ(p.end_offset(), 5);
   std::vector<Record> out;
@@ -244,6 +247,16 @@ TEST_F(ClusterTest, OffsetCommitStore) {
   cluster_.CommitOffset(cluster_.InternGroup("g"), tp, 41);
   EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 41);
   EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("other"), tp), 0);
+
+  // A commit that reaches a crashed coordinator is lost; once the broker
+  // is back, the next commit lands.
+  const int coord = cluster_.CoordinatorBroker("g");
+  cluster_.CrashBroker(coord);
+  cluster_.CommitOffset(cluster_.InternGroup("g"), tp, 57);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 41);
+  cluster_.RestartBroker(coord);
+  cluster_.CommitOffset(cluster_.InternGroup("g"), tp, 57);
+  EXPECT_EQ(cluster_.CommittedOffset(cluster_.InternGroup("g"), tp), 57);
 }
 
 TEST(RangeAssignTest, CoversAllPartitionsDisjointly) {
@@ -397,19 +410,6 @@ TEST_F(ClientTest, ConsumerPollTimesOutEmptyTopic) {
   sim_.Run(2.0);
   EXPECT_TRUE(got);
   EXPECT_EQ(n, 0u);
-}
-
-TEST_F(ClientTest, SubscribeRangeAssignsAmongMembers) {
-  KafkaConsumer a(&cluster_, "client", "g");
-  KafkaConsumer b(&cluster_, "client", "g");
-  ASSERT_TRUE(a.Subscribe("t", 2, 0).ok());
-  ASSERT_TRUE(b.Subscribe("t", 2, 1).ok());
-  EXPECT_EQ(a.assignment().size(), 2u);
-  EXPECT_EQ(b.assignment().size(), 2u);
-  std::set<int> all;
-  for (const auto& tp : a.assignment()) all.insert(tp.partition);
-  for (const auto& tp : b.assignment()) all.insert(tp.partition);
-  EXPECT_EQ(all.size(), 4u);
 }
 
 TEST_F(ClientTest, ConsumerPositionAdvancesAndCommits) {
@@ -580,169 +580,69 @@ TEST_F(ClientTest, BrokerCrashRetriesAreAtLeastOnce) {
   EXPECT_TRUE(cluster_.IsBrokerUp(coord));  // restarted
 }
 
-// ---------------------------------------------------- group coordinator --
-
-TEST_F(ClientTest, JoinGroupAssignsAllPartitionsToSoleMember) {
-  KafkaConsumer consumer(&cluster_, "client", "dyn");
-  ASSERT_TRUE(consumer.SubscribeDynamic("t").ok());
-  sim_.Run(1.0);
-  EXPECT_EQ(consumer.assignment().size(), 4u);
-  EXPECT_EQ(consumer.rebalances_seen(), 1u);
-  EXPECT_EQ(cluster_.GroupSize("dyn", "t"), 1);
-}
-
-TEST_F(ClientTest, SecondMemberTriggersRebalanceSplit) {
-  KafkaConsumer a(&cluster_, "client", "dyn");
-  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
-  sim_.Run(1.0);
-  KafkaConsumer b(&cluster_, "client", "dyn");
-  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
-  sim_.Run(2.0);
-  EXPECT_EQ(a.assignment().size(), 2u);
-  EXPECT_EQ(b.assignment().size(), 2u);
-  EXPECT_EQ(a.rebalances_seen(), 2u);
-  std::set<int> all;
-  for (const auto& tp : a.assignment()) all.insert(tp.partition);
-  for (const auto& tp : b.assignment()) all.insert(tp.partition);
-  EXPECT_EQ(all.size(), 4u);
-}
-
-TEST_F(ClientTest, RebalanceDuringTaskRestartSupersedesOldAssignment) {
-  KafkaConsumer a(&cluster_, "client", "dyn");
-  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
-  sim_.Run(1.0);
-  ASSERT_EQ(a.assignment().size(), 4u);
-  a.FailAndRestart(2.0);  // down until t=3
-  EXPECT_TRUE(a.assignment().empty());
-  sim_.Run(1.5);
-  KafkaConsumer b(&cluster_, "client", "dyn");
-  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
-  sim_.Run(4.0);
-  // The split adopted while `a` was down stands; the restart does not
-  // re-adopt the four partitions it held before the failure.
-  EXPECT_EQ(a.assignment().size(), 2u);
-  EXPECT_EQ(b.assignment().size(), 2u);
-  std::set<int> all;
-  for (const auto& tp : a.assignment()) all.insert(tp.partition);
-  for (const auto& tp : b.assignment()) all.insert(tp.partition);
-  EXPECT_EQ(all.size(), 4u);
-}
-
-TEST_F(ClientTest, LeaveGroupHandsPartitionsToSurvivor) {
-  KafkaConsumer a(&cluster_, "client", "dyn");
-  auto b = std::make_unique<KafkaConsumer>(&cluster_, "client", "dyn");
-  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
-  ASSERT_TRUE(b->SubscribeDynamic("t").ok());
-  sim_.Run(1.0);
-  EXPECT_EQ(a.assignment().size(), 2u);
-  b->Close();  // leaves the group
-  sim_.Run(2.0);
-  EXPECT_EQ(cluster_.GroupSize("dyn", "t"), 1);
-  EXPECT_EQ(a.assignment().size(), 4u);
-}
-
-TEST_F(ClientTest, RebalanceResumesFromCommittedOffsetsAtLeastOnce) {
+TEST_F(ClientTest, FailAndRestartResumesStaticAssignmentFromCommits) {
+  // The first 20 records are delivered and committed; the next 20 are
+  // delivered but never committed when the task fails at t=2 for 1 s.
   KafkaProducer producer(&cluster_, "client");
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(producer.Send("t", MakeRecord(i)).ok());
-  }
-  producer.Flush();
-
-  KafkaConsumer a(&cluster_, "client", "dyn");
-  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
-  std::multiset<uint64_t> seen;
-  std::function<void(KafkaConsumer*)> drain = [&](KafkaConsumer* c) {
-    c->Poll(0.3, [&, c](std::vector<Record> records) {
-      for (const Record& r : records) seen.insert(r.batch_id);
-      c->CommitPositions();
-      if (!c->assignment().empty()) drain(c);
-    });
-  };
-  drain(&a);
-  sim_.Run(2.0);
-  const size_t before = seen.size();
-  EXPECT_GT(before, 0u);
-
-  // A second member joins mid-stream; produce more records afterwards.
-  KafkaConsumer b(&cluster_, "client", "dyn");
-  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
-  sim_.Schedule(0.5, [&]() { drain(&b); });
-  sim_.Schedule(1.0, [&]() {
-    for (int i = 40; i < 80; ++i) {
-      CRAYFISH_CHECK_OK(producer.Send("t", MakeRecord(i)));
-    }
-    producer.Flush();
-  });
-  sim_.Run(10.0);
-  // Every record id 0..79 delivered at least once.
-  for (uint64_t id = 0; id < 80; ++id) {
-    EXPECT_GE(seen.count(id), 1u) << "record " << id << " lost";
-  }
-}
-
-TEST_F(ClientTest, CrashTriggeredRebalanceIsAtLeastOnce) {
-  // Crash the group's coordinator broker mid-stream: the dynamic group
-  // rebalances, the eager-rebalance offset commit is lost with the
-  // coordinator, the crashed broker's partition rejects fetches until
-  // restart, and the producer keeps retrying sends into it. At-least-once
-  // = every record delivered >= 1 time; the post-crash rewind surfaces as
-  // counted duplicates.
-  crayfish::RetryPolicy retry;
-  retry.max_retries = 8;
-  retry.timeout_s = 0.5;
-  cluster_.SetClientDefaults(retry, /*auto_commit_interval_s=*/0.0);
-
-  KafkaProducer producer(&cluster_, "client");
-  KafkaConsumer consumer(&cluster_, "client", "dyn");
-  ASSERT_TRUE(consumer.SubscribeDynamic("t").ok());
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("t", {0, 1, 2, 3}).ok());
+  const std::vector<TopicPartition> assigned = consumer.assignment();
 
   std::multiset<uint64_t> seen;
+  std::vector<std::pair<double, size_t>> polls;  // (time, records)
   std::function<void()> drain = [&]() {
-    // Deliberately never commits: with the coordinator down during the
-    // crash-triggered rebalance, the eager commit is lost too, so the
-    // survivor rewinds to the last durable offsets (none -> earliest).
     consumer.Poll(0.3, [&](std::vector<Record> records) {
+      polls.emplace_back(sim_.Now(), records.size());
       for (const Record& r : records) seen.insert(r.batch_id);
-      if (!consumer.assignment().empty()) drain();
+      if (sim_.Now() < 1.0) consumer.CommitPositions();
+      drain();
     });
   };
-
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(producer.Send("t", MakeRecord(i)).ok());
   }
   producer.Flush();
   drain();
-
-  const int coord = cluster_.CoordinatorBroker("dyn");
-  sim_.Schedule(2.0, [&]() { cluster_.CrashBroker(coord); });
-  sim_.Schedule(3.0, [&]() {
-    // Produced mid-outage: sends to the dead broker's partition retry
-    // with backoff until the leader is back.
-    for (int i = 40; i < 80; ++i) {
+  sim_.Schedule(1.5, [&]() {
+    for (int i = 20; i < 40; ++i) {
       CRAYFISH_CHECK_OK(producer.Send("t", MakeRecord(i)));
     }
     producer.Flush();
   });
-  sim_.Schedule(6.0, [&]() { cluster_.RestartBroker(coord); });
-  sim_.Run(25.0);
 
-  for (uint64_t id = 0; id < 80; ++id) {
-    EXPECT_GE(seen.count(id), 1u) << "record " << id << " lost";
+  const GroupId g = cluster_.InternGroup("g");
+  size_t polls_before_failure = 0;
+  sim_.Schedule(2.0, [&]() {
+    ASSERT_EQ(seen.size(), 40u);
+    polls_before_failure = polls.size();
+    consumer.FailAndRestart(1.0);
+    EXPECT_TRUE(consumer.assignment().empty());
+    // Runs right after the restart event at t=3: fetch loops start from
+    // the committed offsets, not from where delivery had got to.
+    sim_.Schedule(1.0, [&]() {
+      EXPECT_EQ(consumer.assignment(), assigned);
+      for (const TopicPartition& tp : assigned) {
+        EXPECT_EQ(cluster_.CommittedOffset(g, tp), 5);
+        EXPECT_EQ(consumer.position(tp), 5);
+      }
+    });
+  });
+  sim_.Schedule(2.5, [&]() {
+    EXPECT_TRUE(consumer.assignment().empty());
+    EXPECT_EQ(polls.size(), polls_before_failure);
+  });
+  sim_.Run(6.0);
+  consumer.Close();
+
+  // The Poll outstanding at the failure completes empty at t=2+1.
+  ASSERT_GT(polls.size(), polls_before_failure);
+  EXPECT_DOUBLE_EQ(polls[polls_before_failure].first, 3.0);
+  EXPECT_EQ(polls[polls_before_failure].second, 0u);
+  // At least once: the uncommitted half is delivered again, the
+  // committed half is not.
+  for (uint64_t id = 0; id < 40; ++id) {
+    EXPECT_EQ(seen.count(id), id < 20 ? 1u : 2u) << "record " << id;
   }
-  std::set<uint64_t> unique(seen.begin(), seen.end());
-  EXPECT_EQ(unique.size(), 80u);
-  EXPECT_GT(seen.size(), unique.size()) << "rebalance produced no re-reads";
-  EXPECT_GE(consumer.rebalances_seen(), 2u);  // join + crash-triggered
-  EXPECT_GT(producer.retries() + consumer.retries(), 0u);
-  EXPECT_TRUE(cluster_.IsBrokerUp(coord));  // restarted
-}
-
-TEST_F(ClientTest, JoinUnknownTopicFails) {
-  KafkaConsumer consumer(&cluster_, "client", "dyn");
-  EXPECT_TRUE(consumer.SubscribeDynamic("ghost").IsNotFound());
-  EXPECT_TRUE(consumer.SubscribeDynamic("t").ok());
-  EXPECT_EQ(consumer.SubscribeDynamic("t").code(),
-            crayfish::StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

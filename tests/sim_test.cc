@@ -486,17 +486,6 @@ TEST(SerialExecutorTest, RunsItemsBackToBack) {
   EXPECT_DOUBLE_EQ(exec.busy_time(), 1.5);
 }
 
-TEST(SerialExecutorTest, DeferredDurationComputedAtStart) {
-  Simulation sim;
-  SerialExecutor exec(&sim, "e");
-  double measured = -1.0;
-  exec.Post(2.0, nullptr);
-  exec.PostDeferred([&] { return sim.Now(); },  // 2.0 when started
-                    [&] { measured = sim.Now(); });
-  sim.RunUntilIdle();
-  EXPECT_DOUBLE_EQ(measured, 4.0);  // started at 2, took 2
-}
-
 TEST(SerialExecutorTest, UtilizationReportTracksWaits) {
   Simulation sim;
   SerialExecutor exec(&sim, "e");
@@ -530,33 +519,26 @@ HostId Id(const Network& net, const std::string& name) {
 
 TEST(NetworkTest, TransferTimeIsLatencyPlusSerialization) {
   Simulation sim;
-  Network net(&sim);
-  ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
-  ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
   LinkSpec spec;
   spec.latency_s = 0.01;
   spec.bandwidth_bytes_per_s = 1000.0;
-  net.SetLinkSpec("a", "b", spec);
+  Link link(&sim, spec);
   double delivered = -1.0;
-  net.Send(Id(net, "a"), Id(net, "b"), 500, [&] { delivered = sim.Now(); });
+  EXPECT_TRUE(link.Transfer(500, [&] { delivered = sim.Now(); }));
   sim.RunUntilIdle();
   EXPECT_NEAR(delivered, 0.01 + 0.5, 1e-9);
+  EXPECT_EQ(link.bytes_sent(), 500u);
 }
 
 TEST(NetworkTest, BandwidthSerializesLatencyOverlaps) {
   Simulation sim;
-  Network net(&sim);
-  ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
-  ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
   LinkSpec spec;
   spec.latency_s = 0.1;
   spec.bandwidth_bytes_per_s = 1000.0;
-  net.SetLinkSpec("a", "b", spec);
+  Link link(&sim, spec);
   std::vector<double> delivered;
-  const HostId a = Id(net, "a");
-  const HostId b = Id(net, "b");
-  net.Send(a, b, 1000, [&] { delivered.push_back(sim.Now()); });
-  net.Send(a, b, 1000, [&] { delivered.push_back(sim.Now()); });
+  link.Transfer(1000, [&] { delivered.push_back(sim.Now()); });
+  link.Transfer(1000, [&] { delivered.push_back(sim.Now()); });
   sim.RunUntilIdle();
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_NEAR(delivered[0], 1.1, 1e-9);   // tx [0,1] + latency
@@ -635,27 +617,26 @@ TEST(NetworkTest, TotalBytesAccounting) {
   EXPECT_EQ(net.total_bytes_sent(), 150u);
 }
 
-TEST(NetworkTest, IdleTransferTimeMatchesDefaults) {
-  Simulation sim;
-  Network net(&sim);
-  ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
-  ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
-  const LinkSpec& d = net.default_spec();
-  EXPECT_NEAR(net.IdleTransferTime("a", "b", 0), d.latency_s, 1e-12);
-  EXPECT_DOUBLE_EQ(net.IdleTransferTime("a", "a", 12345), 0.0);
-}
-
 TEST(NetworkTest, PaperPingCalibration) {
-  // §4.2: ping (echo) of 3 KB ~= 0.945 ms; 64 KB ~= 1.565 ms. An echo is
-  // two transfers and two propagation delays.
+  // §4.2: ping (echo) of 3 KB ~= 0.945 ms; 64 KB ~= 1.565 ms. Host b sends
+  // the payload back the moment it arrives; each echo runs on idle links.
   Simulation sim;
   Network net(&sim);
   ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
   ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
-  const double rtt_3k = 2.0 * net.IdleTransferTime("a", "b", 3 * 1024);
-  const double rtt_64k = 2.0 * net.IdleTransferTime("a", "b", 64 * 1024);
-  EXPECT_NEAR(rtt_3k, 0.000945, 0.0002);
-  EXPECT_NEAR(rtt_64k, 0.001565, 0.0003);
+  const HostId a = Id(net, "a");
+  const HostId b = Id(net, "b");
+  auto echo = [&](uint64_t bytes) {
+    const double sent_at = sim.Now();
+    double returned_at = -1.0;
+    net.Send(a, b, bytes, [&, bytes] {
+      net.Send(b, a, bytes, [&] { returned_at = sim.Now(); });
+    });
+    sim.RunUntilIdle();
+    return returned_at - sent_at;
+  };
+  EXPECT_NEAR(echo(3 * 1024), 0.000945, 0.0002);
+  EXPECT_NEAR(echo(64 * 1024), 0.001565, 0.0003);
 }
 
 }  // namespace

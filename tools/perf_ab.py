@@ -21,7 +21,9 @@ and interquartile range of each side, the change of the head median, and
 the number of pairs the head won. A metric whose base runs spread wider
 than its BENCHMARK.json bound (interquartile range over median) is
 reported as unresolved: the runs cannot tell a change of that size from
-noise, so it neither passes nor fails. 
+noise, so it neither passes nor fails. The one exception is a head whose
+every run reads better than every base run: that metric is reported as
+"better in every run" instead, and it too neither passes nor fails.
 --claim METRIC/WORKLOAD states a gain the head claims, and may be given
 more than once. On every seed, a claim is met when the head wins at least
 nine tenths of the pairs (ties count for neither side) and its median is
@@ -202,8 +204,12 @@ def main():
             worse = not unresolved and (change > metric["bound"] if lower
                                         else -change > metric["bound"])
             if unresolved:
-                verdict = "  unresolved: base IQR %.0f%% > bound %g" % (
-                    100.0 * spread, metric["bound"])
+                verdict = "base IQR %.0f%% > bound %g" % (100.0 * spread,
+                                                         metric["bound"])
+                if max(head) < min(base) if lower else min(head) > max(base):
+                    verdict = "  better in every run (%s)" % verdict
+                else:
+                    verdict = "  unresolved: " + verdict
             elif worse:
                 verdict = "  WORSE than bound %g" % metric["bound"]
             else:
