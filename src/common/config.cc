@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.h"
 
@@ -41,62 +42,79 @@ void FlattenJson(const std::string& prefix, const JsonValue& v, Config* out) {
   if (v.is_array()) out->Set(prefix, v.Dump());
 }
 
-template <typename Int>
-Status ParseInteger(const std::string& text, Int* out) {
-  const char* last = text.data() + text.size();
-  Int v = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
-  if (ptr == last && ec == std::errc()) {
-    *out = v;
-    return Status::Ok();
-  }
-  if (ptr == last && ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("integer out of range: " + text);
-  }
-  // Not a plain decimal integer: accept an integral double ("16.0", "1e3").
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseNumber(text, &d));
-  if (d != std::trunc(d)) {  // also true for NaN
-    return Status::InvalidArgument("not an integer: " + text);
-  }
-  // max() + 1 is exact in double for every Int used here (2^31, 2^63, 2^64).
-  constexpr double kLo = static_cast<double>(std::numeric_limits<Int>::min());
-  constexpr double kHi =
-      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
-  if (d < kLo || d >= kHi) {
-    return Status::InvalidArgument("integer out of range: " + text);
-  }
-  *out = static_cast<Int>(d);
-  return Status::Ok();
+std::string Render(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
 }
 
 }  // namespace
 
-Status ParseNumber(const std::string& text, double* out) {
+template <typename Num>
+Status ConvertNumber(double d, Num* out) {
+  // "nan", "inf" and overflowing literals such as "1e999" parse, but no
+  // parameter means anything by them.
+  if (!std::isfinite(d)) {
+    return Status::InvalidArgument("not a finite number: " + Render(d));
+  }
+  if constexpr (std::is_integral_v<Num>) {
+    if (d != std::trunc(d)) {
+      return Status::InvalidArgument("not an integer: " + Render(d));
+    }
+    // max() + 1 is exact in double for every Num used here (2^31, 2^63,
+    // 2^64).
+    constexpr double kLo = static_cast<double>(std::numeric_limits<Num>::min());
+    constexpr double kHi =
+        static_cast<double>(std::numeric_limits<Num>::max()) + 1.0;
+    if (d < kLo || d >= kHi) {
+      return Status::InvalidArgument("integer out of range: " + Render(d));
+    }
+  }
+  *out = static_cast<Num>(d);
+  return Status::Ok();
+}
+
+template <typename Num>
+Status ParseNumber(const std::string& text, Num* out) {
+  if constexpr (std::is_integral_v<Num>) {
+    // A plain decimal integer converts exactly, even past 2^53.
+    const char* last = text.data() + text.size();
+    Num v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ptr == last && ec == std::errc()) {
+      *out = v;
+      return Status::Ok();
+    }
+    if (ptr == last && ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument("integer out of range: " + text);
+    }
+  }
   char* end = nullptr;
   const double d = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
     return Status::InvalidArgument("not a number: " + text);
   }
-  // "nan", "inf" and overflowing literals such as "1e999" parse, but no
-  // parameter means anything by them.
-  if (!std::isfinite(d)) {
-    return Status::InvalidArgument("not a finite number: " + text);
+  return ConvertNumber(d, out);
+}
+
+template Status ConvertNumber(double, double*);
+template Status ConvertNumber(double, int*);
+template Status ConvertNumber(double, int64_t*);
+template Status ConvertNumber(double, uint64_t*);
+template Status ParseNumber(const std::string&, double*);
+template Status ParseNumber(const std::string&, int*);
+template Status ParseNumber(const std::string&, int64_t*);
+template Status ParseNumber(const std::string&, uint64_t*);
+
+Status ParseBool(const std::string& text, bool* out) {
+  if (text == "true" || text == "1" || text == "yes") {
+    *out = true;
+  } else if (text == "false" || text == "0" || text == "no") {
+    *out = false;
+  } else {
+    return Status::InvalidArgument("not a bool: " + text);
   }
-  *out = d;
   return Status::Ok();
-}
-
-Status ParseNumber(const std::string& text, int* out) {
-  return ParseInteger(text, out);
-}
-
-Status ParseNumber(const std::string& text, int64_t* out) {
-  return ParseInteger(text, out);
-}
-
-Status ParseNumber(const std::string& text, uint64_t* out) {
-  return ParseInteger(text, out);
 }
 
 StatusOr<Config> Config::FromProperties(const std::string& text) {
@@ -124,6 +142,17 @@ StatusOr<Config> Config::FromProperties(const std::string& text) {
   return cfg;
 }
 
+StatusOr<std::string> ReadTextFile(const std::string& path,
+                                   std::string_view what) {
+  std::ifstream in(path);
+  if (!in) {
+    return Status::IoError("cannot read " + std::string(what) + ": " + path);
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 StatusOr<Config> Config::FromJson(const std::string& text) {
   CRAYFISH_ASSIGN_OR_RETURN(JsonValue v, JsonValue::Parse(text));
   if (!v.is_object()) {
@@ -135,11 +164,9 @@ StatusOr<Config> Config::FromJson(const std::string& text) {
 }
 
 StatusOr<Config> Config::FromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open config file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FromProperties(buf.str());
+  CRAYFISH_ASSIGN_OR_RETURN(std::string text,
+                            ReadTextFile(path, "config file"));
+  return FromProperties(text);
 }
 
 void Config::Set(const std::string& key, const std::string& value) {
@@ -151,9 +178,7 @@ void Config::SetInt(const std::string& key, int64_t value) {
 }
 
 void Config::SetDouble(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  values_[key] = buf;
+  values_[key] = Render(value);
 }
 
 void Config::SetBool(const std::string& key, bool value) {
@@ -191,32 +216,17 @@ StatusOr<double> Config::GetDouble(const std::string& key) const {
 }
 
 StatusOr<bool> Config::GetBool(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return Status::NotFound("config key: " + key);
-  const std::string& s = it->second;
-  if (s == "true" || s == "1" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "no") return false;
-  return Status::InvalidArgument("config key " + key + " is not a bool: " + s);
-}
-
-std::string Config::GetStringOr(const std::string& key,
-                                const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
+  bool v = false;
+  const Status st = ParseBool(s, &v);
+  if (!st.ok()) {
+    return Status::InvalidArgument("config key " + key + ": " + st.message());
+  }
+  return v;
 }
 
 int64_t Config::GetIntOr(const std::string& key, int64_t fallback) const {
   auto v = GetInt(key);
-  return v.ok() ? *v : fallback;
-}
-
-double Config::GetDoubleOr(const std::string& key, double fallback) const {
-  auto v = GetDouble(key);
-  return v.ok() ? *v : fallback;
-}
-
-bool Config::GetBoolOr(const std::string& key, bool fallback) const {
-  auto v = GetBool(key);
   return v.ok() ? *v : fallback;
 }
 
@@ -232,13 +242,6 @@ Config Config::Scope(const std::string& prefix) const {
 
 void Config::Merge(const Config& other) {
   for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::vector<std::string> Config::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [k, v] : values_) keys.push_back(k);
-  return keys;
 }
 
 std::string Config::ToString() const {

@@ -4,24 +4,35 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
 
 namespace crayfish {
 
-/// Strict numeric parsing shared by Config's typed getters, the fault,
-/// workload and autoscaler property overrides, and the CLI flags. The whole
-/// string must be the number (strtod syntax) and finite: "4x", "", "nan",
-/// "inf" or "1e999" is InvalidArgument and `*out` is left untouched.
-Status ParseNumber(const std::string& text, double* out);
+/// The checks every config number passes, whichever source it came from
+/// (a JSON spec file or the text of a `key = value` line): `d` must be
+/// finite, and for an integer `*out` integral ("16.0" is 16, "2.5" is not
+/// an integer) and inside its range ("1e12" for an int, -1 for a
+/// uint64_t). On error `*out` is left untouched. This and ParseNumber are
+/// defined for double, int, int64_t and uint64_t.
+template <typename Num>
+Status ConvertNumber(double d, Num* out);
 
-/// Integer overloads. Integral doubles such as "16.0" or "1e3" are accepted;
-/// a fraction ("2.5"), NaN, or a value outside the range of `*out` ("1e12"
-/// for an int, "-1" for a uint64_t) is InvalidArgument.
-Status ParseNumber(const std::string& text, int* out);
-Status ParseNumber(const std::string& text, int64_t* out);
-Status ParseNumber(const std::string& text, uint64_t* out);
+/// Strict numeric parsing shared by every `key = value` config field and
+/// the CLI flags: the whole string must be the number (strtod syntax; plain
+/// decimal integers convert exactly), and the result goes through
+/// ConvertNumber. "4x", "", "nan", "inf" or "1e999" is InvalidArgument.
+template <typename Num>
+Status ParseNumber(const std::string& text, Num* out);
+
+/// The one spelling of a bool in config text: true/1/yes or false/0/no.
+Status ParseBool(const std::string& text, bool* out);
+
+/// The whole file at `path`, or IoError "cannot read <what>: <path>". Every
+/// properties and JSON spec file is read through this.
+StatusOr<std::string> ReadTextFile(const std::string& path,
+                                   std::string_view what);
 
 /// Flat key/value experiment configuration, in the spirit of Crayfish's
 /// per-experiment configuration files (Table 1 parameters such as isz, bsz,
@@ -29,7 +40,9 @@ Status ParseNumber(const std::string& text, uint64_t* out);
 ///
 /// Keys are dotted strings ("producer.input.rate"); values are stored as
 /// strings and converted on read. Supports loading `key = value` properties
-/// text (with '#' comments) and JSON objects.
+/// text (with '#' comments) and JSON objects. Experiment and engine settings
+/// are converted where they are applied, through the field tables of
+/// common/fields.h.
 class Config {
  public:
   Config() = default;
@@ -57,11 +70,7 @@ class Config {
   StatusOr<double> GetDouble(const std::string& key) const;
   StatusOr<bool> GetBool(const std::string& key) const;
 
-  std::string GetStringOr(const std::string& key,
-                          const std::string& fallback) const;
   int64_t GetIntOr(const std::string& key, int64_t fallback) const;
-  double GetDoubleOr(const std::string& key, double fallback) const;
-  bool GetBoolOr(const std::string& key, bool fallback) const;
 
   /// All keys with the given prefix, e.g. Scope("flink.") -> keys without
   /// the prefix.
@@ -70,7 +79,8 @@ class Config {
   /// Merges `other` into this config; `other` wins on conflicts.
   void Merge(const Config& other);
 
-  std::vector<std::string> Keys() const;
+  /// Every key and value, keys sorted.
+  const std::map<std::string, std::string>& values() const { return values_; }
   size_t size() const { return values_.size(); }
 
   /// Properties-style rendering, keys sorted.

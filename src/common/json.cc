@@ -1,6 +1,5 @@
 #include "common/json.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -243,22 +242,6 @@ double JsonValue::GetNumberOr(const std::string& key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
 }
 
-int64_t JsonValue::GetIntOr(const std::string& key, int64_t fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->as_int() : fallback;
-}
-
-bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
-}
-
-std::string JsonValue::GetStringOr(const std::string& key,
-                                   const std::string& fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
-}
-
 size_t JsonValue::size() const {
   switch (type_) {
     case Type::kArray:
@@ -375,17 +358,6 @@ bool JsonValue::operator==(const JsonValue& other) const {
       return object_ == other.object_;
   }
   return false;
-}
-
-Status RejectUnknownFields(const JsonValue& v,
-                           std::initializer_list<std::string_view> known,
-                           const std::string& what) {
-  for (const auto& [key, value] : v.as_object()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      return Status::InvalidArgument("unknown " + what + " field: " + key);
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace crayfish

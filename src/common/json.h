@@ -2,11 +2,9 @@
 #define CRAYFISH_COMMON_JSON_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -57,7 +55,6 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
   const std::string& as_string() const { return string_; }
   const Array& as_array() const { return array_; }
   Array& as_array() { return array_; }
@@ -69,12 +66,9 @@ class JsonValue {
   /// Returns nullptr when the key is absent or this is not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  /// Typed lookups with defaults — used by config parsing.
+  /// The member `key` when it is a number, else `fallback` (config loaders
+  /// use common/fields.h, which rejects a wrong type instead).
   double GetNumberOr(const std::string& key, double fallback) const;
-  int64_t GetIntOr(const std::string& key, int64_t fallback) const;
-  bool GetBoolOr(const std::string& key, bool fallback) const;
-  std::string GetStringOr(const std::string& key,
-                          const std::string& fallback) const;
 
   void Append(JsonValue v) { array_.push_back(std::move(v)); }
   size_t size() const;
@@ -102,14 +96,6 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON (adds surrounding quotes).
 std::string JsonEscape(const std::string& s);
-
-/// Rejects any member of the JSON object `v` not named in `known`, so a
-/// misspelled or misplaced config field is an error rather than a silent
-/// default. `what` names the object in the message ("unknown <what> field:
-/// <key>"). Every JSON config loader checks its objects with this.
-Status RejectUnknownFields(const JsonValue& v,
-                           std::initializer_list<std::string_view> known,
-                           const std::string& what);
 
 }  // namespace crayfish
 

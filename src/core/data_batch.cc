@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/fields.h"
 #include "common/logging.h"
 
 namespace crayfish::core {
@@ -50,17 +51,28 @@ crayfish::StatusOr<CrayfishDataBatch> CrayfishDataBatch::FromJson(
     return crayfish::Status::InvalidArgument("batch JSON must be an object");
   }
   CrayfishDataBatch batch;
-  batch.id = static_cast<uint64_t>(v.GetIntOr("id", 0));
-  batch.created_at = v.GetNumberOr("ts", 0.0);
+  if (const JsonValue* id = v.Find("id")) {
+    CRAYFISH_RETURN_IF_ERROR(FieldValue(*id).To(&batch.id));
+  }
+  if (const JsonValue* ts = v.Find("ts")) {
+    CRAYFISH_RETURN_IF_ERROR(FieldValue(*ts).To(&batch.created_at));
+  }
   const JsonValue* shape = v.Find("shape");
   if (shape == nullptr || !shape->is_array()) {
     return crayfish::Status::InvalidArgument("batch JSON missing shape");
   }
+  // Every dim is >= 1 and their product is at most 2^31, so
+  // elements_per_sample() cannot overflow.
+  int64_t per_sample = 1;
   for (const JsonValue& d : shape->as_array()) {
-    if (!d.is_number()) {
-      return crayfish::Status::InvalidArgument("shape entries must be numbers");
+    int64_t dim = 0;
+    CRAYFISH_RETURN_IF_ERROR(FieldValue(d).To(&dim));
+    if (dim < 1 || dim > (int64_t{1} << 31) / per_sample) {
+      return crayfish::Status::InvalidArgument(
+          "shape entries must be >= 1, with a product of at most 2^31");
     }
-    batch.shape.push_back(d.as_int());
+    per_sample *= dim;
+    batch.shape.push_back(dim);
   }
   const JsonValue* data = v.Find("data");
   if (data == nullptr || !data->is_array()) {
@@ -73,9 +85,7 @@ crayfish::StatusOr<CrayfishDataBatch> CrayfishDataBatch::FromJson(
     }
     batch.data.push_back(static_cast<float>(d.as_number()));
   }
-  const int64_t per_sample = batch.elements_per_sample();
-  if (per_sample == 0 ||
-      static_cast<int64_t>(batch.data.size()) % per_sample != 0) {
+  if (static_cast<int64_t>(batch.data.size()) % per_sample != 0) {
     return crayfish::Status::InvalidArgument(
         "data length is not a multiple of the sample size");
   }

@@ -10,19 +10,21 @@ namespace crayfish::core {
 /// Maps a properties file onto an ExperimentConfig: the one mapping behind
 /// crayfish_run and crayfish_sweep.
 ///
-/// Dot-less keys are the Table 1 workload parameters and run controls
-/// (engine, serving, model, bsz, ir, mp, gpu, bursty, burst_rate, bd, tbb,
-/// first_burst_at_s, source_parallelism, sink_parallelism, partitions,
-/// duration_s, drain_s, max_events, max_measurements, seed, dataset, trace,
-/// timeline_interval_s) plus the spec files `faults`, `slo`, `workload` and
-/// `autoscaler`, which are loaded here. Dotted keys are overrides:
-/// `fault.<target>.<field>`, `workload.<key>` and `autoscaler.<key>` edit
-/// the respective specs; every other dotted key passes to the engine
-/// verbatim (e.g. `spark.max_offsets_per_trigger`).
+/// Dot-less keys are one field table (properties.cc): the Table 1 workload
+/// parameters and run controls (engine, serving, model, bsz, ir, mp, gpu,
+/// bursty, burst_rate, bd, tbb, first_burst_at_s, source_parallelism,
+/// sink_parallelism, partitions, duration_s, drain_s, max_events,
+/// max_measurements, seed, dataset, trace, timeline_interval_s) and the spec
+/// files `faults`, `slo`, `workload` and `autoscaler`, loaded here. Dotted
+/// keys are overrides, applied after every spec file is loaded:
+/// `fault.<target>.<field>`, `workload.<field>` and `autoscaler.<field>`
+/// set fields through the specs' own tables; every other dotted key is an
+/// engine override, checked by sps::CreateEngine.
 ///
-/// Every input is honoured or rejected: an unknown dot-less key, a
-/// malformed value, or an unreadable spec file is an InvalidArgument (or
-/// I/O) error naming the key.
+/// Every input is honoured or rejected: an unknown key, a malformed or
+/// out-of-range value ("2.5" for an integer, "-1" for a count or seed, a
+/// bool other than true/1/yes or false/0/no), or an unreadable or invalid
+/// spec file is an InvalidArgument (or I/O) error naming the key.
 StatusOr<ExperimentConfig> ExperimentConfigFromProperties(
     const Config& props);
 

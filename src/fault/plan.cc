@@ -1,137 +1,112 @@
 #include "fault/plan.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include "common/config.h"
-#include "common/json.h"
+#include "common/fields.h"
 
 namespace crayfish::fault {
 namespace {
 
-Status ParseBool(const std::string& value, bool* out) {
-  if (value == "true" || value == "1") {
-    *out = true;
-    return Status::Ok();
-  }
-  if (value == "false" || value == "0") {
-    *out = false;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("not a bool: " + value);
+/// Indexed by FaultKind.
+constexpr const char* kKindNames[] = {"broker_crash",     "link_degrade",
+                                      "serving_slowdown", "serving_down",
+                                      "worker_resize",    "task_restart"};
+
+constexpr Field<RetryPolicy> kRetryFields[] = {
+    {"max_retries", &RetryPolicy::max_retries},
+    {"timeout_s", &RetryPolicy::timeout_s},
+    {"initial_backoff_s", &RetryPolicy::initial_backoff_s},
+    {"backoff_multiplier", &RetryPolicy::backoff_multiplier},
+    {"max_backoff_s", &RetryPolicy::max_backoff_s},
+    {"jitter", &RetryPolicy::jitter},
+};
+
+/// A fault's kind and name come from the plan file only: overrides address
+/// a fault by its name, and the default name is built from the kind.
+Status RejectText(const FieldValue& v) {
+  return v.json() != nullptr
+             ? Status::Ok()
+             : Status::InvalidArgument("set in the fault plan file only");
 }
 
-/// Sets one RetryPolicy field by name.
-Status ApplyRetryField(crayfish::RetryPolicy* retry, const std::string& field,
-                       const std::string& value) {
-  if (field == "max_retries") return ParseNumber(value, &retry->max_retries);
-  if (field == "timeout_s") return ParseNumber(value, &retry->timeout_s);
-  if (field == "initial_backoff_s") {
-    return ParseNumber(value, &retry->initial_backoff_s);
-  }
-  if (field == "backoff_multiplier") {
-    return ParseNumber(value, &retry->backoff_multiplier);
-  }
-  if (field == "max_backoff_s") {
-    return ParseNumber(value, &retry->max_backoff_s);
-  }
-  if (field == "jitter") return ParseNumber(value, &retry->jitter);
-  return Status::InvalidArgument("unknown retry field: " + field);
-}
+constexpr Field<FaultSpec> kSpecFields[] = {
+    {"kind",
+     [](FaultSpec* spec, const FieldValue& v) -> Status {
+       CRAYFISH_RETURN_IF_ERROR(RejectText(v));
+       std::string name;
+       CRAYFISH_RETURN_IF_ERROR(v.To(&name));
+       CRAYFISH_ASSIGN_OR_RETURN(spec->kind, ParseFaultKind(name));
+       return Status::Ok();
+     }},
+    {"name",
+     [](FaultSpec* spec, const FieldValue& v) -> Status {
+       CRAYFISH_RETURN_IF_ERROR(RejectText(v));
+       return v.To(&spec->name);
+     }},
+    {"at_s", &FaultSpec::at_s},
+    {"until_s", &FaultSpec::until_s},
+    {"broker", &FaultSpec::broker},
+    {"from", &FaultSpec::from},
+    {"to", &FaultSpec::to},
+    {"latency_mult", &FaultSpec::latency_mult},
+    {"bandwidth_mult", &FaultSpec::bandwidth_mult},
+    {"drop", &FaultSpec::drop},
+    {"factor", &FaultSpec::factor},
+    {"workers_delta", &FaultSpec::workers_delta},
+    {"task_index", &FaultSpec::task_index},
+    {"restart_delay_s", &FaultSpec::restart_delay_s},
+};
 
-/// Sets one FaultSpec field by name.
-Status ApplySpecField(FaultSpec* spec, const std::string& field,
-                      const std::string& value) {
-  if (field == "at_s") return ParseNumber(value, &spec->at_s);
-  if (field == "until_s") return ParseNumber(value, &spec->until_s);
-  if (field == "broker") return ParseNumber(value, &spec->broker);
-  if (field == "from") {
-    spec->from = value;
-    return Status::Ok();
-  }
-  if (field == "to") {
-    spec->to = value;
-    return Status::Ok();
-  }
-  if (field == "latency_mult") return ParseNumber(value, &spec->latency_mult);
-  if (field == "bandwidth_mult") {
-    return ParseNumber(value, &spec->bandwidth_mult);
-  }
-  if (field == "drop") return ParseBool(value, &spec->drop);
-  if (field == "factor") return ParseNumber(value, &spec->factor);
-  if (field == "workers_delta") return ParseNumber(value, &spec->workers_delta);
-  if (field == "task_index") return ParseNumber(value, &spec->task_index);
-  if (field == "restart_delay_s") {
-    return ParseNumber(value, &spec->restart_delay_s);
-  }
-  return Status::InvalidArgument("unknown fault field: " + field);
-}
+/// JSON-only: a plan's "retry" object and "faults" array.
+constexpr Field<FaultPlan> kPlanFields[] = {
+    {"retry",
+     [](FaultPlan* plan, const FieldValue& v) -> Status {
+       if (v.json() == nullptr) {
+         return Status::InvalidArgument("set retry.<field> instead");
+       }
+       return SetFields<RetryPolicy>(kRetryFields, "retry", *v.json(),
+                                     &plan->retry);
+     }},
+    {"auto_commit_interval_s", &FaultPlan::auto_commit_interval_s},
+    {"faults",
+     [](FaultPlan* plan, const FieldValue& v) -> Status {
+       if (v.json() == nullptr || !v.json()->is_array()) {
+         return Status::InvalidArgument("must be a JSON array");
+       }
+       for (const JsonValue& entry : v.json()->as_array()) {
+         FaultSpec spec;
+         CRAYFISH_RETURN_IF_ERROR(
+             SetFields<FaultSpec>(kSpecFields, "fault", entry, &spec));
+         if (entry.Find("kind") == nullptr) {
+           return Status::InvalidArgument("fault spec needs a \"kind\"");
+         }
+         if (spec.name.empty()) {
+           spec.name = std::string(FaultKindName(spec.kind)) + "-" +
+                       std::to_string(plan->faults.size());
+         }
+         plan->faults.push_back(std::move(spec));
+       }
+       return Status::Ok();
+     }},
+};
 
-StatusOr<FaultSpec> SpecFromJson(const JsonValue& v, size_t index) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("fault spec must be a JSON object");
-  }
-  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-      v,
-      {"kind", "name", "at_s", "until_s", "broker", "from", "to",
-       "latency_mult", "bandwidth_mult", "drop", "factor", "workers_delta",
-       "task_index", "restart_delay_s"},
-      "fault"));
-  FaultSpec spec;
-  const std::string kind_name = v.GetStringOr("kind", "");
-  CRAYFISH_ASSIGN_OR_RETURN(spec.kind, ParseFaultKind(kind_name));
-  spec.name = v.GetStringOr("name", "");
-  if (spec.name.empty()) {
-    spec.name = kind_name + "-" + std::to_string(index);
-  }
-  spec.at_s = v.GetNumberOr("at_s", spec.at_s);
-  spec.until_s = v.GetNumberOr("until_s", spec.until_s);
-  spec.broker = static_cast<int>(v.GetIntOr("broker", spec.broker));
-  spec.from = v.GetStringOr("from", spec.from);
-  spec.to = v.GetStringOr("to", spec.to);
-  spec.latency_mult = v.GetNumberOr("latency_mult", spec.latency_mult);
-  spec.bandwidth_mult = v.GetNumberOr("bandwidth_mult", spec.bandwidth_mult);
-  spec.drop = v.GetBoolOr("drop", spec.drop);
-  spec.factor = v.GetNumberOr("factor", spec.factor);
-  spec.workers_delta =
-      static_cast<int>(v.GetIntOr("workers_delta", spec.workers_delta));
-  spec.task_index =
-      static_cast<int>(v.GetIntOr("task_index", spec.task_index));
-  spec.restart_delay_s =
-      v.GetNumberOr("restart_delay_s", spec.restart_delay_s);
-  CRAYFISH_RETURN_IF_ERROR(spec.Validate());
-  return spec;
+StatusOr<FaultPlan> PlanFromJson(const JsonValue& root) {
+  FaultPlan plan;
+  CRAYFISH_RETURN_IF_ERROR(
+      SetFields<FaultPlan>(kPlanFields, "fault plan", root, &plan));
+  CRAYFISH_RETURN_IF_ERROR(plan.Validate());
+  return plan;
 }
 
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kBrokerCrash:
-      return "broker_crash";
-    case FaultKind::kLinkDegrade:
-      return "link_degrade";
-    case FaultKind::kServingSlowdown:
-      return "serving_slowdown";
-    case FaultKind::kServingDown:
-      return "serving_down";
-    case FaultKind::kWorkerResize:
-      return "worker_resize";
-    case FaultKind::kTaskRestart:
-      return "task_restart";
-  }
-  return "unknown";
+  return kKindNames[static_cast<size_t>(kind)];
 }
 
 StatusOr<FaultKind> ParseFaultKind(const std::string& name) {
-  if (name == "broker_crash") return FaultKind::kBrokerCrash;
-  if (name == "link_degrade") return FaultKind::kLinkDegrade;
-  if (name == "serving_slowdown") return FaultKind::kServingSlowdown;
-  if (name == "serving_down") return FaultKind::kServingDown;
-  if (name == "worker_resize") return FaultKind::kWorkerResize;
-  if (name == "task_restart") return FaultKind::kTaskRestart;
+  for (size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) return static_cast<FaultKind>(i);
+  }
   return Status::InvalidArgument("unknown fault kind: \"" + name + "\"");
 }
 
@@ -221,78 +196,35 @@ Status FaultPlan::Validate() const {
 
 StatusOr<FaultPlan> FaultPlan::FromJsonText(const std::string& text) {
   CRAYFISH_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(text));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("fault plan must be a JSON object");
-  }
-  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-      root, {"retry", "auto_commit_interval_s", "faults"}, "fault plan"));
-  FaultPlan plan;
-  if (const JsonValue* retry = root.Find("retry")) {
-    if (!retry->is_object()) {
-      return Status::InvalidArgument("\"retry\" must be a JSON object");
-    }
-    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-        *retry,
-        {"max_retries", "timeout_s", "initial_backoff_s",
-         "backoff_multiplier", "max_backoff_s", "jitter"},
-        "retry"));
-    plan.retry.max_retries = static_cast<int>(
-        retry->GetIntOr("max_retries", plan.retry.max_retries));
-    plan.retry.timeout_s =
-        retry->GetNumberOr("timeout_s", plan.retry.timeout_s);
-    plan.retry.initial_backoff_s =
-        retry->GetNumberOr("initial_backoff_s", plan.retry.initial_backoff_s);
-    plan.retry.backoff_multiplier = retry->GetNumberOr(
-        "backoff_multiplier", plan.retry.backoff_multiplier);
-    plan.retry.max_backoff_s =
-        retry->GetNumberOr("max_backoff_s", plan.retry.max_backoff_s);
-    plan.retry.jitter = retry->GetNumberOr("jitter", plan.retry.jitter);
-  }
-  plan.auto_commit_interval_s =
-      root.GetNumberOr("auto_commit_interval_s", plan.auto_commit_interval_s);
-  if (const JsonValue* faults = root.Find("faults")) {
-    if (!faults->is_array()) {
-      return Status::InvalidArgument("\"faults\" must be a JSON array");
-    }
-    for (size_t i = 0; i < faults->as_array().size(); ++i) {
-      CRAYFISH_ASSIGN_OR_RETURN(FaultSpec spec,
-                                SpecFromJson(faults->as_array()[i], i));
-      plan.faults.push_back(std::move(spec));
-    }
-  }
-  CRAYFISH_RETURN_IF_ERROR(plan.Validate());
-  return plan;
+  return PlanFromJson(root);
 }
 
 StatusOr<FaultPlan> FaultPlan::FromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read fault plan: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FromJsonText(text.str());
+  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root, LoadJsonFile(path, "fault plan"));
+  return PlanFromJson(root);
 }
 
 Status FaultPlan::ApplyOverride(const std::string& key,
                                 const std::string& value) {
-  if (key == "auto_commit_interval_s") {
-    return ParseNumber(value, &auto_commit_interval_s);
-  }
   const size_t dot = key.find('.');
-  if (dot == std::string::npos || dot == 0 || dot + 1 >= key.size()) {
-    return Status::InvalidArgument("bad fault override key: " + key);
+  if (dot == std::string::npos) {
+    return SetField(kPlanFields, "fault plan", key, FieldValue(value), this);
   }
   const std::string target = key.substr(0, dot);
   const std::string field = key.substr(dot + 1);
-  if (target == "retry") return ApplyRetryField(&retry, field, value);
+  if (target == "retry") {
+    return SetField(kRetryFields, "retry", field, FieldValue(value), &retry);
+  }
   for (FaultSpec& spec : faults) {
-    if (spec.name == target) return ApplySpecField(&spec, field, value);
+    if (spec.name == target) {
+      return SetField(kSpecFields, "fault", field, FieldValue(value), &spec);
+    }
   }
   // Numeric index addressing ("0.at_s").
-  char* end = nullptr;
-  const long idx = std::strtol(target.c_str(), &end, 10);
-  if (end != target.c_str() && *end == '\0' && idx >= 0 &&
-      static_cast<size_t>(idx) < faults.size()) {
-    return ApplySpecField(&faults[static_cast<size_t>(idx)], field, value);
+  size_t index = 0;
+  if (ParseNumber(target, &index).ok() && index < faults.size()) {
+    return SetField(kSpecFields, "fault", field, FieldValue(value),
+                    &faults[index]);
   }
   return Status::NotFound("no fault named \"" + target + "\" in plan");
 }

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
-#include "common/json.h"
+#include "common/fields.h"
 #include "obs/format.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
@@ -93,63 +92,72 @@ double Violation(const SloSpec& spec, double value) {
 
 }  // namespace
 
-StatusOr<SloConfig> SloConfig::FromJsonText(const std::string& text) {
-  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(text));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("SLO config: top level must be an object");
-  }
-  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(root, {"slos"}, "SLO config"));
-  const JsonValue* slos = root.Find("slos");
-  if (slos == nullptr || !slos->is_array()) {
-    return Status::InvalidArgument(
-        "SLO config: missing \"slos\" array");
-  }
+namespace {
+
+/// Setting "max" or "min" also marks that bound as present.
+template <double SloSpec::*Bound, bool SloSpec::*Has>
+Status SetBound(SloSpec* spec, const FieldValue& v) {
+  CRAYFISH_RETURN_IF_ERROR(v.To(&(spec->*Bound)));
+  spec->*Has = true;
+  return Status::Ok();
+}
+
+constexpr Field<SloSpec> kSloFields[] = {
+    {"name", &SloSpec::name},
+    {"metric", &SloSpec::metric},
+    {"max", SetBound<&SloSpec::max, &SloSpec::has_max>},
+    {"min", SetBound<&SloSpec::min, &SloSpec::has_min>},
+    {"error_budget", &SloSpec::error_budget},
+};
+
+constexpr Field<SloConfig> kConfigFields[] = {
+    {"slos",
+     [](SloConfig* config, const FieldValue& v) -> Status {
+       if (v.json() == nullptr || !v.json()->is_array()) {
+         return Status::InvalidArgument("must be a JSON array");
+       }
+       for (const JsonValue& entry : v.json()->as_array()) {
+         SloSpec spec;
+         CRAYFISH_RETURN_IF_ERROR(
+             SetFields<SloSpec>(kSloFields, "SLO", entry, &spec));
+         if (spec.metric.empty()) {
+           return Status::InvalidArgument("slo missing \"metric\"");
+         }
+         if (entry.Find("name") == nullptr) spec.name = spec.metric;
+         if (!spec.has_max && !spec.has_min) {
+           return Status::InvalidArgument("slo \"" + spec.name +
+                                          "\" needs a \"max\" or \"min\" bound");
+         }
+         if (spec.error_budget < 0.0 || spec.error_budget >= 1.0) {
+           return Status::InvalidArgument("error_budget must be in [0, 1)");
+         }
+         config->slos.push_back(std::move(spec));
+       }
+       return Status::Ok();
+     }},
+};
+
+StatusOr<SloConfig> ConfigFromJson(const JsonValue& root) {
   SloConfig config;
-  for (const JsonValue& entry : slos->as_array()) {
-    if (!entry.is_object()) {
-      return Status::InvalidArgument("SLO config: each slo must be an object");
-    }
-    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-        entry, {"name", "metric", "max", "min", "error_budget"}, "SLO"));
-    SloSpec spec;
-    spec.metric = entry.GetStringOr("metric", "");
-    if (spec.metric.empty()) {
-      return Status::InvalidArgument("SLO config: slo missing \"metric\"");
-    }
-    spec.name = entry.GetStringOr("name", spec.metric);
-    const JsonValue* max = entry.Find("max");
-    if (max != nullptr && max->is_number()) {
-      spec.max = max->as_number();
-      spec.has_max = true;
-    }
-    const JsonValue* min = entry.Find("min");
-    if (min != nullptr && min->is_number()) {
-      spec.min = min->as_number();
-      spec.has_min = true;
-    }
-    if (!spec.has_max && !spec.has_min) {
-      return Status::InvalidArgument("SLO config: slo \"" + spec.name +
-                                     "\" needs a \"max\" or \"min\" bound");
-    }
-    spec.error_budget = entry.GetNumberOr("error_budget", 0.0);
-    if (spec.error_budget < 0.0 || spec.error_budget >= 1.0) {
-      return Status::InvalidArgument(
-          "SLO config: error_budget must be in [0, 1)");
-    }
-    config.slos.push_back(std::move(spec));
-  }
+  CRAYFISH_RETURN_IF_ERROR(
+      SetFields<SloConfig>(kConfigFields, "SLO config", root, &config));
   if (config.slos.empty()) {
-    return Status::InvalidArgument("SLO config: \"slos\" array is empty");
+    return Status::InvalidArgument(
+        "SLO config: needs a non-empty \"slos\" array");
   }
   return config;
 }
 
+}  // namespace
+
+StatusOr<SloConfig> SloConfig::FromJsonText(const std::string& text) {
+  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(text));
+  return ConfigFromJson(root);
+}
+
 StatusOr<SloConfig> SloConfig::FromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read SLO config: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FromJsonText(text.str());
+  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root, LoadJsonFile(path, "SLO config"));
+  return ConfigFromJson(root);
 }
 
 Status SloMonitor::CheckMetrics(const SloConfig& config,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
-#include "common/config.h"
-#include "common/json.h"
+#include "common/fields.h"
 
 namespace crayfish::scale {
 
@@ -63,42 +61,35 @@ Status PolicyConfig::Validate() const {
   return Status::Ok();
 }
 
+namespace {
+
+constexpr Field<PolicyConfig> kPolicyFields[] = {
+    {"kind", &PolicyConfig::kind},
+    {"interval_s", &PolicyConfig::interval_s},
+    {"min_replicas", &PolicyConfig::min_replicas},
+    {"max_replicas", &PolicyConfig::max_replicas},
+    {"step", &PolicyConfig::step},
+    {"cooldown_s", &PolicyConfig::cooldown_s},
+    {"scale_in_hysteresis", &PolicyConfig::scale_in_hysteresis},
+    {"scale_up_lag", &PolicyConfig::scale_up_lag},
+    {"scale_up_utilization", &PolicyConfig::scale_up_utilization},
+    {"scale_down_lag", &PolicyConfig::scale_down_lag},
+    {"scale_down_utilization", &PolicyConfig::scale_down_utilization},
+    {"hw_alpha", &PolicyConfig::hw_alpha},
+    {"hw_beta", &PolicyConfig::hw_beta},
+    {"horizon_s", &PolicyConfig::horizon_s},
+    {"rate_per_replica", &PolicyConfig::rate_per_replica},
+    {"target_utilization", &PolicyConfig::target_utilization},
+    {"seed", &PolicyConfig::seed},
+};
+
+}  // namespace
+
 StatusOr<PolicyConfig> PolicyConfig::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("autoscaler config must be a JSON object");
-  }
-  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-      v,
-      {"kind", "interval_s", "min_replicas", "max_replicas", "step",
-       "cooldown_s", "scale_in_hysteresis", "scale_up_lag",
-       "scale_up_utilization", "scale_down_lag", "scale_down_utilization",
-       "hw_alpha", "hw_beta", "horizon_s", "rate_per_replica",
-       "target_utilization", "seed"},
-      "autoscaler"));
   PolicyConfig c;
   c.enabled = true;
-  c.kind = v.GetStringOr("kind", c.kind);
-  c.interval_s = v.GetNumberOr("interval_s", c.interval_s);
-  c.min_replicas = static_cast<int>(v.GetIntOr("min_replicas", c.min_replicas));
-  c.max_replicas = static_cast<int>(v.GetIntOr("max_replicas", c.max_replicas));
-  c.step = static_cast<int>(v.GetIntOr("step", c.step));
-  c.cooldown_s = v.GetNumberOr("cooldown_s", c.cooldown_s);
-  c.scale_in_hysteresis = static_cast<int>(
-      v.GetIntOr("scale_in_hysteresis", c.scale_in_hysteresis));
-  c.scale_up_lag = v.GetNumberOr("scale_up_lag", c.scale_up_lag);
-  c.scale_up_utilization =
-      v.GetNumberOr("scale_up_utilization", c.scale_up_utilization);
-  c.scale_down_lag = v.GetNumberOr("scale_down_lag", c.scale_down_lag);
-  c.scale_down_utilization =
-      v.GetNumberOr("scale_down_utilization", c.scale_down_utilization);
-  c.hw_alpha = v.GetNumberOr("hw_alpha", c.hw_alpha);
-  c.hw_beta = v.GetNumberOr("hw_beta", c.hw_beta);
-  c.horizon_s = v.GetNumberOr("horizon_s", c.horizon_s);
-  c.rate_per_replica = v.GetNumberOr("rate_per_replica", c.rate_per_replica);
-  c.target_utilization =
-      v.GetNumberOr("target_utilization", c.target_utilization);
-  c.seed = static_cast<uint64_t>(
-      v.GetIntOr("seed", static_cast<int64_t>(c.seed)));
+  CRAYFISH_RETURN_IF_ERROR(
+      SetFields<PolicyConfig>(kPolicyFields, "autoscaler", v, &c));
   CRAYFISH_RETURN_IF_ERROR(c.Validate());
   return c;
 }
@@ -109,45 +100,15 @@ StatusOr<PolicyConfig> PolicyConfig::FromJsonText(const std::string& text) {
 }
 
 StatusOr<PolicyConfig> PolicyConfig::FromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read autoscaler config: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FromJsonText(text.str());
+  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root,
+                            LoadJsonFile(path, "autoscaler config"));
+  return FromJson(root);
 }
 
 Status PolicyConfig::ApplyOverride(const std::string& key,
                                    const std::string& value) {
   enabled = true;
-  if (key == "kind") {
-    kind = value;
-    return Status::Ok();
-  }
-  if (key == "interval_s") return ParseNumber(value, &interval_s);
-  if (key == "min_replicas") return ParseNumber(value, &min_replicas);
-  if (key == "max_replicas") return ParseNumber(value, &max_replicas);
-  if (key == "step") return ParseNumber(value, &step);
-  if (key == "cooldown_s") return ParseNumber(value, &cooldown_s);
-  if (key == "scale_in_hysteresis") {
-    return ParseNumber(value, &scale_in_hysteresis);
-  }
-  if (key == "scale_up_lag") return ParseNumber(value, &scale_up_lag);
-  if (key == "scale_up_utilization") {
-    return ParseNumber(value, &scale_up_utilization);
-  }
-  if (key == "scale_down_lag") return ParseNumber(value, &scale_down_lag);
-  if (key == "scale_down_utilization") {
-    return ParseNumber(value, &scale_down_utilization);
-  }
-  if (key == "hw_alpha") return ParseNumber(value, &hw_alpha);
-  if (key == "hw_beta") return ParseNumber(value, &hw_beta);
-  if (key == "horizon_s") return ParseNumber(value, &horizon_s);
-  if (key == "rate_per_replica") return ParseNumber(value, &rate_per_replica);
-  if (key == "target_utilization") {
-    return ParseNumber(value, &target_utilization);
-  }
-  if (key == "seed") return ParseNumber(value, &seed);
-  return Status::InvalidArgument("unknown autoscaler key: " + key);
+  return SetField(kPolicyFields, "autoscaler", key, FieldValue(value), this);
 }
 
 PolicyDecision ReactivePolicy::Evaluate(const PolicyInput& in) {

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
-#include <string_view>
 
-#include "common/config.h"
-#include "common/json.h"
+#include "common/fields.h"
 
 namespace crayfish::scale {
 namespace {
+
+/// Indexed by ShapeKind.
+constexpr const char* kKindNames[] = {"constant", "diurnal", "flash_crowd",
+                                      "ramp", "replay"};
 
 /// SplitMix64: the jitter factor is a pure hash of (seed, window index),
 /// not an RNG stream — shapes consume no simulation randomness.
@@ -21,62 +21,17 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-StatusOr<ProfilePoint> PointFromJson(const JsonValue& v) {
-  ProfilePoint p;
-  if (v.is_array() && v.as_array().size() == 2 &&
-      v.as_array()[0].is_number() && v.as_array()[1].is_number()) {
-    p.t_s = v.as_array()[0].as_number();
-    p.rate = v.as_array()[1].as_number();
-    return p;
-  }
-  if (v.is_object()) {
-    p.t_s = v.GetNumberOr("t_s", 0.0);
-    p.rate = v.GetNumberOr("rate", 0.0);
-    return p;
-  }
-  return Status::InvalidArgument(
-      "profile point must be [t, rate] or {\"t_s\":..,\"rate\":..}");
-}
-
-Status PointsFromJsonArray(const JsonValue& arr,
-                           std::vector<ProfilePoint>* out) {
-  if (!arr.is_array()) {
-    return Status::InvalidArgument("\"points\" must be a JSON array");
-  }
-  out->clear();
-  for (const JsonValue& v : arr.as_array()) {
-    CRAYFISH_ASSIGN_OR_RETURN(ProfilePoint p, PointFromJson(v));
-    out->push_back(p);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 const char* ShapeKindName(ShapeKind kind) {
-  switch (kind) {
-    case ShapeKind::kConstant:
-      return "constant";
-    case ShapeKind::kDiurnal:
-      return "diurnal";
-    case ShapeKind::kFlashCrowd:
-      return "flash_crowd";
-    case ShapeKind::kRamp:
-      return "ramp";
-    case ShapeKind::kReplay:
-      return "replay";
-  }
-  return "unknown";
+  return kKindNames[static_cast<size_t>(kind)];
 }
 
 StatusOr<ShapeKind> ParseShapeKind(const std::string& name) {
-  if (name == "constant") return ShapeKind::kConstant;
-  if (name == "diurnal") return ShapeKind::kDiurnal;
-  if (name == "flash_crowd" || name == "flash-crowd") {
-    return ShapeKind::kFlashCrowd;
+  if (name == "flash-crowd") return ShapeKind::kFlashCrowd;
+  for (size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) return static_cast<ShapeKind>(i);
   }
-  if (name == "ramp") return ShapeKind::kRamp;
-  if (name == "replay") return ShapeKind::kReplay;
   return Status::InvalidArgument("unknown workload shape: \"" + name + "\"");
 }
 
@@ -226,53 +181,83 @@ Status WorkloadShape::Validate() const {
 
 namespace {
 
-/// A workload spec's own (non-shape) JSON keys.
-constexpr std::string_view kSpecKeys[] = {
-    "tenants", "tenant_partitions", "tenant_rate_factor",
-    "tenant_topic_prefix", "tenant_host_prefix", "fleet_hosts",
-    "fleet_host_prefix"};
+constexpr Field<ProfilePoint> kPointFields[] = {
+    {"t_s", &ProfilePoint::t_s},
+    {"rate", &ProfilePoint::rate},
+};
+
+Status PointFromJson(const JsonValue& v, ProfilePoint* p) {
+  if (v.is_array() && v.as_array().size() == 2) {
+    CRAYFISH_RETURN_IF_ERROR(FieldValue(v.as_array()[0]).To(&p->t_s));
+    return FieldValue(v.as_array()[1]).To(&p->rate);
+  }
+  if (v.is_object()) {
+    return SetFields<ProfilePoint>(kPointFields, "profile point", v, p);
+  }
+  return Status::InvalidArgument(
+      "profile point must be [t, rate] or {\"t_s\":..,\"rate\":..}");
+}
+
+constexpr Field<WorkloadShape> kShapeFields[] = {
+    {"kind",
+     [](WorkloadShape* shape, const FieldValue& v) -> Status {
+       std::string name;
+       CRAYFISH_RETURN_IF_ERROR(v.To(&name));
+       CRAYFISH_ASSIGN_OR_RETURN(shape->kind, ParseShapeKind(name));
+       return Status::Ok();
+     }},
+    {"base_rate", &WorkloadShape::base_rate},
+    {"floor_rate", &WorkloadShape::floor_rate},
+    {"jitter", &WorkloadShape::jitter},
+    {"jitter_window_s", &WorkloadShape::jitter_window_s},
+    {"seed", &WorkloadShape::seed},
+    {"amplitude", &WorkloadShape::amplitude},
+    {"period_s", &WorkloadShape::period_s},
+    {"phase_s", &WorkloadShape::phase_s},
+    {"spike_at_s", &WorkloadShape::spike_at_s},
+    {"spike_mult", &WorkloadShape::spike_mult},
+    {"ramp_up_s", &WorkloadShape::ramp_up_s},
+    {"hold_s", &WorkloadShape::hold_s},
+    {"decay_s", &WorkloadShape::decay_s},
+    {"ramp_start_s", &WorkloadShape::ramp_start_s},
+    {"ramp_duration_s", &WorkloadShape::ramp_duration_s},
+    {"end_rate", &WorkloadShape::end_rate},
+    // A JSON array, or its text in an override.
+    {"points",
+     [](WorkloadShape* shape, const FieldValue& v) -> Status {
+       CRAYFISH_ASSIGN_OR_RETURN(JsonValue arr, v.AsJson());
+       if (!arr.is_array()) {
+         return Status::InvalidArgument("must be a JSON array");
+       }
+       shape->points.assign(arr.size(), ProfilePoint{});
+       for (size_t i = 0; i < arr.size(); ++i) {
+         CRAYFISH_RETURN_IF_ERROR(
+             PointFromJson(arr.as_array()[i], &shape->points[i]));
+       }
+       return Status::Ok();
+     }},
+};
+
+constexpr Field<WorkloadSpec> kSpecFields[] = {
+    // JSON-only: the nested layout's shape object.
+    {"shape",
+     [](WorkloadSpec* spec, const FieldValue& v) -> Status {
+       if (v.json() == nullptr) {
+         return Status::InvalidArgument("set the shape's fields instead");
+       }
+       return SetFields<WorkloadShape>(kShapeFields, "workload shape",
+                                       *v.json(), &spec->shape);
+     }},
+    {"tenants", &WorkloadSpec::tenants},
+    {"tenant_partitions", &WorkloadSpec::tenant_partitions},
+    {"tenant_rate_factor", &WorkloadSpec::tenant_rate_factor},
+    {"tenant_topic_prefix", &WorkloadSpec::tenant_topic_prefix},
+    {"tenant_host_prefix", &WorkloadSpec::tenant_host_prefix},
+    {"fleet_hosts", &WorkloadSpec::fleet_hosts},
+    {"fleet_host_prefix", &WorkloadSpec::fleet_host_prefix},
+};
 
 }  // namespace
-
-StatusOr<WorkloadShape> WorkloadShape::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("workload shape must be a JSON object");
-  }
-  CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(
-      v,
-      {"kind", "base_rate", "floor_rate", "jitter", "jitter_window_s", "seed",
-       "amplitude", "period_s", "phase_s", "spike_at_s", "spike_mult",
-       "ramp_up_s", "hold_s", "decay_s", "ramp_start_s", "ramp_duration_s",
-       "end_rate", "points"},
-      "workload shape"));
-  WorkloadShape shape;
-  const std::string kind_name = v.GetStringOr("kind", "constant");
-  CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(kind_name));
-  shape.base_rate = v.GetNumberOr("base_rate", shape.base_rate);
-  shape.floor_rate = v.GetNumberOr("floor_rate", shape.floor_rate);
-  shape.jitter = v.GetNumberOr("jitter", shape.jitter);
-  shape.jitter_window_s =
-      v.GetNumberOr("jitter_window_s", shape.jitter_window_s);
-  shape.seed = static_cast<uint64_t>(
-      v.GetIntOr("seed", static_cast<int64_t>(shape.seed)));
-  shape.amplitude = v.GetNumberOr("amplitude", shape.amplitude);
-  shape.period_s = v.GetNumberOr("period_s", shape.period_s);
-  shape.phase_s = v.GetNumberOr("phase_s", shape.phase_s);
-  shape.spike_at_s = v.GetNumberOr("spike_at_s", shape.spike_at_s);
-  shape.spike_mult = v.GetNumberOr("spike_mult", shape.spike_mult);
-  shape.ramp_up_s = v.GetNumberOr("ramp_up_s", shape.ramp_up_s);
-  shape.hold_s = v.GetNumberOr("hold_s", shape.hold_s);
-  shape.decay_s = v.GetNumberOr("decay_s", shape.decay_s);
-  shape.ramp_start_s = v.GetNumberOr("ramp_start_s", shape.ramp_start_s);
-  shape.ramp_duration_s =
-      v.GetNumberOr("ramp_duration_s", shape.ramp_duration_s);
-  shape.end_rate = v.GetNumberOr("end_rate", shape.end_rate);
-  if (const JsonValue* points = v.Find("points")) {
-    CRAYFISH_RETURN_IF_ERROR(PointsFromJsonArray(*points, &shape.points));
-  }
-  CRAYFISH_RETURN_IF_ERROR(shape.Validate());
-  return shape;
-}
 
 Status WorkloadSpec::Validate() const {
   CRAYFISH_RETURN_IF_ERROR(shape.Validate());
@@ -298,33 +283,18 @@ StatusOr<WorkloadSpec> WorkloadSpec::FromJson(const JsonValue& v) {
   WorkloadSpec spec;
   spec.enabled = true;
   // Shape fields live in a nested "shape" object when present; a flat
-  // layout (shape keys at the top level) is accepted too, so small
-  // hand-written specs don't need the extra nesting. Either way, what is
-  // left once the spec's own keys are set aside must be shape keys (flat)
-  // or the "shape" object alone (nested).
-  JsonValue rest = v;
-  for (const std::string_view key : kSpecKeys) {
-    rest.as_object().erase(std::string(key));
+  // layout (shape keys beside the spec's own keys) is accepted too, so
+  // small hand-written specs don't need the extra nesting.
+  const bool flat = v.Find("shape") == nullptr;
+  for (const auto& [key, member] : v.as_object()) {
+    if (flat && !HasField<WorkloadSpec>(kSpecFields, key)) {
+      CRAYFISH_RETURN_IF_ERROR(SetField(kShapeFields, "workload shape", key,
+                                        FieldValue(member), &spec.shape));
+    } else {
+      CRAYFISH_RETURN_IF_ERROR(
+          SetField(kSpecFields, "workload", key, FieldValue(member), &spec));
+    }
   }
-  const JsonValue* shape = v.Find("shape");
-  if (shape != nullptr) {
-    CRAYFISH_RETURN_IF_ERROR(RejectUnknownFields(rest, {"shape"}, "workload"));
-  }
-  CRAYFISH_ASSIGN_OR_RETURN(
-      spec.shape, WorkloadShape::FromJson(shape != nullptr ? *shape : rest));
-  spec.tenants = static_cast<int>(v.GetIntOr("tenants", spec.tenants));
-  spec.tenant_partitions = static_cast<int>(
-      v.GetIntOr("tenant_partitions", spec.tenant_partitions));
-  spec.tenant_rate_factor =
-      v.GetNumberOr("tenant_rate_factor", spec.tenant_rate_factor);
-  spec.tenant_topic_prefix =
-      v.GetStringOr("tenant_topic_prefix", spec.tenant_topic_prefix);
-  spec.tenant_host_prefix =
-      v.GetStringOr("tenant_host_prefix", spec.tenant_host_prefix);
-  spec.fleet_hosts =
-      static_cast<int>(v.GetIntOr("fleet_hosts", spec.fleet_hosts));
-  spec.fleet_host_prefix =
-      v.GetStringOr("fleet_host_prefix", spec.fleet_host_prefix);
   CRAYFISH_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
@@ -335,63 +305,18 @@ StatusOr<WorkloadSpec> WorkloadSpec::FromJsonText(const std::string& text) {
 }
 
 StatusOr<WorkloadSpec> WorkloadSpec::FromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read workload spec: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FromJsonText(text.str());
+  CRAYFISH_ASSIGN_OR_RETURN(JsonValue root,
+                            LoadJsonFile(path, "workload spec"));
+  return FromJson(root);
 }
 
 Status WorkloadSpec::ApplyOverride(const std::string& key,
                                    const std::string& value) {
   enabled = true;
-  if (key == "kind") {
-    CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(value));
-    return Status::Ok();
+  if (HasField<WorkloadSpec>(kSpecFields, key)) {
+    return SetField(kSpecFields, "workload", key, FieldValue(value), this);
   }
-  if (key == "base_rate") return ParseNumber(value, &shape.base_rate);
-  if (key == "floor_rate") return ParseNumber(value, &shape.floor_rate);
-  if (key == "jitter") return ParseNumber(value, &shape.jitter);
-  if (key == "jitter_window_s") {
-    return ParseNumber(value, &shape.jitter_window_s);
-  }
-  if (key == "seed") return ParseNumber(value, &shape.seed);
-  if (key == "amplitude") return ParseNumber(value, &shape.amplitude);
-  if (key == "period_s") return ParseNumber(value, &shape.period_s);
-  if (key == "phase_s") return ParseNumber(value, &shape.phase_s);
-  if (key == "spike_at_s") return ParseNumber(value, &shape.spike_at_s);
-  if (key == "spike_mult") return ParseNumber(value, &shape.spike_mult);
-  if (key == "ramp_up_s") return ParseNumber(value, &shape.ramp_up_s);
-  if (key == "hold_s") return ParseNumber(value, &shape.hold_s);
-  if (key == "decay_s") return ParseNumber(value, &shape.decay_s);
-  if (key == "ramp_start_s") return ParseNumber(value, &shape.ramp_start_s);
-  if (key == "ramp_duration_s") {
-    return ParseNumber(value, &shape.ramp_duration_s);
-  }
-  if (key == "end_rate") return ParseNumber(value, &shape.end_rate);
-  if (key == "points") {
-    CRAYFISH_ASSIGN_OR_RETURN(JsonValue arr, JsonValue::Parse(value));
-    return PointsFromJsonArray(arr, &shape.points);
-  }
-  if (key == "tenants") return ParseNumber(value, &tenants);
-  if (key == "tenant_partitions") return ParseNumber(value, &tenant_partitions);
-  if (key == "tenant_rate_factor") {
-    return ParseNumber(value, &tenant_rate_factor);
-  }
-  if (key == "tenant_topic_prefix") {
-    tenant_topic_prefix = value;
-    return Status::Ok();
-  }
-  if (key == "tenant_host_prefix") {
-    tenant_host_prefix = value;
-    return Status::Ok();
-  }
-  if (key == "fleet_hosts") return ParseNumber(value, &fleet_hosts);
-  if (key == "fleet_host_prefix") {
-    fleet_host_prefix = value;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("unknown workload key: " + key);
+  return SetField(kShapeFields, "workload", key, FieldValue(value), &shape);
 }
 
 }  // namespace crayfish::scale

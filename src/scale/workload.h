@@ -78,7 +78,6 @@ struct WorkloadShape {
   double IntegrateRate(double t0, double t1, int steps = 4096) const;
 
   Status Validate() const;
-  static StatusOr<WorkloadShape> FromJson(const JsonValue& v);
 };
 
 /// Full cluster-scale workload: the primary shape driving the scored

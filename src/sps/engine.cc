@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fields.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "obs/registry.h"
@@ -207,7 +208,7 @@ void StreamEngine::MaybeRealApply(const broker::Record& record) {
   std::vector<int64_t> dims;
   dims.push_back(static_cast<int64_t>(record.batch_size));
   for (const crayfish::JsonValue& d : shape->as_array()) {
-    dims.push_back(d.as_int());
+    dims.push_back(static_cast<int64_t>(d.as_number()));
   }
   std::vector<float> values;
   values.reserve(data->size());
@@ -241,29 +242,87 @@ crayfish::Status StreamEngine::EmitScored(broker::KafkaProducer* producer,
   return producer->Send(*output_topic_, std::move(out));
 }
 
+namespace {
+
+// The cost-model fields a `<engine>.<field>` override may set; every other
+// cost stays a calibration constant.
+constexpr crayfish::Field<FlinkCosts> kFlinkFields[] = {
+    {"buffer_cycle_s", &FlinkCosts::buffer_cycle_s},
+    {"async_io", &FlinkCosts::async_io},
+    {"async_capacity", &FlinkCosts::async_capacity},
+    {"checkpoint_interval_s", &FlinkCosts::checkpoint_interval_s},
+    {"checkpoint_stall_s", &FlinkCosts::checkpoint_stall_s},
+    {"stage_queue_capacity", &FlinkCosts::stage_queue_capacity},
+};
+
+constexpr crayfish::Field<SparkCosts> kSparkFields[] = {
+    {"max_offsets_per_trigger", &SparkCosts::max_offsets_per_trigger},
+    {"checkpoint_s", &SparkCosts::checkpoint_s},
+    {"driver_record_s", &SparkCosts::driver_record_s},
+    {"continuous", &SparkCosts::continuous},
+};
+
+constexpr crayfish::Field<RayCosts> kRayFields[] = {
+    {"py_record_s", &RayCosts::py_record_s},
+};
+
+constexpr crayfish::Field<KafkaStreamsCosts> kKafkaStreamsFields[] = {
+    {"record_fixed_s", &KafkaStreamsCosts::record_fixed_s},
+    {"idle_pickup_s", &KafkaStreamsCosts::idle_pickup_s},
+};
+
+}  // namespace
+
 crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
     const std::string& engine_name, sim::Simulation* sim,
     sim::Network* network, broker::KafkaCluster* cluster,
     EngineConfig config, ScoringConfig scoring) {
+  // Every override is checked, including those for another engine, so a
+  // sweep base shared across engines fails on a typo whichever engine runs.
+  FlinkCosts flink;
+  SparkCosts spark;
+  RayCosts ray;
+  KafkaStreamsCosts kafka_streams;
+  for (const auto& [key, text] : config.overrides.values()) {
+    const size_t dot = key.find('.');
+    const std::string prefix = key.substr(0, dot);
+    const std::string field =
+        dot == std::string::npos ? "" : key.substr(dot + 1);
+    const crayfish::FieldValue value(text);
+    crayfish::Status st = crayfish::Status::InvalidArgument(
+        "unknown engine override: " + key +
+        " (want flink., spark., ray. or kafka_streams.<field>)");
+    if (prefix == "flink") {
+      st = SetField(kFlinkFields, "flink", field, value, &flink);
+    } else if (prefix == "spark") {
+      st = SetField(kSparkFields, "spark", field, value, &spark);
+    } else if (prefix == "ray") {
+      st = SetField(kRayFields, "ray", field, value, &ray);
+    } else if (prefix == "kafka_streams") {
+      st = SetField(kKafkaStreamsFields, "kafka_streams", field, value,
+                    &kafka_streams);
+    }
+    CRAYFISH_RETURN_IF_ERROR(st);
+  }
   if (engine_name == "flink") {
     return {std::make_unique<FlinkEngine>(sim, network, cluster,
                                           std::move(config),
-                                          std::move(scoring))};
+                                          std::move(scoring), flink)};
   }
   if (engine_name == "kafka-streams") {
-    return {std::make_unique<KafkaStreamsEngine>(sim, network, cluster,
-                                                 std::move(config),
-                                                 std::move(scoring))};
+    return {std::make_unique<KafkaStreamsEngine>(
+        sim, network, cluster, std::move(config), std::move(scoring),
+        kafka_streams)};
   }
   if (engine_name == "spark") {
     return {std::make_unique<SparkEngine>(sim, network, cluster,
                                           std::move(config),
-                                          std::move(scoring))};
+                                          std::move(scoring), spark)};
   }
   if (engine_name == "ray") {
     return {std::make_unique<RayEngine>(sim, network, cluster,
                                         std::move(config),
-                                        std::move(scoring))};
+                                        std::move(scoring), ray)};
   }
   return crayfish::Status::InvalidArgument("unknown engine: " + engine_name);
 }

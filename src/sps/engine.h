@@ -50,8 +50,10 @@ struct EngineConfig {
   int sink_parallelism = 0;
   std::string input_topic = "crayfish-in";
   std::string output_topic = "crayfish-out";
-  /// Free-form engine-specific overrides (e.g.
-  /// "spark.max_offsets_per_trigger").
+  /// Engine cost-model overrides, `<engine>.<field>` (e.g.
+  /// "spark.max_offsets_per_trigger"). CreateEngine rejects a malformed
+  /// value, an unknown field, and any other prefix; a known field of
+  /// another engine is checked and then left unused.
   crayfish::Config overrides;
 };
 
@@ -218,7 +220,9 @@ class StreamEngine {
   double first_apply_at_ = -1.0;
 };
 
-/// Factory: "flink" | "kafka-streams" | "spark" | "ray".
+/// Factory: "flink" | "kafka-streams" | "spark" | "ray". Applies
+/// `config.overrides` to the engine's costs first (InvalidArgument on a bad
+/// one).
 crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
     const std::string& engine_name, sim::Simulation* sim,
     sim::Network* network, broker::KafkaCluster* cluster,

@@ -59,7 +59,7 @@ class FlinkEngine : public StreamEngine {
  public:
   FlinkEngine(sim::Simulation* sim, sim::Network* network,
               broker::KafkaCluster* cluster, EngineConfig config,
-              ScoringConfig scoring);
+              ScoringConfig scoring, FlinkCosts costs);
   ~FlinkEngine() override;
 
   const char* name() const override { return "flink"; }

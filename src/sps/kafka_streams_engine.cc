@@ -10,14 +10,11 @@ KafkaStreamsEngine::KafkaStreamsEngine(sim::Simulation* sim,
                                        sim::Network* network,
                                        broker::KafkaCluster* cluster,
                                        EngineConfig config,
-                                       ScoringConfig scoring)
+                                       ScoringConfig scoring,
+                                       KafkaStreamsCosts costs)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.record_fixed_s = config_.overrides.GetDoubleOr(
-      "kafka_streams.record_fixed_s", costs_.record_fixed_s);
-  costs_.idle_pickup_s = config_.overrides.GetDoubleOr(
-      "kafka_streams.idle_pickup_s", costs_.idle_pickup_s);
-}
+                   std::move(scoring)),
+      costs_(costs) {}
 
 KafkaStreamsEngine::~KafkaStreamsEngine() { Stop(); }
 

@@ -40,7 +40,7 @@ class KafkaStreamsEngine : public StreamEngine {
  public:
   KafkaStreamsEngine(sim::Simulation* sim, sim::Network* network,
                      broker::KafkaCluster* cluster, EngineConfig config,
-                     ScoringConfig scoring);
+                     ScoringConfig scoring, KafkaStreamsCosts costs);
   ~KafkaStreamsEngine() override;
 
   const char* name() const override { return "kafka-streams"; }

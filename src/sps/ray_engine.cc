@@ -8,12 +8,10 @@ namespace crayfish::sps {
 
 RayEngine::RayEngine(sim::Simulation* sim, sim::Network* network,
                      broker::KafkaCluster* cluster, EngineConfig config,
-                     ScoringConfig scoring)
+                     ScoringConfig scoring, RayCosts costs)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.py_record_s = config_.overrides.GetDoubleOr("ray.py_record_s",
-                                                     costs_.py_record_s);
-}
+                   std::move(scoring)),
+      costs_(costs) {}
 
 RayEngine::~RayEngine() { Stop(); }
 

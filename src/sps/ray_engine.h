@@ -53,7 +53,7 @@ class RayEngine : public StreamEngine {
  public:
   RayEngine(sim::Simulation* sim, sim::Network* network,
             broker::KafkaCluster* cluster, EngineConfig config,
-            ScoringConfig scoring);
+            ScoringConfig scoring, RayCosts costs);
   ~RayEngine() override;
 
   const char* name() const override { return "ray"; }

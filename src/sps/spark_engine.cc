@@ -9,18 +9,10 @@ namespace crayfish::sps {
 
 SparkEngine::SparkEngine(sim::Simulation* sim, sim::Network* network,
                          broker::KafkaCluster* cluster, EngineConfig config,
-                         ScoringConfig scoring)
+                         ScoringConfig scoring, SparkCosts costs)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.max_offsets_per_trigger = config_.overrides.GetIntOr(
-      "spark.max_offsets_per_trigger", costs_.max_offsets_per_trigger);
-  costs_.checkpoint_s = config_.overrides.GetDoubleOr(
-      "spark.checkpoint_s", costs_.checkpoint_s);
-  costs_.driver_record_s = config_.overrides.GetDoubleOr(
-      "spark.driver_record_s", costs_.driver_record_s);
-  costs_.continuous =
-      config_.overrides.GetBoolOr("spark.continuous", costs_.continuous);
-}
+                   std::move(scoring)),
+      costs_(costs) {}
 
 SparkEngine::~SparkEngine() { Stop(); }
 

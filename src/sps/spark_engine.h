@@ -59,7 +59,7 @@ class SparkEngine : public StreamEngine {
  public:
   SparkEngine(sim::Simulation* sim, sim::Network* network,
               broker::KafkaCluster* cluster, EngineConfig config,
-              ScoringConfig scoring);
+              ScoringConfig scoring, SparkCosts costs);
   ~SparkEngine() override;
 
   const char* name() const override { return "spark"; }

@@ -116,6 +116,24 @@ TEST(ConfigTest, IntegralDoubleReadsAsInt) {
   EXPECT_EQ(*cfg.GetInt("n"), 16);
 }
 
+TEST(ConfigTest, ParseBoolSpellings) {
+  for (const char* yes : {"true", "1", "yes"}) {
+    bool b = false;
+    ASSERT_TRUE(ParseBool(yes, &b).ok()) << yes;
+    EXPECT_TRUE(b) << yes;
+  }
+  for (const char* no : {"false", "0", "no"}) {
+    bool b = true;
+    ASSERT_TRUE(ParseBool(no, &b).ok()) << no;
+    EXPECT_FALSE(b) << no;
+  }
+  bool b = true;
+  for (const char* bad : {"maybe", "TRUE", "", " true", "2"}) {
+    EXPECT_FALSE(ParseBool(bad, &b).ok()) << bad;
+  }
+  EXPECT_TRUE(b);  // untouched on error
+}
+
 TEST(ConfigTest, ParseNumberIsStrictAboutTypeAndRange) {
   double d = 0.0;
   EXPECT_TRUE(ParseNumber("2.5", &d).ok());
@@ -186,6 +204,30 @@ TEST(ConfigTest, MergePrefersOther) {
   a.Merge(b);
   EXPECT_EQ(*a.GetInt("k"), 2);
   EXPECT_TRUE(a.Has("only_a"));
+}
+
+TEST(ConfigTest, ConvertNumberSharesTheTextChecks) {
+  // JSON numbers arrive as doubles and pass the same checks as text.
+  int i = 7;
+  EXPECT_TRUE(ConvertNumber(16.0, &i).ok());
+  EXPECT_EQ(i, 16);
+  EXPECT_FALSE(ConvertNumber(2.5, &i).ok());
+  EXPECT_FALSE(ConvertNumber(4294967296.0, &i).ok());
+  EXPECT_FALSE(ConvertNumber(-3e9, &i).ok());
+  EXPECT_FALSE(ConvertNumber(std::nan(""), &i).ok());
+  EXPECT_EQ(i, 16);  // untouched on error
+  uint64_t u = 0;
+  EXPECT_FALSE(ConvertNumber(-1.0, &u).ok());
+  EXPECT_FALSE(ConvertNumber(1e20, &u).ok());
+  EXPECT_TRUE(ConvertNumber(18446744073709549568.0, &u).ok());
+  int64_t big = 0;
+  EXPECT_FALSE(ConvertNumber(9223372036854775808.0, &big).ok());
+  EXPECT_TRUE(ConvertNumber(-9223372036854775808.0, &big).ok());
+  double d = 0.0;
+  EXPECT_FALSE(ConvertNumber(HUGE_VAL, &d).ok());
+  EXPECT_FALSE(ConvertNumber(-HUGE_VAL, &d).ok());
+  EXPECT_TRUE(ConvertNumber(-0.5, &d).ok());
+  EXPECT_EQ(d, -0.5);
 }
 
 // ----------------------------------------------------------------- stats --

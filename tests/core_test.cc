@@ -363,8 +363,8 @@ TEST(MetricsSummaryTest, JsonRoundTripsThroughParser) {
   MetricsSummary s = MetricsAnalyzer::Summarize(ms);
   auto parsed = crayfish::JsonValue::Parse(s.ToJson());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetIntOr("measurements", -1),
-            static_cast<int64_t>(s.measurements));
+  EXPECT_EQ(parsed->GetNumberOr("measurements", -1),
+            static_cast<double>(s.measurements));
   EXPECT_NEAR(parsed->GetNumberOr("latency_mean_ms", 0.0),
               s.latency_mean_ms, 1e-9);
 }
@@ -389,7 +389,7 @@ TEST(MetricsSummaryTest, EmptyLogStillProducesValidJson) {
   MetricsSummary s = MetricsAnalyzer::Summarize({}, 0.25);
   auto parsed = crayfish::JsonValue::Parse(s.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->GetIntOr("measurements", -1), 0);
+  EXPECT_EQ(parsed->GetNumberOr("measurements", -1), 0.0);
   EXPECT_DOUBLE_EQ(parsed->GetNumberOr("throughput_eps", -1.0), 0.0);
   EXPECT_DOUBLE_EQ(parsed->GetNumberOr("latency_mean_ms", -1.0), 0.0);
 }

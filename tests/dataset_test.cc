@@ -76,6 +76,31 @@ TEST_F(DatasetTest, EmptyDatasetRejected) {
   EXPECT_TRUE(LoadDataset(path_).status().IsInvalidArgument());
 }
 
+TEST(DataBatchTest, RejectsBadIdsAndDims) {
+  // A shape of [-1, -28] used to load, and a replay of it scored every
+  // event; fractional dims truncated and out-of-range ids wrapped.
+  for (const char* json : {R"({"shape":[-1,-28],"data":[1,2]})",
+                           R"({"shape":[-2],"data":[1,2]})",
+                           R"({"shape":[0],"data":[]})",
+                           R"({"shape":[2.5],"data":[1,2]})",
+                           R"({"shape":[1e300],"data":[1]})",
+                           R"({"shape":[65536,65536],"data":[1]})",
+                           R"({"id":-1,"shape":[1],"data":[1]})",
+                           R"({"id":1.5,"shape":[1],"data":[1]})",
+                           R"({"id":"7","shape":[1],"data":[1]})",
+                           R"({"ts":"0.5","shape":[1],"data":[1]})"}) {
+    EXPECT_TRUE(
+        CrayfishDataBatch::FromJson(json).status().IsInvalidArgument())
+        << json;
+  }
+  auto batch = CrayfishDataBatch::FromJson(
+      R"({"id":7,"ts":0.5,"shape":[2],"data":[1,2,3,4]})");
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->id, 7u);
+  EXPECT_DOUBLE_EQ(batch->created_at, 0.5);
+  EXPECT_EQ(batch->batch_size(), 2);
+}
+
 TEST_F(DatasetTest, GeneratorReplayCyclesAndRestamps) {
   auto batches = MakeBatches(3);
   crayfish::Rng rng(11);

@@ -321,11 +321,9 @@ TEST(PropertiesTest, MapsEveryTableOneKey) {
   EXPECT_EQ(cfg->seed, 7u);
   EXPECT_TRUE(cfg->enable_tracing);
   // Engine keys pass through; spec overrides go to their specs only.
-  EXPECT_EQ(cfg->engine_overrides.GetStringOr(
-                "spark.max_offsets_per_trigger", ""),
+  EXPECT_EQ(*cfg->engine_overrides.GetString("spark.max_offsets_per_trigger"),
             "768");
-  EXPECT_FALSE(cfg->engine_overrides.Has("workload.kind"));
-  EXPECT_FALSE(cfg->engine_overrides.Has("autoscaler.max_replicas"));
+  EXPECT_EQ(cfg->engine_overrides.values().size(), 1u);
   EXPECT_TRUE(cfg->workload.enabled);
   EXPECT_EQ(cfg->workload.shape.kind, scale::ShapeKind::kFlashCrowd);
   EXPECT_TRUE(cfg->autoscaler.enabled);
@@ -374,7 +372,8 @@ TEST(PropertiesTest, RejectsNonIntegralAndOutOfRangeOverrides) {
   // 2.5 silently became 2, and -1 or 1e12 was undefined behaviour.
   for (const char* line :
        {"autoscaler.min_replicas = 2.5\n", "workload.seed = -1\n",
-        "workload.tenants = 1e12\n", "mp = 1e20\n"}) {
+        "workload.tenants = 1e12\n", "mp = 1e20\n", "mp = 3e9\n",
+        "max_events = -1\n", "seed = -1\n"}) {
     auto cfg = ExperimentConfigFromProperties(
         Props(std::string("engine = flink\nserving = onnx\n") + line));
     ASSERT_FALSE(cfg.ok()) << line;

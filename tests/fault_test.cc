@@ -151,6 +151,30 @@ TEST(FaultPlanTest, RejectsUnknownFields) {
   EXPECT_FALSE(fault::FaultPlan::FromJsonText(
                    R"({"fault": [{"kind": "serving_down", "at_s": 1}]})")
                    .ok());
+  // Values of the wrong type or out of range are errors, not defaults:
+  // "broker": 4294967296 used to wrap to broker 0, and "drop": "true" was
+  // silently false.
+  for (const char* spec :
+       {R"({"kind": "broker_crash", "at_s": 1, "broker": 4294967296})",
+        R"({"kind": "broker_crash", "at_s": 1, "broker": 1.5})",
+        R"({"kind": "link_degrade", "at_s": 1, "drop": "true"})",
+        R"({"kind": "broker_crash", "at_s": "1"})",
+        R"({"kind": "broker_crash", "at_s": 1e999})",
+        R"({"kind": "broker_crash", "at_s": 1, "name": 7})",
+        R"({"kind": 3, "at_s": 1})",
+        R"({"at_s": 1})"}) {
+    EXPECT_TRUE(fault::FaultPlan::FromJsonText(
+                    std::string(R"({"faults": [)") + spec + "]}")
+                    .status()
+                    .IsInvalidArgument())
+        << spec;
+  }
+  EXPECT_TRUE(fault::FaultPlan::FromJsonText(R"({"retry": {"jitter": "0"}})")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fault::FaultPlan::FromJsonText(R"({"faults": {}})")
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(FaultPlanTest, OverridesAddressRetryNamesAndIndices) {
@@ -169,6 +193,15 @@ TEST(FaultPlanTest, OverridesAddressRetryNamesAndIndices) {
   EXPECT_FALSE(plan->ApplyOverride("nosuch.at_s", "1").ok());
   EXPECT_FALSE(plan->ApplyOverride("crash0.flux_capacitor", "1").ok());
   EXPECT_FALSE(plan->ApplyOverride("retry.timeout_s", "soon").ok());
+  // The nested retry object and fault list take JSON, not override text.
+  EXPECT_FALSE(plan->ApplyOverride("retry", "{}").ok());
+  EXPECT_FALSE(plan->ApplyOverride("faults", "[]").ok());
+  EXPECT_FALSE(plan->ApplyOverride("crash0.drop", "maybe").ok());
+  // A fault's kind and name come from the plan file only.
+  EXPECT_FALSE(plan->ApplyOverride("crash0.kind", "link_degrade").ok());
+  EXPECT_FALSE(plan->ApplyOverride("0.name", "renamed").ok());
+  EXPECT_EQ(plan->faults[0].kind, fault::FaultKind::kBrokerCrash);
+  EXPECT_EQ(plan->faults[0].name, "crash0");
 }
 
 TEST(FaultPlanTest, IntegerOverridesRejectFractionsAndOverflow) {

@@ -710,17 +710,18 @@ TEST(JsonOutputTest, RoundTripsThroughProjectJsonParser) {
   const auto parsed = crayfish::JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok()) << json;
   const crayfish::JsonValue& doc = *parsed;
-  EXPECT_EQ(doc.GetStringOr("tool", ""), "crayfish_lint");
-  EXPECT_EQ(doc.GetIntOr("schema_version", 0), 4);
-  EXPECT_EQ(doc.GetIntOr("files_scanned", 0), 1);
+  ASSERT_NE(doc.Find("tool"), nullptr);
+  EXPECT_EQ(doc.Find("tool")->as_string(), "crayfish_lint");
+  EXPECT_EQ(doc.GetNumberOr("schema_version", 0), 4);
+  EXPECT_EQ(doc.GetNumberOr("files_scanned", 0), 1);
   ASSERT_NE(doc.Find("errors"), nullptr);
   EXPECT_EQ(doc.Find("errors")->size(), 1u);
   ASSERT_NE(doc.Find("findings"), nullptr);
   EXPECT_EQ(doc.Find("findings")->size(), fs.size());
   const crayfish::JsonValue& first = doc.Find("findings")->as_array()[0];
-  EXPECT_EQ(first.GetStringOr("file", ""), "src/sim/a.cc");
-  EXPECT_EQ(first.GetStringOr("rule", ""), "R7");
-  EXPECT_EQ(first.GetStringOr("suppress_keyword", ""), "layering-ok");
+  EXPECT_EQ(first.Find("file")->as_string(), "src/sim/a.cc");
+  EXPECT_EQ(first.Find("rule")->as_string(), "R7");
+  EXPECT_EQ(first.Find("suppress_keyword")->as_string(), "layering-ok");
   ASSERT_NE(first.Find("path"), nullptr);
   ASSERT_EQ(first.Find("path")->size(), 2u);
   EXPECT_EQ(first.Find("path")->as_array()[0].as_string(), "sim");
@@ -735,7 +736,7 @@ TEST(JsonOutputTest, EscapesQuotesAndBackslashes) {
   const std::string json = FindingsToJson({f}, 1, {});
   const auto parsed = crayfish::JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok()) << json;
-  EXPECT_EQ(parsed->Find("findings")->as_array()[0].GetStringOr("message", ""),
+  EXPECT_EQ(parsed->Find("findings")->as_array()[0].Find("message")->as_string(),
             f.message);
 }
 

@@ -189,6 +189,25 @@ TEST(WorkloadSpecTest, MisspelledJsonFieldIsRejected) {
   EXPECT_TRUE(
       WorkloadSpec::FromJsonText(R"({"kind": "constant", "tenants": 2})")
           .ok());
+  // Replay points get the same check: "rat" used to load as rate 0.
+  auto point = WorkloadSpec::FromJsonText(
+      R"({"kind": "replay", "points": [{"t_s": 0, "rat": 500}]})");
+  ASSERT_TRUE(point.status().IsInvalidArgument())
+      << point.status().ToString();
+  EXPECT_NE(point.status().message().find("rat"), std::string::npos);
+  // Wrong types and out-of-range numbers are errors, not defaults.
+  for (const char* json :
+       {R"({"kind": "constant", "base_rate": "300"})",
+        R"({"kind": "constant", "seed": -1})",
+        R"({"kind": "constant", "tenants": 2.5})",
+        R"({"kind": 1})",
+        R"({"kind": "replay", "points": [[0, "5"]]})",
+        R"({"kind": "replay", "points": [[0, 5, 6]]})",
+        R"({"shape": "constant"})",
+        R"({"kind": "constant", "fleet_host_prefix": 3})"}) {
+    EXPECT_TRUE(WorkloadSpec::FromJsonText(json).status().IsInvalidArgument())
+        << json;
+  }
 }
 
 TEST(PolicyConfigTest, MisspelledJsonFieldIsRejected) {
@@ -196,6 +215,20 @@ TEST(PolicyConfigTest, MisspelledJsonFieldIsRejected) {
       R"({"kind": "reactive", "interval_s": 2, "cooldwn_s": 4})");
   ASSERT_TRUE(cfg.status().IsInvalidArgument()) << cfg.status().ToString();
   EXPECT_NE(cfg.status().message().find("cooldwn_s"), std::string::npos);
+  // JSON numbers convert like override text: 2.5 replicas used to
+  // truncate to 2, "5" fell back to the default interval, and a seed of -1
+  // became 2^64 - 1.
+  for (const char* json : {R"({"min_replicas": 2.5})",
+                           R"({"interval_s": "5"})",
+                           R"({"seed": -1})",
+                           R"({"max_replicas": 1e12})",
+                           R"({"kind": 1})"}) {
+    EXPECT_TRUE(PolicyConfig::FromJsonText(json).status().IsInvalidArgument())
+        << json;
+  }
+  auto exact = PolicyConfig::FromJsonText(R"({"max_replicas": 16.0})");
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->max_replicas, 16);
 }
 
 TEST(ExampleConfigsTest, EveryJsonConfigLoadsUnderStrictFieldChecks) {

@@ -4,6 +4,10 @@
 // latency floor, Ray Serve's proxy caps scaling, and the engines honor
 // their config overrides.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -130,14 +134,41 @@ TEST(RayBehaviorTest, EmbeddedScalesProxyDoesNot) {
   EXPECT_LT(serve16->summary.throughput_eps, 500.0);
 }
 
-TEST(EngineOverridesTest, UnknownOverridesAreIgnored) {
+TEST(EngineOverridesTest, UnknownOrMalformedOverridesAreRejected) {
+  // Each of these used to run with the default value.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"nonsense.key", "whatever"},
+           {"flink.async_io", "maybe"},
+           {"flink.stage_queue_capacity", "2.5"},
+           {"flink.stage_queue_capacity", "-1"},
+           {"flink.buffer_cycle_s", "1e9x"},
+           {"flink.asyncio", "true"},
+           {"spark.continuous", "maybe"},
+           {"flink", "true"}}) {
+    ExperimentConfig cfg = Base("flink", "onnx");
+    cfg.input_rate = 100.0;
+    cfg.duration_s = 4.0;
+    cfg.drain_s = 2.0;
+    cfg.engine_overrides.Set(key, value);
+    auto r = RunExperiment(cfg);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << key << " = " << value;
+    EXPECT_NE(r.status().message().find(key.substr(key.find('.') + 1)),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(EngineOverridesTest, AnotherEnginesKnownFieldIsAccepted) {
+  // A sweep base shared across engines may carry every engine's knobs.
   ExperimentConfig cfg = Base("flink", "onnx");
   cfg.input_rate = 100.0;
   cfg.duration_s = 4.0;
   cfg.drain_s = 2.0;
-  cfg.engine_overrides.Set("nonsense.key", "whatever");
+  cfg.engine_overrides.Set("spark.max_offsets_per_trigger", "768");
+  cfg.engine_overrides.Set("kafka_streams.idle_pickup_s", "0.05");
   auto r = RunExperiment(cfg);
-  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->events_scored, r->events_sent);
 }
 

@@ -242,6 +242,20 @@ TEST(SloConfigTest, RejectsMisspelledFields) {
                       "slo": []})")
                   .status()
                   .IsInvalidArgument());
+  // A bound or budget of the wrong type is an error too: a string "max"
+  // used to be dropped, leaving a min-only objective that always passed.
+  for (const char* slo :
+       {R"({"metric": "p99_latency_s", "max": "0.000001", "min": 0})",
+        R"({"metric": "p99_latency_s", "max": 0.1, "error_budget": "0.5"})",
+        R"({"metric": "p99_latency_s", "max": null})",
+        R"({"metric": "p99_latency_s", "max": 0.1, "name": 7})",
+        R"({"metric": "p99_latency_s", "max": 1e999})"}) {
+    EXPECT_TRUE(SloConfig::FromJsonText(std::string(R"({"slos": [)") + slo +
+                                        "]}")
+                    .status()
+                    .IsInvalidArgument())
+        << slo;
+  }
 }
 
 TEST(SloMonitorTest, MisspelledMetricIsAnErrorNeverAPass) {

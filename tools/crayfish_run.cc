@@ -58,7 +58,8 @@
 //   # (and enable them), e.g.:
 //   # workload.kind = flash-crowd
 //   # autoscaler.max_replicas = 8
-//   # engine-specific overrides pass through verbatim, e.g.:
+//   # engine cost overrides (flink. / spark. / ray. / kafka_streams.),
+//   # checked against each engine's field table, e.g.:
 //   # spark.max_offsets_per_trigger = 768
 
 #include <algorithm>
