@@ -67,22 +67,12 @@ class MiniBatchEngine : public sps::StreamEngine {
   const char* name() const override { return "mini-batch"; }
 
   crayfish::Status Start() override {
-    CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
-    std::vector<int> all(static_cast<size_t>(partitions));
-    for (int p = 0; p < partitions; ++p) all[static_cast<size_t>(p)] = p;
-    consumer_ = std::make_unique<broker::KafkaConsumer>(
-        cluster_, config_.host, "mini-batch");
-    CRAYFISH_RETURN_IF_ERROR(consumer_->Assign(config_.input_topic, all));
+    // The base owns the consumer: it reports its lag and closes it on Stop.
+    CRAYFISH_ASSIGN_OR_RETURN(consumer_, AddConsumer("mini-batch", 1, 0));
     producer_ = std::make_unique<broker::KafkaProducer>(cluster_,
                                                         config_.host);
-    const double load = scoring_.library->LoadTimeSeconds(scoring_.model);
-    sim_->Schedule(load, [this]() { PollLoop(); });
+    sim_->Schedule(ModelLoadSeconds(), [this]() { PollLoop(); });
     return crayfish::Status::Ok();
-  }
-
-  void Stop() override {
-    stopped_ = true;
-    if (consumer_) consumer_->Close();
   }
 
  private:
@@ -126,7 +116,7 @@ class MiniBatchEngine : public sps::StreamEngine {
     });
   }
 
-  std::unique_ptr<broker::KafkaConsumer> consumer_;
+  broker::KafkaConsumer* consumer_ = nullptr;
   std::unique_ptr<broker::KafkaProducer> producer_;
 };
 

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <type_traits>
 
-#include "common/json.h"
-
 namespace crayfish {
 
 namespace {
@@ -20,26 +18,6 @@ std::string Trim(const std::string& s) {
   if (b == std::string::npos) return "";
   size_t e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
-}
-
-void FlattenJson(const std::string& prefix, const JsonValue& v, Config* out) {
-  if (v.is_object()) {
-    for (const auto& [k, child] : v.as_object()) {
-      FlattenJson(prefix.empty() ? k : prefix + "." + k, child, out);
-    }
-    return;
-  }
-  if (v.is_string()) {
-    out->Set(prefix, v.as_string());
-  } else if (v.is_bool()) {
-    out->SetBool(prefix, v.as_bool());
-  } else if (v.is_number()) {
-    out->SetDouble(prefix, v.as_number());
-  } else if (v.is_null()) {
-    out->Set(prefix, "");
-  }
-  // Arrays are rendered as their JSON text so callers can re-parse.
-  if (v.is_array()) out->Set(prefix, v.Dump());
 }
 
 std::string Render(double d) {
@@ -68,6 +46,16 @@ Status ConvertNumber(double d, Num* out) {
         static_cast<double>(std::numeric_limits<Num>::max()) + 1.0;
     if (d < kLo || d >= kHi) {
       return Status::InvalidArgument("integer out of range: " + Render(d));
+    }
+    // A double holds every integer below 2^53 exactly; at or past it the
+    // value may already be rounded (a JSON 9007199254740993 reads as
+    // ...992), so it is refused rather than changed. Plain decimal text
+    // never gets here: ParseNumber converts it exactly.
+    constexpr double kExact = 9007199254740992.0;  // 2^53
+    if (std::fabs(d) >= kExact) {
+      return Status::InvalidArgument(
+          "integer not exact as a double (magnitude 2^53 or more): " +
+          Render(d));
     }
   }
   *out = static_cast<Num>(d);
@@ -153,16 +141,6 @@ StatusOr<std::string> ReadTextFile(const std::string& path,
   return text.str();
 }
 
-StatusOr<Config> Config::FromJson(const std::string& text) {
-  CRAYFISH_ASSIGN_OR_RETURN(JsonValue v, JsonValue::Parse(text));
-  if (!v.is_object()) {
-    return Status::InvalidArgument("config JSON must be an object");
-  }
-  Config cfg;
-  FlattenJson("", v, &cfg);
-  return cfg;
-}
-
 StatusOr<Config> Config::FromFile(const std::string& path) {
   CRAYFISH_ASSIGN_OR_RETURN(std::string text,
                             ReadTextFile(path, "config file"));
@@ -185,69 +163,10 @@ void Config::SetBool(const std::string& key, bool value) {
   values_[key] = value ? "true" : "false";
 }
 
-bool Config::Has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
 StatusOr<std::string> Config::GetString(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return Status::NotFound("config key: " + key);
   return it->second;
-}
-
-StatusOr<int64_t> Config::GetInt(const std::string& key) const {
-  CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  int64_t v = 0;
-  const Status st = ParseNumber(s, &v);
-  if (!st.ok()) {
-    return Status::InvalidArgument("config key " + key + ": " + st.message());
-  }
-  return v;
-}
-
-StatusOr<double> Config::GetDouble(const std::string& key) const {
-  CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  double v = 0.0;
-  const Status st = ParseNumber(s, &v);
-  if (!st.ok()) {
-    return Status::InvalidArgument("config key " + key + ": " + st.message());
-  }
-  return v;
-}
-
-StatusOr<bool> Config::GetBool(const std::string& key) const {
-  CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  bool v = false;
-  const Status st = ParseBool(s, &v);
-  if (!st.ok()) {
-    return Status::InvalidArgument("config key " + key + ": " + st.message());
-  }
-  return v;
-}
-
-int64_t Config::GetIntOr(const std::string& key, int64_t fallback) const {
-  auto v = GetInt(key);
-  return v.ok() ? *v : fallback;
-}
-
-Config Config::Scope(const std::string& prefix) const {
-  Config out;
-  for (const auto& [k, v] : values_) {
-    if (k.rfind(prefix, 0) == 0) {
-      out.Set(k.substr(prefix.size()), v);
-    }
-  }
-  return out;
-}
-
-void Config::Merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::string Config::ToString() const {
-  std::ostringstream os;
-  for (const auto& [k, v] : values_) os << k << " = " << v << "\n";
-  return os.str();
 }
 
 }  // namespace crayfish

@@ -13,8 +13,9 @@ namespace crayfish {
 /// The checks every config number passes, whichever source it came from
 /// (a JSON spec file or the text of a `key = value` line): `d` must be
 /// finite, and for an integer `*out` integral ("16.0" is 16, "2.5" is not
-/// an integer) and inside its range ("1e12" for an int, -1 for a
-/// uint64_t). On error `*out` is left untouched. This and ParseNumber are
+/// an integer), inside its range ("1e12" for an int, -1 for a uint64_t)
+/// and below 2^53 in magnitude, where a double may already have rounded
+/// it. On error `*out` is left untouched. This and ParseNumber are
 /// defined for double, int, int64_t and uint64_t.
 template <typename Num>
 Status ConvertNumber(double d, Num* out);
@@ -39,10 +40,9 @@ StatusOr<std::string> ReadTextFile(const std::string& path,
 /// ir, bd, tbb, mp plus free-form SUT settings).
 ///
 /// Keys are dotted strings ("producer.input.rate"); values are stored as
-/// strings and converted on read. Supports loading `key = value` properties
-/// text (with '#' comments) and JSON objects. Experiment and engine settings
-/// are converted where they are applied, through the field tables of
-/// common/fields.h.
+/// strings. Supports loading `key = value` properties text (with '#'
+/// comments). Experiment and engine settings are converted where they are
+/// applied, through the field tables of common/fields.h.
 class Config {
  public:
   Config() = default;
@@ -50,10 +50,6 @@ class Config {
   /// Parses "key = value" lines. Blank lines and lines starting with '#'
   /// are skipped. Later keys override earlier ones.
   static StatusOr<Config> FromProperties(const std::string& text);
-
-  /// Parses a flat JSON object {"key": value, ...}. Nested objects are
-  /// flattened with '.' separators.
-  static StatusOr<Config> FromJson(const std::string& text);
 
   /// Reads a properties file from disk.
   static StatusOr<Config> FromFile(const std::string& path);
@@ -63,28 +59,10 @@ class Config {
   void SetDouble(const std::string& key, double value);
   void SetBool(const std::string& key, bool value);
 
-  bool Has(const std::string& key) const;
-
   StatusOr<std::string> GetString(const std::string& key) const;
-  StatusOr<int64_t> GetInt(const std::string& key) const;
-  StatusOr<double> GetDouble(const std::string& key) const;
-  StatusOr<bool> GetBool(const std::string& key) const;
-
-  int64_t GetIntOr(const std::string& key, int64_t fallback) const;
-
-  /// All keys with the given prefix, e.g. Scope("flink.") -> keys without
-  /// the prefix.
-  Config Scope(const std::string& prefix) const;
-
-  /// Merges `other` into this config; `other` wins on conflicts.
-  void Merge(const Config& other);
 
   /// Every key and value, keys sorted.
   const std::map<std::string, std::string>& values() const { return values_; }
-  size_t size() const { return values_.size(); }
-
-  /// Properties-style rendering, keys sorted.
-  std::string ToString() const;
 
  private:
   std::map<std::string, std::string> values_;

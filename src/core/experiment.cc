@@ -78,6 +78,13 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     return crayfish::Status::InvalidArgument("unknown serving tool: " +
                                              config.serving);
   }
+  if (config.validate_real_inference && external) {
+    // The external server's math runs out of process; only an embedded
+    // library can run the real forward pass inside the scoring operator.
+    return crayfish::Status::InvalidArgument(
+        "validate_real_inference needs an embedded serving library, not " +
+        config.serving);
+  }
   const bool autoscaled = config.autoscaler.enabled;
   if (autoscaled) {
     CRAYFISH_RETURN_IF_ERROR(config.autoscaler.Validate());

@@ -51,7 +51,8 @@ struct ExperimentConfig {
   /// model through the library's native format, parse the JSON, forward
   /// pass) while the simulation keeps its calibrated timing. Supported
   /// for embedded serving with model="ffnn" (ResNet50's real compute is
-  /// deliberately out of the simulated hot path).
+  /// deliberately out of the simulated hot path); RunExperiment rejects
+  /// any other combination with InvalidArgument.
   bool validate_real_inference = false;
 
   // --- workload (Table 1) ---

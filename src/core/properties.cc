@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "common/fields.h"
+#include "sps/engine.h"
 
 namespace crayfish::core {
 namespace {
@@ -77,6 +78,8 @@ StatusOr<ExperimentConfig> ExperimentConfigFromProperties(
       out.engine_overrides.Set(key, value);
     }
   }
+  // Engine cost overrides are checked now, before any cluster is built.
+  CRAYFISH_RETURN_IF_ERROR(sps::CheckEngineOverrides(out.engine_overrides));
   return out;
 }
 

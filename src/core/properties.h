@@ -19,7 +19,7 @@ namespace crayfish::core {
 /// keys are overrides, applied after every spec file is loaded:
 /// `fault.<target>.<field>`, `workload.<field>` and `autoscaler.<field>`
 /// set fields through the specs' own tables; every other dotted key is an
-/// engine override, checked by sps::CreateEngine.
+/// engine override, checked here by sps::CheckEngineOverrides.
 ///
 /// Every input is honoured or rejected: an unknown key, a malformed or
 /// out-of-range value ("2.5" for an integer, "-1" for a count or seed, a

@@ -32,7 +32,6 @@ std::string MetricsRegistry::Key(const std::string& name,
 
 CounterMetric* MetricsRegistry::Counter(const std::string& name,
                                         const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[Key(name, labels)];
   if (!slot) slot = std::make_unique<CounterMetric>();
   return slot.get();
@@ -40,7 +39,6 @@ CounterMetric* MetricsRegistry::Counter(const std::string& name,
 
 GaugeMetric* MetricsRegistry::Gauge(const std::string& name,
                                     const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[Key(name, labels)];
   if (!slot) slot = std::make_unique<GaugeMetric>();
   return slot.get();
@@ -48,7 +46,6 @@ GaugeMetric* MetricsRegistry::Gauge(const std::string& name,
 
 HistogramMetric* MetricsRegistry::Histogram(const std::string& name,
                                             const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[Key(name, labels)];
   if (!slot) slot = std::make_unique<HistogramMetric>();
   return slot.get();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +70,8 @@ class HistogramMetric {
 ///
 /// Like the trace recorder, the registry is passive: updates never touch
 /// the event queue or RNG, so metrics collection cannot perturb a run.
+/// Each run owns its registry and uses it from the one thread that runs
+/// the simulation, so it takes no lock.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -110,11 +111,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<CounterMetric>> counters_;
   std::map<std::string, std::unique_ptr<GaugeMetric>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-  /// Guards the three lookup-or-create maps only; metric *updates* are
-  /// unsynchronized (lint R6 carve-out). Metric identities are key-sorted,
-  /// so the stored set — and every snapshot — is independent of arrival
-  /// order.
-  mutable std::mutex mu_;
 };
 
 }  // namespace crayfish::obs

@@ -37,10 +37,55 @@ StreamEngine::StreamEngine(sim::Simulation* sim, sim::Network* network,
   host_id_ = *network_->FindHost(config_.host);
 }
 
-crayfish::StatusOr<int> StreamEngine::InputPartitions() const {
+StreamEngine::~StreamEngine() { Stop(); }
+
+crayfish::StatusOr<broker::KafkaConsumer*> StreamEngine::AddConsumer(
+    const std::string& group, int share_count, int share_index,
+    broker::ConsumerConfig consumer_config) {
   CRAYFISH_ASSIGN_OR_RETURN(broker::TopicId topic,
                             cluster_->FindTopic(config_.input_topic));
-  return cluster_->NumPartitions(topic);
+  CRAYFISH_ASSIGN_OR_RETURN(int partitions, cluster_->NumPartitions(topic));
+  consumers_.push_back(std::make_unique<broker::KafkaConsumer>(
+      cluster_, config_.host, group, consumer_config));
+  CRAYFISH_RETURN_IF_ERROR(consumers_.back()->Assign(
+      config_.input_topic, broker::KafkaCluster::RangeAssign(
+                               partitions, share_count, share_index)));
+  return consumers_.back().get();
+}
+
+OperatorTask* StreamEngine::AddTask(std::string name,
+                                    OperatorTask::ProcessFn process,
+                                    size_t max_queue) {
+  tasks_.push_back(std::make_unique<OperatorTask>(
+      sim_, std::move(name), std::move(process), max_queue));
+  return tasks_.back().get();
+}
+
+void StreamEngine::Stop() {
+  if (stopped_) return;
+  stopped_ = true;
+  for (auto& consumer : consumers_) consumer->Close();
+  for (auto& task : tasks_) task->Stop();
+}
+
+EngineTelemetry StreamEngine::Telemetry() const {
+  EngineTelemetry t;
+  for (const auto& consumer : consumers_) {
+    t.consumer_lag += consumer->TotalLag();
+    t.max_partition_lag =
+        std::max(t.max_partition_lag, consumer->MaxPartitionLag());
+    t.queue_depth += static_cast<int64_t>(consumer->buffered());
+  }
+  for (const auto& task : tasks_) {
+    t.queue_depth += static_cast<int64_t>(task->queue_depth());
+    t.backpressure_stall_s += task->stall_time_s();
+  }
+  return t;
+}
+
+double StreamEngine::ModelLoadSeconds() const {
+  return scoring_.external ? 0.0
+                           : scoring_.library->LoadTimeSeconds(scoring_.model);
 }
 
 double StreamEngine::StressMultiplier(size_t queue_depth) {
@@ -105,43 +150,75 @@ double StreamEngine::EmbeddedApplySeconds(int batch_size,
              scoring_.use_gpu, queue_depth, &rng_);
 }
 
-void StreamEngine::InvokeExternalWithStress(int batch_size,
-                                            size_t queue_depth,
-                                            std::function<void()> done) {
-  CRAYFISH_CHECK(scoring_.external);
-  // Stress and slow drift apply to the client-observed round trip: the
-  // blocking operator thread holds the connection through GC pauses and
-  // serving-side slowdowns alike.
-  const double multiplier =
-      StressMultiplier(queue_depth) * SlowDriftFactor();
-  if (scoring_.retry.enabled()) {
-    InvokeExternalAttempt(
-        batch_size, multiplier, /*attempt=*/0,
-        std::make_shared<std::function<void()>>(std::move(done)));
-    return;
-  }
-  const double started = sim_->Now();
-  scoring_.server->Invoke(
-      host_id_, batch_size,
-      [this, multiplier, started, done = std::move(done)]() mutable {
-        const double elapsed = sim_->Now() - started;
-        sim_->Schedule((multiplier - 1.0) * elapsed, std::move(done));
-      });
+double StreamEngine::ClientOverheadSeconds() const {
+  return scoring_.server->costs().client_overhead_s;
 }
 
-void StreamEngine::InvokeExternalAttempt(
-    int batch_size, double multiplier, int attempt,
-    std::shared_ptr<std::function<void()>> done) {
-  const crayfish::RetryPolicy& retry = scoring_.retry;
-  // Whichever of {timeout, response} fires first settles the attempt; a
-  // late response to an already-abandoned attempt is ignored.
-  auto settled = std::make_shared<bool>(false);
-  const double started = sim_->Now();
-  sim_->Schedule(retry.timeout_s, [this, settled, batch_size, multiplier,
-                                   attempt, done]() {
-    if (*settled) return;
-    *settled = true;
-    if (!stopped_ && attempt < scoring_.retry.max_retries) {
+void StreamEngine::Score(const broker::Record& record, double pre_s,
+                         size_t queue_depth, std::function<void()> done) {
+  const uint64_t batch_id = record.batch_id;
+  const int batch_size = static_cast<int>(record.batch_size);
+  if (scoring_.external) {
+    sim_->Schedule(pre_s + ClientOverheadSeconds(),
+                   [this, batch_id, batch_size, queue_depth,
+                    done = std::move(done)]() mutable {
+                     if (stopped_) return;
+                     InvokeExternal(batch_id, batch_size, queue_depth,
+                                    std::move(done));
+                   });
+    return;
+  }
+  MaybeRealApply(record);
+  const double service = EmbeddedApplySeconds(batch_size, queue_depth);
+  sim_->Schedule(pre_s + service,
+                 [this, batch_id, done = std::move(done)]() mutable {
+                   if (stopped_) return;
+                   TraceMark(batch_id, obs::Stage::kScore);
+                   done();
+                 });
+}
+
+void StreamEngine::InvokeExternal(uint64_t batch_id, int batch_size,
+                                  size_t queue_depth,
+                                  std::function<void()> done, int attempt,
+                                  double multiplier) {
+  CRAYFISH_CHECK(scoring_.external);
+  if (attempt == 0) {
+    // Client-side preparation ends as the request leaves.
+    TraceMark(batch_id, obs::Stage::kScore);
+    // Stress and slow drift apply to the client-observed round trip: the
+    // blocking operator thread holds the connection through GC pauses and
+    // serving-side slowdowns alike.
+    multiplier = StressMultiplier(queue_depth) * SlowDriftFactor();
+  }
+  const auto reply = [this, batch_id, multiplier,
+                      started = sim_->Now()](std::function<void()> d) {
+    sim_->Schedule((multiplier - 1.0) * (sim_->Now() - started),
+                   [this, batch_id, d = std::move(d)]() mutable {
+                     if (stopped_) return;
+                     TraceMark(batch_id, obs::Stage::kServeRpc);
+                     d();
+                   });
+  };
+  if (!scoring_.retry.enabled()) {
+    scoring_.server->Invoke(
+        host_id_, batch_size,
+        [reply, done = std::move(done)]() mutable { reply(std::move(done)); });
+    return;
+  }
+  // Whichever of {timeout, reply} fires first settles the attempt; a late
+  // reply to an abandoned attempt is ignored.
+  struct Attempt {
+    bool settled = false;
+    std::function<void()> done;
+  };
+  auto call = std::make_shared<Attempt>(Attempt{false, std::move(done)});
+  sim_->Schedule(scoring_.retry.timeout_s, [this, call, batch_id, batch_size,
+                                            attempt, multiplier]() {
+    if (call->settled) return;
+    call->settled = true;
+    if (stopped_) return;
+    if (attempt < scoring_.retry.max_retries) {
       ++serving_retries_;
       if (obs::MetricsRegistry* reg = sim_->metrics()) {
         reg->Counter("fault_retries", {{"component", "serving-client"}})
@@ -151,41 +228,25 @@ void StreamEngine::InvokeExternalAttempt(
         tl->Count("serving_retries", sim_->Now());
       }
       sim_->Schedule(scoring_.retry.BackoffFor(attempt, &rng_),
-                     [this, batch_size, multiplier, attempt, done]() {
-                       if (stopped_) {
-                         (*done)();
-                         return;
-                       }
-                       InvokeExternalAttempt(batch_size, multiplier,
-                                             attempt + 1, done);
+                     [this, call, batch_id, batch_size, attempt,
+                      multiplier]() {
+                       if (stopped_) return;
+                       InvokeExternal(batch_id, batch_size, 0,
+                                      std::move(call->done), attempt + 1,
+                                      multiplier);
                      });
       return;
     }
-    // Teardown or retry budget exhausted: unblock the operator thread so
-    // the record keeps flowing (scoring work is lost, the record is not).
-    (*done)();
+    // Retry budget exhausted: unblock the operator thread so the record
+    // keeps flowing.
+    TraceMark(batch_id, obs::Stage::kServeRpc);
+    call->done();
   });
-  scoring_.server->Invoke(host_id_, batch_size,
-                          [this, settled, multiplier, started, done]() {
-                            if (*settled) return;
-                            *settled = true;
-                            const double elapsed = sim_->Now() - started;
-                            sim_->Schedule((multiplier - 1.0) * elapsed,
-                                           [done]() { (*done)(); });
-                          });
-}
-
-void StreamEngine::InvokeExternalWithStress(const broker::Record& record,
-                                            size_t queue_depth,
-                                            std::function<void()> done) {
-  TraceMark(record.batch_id, obs::Stage::kScore);
-  const uint64_t batch_id = record.batch_id;
-  InvokeExternalWithStress(
-      static_cast<int>(record.batch_size), queue_depth,
-      [this, batch_id, done = std::move(done)]() mutable {
-        TraceMark(batch_id, obs::Stage::kServeRpc);
-        done();
-      });
+  scoring_.server->Invoke(host_id_, batch_size, [reply, call]() {
+    if (call->settled) return;
+    call->settled = true;
+    reply(std::move(call->done));
+  });
 }
 
 void StreamEngine::TraceMark(uint64_t batch_id, obs::Stage stage) {
@@ -271,19 +332,18 @@ constexpr crayfish::Field<KafkaStreamsCosts> kKafkaStreamsFields[] = {
     {"idle_pickup_s", &KafkaStreamsCosts::idle_pickup_s},
 };
 
-}  // namespace
-
-crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
-    const std::string& engine_name, sim::Simulation* sim,
-    sim::Network* network, broker::KafkaCluster* cluster,
-    EngineConfig config, ScoringConfig scoring) {
-  // Every override is checked, including those for another engine, so a
-  // sweep base shared across engines fails on a typo whichever engine runs.
+/// The engines' cost structs with every override in `overrides` applied.
+struct EngineCosts {
   FlinkCosts flink;
   SparkCosts spark;
   RayCosts ray;
   KafkaStreamsCosts kafka_streams;
-  for (const auto& [key, text] : config.overrides.values()) {
+};
+
+crayfish::StatusOr<EngineCosts> ApplyEngineOverrides(
+    const crayfish::Config& overrides) {
+  EngineCosts costs;
+  for (const auto& [key, text] : overrides.values()) {
     const size_t dot = key.find('.');
     const std::string prefix = key.substr(0, dot);
     const std::string field =
@@ -293,36 +353,51 @@ crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
         "unknown engine override: " + key +
         " (want flink., spark., ray. or kafka_streams.<field>)");
     if (prefix == "flink") {
-      st = SetField(kFlinkFields, "flink", field, value, &flink);
+      st = SetField(kFlinkFields, "flink", field, value, &costs.flink);
     } else if (prefix == "spark") {
-      st = SetField(kSparkFields, "spark", field, value, &spark);
+      st = SetField(kSparkFields, "spark", field, value, &costs.spark);
     } else if (prefix == "ray") {
-      st = SetField(kRayFields, "ray", field, value, &ray);
+      st = SetField(kRayFields, "ray", field, value, &costs.ray);
     } else if (prefix == "kafka_streams") {
       st = SetField(kKafkaStreamsFields, "kafka_streams", field, value,
-                    &kafka_streams);
+                    &costs.kafka_streams);
     }
     CRAYFISH_RETURN_IF_ERROR(st);
   }
+  return costs;
+}
+
+}  // namespace
+
+crayfish::Status CheckEngineOverrides(const crayfish::Config& overrides) {
+  return ApplyEngineOverrides(overrides).status();
+}
+
+crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
+    const std::string& engine_name, sim::Simulation* sim,
+    sim::Network* network, broker::KafkaCluster* cluster,
+    EngineConfig config, ScoringConfig scoring) {
+  CRAYFISH_ASSIGN_OR_RETURN(EngineCosts costs,
+                            ApplyEngineOverrides(config.overrides));
   if (engine_name == "flink") {
     return {std::make_unique<FlinkEngine>(sim, network, cluster,
                                           std::move(config),
-                                          std::move(scoring), flink)};
+                                          std::move(scoring), costs.flink)};
   }
   if (engine_name == "kafka-streams") {
     return {std::make_unique<KafkaStreamsEngine>(
         sim, network, cluster, std::move(config), std::move(scoring),
-        kafka_streams)};
+        costs.kafka_streams)};
   }
   if (engine_name == "spark") {
     return {std::make_unique<SparkEngine>(sim, network, cluster,
                                           std::move(config),
-                                          std::move(scoring), spark)};
+                                          std::move(scoring), costs.spark)};
   }
   if (engine_name == "ray") {
     return {std::make_unique<RayEngine>(sim, network, cluster,
                                         std::move(config),
-                                        std::move(scoring), ray)};
+                                        std::move(scoring), costs.ray)};
   }
   return crayfish::Status::InvalidArgument("unknown engine: " + engine_name);
 }

@@ -16,8 +16,6 @@ FlinkEngine::FlinkEngine(sim::Simulation* sim, sim::Network* network,
       config_.source_parallelism == 0 && config_.sink_parallelism == 0;
 }
 
-FlinkEngine::~FlinkEngine() { Stop(); }
-
 double FlinkEngine::SourceSeconds(const broker::Record& r) const {
   return costs_.source_fixed_s +
          costs_.source_per_byte_s * static_cast<double>(r.wire_size);
@@ -36,23 +34,14 @@ double FlinkEngine::SinkSeconds(const broker::Record& r) const {
 }
 
 crayfish::Status FlinkEngine::Start() {
-  // Embedded serving loads the model into the scoring operators before
-  // the job starts (§3.4.1); external servers load on their own host.
-  double load_delay = 0.0;
-  if (!scoring_.external) {
-    load_delay = scoring_.library->LoadTimeSeconds(scoring_.model);
-  }
-  crayfish::Status setup =
-      chained_ ? StartChained() : StartUnchained();
-  CRAYFISH_RETURN_IF_ERROR(setup);
-  sim_->Schedule(load_delay, [this]() {
+  CRAYFISH_RETURN_IF_ERROR(chained_ ? StartChained() : StartUnchained());
+  sim_->Schedule(ModelLoadSeconds(), [this]() {
     if (stopped_) return;
-    if (chained_) {
-      for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
+    // One poll loop per slot (chained) or per source task (unchained).
+    for (int i = 0; i < static_cast<int>(consumers_.size()); ++i) {
+      if (chained_) {
         ChainedPollLoop(i);
-      }
-    } else {
-      for (int i = 0; i < static_cast<int>(source_consumers_.size()); ++i) {
+      } else {
         SourcePollLoop(i);
       }
     }
@@ -61,15 +50,10 @@ crayfish::Status FlinkEngine::Start() {
 }
 
 crayfish::Status FlinkEngine::StartChained() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
   for (int i = 0; i < n; ++i) {
     SlotState slot;
-    slot.consumer = std::make_unique<broker::KafkaConsumer>(
-        cluster_, config_.host, "flink");
-    CRAYFISH_RETURN_IF_ERROR(slot.consumer->Assign(
-        config_.input_topic, broker::KafkaCluster::RangeAssign(partitions,
-                                                               n, i)));
+    CRAYFISH_ASSIGN_OR_RETURN(slot.consumer, AddConsumer("flink", n, i));
     slot.producer = std::make_unique<broker::KafkaProducer>(cluster_,
                                                             config_.host);
     slot.emitter = std::make_unique<sim::SerialExecutor>(
@@ -118,46 +102,21 @@ void FlinkEngine::ProcessChainedRecords(
           sim_->Now() + costs_.checkpoint_interval_s;
     }
   }
-  auto finish = [this, slot, records, index]() {
-    if (stopped_) return;
-    const broker::Record& rec = (*records)[index];
-    ++events_scored_;
-    // The buffer-quota penalty is a *flush-wait* latency (records spanning
-    // several network buffers sit in partially filled buffers), not CPU
-    // occupancy: it delays the emit but does not block the task, so it
-    // vanishes from throughput measurements and dominates large-record
-    // closed-loop latency (§5.3.2).
-    const double penalty = BufferPenaltySeconds(rec);
-    sim_->Schedule(SinkSeconds(rec), [this, slot, records, index,
-                                      penalty]() {
-      if (stopped_) return;
-      TraceMark((*records)[index].batch_id, obs::Stage::kSerialize);
-      sim_->Schedule(penalty, [this, slot, records, index]() {
-        if (stopped_) return;
-        TraceMark((*records)[index].batch_id,
-                  obs::Stage::kBufferFlushWait);
-        CRAYFISH_CHECK_OK(EmitScored(
-            slots_[static_cast<size_t>(slot)].producer.get(),
-            (*records)[index]));
-      });
-      ProcessChainedRecords(slot, records, index + 1);
-    });
-  };
   const size_t depth =
       slots_[static_cast<size_t>(slot)].consumer->buffered();
   if (scoring_.external && costs_.async_io) {
     // AsyncWaitOperator semantics: issue the RPC and keep processing,
     // bounded by async_capacity in-flight requests (unordered emit).
     sim_->Schedule(
-        source_time + scoring_.server->costs().client_overhead_s,
+        source_time + ClientOverheadSeconds(),
         [this, slot, records, index, depth]() {
           if (stopped_) return;
           SlotState& s = slots_[static_cast<size_t>(slot)];
           ++s.in_flight;
-          InvokeExternalWithStress(
-              (*records)[index], depth,
+          const broker::Record& issued = (*records)[index];
+          InvokeExternal(
+              issued.batch_id, static_cast<int>(issued.batch_size), depth,
               [this, slot, records, index]() {
-                if (stopped_) return;
                 SlotState& s2 = slots_[static_cast<size_t>(slot)];
                 --s2.in_flight;
                 ++events_scored_;
@@ -194,38 +153,86 @@ void FlinkEngine::ProcessChainedRecords(
         });
     return;
   }
-  if (scoring_.external) {
-    // Blocking call: the slot thread is occupied for the full round trip.
-    sim_->Schedule(
-        source_time + scoring_.server->costs().client_overhead_s,
-        [this, records, index, depth, finish]() {
-          if (stopped_) return;
-          InvokeExternalWithStress((*records)[index], depth, finish);
-        });
-    return;
-  }
-  MaybeRealApply(r);
-  const double apply =
-      EmbeddedApplySeconds(static_cast<int>(r.batch_size), depth);
-  sim_->Schedule(source_time + apply, [this, records, index, finish]() {
-    if (stopped_) return;
-    TraceMark((*records)[index].batch_id, obs::Stage::kScore);
-    finish();
+  // Synchronous scoring: the slot thread is occupied until it ends.
+  Score(r, source_time, depth, [this, slot, records, index]() {
+    const broker::Record& rec = (*records)[index];
+    ++events_scored_;
+    // The buffer-quota penalty is a *flush-wait* latency (records spanning
+    // several network buffers sit in partially filled buffers), not CPU
+    // occupancy: it delays the emit but does not block the task, so it
+    // vanishes from throughput measurements and dominates large-record
+    // closed-loop latency (§5.3.2).
+    const double penalty = BufferPenaltySeconds(rec);
+    sim_->Schedule(SinkSeconds(rec), [this, slot, records, index,
+                                      penalty]() {
+      if (stopped_) return;
+      TraceMark((*records)[index].batch_id, obs::Stage::kSerialize);
+      sim_->Schedule(penalty, [this, slot, records, index]() {
+        if (stopped_) return;
+        TraceMark((*records)[index].batch_id,
+                  obs::Stage::kBufferFlushWait);
+        CRAYFISH_CHECK_OK(EmitScored(
+            slots_[static_cast<size_t>(slot)].producer.get(),
+            (*records)[index]));
+      });
+      ProcessChainedRecords(slot, records, index + 1);
+    });
   });
 }
 
 crayfish::Status FlinkEngine::StartUnchained() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int s = std::max(1, config_.source_parallelism);
   const int n = config_.parallelism;
   const int k = std::max(1, config_.sink_parallelism);
+
+  for (int i = 0; i < n; ++i) {
+    OperatorTask* task = AddTask(
+        "flink-score-" + std::to_string(i),
+        [this](broker::Record r, std::function<void()> done) {
+          TraceMark(r.batch_id, obs::Stage::kQueueWait);
+          const size_t depth = scoring_tasks_.front()->queue_depth();
+          Score(r, costs_.scoring_wrapper_s, depth,
+                [this, r, done = std::move(done)]() mutable {
+                  ++events_scored_;
+                  // Rebalance to a sink task; sinks are provisioned to
+                  // match the Kafka partitions, so they do not
+                  // backpressure in practice — but handle a full queue by
+                  // waiting anyway.
+                  OperatorTask* sink =
+                      sink_tasks_[static_cast<size_t>(scoring_rr_) %
+                                  sink_tasks_.size()];
+                  scoring_rr_ = (scoring_rr_ + 1) %
+                                static_cast<int>(sink_tasks_.size());
+                  if (!sink->Offer(r)) {
+                    // Rare: retry once shortly rather than wiring a second
+                    // credit channel.
+                    sim_->Schedule(0.001, [sink, r = std::move(r),
+                                           done = std::move(done)]() mutable {
+                      sink->Offer(std::move(r));
+                      done();
+                    });
+                    return;
+                  }
+                  done();
+                });
+        },
+        costs_.stage_queue_capacity);
+    task->SetSpaceAvailableCallback([this, i]() {
+      auto it = scoring_waiters_.find(i);
+      if (it == scoring_waiters_.end()) return;
+      std::vector<std::function<void()>> waiters = std::move(it->second);
+      scoring_waiters_.erase(it);
+      for (auto& w : waiters) w();
+    });
+    scoring_tasks_.push_back(task);
+  }
 
   for (int i = 0; i < k; ++i) {
     sink_producers_.push_back(
         std::make_unique<broker::KafkaProducer>(cluster_, config_.host));
     auto* producer = sink_producers_.back().get();
-    sink_tasks_.push_back(std::make_unique<OperatorTask>(
-        sim_, "flink-sink-" + std::to_string(i),
+    sink_tasks_.push_back(AddTask(
+        "flink-sink-" + std::to_string(i),
         [this, producer](broker::Record r, std::function<void()> done) {
           TraceMark(r.batch_id, obs::Stage::kQueueWait);
           const double penalty = BufferPenaltySeconds(r);
@@ -248,94 +255,15 @@ crayfish::Status FlinkEngine::StartUnchained() {
         costs_.stage_queue_capacity));
   }
 
-  for (int i = 0; i < n; ++i) {
-    scoring_tasks_.push_back(std::make_unique<OperatorTask>(
-        sim_, "flink-score-" + std::to_string(i),
-        [this](broker::Record r, std::function<void()> done) {
-          TraceMark(r.batch_id, obs::Stage::kQueueWait);
-          auto forward = [this, r, done = std::move(done)]() mutable {
-            if (stopped_) {
-              done();
-              return;
-            }
-            ++events_scored_;
-            // Rebalance to a sink task; sinks are provisioned to match
-            // the Kafka partitions, so they do not backpressure in
-            // practice — but handle a full queue by waiting anyway.
-            OperatorTask* sink =
-                sink_tasks_[static_cast<size_t>(scoring_rr_) %
-                            sink_tasks_.size()]
-                    .get();
-            scoring_rr_ = (scoring_rr_ + 1) %
-                          static_cast<int>(sink_tasks_.size());
-            if (!sink->Offer(r)) {
-              // Rare: retry shortly rather than wiring a second credit
-              // channel.
-              sim_->Schedule(0.001, [sink, r, done]() mutable {
-                while (!sink->Offer(r)) {
-                  // Queue still full: drop into lossless retry.
-                  break;
-                }
-                done();
-              });
-              return;
-            }
-            done();
-          };
-          if (scoring_.external) {
-            const size_t depth = scoring_tasks_.empty()
-                                     ? 0
-                                     : scoring_tasks_.front()->queue_depth();
-            sim_->Schedule(
-                costs_.scoring_wrapper_s +
-                    scoring_.server->costs().client_overhead_s,
-                [this, r, depth, forward = std::move(forward)]() mutable {
-                  if (stopped_) {
-                    forward();
-                    return;
-                  }
-                  InvokeExternalWithStress(r, depth, std::move(forward));
-                });
-            return;
-          }
-          const double apply = EmbeddedApplySeconds(
-              static_cast<int>(r.batch_size),
-              scoring_tasks_.empty()
-                  ? 0
-                  : scoring_tasks_.front()->queue_depth());
-          const uint64_t batch_id = r.batch_id;
-          sim_->Schedule(costs_.scoring_wrapper_s + apply,
-                         [this, batch_id,
-                          forward = std::move(forward)]() mutable {
-                           TraceMark(batch_id, obs::Stage::kScore);
-                           forward();
-                         });
-        },
-        costs_.stage_queue_capacity));
-    const int idx = i;
-    scoring_tasks_.back()->SetSpaceAvailableCallback([this, idx]() {
-      auto it = scoring_waiters_.find(idx);
-      if (it == scoring_waiters_.end()) return;
-      std::vector<std::function<void()>> waiters = std::move(it->second);
-      scoring_waiters_.erase(it);
-      for (auto& w : waiters) w();
-    });
-  }
-
   for (int i = 0; i < s; ++i) {
-    auto consumer = std::make_unique<broker::KafkaConsumer>(
-        cluster_, config_.host, "flink");
-    CRAYFISH_RETURN_IF_ERROR(consumer->Assign(
-        config_.input_topic,
-        broker::KafkaCluster::RangeAssign(partitions, s, i)));
-    source_consumers_.push_back(std::move(consumer));
+    CRAYFISH_RETURN_IF_ERROR(AddConsumer("flink", s, i).status());
   }
   return crayfish::Status::Ok();
 }
 
 void FlinkEngine::SourcePollLoop(int source_idx) {
   if (stopped_) return;
-  source_consumers_[static_cast<size_t>(source_idx)]->Poll(
+  consumers_[static_cast<size_t>(source_idx)]->Poll(
       costs_.poll_timeout_s,
       [this, source_idx](std::vector<broker::Record> records) {
         if (stopped_) return;
@@ -398,50 +326,11 @@ int FlinkEngine::RestartableTasks() const {
 
 int FlinkEngine::InjectTaskFailure(int task_index, double restart_delay_s) {
   if (stopped_) return 0;
+  // Task i's consumer is the slot's (chained) or the source's (unchained).
   const auto index = static_cast<size_t>(task_index);
-  if (chained_) {
-    CRAYFISH_CHECK_LT(index, slots_.size());
-    SlotState& slot = slots_[index];
-    if (!slot.consumer) return 0;
-    slot.consumer->FailAndRestart(restart_delay_s);
-    return 1;
-  }
-  CRAYFISH_CHECK_LT(index, source_consumers_.size());
-  source_consumers_[index]->FailAndRestart(restart_delay_s);
+  CRAYFISH_CHECK_LT(index, consumers_.size());
+  consumers_[index]->FailAndRestart(restart_delay_s);
   return 1;
-}
-
-EngineTelemetry FlinkEngine::Telemetry() const {
-  EngineTelemetry t;
-  const auto fold_consumer = [&t](const broker::KafkaConsumer& c) {
-    t.consumer_lag += c.TotalLag();
-    t.max_partition_lag = std::max(t.max_partition_lag, c.MaxPartitionLag());
-    t.queue_depth += static_cast<int64_t>(c.buffered());
-  };
-  for (const SlotState& slot : slots_) {
-    if (slot.consumer) fold_consumer(*slot.consumer);
-  }
-  for (const auto& c : source_consumers_) fold_consumer(*c);
-  for (const auto& task : scoring_tasks_) {
-    t.queue_depth += static_cast<int64_t>(task->queue_depth());
-    t.backpressure_stall_s += task->stall_time_s();
-  }
-  for (const auto& task : sink_tasks_) {
-    t.queue_depth += static_cast<int64_t>(task->queue_depth());
-    t.backpressure_stall_s += task->stall_time_s();
-  }
-  return t;
-}
-
-void FlinkEngine::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  for (auto& slot : slots_) {
-    if (slot.consumer) slot.consumer->Close();
-  }
-  for (auto& c : source_consumers_) c->Close();
-  for (auto& t : scoring_tasks_) t->Stop();
-  for (auto& t : sink_tasks_) t->Stop();
 }
 
 }  // namespace crayfish::sps

@@ -60,11 +60,9 @@ class FlinkEngine : public StreamEngine {
   FlinkEngine(sim::Simulation* sim, sim::Network* network,
               broker::KafkaCluster* cluster, EngineConfig config,
               ScoringConfig scoring, FlinkCosts costs);
-  ~FlinkEngine() override;
 
   const char* name() const override { return "flink"; }
   crayfish::Status Start() override;
-  void Stop() override;
 
   /// One task per slot (chained mode) or per source task (unchained mode).
   int RestartableTasks() const override;
@@ -74,15 +72,11 @@ class FlinkEngine : public StreamEngine {
   /// group's committed offsets.
   int InjectTaskFailure(int task_index, double restart_delay_s) override;
 
-  /// Aggregates lag over slot consumers (chained) or source consumers
-  /// (unchained), and queue depth / stall time over the stage tasks.
-  EngineTelemetry Telemetry() const override;
-
   const FlinkCosts& costs() const { return costs_; }
 
  private:
   struct SlotState {
-    std::unique_ptr<broker::KafkaConsumer> consumer;
+    broker::KafkaConsumer* consumer = nullptr;
     std::unique_ptr<broker::KafkaProducer> producer;
     // Async-I/O mode state: in-flight external requests and whether the
     // slot is parked waiting for capacity.
@@ -119,10 +113,10 @@ class FlinkEngine : public StreamEngine {
   bool chained_ = true;
   // Chained mode: one slot = consumer + producer + serial loop.
   std::vector<SlotState> slots_;
-  // Unchained mode.
-  std::vector<std::unique_ptr<broker::KafkaConsumer>> source_consumers_;
-  std::vector<std::unique_ptr<OperatorTask>> scoring_tasks_;
-  std::vector<std::unique_ptr<OperatorTask>> sink_tasks_;
+  // Unchained mode: one consumer per source task; the base owns the
+  // consumers and the stage tasks.
+  std::vector<OperatorTask*> scoring_tasks_;
+  std::vector<OperatorTask*> sink_tasks_;
   std::vector<std::unique_ptr<broker::KafkaProducer>> sink_producers_;
   /// Ordered (lint R3): async-I/O wakeups fire in key order; an unordered
   /// container here would reorder scoring completions between runs.

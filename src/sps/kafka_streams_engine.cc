@@ -1,7 +1,5 @@
 #include "sps/kafka_streams_engine.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace crayfish::sps {
@@ -16,29 +14,19 @@ KafkaStreamsEngine::KafkaStreamsEngine(sim::Simulation* sim,
                    std::move(scoring)),
       costs_(costs) {}
 
-KafkaStreamsEngine::~KafkaStreamsEngine() { Stop(); }
-
 crayfish::Status KafkaStreamsEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
   for (int i = 0; i < n; ++i) {
     StreamThread thread;
-    thread.consumer = std::make_unique<broker::KafkaConsumer>(
-        cluster_, config_.host, "kafka-streams");
-    CRAYFISH_RETURN_IF_ERROR(thread.consumer->Assign(
-        config_.input_topic,
-        broker::KafkaCluster::RangeAssign(partitions, n, i)));
+    CRAYFISH_ASSIGN_OR_RETURN(thread.consumer,
+                              AddConsumer("kafka-streams", n, i));
     thread.producer =
         std::make_unique<broker::KafkaProducer>(cluster_, config_.host);
     threads_.push_back(std::move(thread));
   }
   // The transform operator loads the model at initialization time
   // (§3.4.1) before the threads start pulling.
-  double load_delay = 0.0;
-  if (!scoring_.external) {
-    load_delay = scoring_.library->LoadTimeSeconds(scoring_.model);
-  }
-  sim_->Schedule(load_delay, [this]() {
+  sim_->Schedule(ModelLoadSeconds(), [this]() {
     if (stopped_) return;
     for (int i = 0; i < static_cast<int>(threads_.size()); ++i) {
       PollLoop(i);
@@ -99,8 +87,9 @@ void KafkaStreamsEngine::ProcessRecords(
                         costs_.record_per_byte_s *
                             static_cast<double>(r.wire_size) +
                         costs_.transform_wrapper_s;
-  auto emit = [this, thread, records, index]() {
-    if (stopped_) return;
+  const size_t depth =
+      threads_[static_cast<size_t>(thread)].consumer->buffered();
+  Score(r, ingest, depth, [this, thread, records, index]() {
     ++events_scored_;
     const broker::Record& rec = (*records)[index];
     const double produce =
@@ -116,46 +105,7 @@ void KafkaStreamsEngine::ProcessRecords(
           (*records)[index]));
       ProcessRecords(thread, records, index + 1);
     });
-  };
-  const size_t depth =
-      threads_[static_cast<size_t>(thread)].consumer->buffered();
-  if (scoring_.external) {
-    sim_->Schedule(ingest + scoring_.server->costs().client_overhead_s,
-                   [this, records, index, depth, emit]() {
-                     if (stopped_) return;
-                     InvokeExternalWithStress((*records)[index], depth,
-                                              emit);
-                   });
-    return;
-  }
-  MaybeRealApply(r);
-  const double apply =
-      EmbeddedApplySeconds(static_cast<int>(r.batch_size), depth);
-  sim_->Schedule(ingest + apply, [this, records, index, emit]() {
-    if (stopped_) return;
-    TraceMark((*records)[index].batch_id, obs::Stage::kScore);
-    emit();
   });
-}
-
-EngineTelemetry KafkaStreamsEngine::Telemetry() const {
-  EngineTelemetry t;
-  for (const StreamThread& thread : threads_) {
-    if (!thread.consumer) continue;
-    t.consumer_lag += thread.consumer->TotalLag();
-    t.max_partition_lag =
-        std::max(t.max_partition_lag, thread.consumer->MaxPartitionLag());
-    t.queue_depth += static_cast<int64_t>(thread.consumer->buffered());
-  }
-  return t;
-}
-
-void KafkaStreamsEngine::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  for (auto& t : threads_) {
-    if (t.consumer) t.consumer->Close();
-  }
 }
 
 }  // namespace crayfish::sps

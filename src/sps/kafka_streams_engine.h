@@ -41,15 +41,9 @@ class KafkaStreamsEngine : public StreamEngine {
   KafkaStreamsEngine(sim::Simulation* sim, sim::Network* network,
                      broker::KafkaCluster* cluster, EngineConfig config,
                      ScoringConfig scoring, KafkaStreamsCosts costs);
-  ~KafkaStreamsEngine() override;
 
   const char* name() const override { return "kafka-streams"; }
   crayfish::Status Start() override;
-  void Stop() override;
-
-  /// Aggregates lag and prefetch-buffer depth over the stream threads'
-  /// consumers (pull model: no operator queues, no backpressure stalls).
-  EngineTelemetry Telemetry() const override;
 
   const KafkaStreamsCosts& costs() const { return costs_; }
 
@@ -64,7 +58,7 @@ class KafkaStreamsEngine : public StreamEngine {
 
  private:
   struct StreamThread {
-    std::unique_ptr<broker::KafkaConsumer> consumer;
+    broker::KafkaConsumer* consumer = nullptr;
     std::unique_ptr<broker::KafkaProducer> producer;
     double last_commit = 0.0;
     bool was_idle = true;

@@ -1,7 +1,5 @@
 #include "sps/ray_engine.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace crayfish::sps {
@@ -11,9 +9,9 @@ RayEngine::RayEngine(sim::Simulation* sim, sim::Network* network,
                      ScoringConfig scoring, RayCosts costs)
     : StreamEngine(sim, network, cluster, std::move(config),
                    std::move(scoring)),
-      costs_(costs) {}
-
-RayEngine::~RayEngine() { Stop(); }
+      costs_(costs),
+      inflation_(1.0 + costs_.contention_alpha *
+                           static_cast<double>(config_.parallelism - 1)) {}
 
 double RayEngine::PyInferSeconds(int batch_size) const {
   double per_sample;
@@ -30,28 +28,51 @@ double RayEngine::PyInferSeconds(int batch_size) const {
                     static_cast<double>(batch_size - 1));
 }
 
+double RayEngine::ClientOverheadSeconds() const {
+  return costs_.http_client_s;
+}
+
+double RayEngine::EmbeddedApplySeconds(int batch_size, size_t queue_depth) {
+  (void)queue_depth;
+  return PyInferSeconds(batch_size) * inflation_;
+}
+
 crayfish::Status RayEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
   const int n = config_.parallelism;
-  const double inflation =
-      1.0 + costs_.contention_alpha * static_cast<double>(n - 1);
   for (int i = 0; i < n; ++i) {
     auto chain = std::make_unique<ActorChain>();
-    chain->consumer = std::make_unique<broker::KafkaConsumer>(
-        cluster_, config_.host, "ray");
-    CRAYFISH_RETURN_IF_ERROR(chain->consumer->Assign(
-        config_.input_topic,
-        broker::KafkaCluster::RangeAssign(partitions, n, i)));
+    CRAYFISH_ASSIGN_OR_RETURN(chain->consumer, AddConsumer("ray", n, i));
     chain->producer =
         std::make_unique<broker::KafkaProducer>(cluster_, config_.host);
 
     ActorChain* c = chain.get();
-    chain->output_actor = std::make_unique<OperatorTask>(
-        sim_, "ray-output-" + std::to_string(i),
-        [this, c, inflation](broker::Record r, std::function<void()> done) {
+    chain->scoring_actor = AddTask(
+        "ray-score-" + std::to_string(i),
+        [this, c](broker::Record r, std::function<void()> done) {
+          TraceMark(r.batch_id, obs::Stage::kQueueWait);
+          const double base =
+              (costs_.actor_msg_s + costs_.py_record_s +
+               costs_.py_per_sample_s *
+                   static_cast<double>(r.batch_size > 0 ? r.batch_size - 1
+                                                        : 0)) *
+              inflation_;
+          Score(r, base, c->scoring_actor->queue_depth(),
+                [this, c, r, done = std::move(done)]() {
+                  ++events_scored_;
+                  // 1:1 forwarding to the paired output actor; its queue
+                  // is effectively unbounded relative to scoring
+                  // throughput.
+                  c->output_actor->Offer(r);
+                  done();
+                });
+        },
+        costs_.actor_queue_capacity);
+    chain->output_actor = AddTask(
+        "ray-output-" + std::to_string(i),
+        [this, c](broker::Record r, std::function<void()> done) {
           TraceMark(r.batch_id, obs::Stage::kQueueWait);
           const double t =
-              (costs_.actor_msg_s + costs_.output_record_s) * inflation;
+              (costs_.actor_msg_s + costs_.output_record_s) * inflation_;
           sim_->Schedule(t, [this, c, r = std::move(r),
                              done = std::move(done)]() {
             if (!stopped_) {
@@ -62,58 +83,6 @@ crayfish::Status RayEngine::Start() {
           });
         },
         costs_.actor_queue_capacity);
-
-    chain->scoring_actor = std::make_unique<OperatorTask>(
-        sim_, "ray-score-" + std::to_string(i),
-        [this, c, inflation](broker::Record r, std::function<void()> done) {
-          TraceMark(r.batch_id, obs::Stage::kQueueWait);
-          auto deliver = [this, c, r,
-                          done = std::move(done)]() mutable {
-            if (stopped_) {
-              done();
-              return;
-            }
-            ++events_scored_;
-            // 1:1 forwarding to the paired output actor; its queue is
-            // effectively unbounded relative to scoring throughput.
-            c->output_actor->Offer(r);
-            done();
-          };
-          const double base =
-              (costs_.actor_msg_s + costs_.py_record_s +
-               costs_.py_per_sample_s *
-                   static_cast<double>(r.batch_size > 0 ? r.batch_size - 1
-                                                        : 0)) *
-              inflation;
-          if (scoring_.external) {
-            const size_t depth = c->scoring_actor
-                                     ? c->scoring_actor->queue_depth()
-                                     : 0;
-            sim_->Schedule(base + costs_.http_client_s,
-                           [this, r, depth,
-                            deliver = std::move(deliver)]() mutable {
-                             if (stopped_) {
-                               deliver();
-                               return;
-                             }
-                             InvokeExternalWithStress(
-                                 r, depth, std::move(deliver));
-                           });
-            return;
-          }
-          MaybeRealApply(r);
-          const uint64_t batch_id = r.batch_id;
-          sim_->Schedule(base + PyInferSeconds(static_cast<int>(
-                                    r.batch_size)) *
-                                    inflation,
-                         [this, batch_id,
-                          deliver = std::move(deliver)]() mutable {
-                           TraceMark(batch_id, obs::Stage::kScore);
-                           deliver();
-                         });
-        },
-        costs_.actor_queue_capacity);
-
     chains_.push_back(std::move(chain));
   }
   // Python-native model load in each scoring actor (no interop library).
@@ -171,43 +140,11 @@ void RayEngine::ForwardRecords(
       return;
     }
     // Backpressure: park; resume when the scoring actor frees space.
-    ch->input_parked = true;
     ch->scoring_actor->SetSpaceAvailableCallback(
         [this, chain, records, index]() {
-          ActorChain* ch2 = chains_[static_cast<size_t>(chain)].get();
-          ch2->input_parked = false;
           ForwardRecords(chain, records, index);
         });
   });
-}
-
-EngineTelemetry RayEngine::Telemetry() const {
-  EngineTelemetry t;
-  for (const auto& chain : chains_) {
-    if (chain->consumer) {
-      t.consumer_lag += chain->consumer->TotalLag();
-      t.max_partition_lag =
-          std::max(t.max_partition_lag, chain->consumer->MaxPartitionLag());
-      t.queue_depth += static_cast<int64_t>(chain->consumer->buffered());
-    }
-    for (const OperatorTask* actor :
-         {chain->scoring_actor.get(), chain->output_actor.get()}) {
-      if (actor == nullptr) continue;
-      t.queue_depth += static_cast<int64_t>(actor->queue_depth());
-      t.backpressure_stall_s += actor->stall_time_s();
-    }
-  }
-  return t;
-}
-
-void RayEngine::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  for (auto& c : chains_) {
-    if (c->consumer) c->consumer->Close();
-    if (c->scoring_actor) c->scoring_actor->Stop();
-    if (c->output_actor) c->output_actor->Stop();
-  }
 }
 
 }  // namespace crayfish::sps

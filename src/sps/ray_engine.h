@@ -54,25 +54,26 @@ class RayEngine : public StreamEngine {
   RayEngine(sim::Simulation* sim, sim::Network* network,
             broker::KafkaCluster* cluster, EngineConfig config,
             ScoringConfig scoring, RayCosts costs);
-  ~RayEngine() override;
 
   const char* name() const override { return "ray"; }
   crayfish::Status Start() override;
-  void Stop() override;
-
-  /// Aggregates lag over chain consumers plus actor mailbox depths and
-  /// stall time (actor queues are the Ray backpressure boundary).
-  EngineTelemetry Telemetry() const override;
 
   const RayCosts& costs() const { return costs_; }
 
+ protected:
+  /// Ray Serve is called over HTTP.
+  double ClientOverheadSeconds() const override;
+  /// Ray needs no interoperability library (§3.4.4): the scoring actor
+  /// runs the model natively in Python, inflated per extra actor chain.
+  double EmbeddedApplySeconds(int batch_size, size_t queue_depth) override;
+
  private:
+  /// The base owns the consumer and the two actors.
   struct ActorChain {
-    std::unique_ptr<broker::KafkaConsumer> consumer;
-    std::unique_ptr<OperatorTask> scoring_actor;
-    std::unique_ptr<OperatorTask> output_actor;
+    broker::KafkaConsumer* consumer = nullptr;
+    OperatorTask* scoring_actor = nullptr;
+    OperatorTask* output_actor = nullptr;
     std::unique_ptr<broker::KafkaProducer> producer;
-    bool input_parked = false;
   };
 
   void InputPollLoop(int chain);
@@ -82,6 +83,8 @@ class RayEngine : public StreamEngine {
   double PyInferSeconds(int batch_size) const;
 
   RayCosts costs_;
+  /// Service inflation of this deployment's `mp` chains.
+  const double inflation_;
   std::vector<std::unique_ptr<ActorChain>> chains_;
 };
 

@@ -14,12 +14,7 @@ SparkEngine::SparkEngine(sim::Simulation* sim, sim::Network* network,
                    std::move(scoring)),
       costs_(costs) {}
 
-SparkEngine::~SparkEngine() { Stop(); }
-
 crayfish::Status SparkEngine::Start() {
-  CRAYFISH_ASSIGN_OR_RETURN(int partitions, InputPartitions());
-  std::vector<int> all(static_cast<size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) all[static_cast<size_t>(p)] = p;
   broker::ConsumerConfig cc;
   // The driver drains whole trigger intervals at once; with a rate limit
   // (maxOffsetsPerTrigger) the poll itself is capped so no prefetched
@@ -30,17 +25,11 @@ crayfish::Status SparkEngine::Start() {
                             : 100000;
   cc.fetch_max_records = 2000;
   cc.max_buffered_records = 200000;
-  consumer_ = std::make_unique<broker::KafkaConsumer>(cluster_, config_.host,
-                                                      "spark", cc);
-  CRAYFISH_RETURN_IF_ERROR(consumer_->Assign(config_.input_topic, all));
+  // One driver consumer over every input partition.
+  CRAYFISH_ASSIGN_OR_RETURN(consumer_, AddConsumer("spark", 1, 0, cc));
   producer_ = std::make_unique<broker::KafkaProducer>(cluster_, config_.host);
-
-  double load_delay = 0.0;
-  if (!scoring_.external) {
-    // Executors load the model once before the query starts.
-    load_delay = scoring_.library->LoadTimeSeconds(scoring_.model);
-  }
-  sim_->Schedule(load_delay, [this]() {
+  // Executors load the model once before the query starts.
+  sim_->Schedule(ModelLoadSeconds(), [this]() {
     if (!stopped_) TriggerLoop();
   });
   return crayfish::Status::Ok();
@@ -118,57 +107,21 @@ void SparkEngine::RunChunk(
   const double ingest =
       costs_.record_fixed_s +
       costs_.record_per_byte_s * static_cast<double>(r.wire_size);
-  auto emit = [this, records, begin, end,
-               on_done = std::move(on_done)]() mutable {
-    if (stopped_) return;
-    ++events_scored_;
-    sim_->Schedule(costs_.produce_fixed_s,
-                   [this, records, begin, end,
-                    on_done = std::move(on_done)]() mutable {
-                     if (stopped_) return;
-                     TraceMark((*records)[begin].batch_id,
-                               obs::Stage::kSerialize);
-                     CRAYFISH_CHECK_OK(
-                         EmitScored(producer_.get(), (*records)[begin]));
-                     RunChunk(records, begin + 1, end, std::move(on_done));
-                   });
-  };
-  const size_t depth = consumer_->buffered();
-  if (scoring_.external) {
-    sim_->Schedule(ingest + scoring_.server->costs().client_overhead_s,
-                   [this, records, begin, depth,
-                    emit = std::move(emit)]() mutable {
-                     if (stopped_) return;
-                     InvokeExternalWithStress((*records)[begin], depth,
-                                              std::move(emit));
-                   });
-    return;
-  }
-  MaybeRealApply(r);
-  const double apply =
-      EmbeddedApplySeconds(static_cast<int>(r.batch_size), depth);
-  sim_->Schedule(ingest + apply, [this, records, begin,
-                                  emit = std::move(emit)]() mutable {
-    if (stopped_) return;
-    TraceMark((*records)[begin].batch_id, obs::Stage::kScore);
-    emit();
-  });
-}
-
-EngineTelemetry SparkEngine::Telemetry() const {
-  EngineTelemetry t;
-  if (consumer_) {
-    t.consumer_lag = consumer_->TotalLag();
-    t.max_partition_lag = consumer_->MaxPartitionLag();
-    t.queue_depth = static_cast<int64_t>(consumer_->buffered());
-  }
-  return t;
-}
-
-void SparkEngine::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  if (consumer_) consumer_->Close();
+  Score(r, ingest, consumer_->buffered(),
+        [this, records, begin, end, on_done = std::move(on_done)]() mutable {
+          ++events_scored_;
+          sim_->Schedule(costs_.produce_fixed_s,
+                         [this, records, begin, end,
+                          on_done = std::move(on_done)]() mutable {
+                           if (stopped_) return;
+                           TraceMark((*records)[begin].batch_id,
+                                     obs::Stage::kSerialize);
+                           CRAYFISH_CHECK_OK(EmitScored(producer_.get(),
+                                                        (*records)[begin]));
+                           RunChunk(records, begin + 1, end,
+                                    std::move(on_done));
+                         });
+        });
 }
 
 }  // namespace crayfish::sps

@@ -60,15 +60,9 @@ class SparkEngine : public StreamEngine {
   SparkEngine(sim::Simulation* sim, sim::Network* network,
               broker::KafkaCluster* cluster, EngineConfig config,
               ScoringConfig scoring, SparkCosts costs);
-  ~SparkEngine() override;
 
   const char* name() const override { return "spark"; }
   crayfish::Status Start() override;
-  void Stop() override;
-
-  /// Lag and buffered records of the driver's consumer (micro-batch model:
-  /// in-flight batches live in the driver, not operator queues).
-  EngineTelemetry Telemetry() const override;
 
   const SparkCosts& costs() const { return costs_; }
   uint64_t micro_batches() const { return micro_batches_; }
@@ -82,7 +76,7 @@ class SparkEngine : public StreamEngine {
                 size_t begin, size_t end, std::function<void()> on_done);
 
   SparkCosts costs_;
-  std::unique_ptr<broker::KafkaConsumer> consumer_;
+  broker::KafkaConsumer* consumer_ = nullptr;
   std::unique_ptr<broker::KafkaProducer> producer_;
   uint64_t micro_batches_ = 0;
 };

@@ -263,9 +263,17 @@ TEST(ExperimentTest, ValidationModeRunsRealInferenceInThePipeline) {
 }
 
 TEST(ExperimentTest, ValidationModeWorksOnEveryEngineAndLibrary) {
-  for (const char* engine : {"flink", "kafka-streams", "spark", "ray"}) {
+  // "flink-unchained" is Fig. 12's flink[2-1-2]: its scoring operator is
+  // a task of its own, not a link of the chained slot.
+  for (const std::string engine :
+       {"flink", "flink-unchained", "kafka-streams", "spark", "ray"}) {
     for (const char* lib : {"dl4j", "onnx", "savedmodel"}) {
       ExperimentConfig cfg = QuickConfig(engine, lib);
+      if (engine == "flink-unchained") {
+        cfg.engine = "flink";
+        cfg.source_parallelism = 2;
+        cfg.sink_parallelism = 2;
+      }
       cfg.input_rate = 20.0;
       cfg.duration_s = 3.0;
       cfg.drain_s = 3.0;
@@ -273,6 +281,7 @@ TEST(ExperimentTest, ValidationModeWorksOnEveryEngineAndLibrary) {
       auto r = RunExperiment(cfg);
       ASSERT_TRUE(r.ok()) << engine << "/" << lib << ": "
                           << r.status().ToString();
+      EXPECT_GT(r->events_scored, 0u) << engine << "/" << lib;
       EXPECT_EQ(r->real_inferences, r->events_scored)
           << engine << "/" << lib;
     }
@@ -284,6 +293,19 @@ TEST(ExperimentTest, ValidationModeRejectsUnsupportedModels) {
   cfg.model = "resnet50";
   cfg.validate_real_inference = true;
   EXPECT_TRUE(RunExperiment(cfg).status().IsInvalidArgument());
+}
+
+TEST(ExperimentTest, ValidationModeRejectsExternalServing) {
+  // An external server computes out of process, so no real forward pass
+  // could run in the scoring operator: the run is refused, not silently
+  // left unvalidated.
+  for (const char* tool : {"tf-serving", "torchserve", "ray-serve"}) {
+    ExperimentConfig cfg = QuickConfig("flink", tool);
+    cfg.validate_real_inference = true;
+    auto r = RunExperiment(cfg);
+    ASSERT_FALSE(r.ok()) << tool;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
 }
 
 // --- properties -> ExperimentConfig (core/properties.h) ---
@@ -383,6 +405,26 @@ TEST(PropertiesTest, RejectsNonIntegralAndOutOfRangeOverrides) {
       "engine = flink\nserving = onnx\nautoscaler.max_replicas = 8.0\n"));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->autoscaler.max_replicas, 8);
+}
+
+TEST(PropertiesTest, RejectsBadEngineOverridesAtLoadTime) {
+  // Engine cost overrides are checked when the file loads, like every
+  // other key, not after the cluster of the run is built.
+  for (const char* line :
+       {"flink.asyncio = true\n", "flink.async_io = maybe\n",
+        "spark.max_offsets_per_trigger = 2.5\n", "storm.parallelism = 2\n",
+        "kafka-streams.record_fixed_s = 1\n"}) {
+    auto cfg = ExperimentConfigFromProperties(
+        Props(std::string("engine = flink\nserving = onnx\n") + line));
+    ASSERT_FALSE(cfg.ok()) << line;
+    EXPECT_TRUE(cfg.status().IsInvalidArgument()) << line;
+  }
+  // Another engine's known field passes: sweep bases are shared.
+  auto ok = ExperimentConfigFromProperties(
+      Props("engine = flink\nserving = onnx\nspark.continuous = true\n"
+            "flink.async_io = true\n"));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->engine_overrides.values().size(), 2u);
 }
 
 }  // namespace

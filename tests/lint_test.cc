@@ -285,24 +285,16 @@ TEST(R6HostThreadingTest, SweepRunnerAndBenchAreAllowlisted) {
                       Rule::kHostThreading), 2);
 }
 
-TEST(R6HostThreadingTest, RegistryCarveOutIsItsMutexOnly) {
-  // The metric registry guards its lookup-or-create maps with one mutex.
+TEST(R6HostThreadingTest, RegistryMutexIsFlaggedLikeAnyOther) {
+  // Every run owns its metric registry, so obs gets no mutex: the
+  // registry files are checked like the rest of src (std::mutex twice,
+  // std::lock_guard once).
   const std::string guard =
       "mutable std::mutex mu_;\n"
       "const std::lock_guard<std::mutex> lock(mu_);\n";
-  EXPECT_TRUE(Lint("src/obs/registry.h", guard).empty());
-  EXPECT_TRUE(Lint("src/obs/registry.cc", guard).empty());
-  // The carve-out does not open the file to threads, condvars, or
-  // lock-free machinery...
-  const std::string outside =
-      "std::jthread w([] {});\n"
-      "std::condition_variable cv;\n"
-      "std::atomic<uint64_t> seq{0};\n";
-  EXPECT_EQ(CountRule(Lint("src/obs/registry.cc", outside),
+  EXPECT_EQ(CountRule(Lint("src/obs/registry.h", guard),
                       Rule::kHostThreading), 3);
-  // ...and the mutex stays banned everywhere else, the sim layer included
-  // (std::mutex twice, std::lock_guard once).
-  EXPECT_EQ(CountRule(Lint("src/obs/timeline.cc", guard),
+  EXPECT_EQ(CountRule(Lint("src/obs/registry.cc", guard),
                       Rule::kHostThreading), 3);
   EXPECT_EQ(CountRule(Lint("src/sim/simulation.cc", guard),
                       Rule::kHostThreading), 3);

@@ -167,6 +167,33 @@ TEST(WorkloadSpecTest, IntegerOverridesRejectFractionsAndOverflow) {
   EXPECT_EQ(p.max_replicas, 16);
 }
 
+TEST(WorkloadSpecTest, JsonSeedPastTwoToThe53IsRejectedNotRounded) {
+  // JSON numbers are doubles: 9007199254740993 would load as ...992. The
+  // same seed as override text stays exact.
+  const std::string kPastExact = "9007199254740993";
+  EXPECT_TRUE(WorkloadSpec::FromJsonText(
+                  R"({"kind": "constant", "seed": )" + kPastExact + "}")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(PolicyConfig::FromJsonText(R"({"seed": )" + kPastExact + "}")
+                  .status()
+                  .IsInvalidArgument());
+  auto shape = WorkloadSpec::FromJsonText(
+      R"({"kind": "constant", "seed": 9007199254740991})");
+  ASSERT_TRUE(shape.ok()) << shape.status().ToString();
+  EXPECT_EQ(shape->shape.seed, 9007199254740991u);
+  auto policy = PolicyConfig::FromJsonText(R"({"seed": 9007199254740991})");
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  EXPECT_EQ(policy->seed, 9007199254740991u);
+
+  WorkloadSpec o;
+  ASSERT_TRUE(o.ApplyOverride("seed", kPastExact).ok());
+  EXPECT_EQ(o.shape.seed, 9007199254740993u);
+  PolicyConfig p;
+  ASSERT_TRUE(p.ApplyOverride("seed", kPastExact).ok());
+  EXPECT_EQ(p.seed, 9007199254740993u);
+}
+
 TEST(WorkloadSpecTest, MisspelledJsonFieldIsRejected) {
   // Flat layout: "base_rat" is neither a shape key nor a spec key.
   auto flat = WorkloadSpec::FromJsonText(

@@ -1,3 +1,4 @@
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -234,6 +235,39 @@ TEST_P(AllEnginesTest, StopHaltsProcessing) {
   h.sim.Run(10.0);
   // Nothing (or at most already-in-flight work) after Stop.
   EXPECT_LE(h.engine->events_scored(), scored + 2);
+}
+
+TEST_P(AllEnginesTest, TelemetryMidBacklogIsPinned) {
+  // Lag, partition lag, buffered records and stall time of a backlogged
+  // engine, pinned exactly: they feed the timeline and the autoscaler, so
+  // folding them over an engine's consumers and tasks must not drift.
+  struct Pinned {
+    int source_sink_par;
+    int64_t lag;
+    int64_t max_lag;
+    int64_t depth;
+    double stall_s;
+  };
+  const std::map<std::string, std::vector<Pinned>> kPinned = {
+      // Chained, then unchained (two source and two sink tasks).
+      {"flink",
+       {{0, 18000, 2275, 12740, 0.0},
+        {2, 15000, 1895, 13868, 1.0027609839277893}}},
+      {"kafka-streams", {{0, 17000, 2135, 11740, 0.0}}},
+      {"spark", {{0, 2220, 305, 2220, 0.0}}},
+      {"ray", {{0, 19000, 2405, 13866, 0.17113300000000509}}},
+  };
+  for (const Pinned& want : kPinned.at(GetParam())) {
+    EngineHarness h(GetParam(), /*parallelism=*/2, /*external=*/false,
+                    "tf-serving", want.source_sink_par, want.source_sink_par);
+    h.Produce(20000);
+    h.sim.Run(1.0);
+    const EngineTelemetry t = h.engine->Telemetry();
+    EXPECT_EQ(t.consumer_lag, want.lag) << want.source_sink_par;
+    EXPECT_EQ(t.max_partition_lag, want.max_lag) << want.source_sink_par;
+    EXPECT_EQ(t.queue_depth, want.depth) << want.source_sink_par;
+    EXPECT_EQ(t.backpressure_stall_s, want.stall_s) << want.source_sink_par;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, AllEnginesTest,

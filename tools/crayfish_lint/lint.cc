@@ -77,20 +77,6 @@ bool IsHostThreadingAllowlisted(std::string_view path) {
          InDir(path, "tools/crayfish_lint");
 }
 
-/// R6 carve-out: the metric registry guards its lookup-or-create maps with
-/// one mutex, so it may use exactly that mutex and its lock guard. Anything
-/// else (atomics, futures, threads, ...) still fires R6 in those files: the
-/// carve-out names one primitive, it does not open the file to concurrency.
-const std::set<std::string>* HostThreadingCarveOut(std::string_view path) {
-  static const std::set<std::string> kRegistryMutex = {"mutex",
-                                                       "lock_guard"};
-  if (PathEndsWith(path, "src/obs/registry.h") ||
-      PathEndsWith(path, "src/obs/registry.cc")) {
-    return &kRegistryMutex;
-  }
-  return nullptr;
-}
-
 /// R1 allowlist: the logging real-time sink is the single src/ place allowed
 /// to read the host clock (it never feeds back into simulation state), and
 /// bench/ harness code exists to measure wall time.
@@ -405,13 +391,11 @@ class Linter {
         "latch",         "barrier",
         "call_once",     "once_flag",
         "stop_source",   "stop_token"};
-    const std::set<std::string>* carve_out = HostThreadingCarveOut(path_);
     for (int i = 0; i < static_cast<int>(toks_.size()); ++i) {
       const Token& t = toks_[i];
       if (t.kind != TokenKind::kIdentifier || banned.count(t.text) == 0) {
         continue;
       }
-      if (carve_out != nullptr && carve_out->count(t.text) > 0) continue;
       // Only std-qualified uses: `std::thread`, `std::atomic<...>`. A bare
       // `thread` identifier (a variable, a field) is not a primitive.
       const int colons = PrevCode(toks_, i);
