@@ -12,6 +12,7 @@
 
 #include "common/logging.h"
 #include "core/experiment.h"
+#include "obs/registry.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -348,6 +349,64 @@ TEST(DeterminismTest, WideRunsDivergeAcrossSeeds) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_NE(WideFingerprint(*first), WideFingerprint(*second))
       << "two seeds produced identical runs";
+}
+
+/// 64-bit FNV-1a: a pinned export is compared by hash, so the expected
+/// value is one constant and not a multi-megabyte golden file.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The overloaded reference run (flink / tf-serving / ffnn, bsz 4, ir 2000,
+/// mp 2, 20 s, drain 0, seed 42) with tracing, a 1 s timeline and three
+/// SLOs: the run whose four exports a trace-store, interning or
+/// metric-handle change must leave byte for byte as they are.
+ExperimentConfig ObservedReferenceConfig() {
+  ExperimentConfig cfg;
+  cfg.engine = "flink";
+  cfg.serving = "tf-serving";
+  cfg.model = "ffnn";
+  cfg.batch_size = 4;
+  cfg.input_rate = 2000.0;
+  cfg.parallelism = 2;
+  cfg.duration_s = 20.0;
+  cfg.drain_s = 0.0;
+  cfg.seed = 42;
+  cfg.enable_tracing = true;
+  cfg.timeline_interval_s = 1.0;
+  auto slo = obs::SloConfig::FromJsonText(
+      R"({"slos": [{"name": "p99-latency", "metric": "p99_latency_s",
+                    "max": 0.1, "error_budget": 0.05},
+                   {"name": "goodput", "metric": "throughput_eps",
+                    "min": 500.0, "error_budget": 0.2},
+                   {"name": "bounded-lag", "metric": "consumer_lag",
+                    "max": 5000, "error_budget": 0.2}]})");
+  CRAYFISH_CHECK(slo.ok());
+  cfg.slo = *slo;
+  return cfg;
+}
+
+TEST(DeterminismTest, ObservedReferenceRunExportsArePinned) {
+  auto r = RunExperiment(ObservedReferenceConfig());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->trace, nullptr);
+  ASSERT_NE(r->metrics, nullptr);
+  ASSERT_NE(r->timeline, nullptr);
+  EXPECT_EQ(r->events_sent, 40000u);
+  EXPECT_EQ(r->trace->batch_count(), 40000u);
+  EXPECT_EQ(Fnv1a(r->trace->ToChromeTraceJson()), 0x60bf28e1a2ef8293ULL)
+      << "Chrome trace";
+  EXPECT_EQ(Fnv1a(r->trace->ToStageCsv()), 0x237acb372d641560ULL)
+      << "stage CSV";
+  EXPECT_EQ(Fnv1a(r->metrics->SnapshotJson()), 0xe36b0e9a56961be3ULL)
+      << "registry snapshot";
+  EXPECT_EQ(Fnv1a(r->timeline->ToJsonl()), 0xcd7f5755552174baULL)
+      << "timeline JSONL";
 }
 
 TEST(DeterminismTest, TracingDoesNotPerturbTheRun) {
