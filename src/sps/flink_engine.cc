@@ -194,36 +194,17 @@ crayfish::Status FlinkEngine::StartUnchained() {
           Score(r, costs_.scoring_wrapper_s, depth,
                 [this, r, done = std::move(done)]() mutable {
                   ++events_scored_;
-                  // Rebalance to a sink task; sinks are provisioned to
-                  // match the Kafka partitions, so they do not
-                  // backpressure in practice — but handle a full queue by
-                  // waiting anyway.
-                  OperatorTask* sink =
-                      sink_tasks_[static_cast<size_t>(scoring_rr_) %
-                                  sink_tasks_.size()];
+                  // Rebalance to a sink task, round-robin.
+                  const size_t sink = static_cast<size_t>(scoring_rr_) %
+                                      sink_tasks_.size();
                   scoring_rr_ = (scoring_rr_ + 1) %
                                 static_cast<int>(sink_tasks_.size());
-                  if (!sink->Offer(r)) {
-                    // Rare: retry once shortly rather than wiring a second
-                    // credit channel.
-                    sim_->Schedule(0.001, [sink, r = std::move(r),
-                                           done = std::move(done)]() mutable {
-                      sink->Offer(std::move(r));
-                      done();
-                    });
-                    return;
-                  }
-                  done();
+                  OfferToSink(sink, std::move(r), std::move(done));
                 });
         },
         costs_.stage_queue_capacity);
-    task->SetSpaceAvailableCallback([this, i]() {
-      auto it = scoring_waiters_.find(i);
-      if (it == scoring_waiters_.end()) return;
-      std::vector<std::function<void()>> waiters = std::move(it->second);
-      scoring_waiters_.erase(it);
-      for (auto& w : waiters) w();
-    });
+    task->SetSpaceAvailableCallback(
+        [this, i]() { WakeWaiters(&scoring_waiters_, i); });
     scoring_tasks_.push_back(task);
   }
 
@@ -253,6 +234,8 @@ crayfish::Status FlinkEngine::StartUnchained() {
                          });
         },
         costs_.stage_queue_capacity));
+    sink_tasks_.back()->SetSpaceAvailableCallback(
+        [this, i]() { WakeWaiters(&sink_waiters_, i); });
   }
 
   for (int i = 0; i < s; ++i) {
@@ -316,6 +299,30 @@ void FlinkEngine::OfferToScoring(
   scoring_waiters_[target].push_back([this, source_idx, records, index]() {
     OfferToScoring(source_idx, records, index);
   });
+}
+
+void FlinkEngine::OfferToSink(size_t sink, broker::Record r,
+                              std::function<void()> done) {
+  if (stopped_) return;
+  if (!sink_tasks_[sink]->Offer(r)) {
+    // Sink queue full: the scoring task stays busy (its `done` waits)
+    // until the sink frees space, so backpressure reaches the sources.
+    sink_waiters_[static_cast<int>(sink)].push_back(
+        [this, sink, r = std::move(r), done = std::move(done)]() mutable {
+          OfferToSink(sink, std::move(r), std::move(done));
+        });
+    return;
+  }
+  done();
+}
+
+void FlinkEngine::WakeWaiters(
+    std::map<int, std::vector<std::function<void()>>>* waiters, int task) {
+  auto it = waiters->find(task);
+  if (it == waiters->end()) return;
+  std::vector<std::function<void()>> ready = std::move(it->second);
+  waiters->erase(it);
+  for (auto& w : ready) w();
 }
 
 int FlinkEngine::RestartableTasks() const {

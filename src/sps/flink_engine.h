@@ -105,6 +105,14 @@ class FlinkEngine : public StreamEngine {
                       std::shared_ptr<std::vector<broker::Record>> records,
                       size_t index);
 
+  /// Scoring-side handoff of a scored record to sink task `sink`; parks
+  /// on the sink's space-available callback while its queue is full and
+  /// runs `done` (freeing the scoring task) once the sink accepts.
+  void OfferToSink(size_t sink, broker::Record r, std::function<void()> done);
+  /// Runs and clears the continuations parked on `task`.
+  static void WakeWaiters(
+      std::map<int, std::vector<std::function<void()>>>* waiters, int task);
+
   double SourceSeconds(const broker::Record& r) const;
   double BufferPenaltySeconds(const broker::Record& r) const;
   double SinkSeconds(const broker::Record& r) const;
@@ -121,6 +129,8 @@ class FlinkEngine : public StreamEngine {
   /// Ordered (lint R3): async-I/O wakeups fire in key order; an unordered
   /// container here would reorder scoring completions between runs.
   std::map<int, std::vector<std::function<void()>>> scoring_waiters_;
+  /// Scoring tasks parked on a full sink queue, by sink index.
+  std::map<int, std::vector<std::function<void()>>> sink_waiters_;
   int source_rr_ = 0;
   int scoring_rr_ = 0;
 };

@@ -124,7 +124,8 @@ struct EngineHarness {
   explicit EngineHarness(const std::string& engine_name, int parallelism = 1,
                          bool external = false,
                          const std::string& tool = "tf-serving",
-                         int source_par = 0, int sink_par = 0)
+                         int source_par = 0, int sink_par = 0,
+                         crayfish::Config overrides = {})
       : sim(11), network(&sim), cluster(&sim, &network, {}) {
     CRAYFISH_CHECK_OK(cluster.CreateTopic("crayfish-in", 8));
     CRAYFISH_CHECK_OK(cluster.CreateTopic("crayfish-out", 8));
@@ -149,6 +150,7 @@ struct EngineHarness {
     config.parallelism = parallelism;
     config.source_parallelism = source_par;
     config.sink_parallelism = sink_par;
+    config.overrides = std::move(overrides);
     engine = std::move(
         *CreateEngine(engine_name, &sim, &network, &cluster, config,
                       scoring));
@@ -318,6 +320,21 @@ TEST(FlinkEngineTest, BackpressurePropagatesWithoutLoss) {
   h.sim.Run(20.0);
   EXPECT_EQ(h.engine->events_scored(), 500u);
   EXPECT_EQ(h.OutputCount(), 500);
+}
+
+TEST(FlinkEngineTest, FullSinkQueueParksScoringWithoutLoss) {
+  // Eight scoring tasks feed one sink task through a two-record queue, so
+  // the sink queue is full most of the time: a scoring task must wait for
+  // sink space, never drop the scored record.
+  crayfish::Config overrides;
+  overrides.SetInt("flink.stage_queue_capacity", 2);
+  EngineHarness h("flink", 8, false, "tf-serving", /*source_par=*/2,
+                  /*sink_par=*/1, overrides);
+  h.Produce(3000);
+  h.sim.Run(60.0);
+  EXPECT_EQ(h.engine->events_scored(), 3000u);
+  EXPECT_EQ(h.engine->records_emitted(), 3000u);
+  EXPECT_EQ(h.OutputCount(), 3000);
 }
 
 TEST(SparkEngineTest, ProcessesInMicroBatches) {
