@@ -13,6 +13,7 @@ KafkaCluster::KafkaCluster(sim::Simulation* sim, sim::Network* network,
     : sim_(sim), network_(network), config_(std::move(config)) {
   CRAYFISH_CHECK_GT(config_.num_brokers, 0);
   broker_up_.assign(static_cast<size_t>(config_.num_brokers), true);
+  broker_counters_.resize(static_cast<size_t>(config_.num_brokers));
   for (int i = 0; i < config_.num_brokers; ++i) {
     const std::string host = config_.host_prefix + std::to_string(i);
     broker_hosts_.push_back(host);
@@ -244,10 +245,15 @@ void KafkaCluster::SendProduce(uint32_t r) {
     return;
   }
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_in", {{"broker", LeaderName(req.tp)}})
-        ->Increment(static_cast<double>(request_bytes));
-    reg->Counter("broker_records_in", {{"broker", LeaderName(req.tp)}})
-        ->Increment(static_cast<double>(req.records.size()));
+    BrokerCounters& c =
+        broker_counters_[static_cast<size_t>(LeaderIndex(req.tp))];
+    if (c.bytes_in == nullptr) {
+      const obs::MetricLabels labels = {{"broker", LeaderName(req.tp)}};
+      c.bytes_in = reg->Counter("broker_bytes_in", labels);
+      c.records_in = reg->Counter("broker_records_in", labels);
+    }
+    c.bytes_in->Increment(static_cast<double>(request_bytes));
+    c.records_in->Increment(static_cast<double>(req.records.size()));
   }
   // Client -> broker transfer, then broker-side append, then ack back.
   if (!network_->Send(req.client, LeaderHost(req.tp), request_bytes,
@@ -381,10 +387,15 @@ void KafkaCluster::AnswerFetch(uint32_t r) {
   if (!s.ok()) req.records.clear();
   const uint64_t response_bytes = 256 + BatchWireSize(req.records);
   if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_out", {{"broker", LeaderName(req.tp)}})
-        ->Increment(static_cast<double>(response_bytes));
-    reg->Counter("broker_records_out", {{"broker", LeaderName(req.tp)}})
-        ->Increment(static_cast<double>(req.records.size()));
+    BrokerCounters& c =
+        broker_counters_[static_cast<size_t>(LeaderIndex(req.tp))];
+    if (c.bytes_out == nullptr) {
+      const obs::MetricLabels labels = {{"broker", LeaderName(req.tp)}};
+      c.bytes_out = reg->Counter("broker_bytes_out", labels);
+      c.records_out = reg->Counter("broker_records_out", labels);
+    }
+    c.bytes_out->Increment(static_cast<double>(response_bytes));
+    c.records_out->Increment(static_cast<double>(req.records.size()));
   }
   if (!network_->Send(LeaderHost(req.tp), req.client, response_bytes,
                       [this, r]() { DeliverFetch(r); })) {

@@ -16,6 +16,10 @@
 #include "sim/simulation.h"
 #include "sim/slot_pool.h"
 
+namespace crayfish::obs {
+class CounterMetric;
+}  // namespace crayfish::obs
+
 namespace crayfish::broker {
 
 /// Completion of a produce request: the broker ack (or the error).
@@ -216,6 +220,16 @@ class KafkaCluster {
     std::vector<std::unique_ptr<PartitionState>> parts;
   };
 
+  /// One broker's traffic counters in the metrics registry, each pair
+  /// resolved on that broker's first produce (in) or fetch answer (out),
+  /// so the snapshot holds exactly the counters traffic touched.
+  struct BrokerCounters {
+    obs::CounterMetric* bytes_in = nullptr;
+    obs::CounterMetric* records_in = nullptr;
+    obs::CounterMetric* bytes_out = nullptr;
+    obs::CounterMetric* records_out = nullptr;
+  };
+
   /// Committed offsets, [topic id][partition], grown on first commit.
   struct GroupOffsets {
     int coordinator = 0;
@@ -253,6 +267,8 @@ class KafkaCluster {
   std::vector<std::string> broker_hosts_;
   std::vector<sim::HostId> broker_host_ids_;
   std::vector<bool> broker_up_;
+  /// By broker index.
+  std::vector<BrokerCounters> broker_counters_;
   /// Set once during setup, before any client exists; clients read them at
   /// construction only.
   crayfish::RetryPolicy client_retry_;

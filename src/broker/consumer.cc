@@ -137,8 +137,11 @@ void KafkaConsumer::FetchOnce(size_t slot) {
     ++state.fetch_attempts;
     ++retries_;
     if (obs::MetricsRegistry* reg = cluster_->simulation()->metrics()) {
-      reg->Counter("fault_retries", {{"component", "consumer"}})
-          ->Increment(1.0);
+      if (retries_counter_ == nullptr) {
+        retries_counter_ =
+            reg->Counter("fault_retries", {{"component", "consumer"}});
+      }
+      retries_counter_->Increment(1.0);
     }
     if (obs::TimelineSampler* tl = cluster_->simulation()->timeline()) {
       tl->Count("fetch_retries", cluster_->simulation()->Now());

@@ -15,6 +15,7 @@
 #include "common/status.h"
 
 namespace crayfish::obs {
+class CounterMetric;
 class HistogramMetric;
 }  // namespace crayfish::obs
 
@@ -188,6 +189,8 @@ class KafkaConsumer {
   obs::HistogramMetric* buffer_hist_ = nullptr;
   uint64_t records_consumed_ = 0;
   uint64_t retries_ = 0;
+  /// fault_retries{component=consumer}, resolved on the first retry.
+  obs::CounterMetric* retries_counter_ = nullptr;
   /// Guards scheduled callbacks against consumer destruction.
   std::shared_ptr<bool> alive_;
 };

@@ -183,8 +183,11 @@ void KafkaProducer::FailAttempt(uint32_t slot, const crayfish::Status& s) {
   if (crayfish::RetryPolicy::IsRetriable(s)) {
     ++retries_;
     if (obs::MetricsRegistry* reg = cluster_->simulation()->metrics()) {
-      reg->Counter("fault_retries", {{"component", "producer"}})
-          ->Increment(1.0);
+      if (retries_counter_ == nullptr) {
+        retries_counter_ =
+            reg->Counter("fault_retries", {{"component", "producer"}});
+      }
+      retries_counter_->Increment(1.0);
     }
     if (obs::TimelineSampler* tl = cluster_->simulation()->timeline()) {
       tl->Count("produce_retries", cluster_->simulation()->Now());

@@ -119,6 +119,8 @@ class KafkaProducer {
   uint64_t batches_sent_ = 0;
   uint64_t send_errors_ = 0;
   uint64_t retries_ = 0;
+  /// fault_retries{component=producer}, resolved on the first retry.
+  obs::CounterMetric* retries_counter_ = nullptr;
 };
 
 }  // namespace crayfish::broker

@@ -31,29 +31,28 @@ LatencyBreakdown BreakdownAnalyzer::Compute(const obs::TraceRecorder& trace,
   double total_sum_ms = 0.0;
   uint64_t batches = 0;
 
-  const auto& batch_traces = trace.batches();
   for (size_t i = drop; i < sorted.size(); ++i) {
-    const auto it = batch_traces.find(sorted[i].batch_id);
-    if (it == batch_traces.end() || !it->second.complete) continue;
-    const obs::TraceRecorder::BatchTrace& bt = it->second;
+    const obs::TraceRecorder::BatchTrace* bt =
+        trace.FindBatch(sorted[i].batch_id);
+    if (bt == nullptr || !bt->complete) continue;
 
     // A stage can be marked more than once per batch (e.g. queue waits at
     // successive operators); aggregate its intervals before sampling.
     std::array<double, obs::kNumStages> per_batch{};
     std::array<bool, obs::kNumStages> marked{};
-    double prev = bt.start_s;
-    for (const obs::TraceRecorder::StageMark& mark : bt.marks) {
+    double prev = bt->start_s;
+    trace.ForEachMark(*bt, [&](const obs::TraceRecorder::StageMark& mark) {
       per_batch[static_cast<int>(mark.stage)] += mark.time_s - prev;
       marked[static_cast<int>(mark.stage)] = true;
       prev = mark.time_s;
-    }
+    });
     for (int s = 0; s < obs::kNumStages; ++s) {
       sums[s] += per_batch[s] * 1000.0;
       // Zero-duration marks still count: "queue-wait: 0 ms over 3k
       // batches" is a finding, not noise.
       if (marked[s]) samples[s].Add(per_batch[s] * 1000.0);
     }
-    total_sum_ms += (prev - bt.start_s) * 1000.0;
+    total_sum_ms += (prev - bt->start_s) * 1000.0;
     ++batches;
   }
   if (batches == 0) return out;

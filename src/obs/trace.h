@@ -2,8 +2,10 @@
 #define CRAYFISH_OBS_TRACE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -34,31 +36,40 @@ class TraceRecorder {
     double time_s;
   };
 
+  /// Mark index meaning "none": the end of a batch's mark chain.
+  static constexpr uint32_t kNoMark = 0xffffffffu;
+
+  /// One batch's trace header. Its marks live in the recorder's shared
+  /// mark arena, reached through ForEachMark.
   struct BatchTrace {
+    uint64_t id = 0;
     /// Creation timestamp — start of the first interval.
     double start_s = 0.0;
-    std::vector<StageMark> marks;
+    /// Arena index of the first and last mark (kNoMark when none).
+    uint32_t first_mark = kNoMark;
+    uint32_t last_mark = kNoMark;
     /// Number of broker appends seen (1 = input topic, 2 = output topic).
-    int appends = 0;
+    uint8_t appends = 0;
     /// True once the output-topic append is recorded; further marks for
     /// this batch (e.g. from the measurement consumer fetching the output
     /// topic) are ignored.
     bool complete = false;
   };
 
-  /// A span on a named auxiliary track (server pools, serial executors).
+  /// A span on an auxiliary track (server pools, serial executors). Track
+  /// and name are ids from Intern.
   struct TrackSpan {
-    std::string track;
-    std::string name;
+    uint32_t track;
+    uint32_t name;
     double start_s;
     double end_s;
   };
 
-  /// A point-in-time marker on a named auxiliary track (SLO breach /
-  /// recover transitions, autoscale decisions).
+  /// A point-in-time marker on an auxiliary track (SLO breach / recover
+  /// transitions, autoscale decisions). Track and name are ids from Intern.
   struct InstantEvent {
-    std::string track;
-    std::string name;
+    uint32_t track;
+    uint32_t name;
     double time_s;
   };
 
@@ -67,7 +78,8 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Opens the trace of `batch_id` at its creation timestamp. Called by
-  /// the input producer; marks for unknown batches are dropped.
+  /// the input producer; marks for unknown batches are dropped. Increasing
+  /// ids append in O(1); any other id is inserted in id order.
   void StartBatch(uint64_t batch_id, double create_time_s);
 
   /// Closes the interval [previous mark, time_s] as `stage`. Timestamps
@@ -83,20 +95,38 @@ class TraceRecorder {
   /// kOutputAppend for the second, which completes the batch's trace.
   void MarkAppend(uint64_t batch_id, double time_s);
 
-  /// Records a span on a named auxiliary track (e.g. a ServerPool's
-  /// queue-wait and service intervals). Exported as its own Perfetto
-  /// track group.
-  void AddTrackSpan(const std::string& track, const std::string& name,
-                    double start_s, double end_s);
+  /// Id of `text` in the recorder's string table (track and span names),
+  /// added on first use. Components intern their names once and record
+  /// spans by id.
+  uint32_t Intern(std::string_view text);
+  /// The string an Intern id stands for.
+  const std::string& text(uint32_t id) const { return strings_[id]; }
 
-  /// Records an instant event on a named auxiliary track, rendered as a
-  /// point marker in the Perfetto UI ("ph":"i").
-  void AddInstant(const std::string& track, const std::string& name,
+  /// Records a span on an auxiliary track (e.g. a ServerPool's queue-wait
+  /// and service intervals). Exported as its own Perfetto track group.
+  void AddTrackSpan(uint32_t track, uint32_t name, double start_s,
+                    double end_s);
+  void AddTrackSpan(std::string_view track, std::string_view name,
+                    double start_s, double end_s) {
+    AddTrackSpan(Intern(track), Intern(name), start_s, end_s);
+  }
+
+  /// Records an instant event on an auxiliary track, rendered as a point
+  /// marker in the Perfetto UI ("ph":"i").
+  void AddInstant(std::string_view track, std::string_view name,
                   double time_s);
 
   size_t batch_count() const { return batches_.size(); }
   size_t completed_batches() const { return completed_; }
-  const std::map<uint64_t, BatchTrace>& batches() const { return batches_; }
+  /// The trace of `batch_id`, or null when it was never started.
+  const BatchTrace* FindBatch(uint64_t batch_id) const;
+  /// Calls `fn(const StageMark&)` for each of `bt`'s marks in order.
+  template <typename Fn>
+  void ForEachMark(const BatchTrace& bt, Fn&& fn) const {
+    for (uint32_t i = bt.first_mark; i != kNoMark; i = marks_[i].next) {
+      fn(StageMark{marks_[i].stage, marks_[i].time_s});
+    }
+  }
   const std::vector<TrackSpan>& track_spans() const { return track_spans_; }
   const std::vector<InstantEvent>& instants() const { return instants_; }
 
@@ -110,9 +140,26 @@ class TraceRecorder {
   crayfish::Status WriteStageCsv(const std::string& path) const;
 
  private:
-  std::map<uint64_t, BatchTrace> batches_;
+  /// A mark in the shared arena, chained to its batch's next mark.
+  struct ArenaMark {
+    double time_s;
+    uint32_t next;
+    Stage stage;
+  };
+
+  BatchTrace* Find(uint64_t batch_id);
+  void MarkBatch(BatchTrace* bt, Stage stage, double time_s);
+
+  /// Sorted by id, so exports walk batches in id order. The generator's
+  /// ids are dense and increasing, so Find tries `id - front().id` first.
+  std::vector<BatchTrace> batches_;
+  /// Every batch's marks, in recording order.
+  std::vector<ArenaMark> marks_;
   std::vector<TrackSpan> track_spans_;
   std::vector<InstantEvent> instants_;
+  /// Intern table: id -> text, and the ordered text -> id index.
+  std::vector<std::string> strings_;
+  std::map<std::string, uint32_t, std::less<>> string_ids_;
   size_t completed_ = 0;
 };
 

@@ -59,10 +59,17 @@ void ServerPool::StartJob(Job job) {
     depth_hist_->Observe(static_cast<double>(queue_.size()));
   }
   if (obs::TraceRecorder* tracer = sim_->tracer()) {
-    if (wait > 0.0) {
-      tracer->AddTrackSpan(name_, "wait", job.enqueue_time, sim_->Now());
+    if (tracer != traced_by_) {
+      traced_by_ = tracer;
+      track_id_ = tracer->Intern(name_);
+      wait_id_ = tracer->Intern("wait");
+      serve_id_ = tracer->Intern("serve");
     }
-    tracer->AddTrackSpan(name_, "serve", sim_->Now(),
+    if (wait > 0.0) {
+      tracer->AddTrackSpan(track_id_, wait_id_, job.enqueue_time,
+                           sim_->Now());
+    }
+    tracer->AddTrackSpan(track_id_, serve_id_, sim_->Now(),
                          sim_->Now() + job.service_time);
   }
   auto done = std::move(job.on_done);
@@ -131,7 +138,12 @@ void SerialExecutor::StartNext() {
   wait_stats_.Add(sim_->Now() - item.enqueue_time);
   busy_time_ += item.duration;
   if (obs::TraceRecorder* tracer = sim_->tracer()) {
-    tracer->AddTrackSpan(name_, "run", sim_->Now(),
+    if (tracer != traced_by_) {
+      traced_by_ = tracer;
+      track_id_ = tracer->Intern(name_);
+      run_id_ = tracer->Intern("run");
+    }
+    tracer->AddTrackSpan(track_id_, run_id_, sim_->Now(),
                          sim_->Now() + item.duration);
   }
   sim_->Schedule(item.duration, [this, on_done = std::move(item.on_done)]() {

@@ -12,6 +12,7 @@
 
 namespace crayfish::obs {
 class HistogramMetric;
+class TraceRecorder;
 }  // namespace crayfish::obs
 
 namespace crayfish::sim {
@@ -99,6 +100,12 @@ class ServerPool {
   // Lazily resolved from sim_->metrics(); null when metrics are disabled.
   obs::HistogramMetric* wait_hist_ = nullptr;
   obs::HistogramMetric* depth_hist_ = nullptr;
+  // Trace ids of name_ and the span names, interned on the first span
+  // recorded into `traced_by_`.
+  obs::TraceRecorder* traced_by_ = nullptr;
+  uint32_t track_id_ = 0;
+  uint32_t wait_id_ = 0;
+  uint32_t serve_id_ = 0;
 };
 
 /// A single logical execution thread: processes work items strictly one at
@@ -142,6 +149,11 @@ class SerialExecutor {
   SimTime created_at_;
   crayfish::RunningStats wait_stats_;
   obs::HistogramMetric* depth_hist_ = nullptr;
+  // Trace ids of name_ and "run", interned on the first span recorded
+  // into `traced_by_`.
+  obs::TraceRecorder* traced_by_ = nullptr;
+  uint32_t track_id_ = 0;
+  uint32_t run_id_ = 0;
 };
 
 }  // namespace crayfish::sim

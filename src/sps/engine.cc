@@ -221,8 +221,11 @@ void StreamEngine::InvokeExternal(uint64_t batch_id, int batch_size,
     if (attempt < scoring_.retry.max_retries) {
       ++serving_retries_;
       if (obs::MetricsRegistry* reg = sim_->metrics()) {
-        reg->Counter("fault_retries", {{"component", "serving-client"}})
-            ->Increment(1.0);
+        if (retries_counter_ == nullptr) {
+          retries_counter_ = reg->Counter(
+              "fault_retries", {{"component", "serving-client"}});
+        }
+        retries_counter_->Increment(1.0);
       }
       if (obs::TimelineSampler* tl = sim_->timeline()) {
         tl->Count("serving_retries", sim_->Now());

@@ -245,6 +245,8 @@ class StreamEngine {
 
   uint64_t real_inferences_ = 0;
   uint64_t serving_retries_ = 0;
+  /// fault_retries{component=serving-client}, resolved on the first retry.
+  obs::CounterMetric* retries_counter_ = nullptr;
   double stress_ = 0.0;
   double stress_updated_at_ = 0.0;
   double slow_factor_ = 1.0;

@@ -102,17 +102,30 @@ TEST(RegistryTest, CsvDoublesEmbeddedQuotesRfc4180) {
 
 // ------------------------------------------------------------------ trace --
 
+/// The marks of `batch_id` in order (empty when it was never started).
+std::vector<TraceRecorder::StageMark> MarksOf(const TraceRecorder& trace,
+                                              uint64_t batch_id) {
+  std::vector<TraceRecorder::StageMark> marks;
+  if (const TraceRecorder::BatchTrace* bt = trace.FindBatch(batch_id)) {
+    trace.ForEachMark(*bt, [&](const TraceRecorder::StageMark& m) {
+      marks.push_back(m);
+    });
+  }
+  return marks;
+}
+
 TEST(TraceTest, MarksTileTheBatchLifetime) {
   TraceRecorder trace;
   trace.StartBatch(7, 1.0);
   trace.Mark(7, Stage::kBrokerAppend, 1.5);
   trace.Mark(7, Stage::kFetchPoll, 1.9);
   trace.MarkAppend(7, 2.5);  // second append path is exercised below
-  const auto& bt = trace.batches().at(7);
-  ASSERT_EQ(bt.marks.size(), 3u);
-  EXPECT_DOUBLE_EQ(bt.start_s, 1.0);
-  double prev = bt.start_s, total = 0.0;
-  for (const auto& mark : bt.marks) {
+  ASSERT_NE(trace.FindBatch(7), nullptr);
+  const auto marks = MarksOf(trace, 7);
+  ASSERT_EQ(marks.size(), 3u);
+  EXPECT_DOUBLE_EQ(trace.FindBatch(7)->start_s, 1.0);
+  double prev = 1.0, total = 0.0;
+  for (const auto& mark : marks) {
     total += mark.time_s - prev;
     prev = mark.time_s;
   }
@@ -126,13 +139,13 @@ TEST(TraceTest, ProduceAndAppendResolveByPosition) {
   trace.MarkAppend(1, 0.2);   // first append -> kBrokerAppend
   trace.MarkProduce(1, 0.8);  // after an append -> kSinkProduce
   trace.MarkAppend(1, 0.9);   // second append -> kOutputAppend, complete
-  const auto& bt = trace.batches().at(1);
-  ASSERT_EQ(bt.marks.size(), 4u);
-  EXPECT_EQ(bt.marks[0].stage, Stage::kProduce);
-  EXPECT_EQ(bt.marks[1].stage, Stage::kBrokerAppend);
-  EXPECT_EQ(bt.marks[2].stage, Stage::kSinkProduce);
-  EXPECT_EQ(bt.marks[3].stage, Stage::kOutputAppend);
-  EXPECT_TRUE(bt.complete);
+  const auto marks = MarksOf(trace, 1);
+  ASSERT_EQ(marks.size(), 4u);
+  EXPECT_EQ(marks[0].stage, Stage::kProduce);
+  EXPECT_EQ(marks[1].stage, Stage::kBrokerAppend);
+  EXPECT_EQ(marks[2].stage, Stage::kSinkProduce);
+  EXPECT_EQ(marks[3].stage, Stage::kOutputAppend);
+  EXPECT_TRUE(trace.FindBatch(1)->complete);
   EXPECT_EQ(trace.completed_batches(), 1u);
 }
 
@@ -142,7 +155,7 @@ TEST(TraceTest, CompletedBatchIgnoresLateMarks) {
   trace.MarkAppend(1, 0.2);
   trace.MarkAppend(1, 0.9);  // completes
   trace.Mark(1, Stage::kFetchPoll, 1.5);  // the measurement consumer
-  EXPECT_EQ(trace.batches().at(1).marks.size(), 2u);
+  EXPECT_EQ(MarksOf(trace, 1).size(), 2u);
 }
 
 TEST(TraceTest, UnknownBatchAndClampedTimes) {
@@ -151,7 +164,75 @@ TEST(TraceTest, UnknownBatchAndClampedTimes) {
   EXPECT_EQ(trace.batch_count(), 0u);
   trace.StartBatch(1, 1.0);
   trace.Mark(1, Stage::kBrokerAppend, 0.5);  // earlier than start: clamps
-  EXPECT_DOUBLE_EQ(trace.batches().at(1).marks[0].time_s, 1.0);
+  EXPECT_DOUBLE_EQ(MarksOf(trace, 1).at(0).time_s, 1.0);
+}
+
+TEST(TraceTest, SparseOutOfOrderIdsKeepTheirOwnMarks) {
+  // Ids arrive out of order and far apart; marks interleave across batches
+  // in the shared arena, and each batch still reads back only its own, in
+  // order, while exports walk batches in id order.
+  TraceRecorder trace;
+  trace.StartBatch(10, 0.0);
+  trace.StartBatch(12345678901ULL, 0.0);
+  trace.StartBatch(3, 0.0);
+  trace.StartBatch(11, 0.0);
+  trace.Mark(11, Stage::kProduce, 0.1);
+  trace.Mark(3, Stage::kProduce, 0.2);
+  trace.Mark(11, Stage::kScore, 0.3);
+  trace.Mark(12345678901ULL, Stage::kProduce, 0.4);
+  trace.Mark(3, Stage::kScore, 0.5);
+  trace.Mark(4, Stage::kScore, 0.6);  // never started: dropped
+  EXPECT_EQ(trace.batch_count(), 4u);
+  EXPECT_EQ(trace.FindBatch(4), nullptr);
+  EXPECT_EQ(trace.FindBatch(2), nullptr);
+  EXPECT_EQ(trace.FindBatch(99999999999ULL), nullptr);
+  ASSERT_NE(trace.FindBatch(10), nullptr);
+  EXPECT_TRUE(MarksOf(trace, 10).empty());
+  const auto three = MarksOf(trace, 3);
+  ASSERT_EQ(three.size(), 2u);
+  EXPECT_EQ(three[0].stage, Stage::kProduce);
+  EXPECT_DOUBLE_EQ(three[1].time_s, 0.5);
+  const auto eleven = MarksOf(trace, 11);
+  ASSERT_EQ(eleven.size(), 2u);
+  EXPECT_EQ(eleven[1].stage, Stage::kScore);
+  EXPECT_DOUBLE_EQ(eleven[1].time_s, 0.3);
+  EXPECT_EQ(MarksOf(trace, 12345678901ULL).size(), 1u);
+  EXPECT_EQ(trace.ToStageCsv(),
+            "batch_id,stage,start_s,end_s,duration_ms\n"
+            "3,produce,0.000000000,0.200000000,200.000000\n"
+            "3,score,0.200000000,0.500000000,300.000000\n"
+            "11,produce,0.000000000,0.100000000,100.000000\n"
+            "11,score,0.100000000,0.300000000,200.000000\n"
+            "12345678901,produce,0.000000000,0.400000000,400.000000\n");
+}
+
+TEST(TraceTest, InternedNamesAreSharedAcrossTracksAndSpans) {
+  TraceRecorder trace;
+  const uint32_t pool = trace.Intern("pool");
+  EXPECT_EQ(trace.Intern("pool"), pool);
+  const uint32_t serve = trace.Intern("serve");
+  EXPECT_NE(serve, pool);
+  EXPECT_EQ(trace.text(serve), "serve");
+  trace.AddTrackSpan(pool, serve, 0.1, 0.2);
+  trace.AddTrackSpan("pool", "serve", 0.3, 0.4);  // the same two ids
+  ASSERT_EQ(trace.track_spans().size(), 2u);
+  EXPECT_EQ(trace.track_spans()[1].track, pool);
+  EXPECT_EQ(trace.track_spans()[1].name, serve);
+
+  // Tids follow the first span on each track, not the intern order.
+  TraceRecorder late_first;
+  const uint32_t late = late_first.Intern("late");
+  late_first.AddTrackSpan("early", "run", 0.0, 1.0);
+  late_first.AddTrackSpan(late, late_first.Intern("run"), 0.0, 1.0);
+  const std::string json = late_first.ToChromeTraceJson();
+  EXPECT_NE(json.find(R"({"ph":"M","pid":2,"tid":0,"name":"thread_name",)"
+                      R"("args":{"name":"early"}})"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"({"ph":"M","pid":2,"tid":1,"name":"thread_name",)"
+                      R"("args":{"name":"late"}})"),
+            std::string::npos)
+      << json;
 }
 
 TEST(TraceTest, ChromeExportIsValidJson) {

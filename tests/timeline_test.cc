@@ -387,7 +387,7 @@ TEST(SloMonitorTest, PublishesGaugesAndTraceInstants) {
   SloMonitor::AnnotateTrace(report, &trace);
   // Two breach runs → one breach + one recover instant each.
   ASSERT_EQ(trace.instants().size(), 4u);
-  EXPECT_EQ(trace.instants()[0].name, "goodput breach");
+  EXPECT_EQ(trace.text(trace.instants()[0].name), "goodput breach");
   const std::string chrome = trace.ToChromeTraceJson();
   EXPECT_NE(chrome.find("\"ph\":\"i\""), std::string::npos) << chrome;
 
