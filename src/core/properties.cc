@@ -1,6 +1,10 @@
 #include "core/properties.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "common/fields.h"
@@ -20,6 +24,10 @@ Status LoadSpecFile(ExperimentConfig* out, const FieldValue& v) {
   CRAYFISH_ASSIGN_OR_RETURN(out->*Member, Spec::FromFile(path));
   return Status::Ok();
 }
+
+/// The keys that name a spec file.
+constexpr std::string_view kSpecKeys[] = {"faults", "slo", "workload",
+                                          "autoscaler"};
 
 constexpr Field<ExperimentConfig> kPropertyFields[] = {
     {"engine", &ExperimentConfig::engine},
@@ -54,14 +62,21 @@ constexpr Field<ExperimentConfig> kPropertyFields[] = {
 }  // namespace
 
 StatusOr<ExperimentConfig> ExperimentConfigFromProperties(
-    const Config& props) {
+    const Config& props, const std::string& base_dir) {
   ExperimentConfig out;
   // Dot-less keys first, so the spec files are loaded before the dotted
   // overrides edit them.
   for (const auto& [key, value] : props.values()) {
     if (key.find('.') != std::string::npos) continue;
+    std::string text = value;
+    const bool spec = std::find(std::begin(kSpecKeys), std::end(kSpecKeys),
+                                key) != std::end(kSpecKeys);
+    if (spec && !base_dir.empty() && !text.empty() &&
+        std::filesystem::path(text).is_relative()) {
+      text = (std::filesystem::path(base_dir) / text).string();
+    }
     CRAYFISH_RETURN_IF_ERROR(
-        SetField(kPropertyFields, "config", key, FieldValue(value), &out));
+        SetField(kPropertyFields, "config", key, FieldValue(text), &out));
   }
   for (const auto& [key, value] : props.values()) {
     const size_t dot = key.find('.');

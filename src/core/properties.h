@@ -1,6 +1,8 @@
 #ifndef CRAYFISH_CORE_PROPERTIES_H_
 #define CRAYFISH_CORE_PROPERTIES_H_
 
+#include <string>
+
 #include "common/config.h"
 #include "common/status.h"
 #include "core/experiment.h"
@@ -21,12 +23,17 @@ namespace crayfish::core {
 /// set fields through the specs' own tables; every other dotted key is an
 /// engine override, checked here by sps::CheckEngineOverrides.
 ///
+/// A relative spec-file path is resolved against `base_dir`, the directory
+/// of the properties file, so a config names its spec files the same way
+/// from any working directory. An empty `base_dir` leaves it relative to
+/// the working directory; an absolute path is used as given.
+///
 /// Every input is honoured or rejected: an unknown key, a malformed or
 /// out-of-range value ("2.5" for an integer, "-1" for a count or seed, a
 /// bool other than true/1/yes or false/0/no), or an unreadable or invalid
 /// spec file is an InvalidArgument (or I/O) error naming the key.
 StatusOr<ExperimentConfig> ExperimentConfigFromProperties(
-    const Config& props);
+    const Config& props, const std::string& base_dir = "");
 
 }  // namespace crayfish::core
 

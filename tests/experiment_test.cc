@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -387,6 +389,30 @@ TEST(PropertiesTest, RejectsUnknownKeysAndMalformedValues) {
           .ok());
   EXPECT_FALSE(
       ExperimentConfigFromProperties(Props("fault.crash0.at_s = 3\n")).ok());
+}
+
+TEST(PropertiesTest, RelativeSpecPathsResolveAgainstBaseDir) {
+  // A properties file names its spec files relative to its own directory,
+  // so the same file loads from any working directory.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "crayfish_spec_path_test";
+  std::filesystem::create_directories(dir / "specs");
+  std::ofstream(dir / "specs" / "plan.json")
+      << R"({"faults": [{"kind": "broker_crash", "at_s": 3, "until_s": 4}]})";
+  const Config props = Props("faults = specs/plan.json\n");
+  auto cfg = ExperimentConfigFromProperties(props, dir.string());
+  ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
+  ASSERT_EQ(cfg->fault_plan.faults.size(), 1u);
+  EXPECT_DOUBLE_EQ(cfg->fault_plan.faults[0].at_s, 3.0);
+  // Without a base directory the path is relative to the working directory,
+  // where no such file exists.
+  EXPECT_FALSE(ExperimentConfigFromProperties(props).ok());
+  // An absolute path is used as given, whatever the base directory.
+  auto abs = ExperimentConfigFromProperties(
+      Props("faults = " + (dir / "specs" / "plan.json").string() + "\n"),
+      "/nonexistent");
+  EXPECT_TRUE(abs.ok()) << abs.status().ToString();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PropertiesTest, RejectsNonIntegralAndOutOfRangeOverrides) {

@@ -77,9 +77,9 @@ std::function<Status(const std::string&)> LoaderFor(
     const std::filesystem::path& path) {
   const std::string name = path.filename().string();
   if (path.extension() == ".properties") {
-    return [](const std::string& text) {
+    return [dir = path.parent_path().string()](const std::string& text) {
       CRAYFISH_ASSIGN_OR_RETURN(Config props, Config::FromProperties(text));
-      return core::ExperimentConfigFromProperties(props).status();
+      return core::ExperimentConfigFromProperties(props, dir).status();
     };
   }
   if (name.rfind("faults_", 0) == 0) {
@@ -106,8 +106,6 @@ std::function<Status(const std::string&)> LoaderFor(
 }
 
 TEST(InputMutationTest, EveryMutatedConfigLoadsOrFailsWithStatus) {
-  // Properties files name their spec files relative to the repo root.
-  std::filesystem::current_path(CRAYFISH_SOURCE_DIR);
   const std::filesystem::path dir =
       std::filesystem::path(CRAYFISH_SOURCE_DIR) / "examples" / "configs";
   std::vector<std::filesystem::path> files;

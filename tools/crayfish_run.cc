@@ -65,8 +65,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -117,17 +119,25 @@ bool ParseFlag(const std::string& arg, const std::string& name,
 }
 
 // Loads one config file into an experiment. The spec-file flags win over
-// the config keys of the same name.
+// the config keys of the same name. A spec path in the file is relative to
+// the file's directory; a flag's is relative to the working directory.
 StatusOr<core::ExperimentConfig> LoadExperiment(
     const std::string& path, const std::string& faults_flag,
     const std::string& slo_flag, const std::string& workload_flag,
     const std::string& autoscaler_flag) {
   CRAYFISH_ASSIGN_OR_RETURN(Config props, Config::FromFile(path));
-  if (!faults_flag.empty()) props.Set("faults", faults_flag);
-  if (!slo_flag.empty()) props.Set("slo", slo_flag);
-  if (!workload_flag.empty()) props.Set("workload", workload_flag);
-  if (!autoscaler_flag.empty()) props.Set("autoscaler", autoscaler_flag);
-  return core::ExperimentConfigFromProperties(props);
+  const auto set_flag = [&](const char* key, const std::string& flag) {
+    if (flag.empty()) return;
+    std::error_code ec;
+    const std::filesystem::path abs = std::filesystem::absolute(flag, ec);
+    props.Set(key, ec ? flag : abs.string());
+  };
+  set_flag("faults", faults_flag);
+  set_flag("slo", slo_flag);
+  set_flag("workload", workload_flag);
+  set_flag("autoscaler", autoscaler_flag);
+  return core::ExperimentConfigFromProperties(
+      props, std::filesystem::path(path).parent_path().string());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 //   crayfish_sweep exp.properties serving onnx,tf-serving,torchserve
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,7 +100,8 @@ int main(int argc, char** argv) {
   for (const std::string& value : values) {
     Config point = *base_or;
     point.Set(sweep_key, value);
-    auto exp = core::ExperimentConfigFromProperties(point);
+    auto exp = core::ExperimentConfigFromProperties(
+        point, std::filesystem::path(positional[0]).parent_path().string());
     if (!exp.ok()) {
       std::fprintf(stderr, "config error (%s=%s): %s\n", sweep_key.c_str(),
                    value.c_str(), exp.status().ToString().c_str());
