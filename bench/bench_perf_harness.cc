@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "broker/cluster.h"
+#include "common/logging.h"
 #include "core/experiment.h"
 #include "core/sweep.h"
 #include "sim/network.h"
@@ -33,18 +33,19 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// 1. Sweep wall-clock
-// ---------------------------------------------------------------------------
+// 1. Sweep wall-clock.
 
 std::vector<core::ExperimentConfig> SweepConfigs() {
-  // A Fig. 6-style slice: one engine/tool, parallelism swept, two repeats
-  // per point — eight independent simulations.
+  // A Fig. 6-style slice: Flink + ONNX + FFNN overloaded at 30k ev/s,
+  // parallelism swept, two repeats per point — eight independent
+  // simulations.
   std::vector<core::ExperimentConfig> configs;
   for (int mp : {1, 2, 4, 8}) {
-    core::ExperimentConfig cfg = ThroughputConfig("flink", "onnx", "ffnn");
+    core::ExperimentConfig cfg;
     cfg.parallelism = mp;
+    cfg.input_rate = 30000.0;
     cfg.duration_s = 6.0;
+    cfg.drain_s = 1.0;
     for (core::ExperimentConfig& rep : core::MakeRepeatedConfigs(cfg, 2)) {
       configs.push_back(std::move(rep));
     }
@@ -61,9 +62,7 @@ double SweepWallClock(const std::vector<core::ExperimentConfig>& configs,
   return SecondsSince(start);
 }
 
-// ---------------------------------------------------------------------------
-// 2. Lean cluster construction
-// ---------------------------------------------------------------------------
+// 2. Lean cluster construction.
 // Cost of standing up the autoscaler's cluster-scale topology: a 1000-host
 // fleet with a 256-partition topic. With lazy per-partition bookkeeping and
 // lazily created links this is linear in hosts + partitions; the live-link
@@ -99,8 +98,6 @@ ClusterConstructResult ClusterConstruct() {
       << "lean construction materialized " << r.live_links << " links";
   return r;
 }
-
-// ---------------------------------------------------------------------------
 
 void RunHarness() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -161,9 +158,8 @@ void RunHarness() {
 }  // namespace
 }  // namespace crayfish::bench
 
-int main(int argc, char** argv) {
+int main() {
   crayfish::SetLogLevel(crayfish::LogLevel::kWarning);
-  crayfish::bench::Init(argc, argv);
   crayfish::bench::RunHarness();
   return 0;
 }
