@@ -960,12 +960,13 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value = arg.substr(eq == std::string::npos ? 0 : eq + 1);
-    int jobs = 0;
     if (eq == std::string::npos) {
       return Usage(figures, arg == "--help" ? "" : "unknown flag: " + arg);
-    } else if (flag == "--jobs") {
+    }
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    int jobs = 0;
+    if (flag == "--jobs") {
       if (!ParseNumber(value, &jobs).ok() || jobs < 1) {
         return Usage(figures, "--jobs must be an integer >= 1");
       }
@@ -974,6 +975,7 @@ int Main(int argc, char** argv) {
       out_dir = value;
     } else if (flag == "--only") {
       selected.assign(figures.size(), false);
+      // The trailing ',' turns an empty list into one empty, unknown name.
       std::stringstream names(value + ",");
       for (std::string name; std::getline(names, name, ',');) {
         size_t f = 0;
