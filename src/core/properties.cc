@@ -1,10 +1,8 @@
 #include "core/properties.h"
 
-#include <algorithm>
 #include <filesystem>
-#include <iterator>
+#include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 
 #include "common/fields.h"
@@ -25,9 +23,15 @@ Status LoadSpecFile(ExperimentConfig* out, const FieldValue& v) {
   return Status::Ok();
 }
 
-/// The keys that name a spec file.
-constexpr std::string_view kSpecKeys[] = {"faults", "slo", "workload",
-                                          "autoscaler"};
+/// The keys whose value is a file path: the dataset and the spec files. A
+/// relative path is resolved against the properties file's directory.
+constexpr Field<ExperimentConfig> kPathFields[] = {
+    {"dataset", &ExperimentConfig::dataset_path},
+    {"faults", LoadSpecFile<&ExperimentConfig::fault_plan>},
+    {"slo", LoadSpecFile<&ExperimentConfig::slo>},
+    {"workload", LoadSpecFile<&ExperimentConfig::workload>},
+    {"autoscaler", LoadSpecFile<&ExperimentConfig::autoscaler>},
+};
 
 constexpr Field<ExperimentConfig> kPropertyFields[] = {
     {"engine", &ExperimentConfig::engine},
@@ -50,13 +54,8 @@ constexpr Field<ExperimentConfig> kPropertyFields[] = {
     {"max_events", &ExperimentConfig::max_events},
     {"max_measurements", &ExperimentConfig::max_measurements},
     {"seed", &ExperimentConfig::seed},
-    {"dataset", &ExperimentConfig::dataset_path},
     {"trace", &ExperimentConfig::enable_tracing},
     {"timeline_interval_s", &ExperimentConfig::timeline_interval_s},
-    {"faults", LoadSpecFile<&ExperimentConfig::fault_plan>},
-    {"slo", LoadSpecFile<&ExperimentConfig::slo>},
-    {"workload", LoadSpecFile<&ExperimentConfig::workload>},
-    {"autoscaler", LoadSpecFile<&ExperimentConfig::autoscaler>},
 };
 
 }  // namespace
@@ -69,14 +68,15 @@ StatusOr<ExperimentConfig> ExperimentConfigFromProperties(
   for (const auto& [key, value] : props.values()) {
     if (key.find('.') != std::string::npos) continue;
     std::string text = value;
-    const bool spec = std::find(std::begin(kSpecKeys), std::end(kSpecKeys),
-                                key) != std::end(kSpecKeys);
-    if (spec && !base_dir.empty() && !text.empty() &&
+    const bool path = HasField<ExperimentConfig>(kPathFields, key);
+    if (path && !base_dir.empty() && !text.empty() &&
         std::filesystem::path(text).is_relative()) {
       text = (std::filesystem::path(base_dir) / text).string();
     }
-    CRAYFISH_RETURN_IF_ERROR(
-        SetField(kPropertyFields, "config", key, FieldValue(text), &out));
+    CRAYFISH_RETURN_IF_ERROR(SetField<ExperimentConfig>(
+        path ? std::span<const Field<ExperimentConfig>>(kPathFields)
+             : kPropertyFields,
+        "config", key, FieldValue(text), &out));
   }
   for (const auto& [key, value] : props.values()) {
     const size_t dot = key.find('.');

@@ -23,10 +23,11 @@ namespace crayfish::core {
 /// set fields through the specs' own tables; every other dotted key is an
 /// engine override, checked here by sps::CheckEngineOverrides.
 ///
-/// A relative spec-file path is resolved against `base_dir`, the directory
-/// of the properties file, so a config names its spec files the same way
-/// from any working directory. An empty `base_dir` leaves it relative to
-/// the working directory; an absolute path is used as given.
+/// A relative file path (`dataset` and the spec files) is resolved against
+/// `base_dir`, the directory of the properties file, so a config names its
+/// files the same way from any working directory. An empty `base_dir`
+/// leaves it relative to the working directory; an absolute path is used
+/// as given.
 ///
 /// Every input is honoured or rejected: an unknown key, a malformed or
 /// out-of-range value ("2.5" for an integer, "-1" for a count or seed, a

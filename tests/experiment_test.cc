@@ -404,6 +404,11 @@ TEST(PropertiesTest, RelativeSpecPathsResolveAgainstBaseDir) {
   ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
   ASSERT_EQ(cfg->fault_plan.faults.size(), 1u);
   EXPECT_DOUBLE_EQ(cfg->fault_plan.faults[0].at_s, 3.0);
+  // The dataset path is resolved the same way; the file is read at run time.
+  auto data = ExperimentConfigFromProperties(Props("dataset = data.jsonl\n"),
+                                             dir.string());
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->dataset_path, (dir / "data.jsonl").string());
   // Without a base directory the path is relative to the working directory,
   // where no such file exists.
   EXPECT_FALSE(ExperimentConfigFromProperties(props).ok());

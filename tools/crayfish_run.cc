@@ -119,8 +119,9 @@ bool ParseFlag(const std::string& arg, const std::string& name,
 }
 
 // Loads one config file into an experiment. The spec-file flags win over
-// the config keys of the same name. A spec path in the file is relative to
-// the file's directory; a flag's is relative to the working directory.
+// the config keys of the same name. A file path in the file (a spec file or
+// the dataset) is relative to the file's directory; a flag's is relative to
+// the working directory.
 StatusOr<core::ExperimentConfig> LoadExperiment(
     const std::string& path, const std::string& faults_flag,
     const std::string& slo_flag, const std::string& workload_flag,

@@ -14,8 +14,8 @@
 // The config maps onto experiments exactly as in crayfish_run
 // (core/properties.h), so any key — including "fault.<target>.<field>",
 // "workload.<key>" and "autoscaler.<key>" overrides — is a sweep axis.
-// A spec-file path (faults, slo, workload, autoscaler), in the file or as
-// a swept value, is relative to the config file's directory.
+// A file path (dataset, faults, slo, workload, autoscaler), in the file or
+// as a swept value, is relative to the config file's directory.
 //
 // Examples:
 //   crayfish_sweep exp.properties mp 1,2,4,8,16 fig6_onnx.csv
