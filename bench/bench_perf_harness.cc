@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -65,18 +64,14 @@ double SweepWallClock(const std::vector<core::ExperimentConfig>& configs,
 // 2. Lean cluster construction.
 // Cost of standing up the autoscaler's cluster-scale topology: a 1000-host
 // fleet with a 256-partition topic. With lazy per-partition bookkeeping and
-// lazily created links this is linear in hosts + partitions; the live-link
-// count doubles as evidence that nothing quadratic materialized.
+// lazily created links this is linear in hosts + partitions; no live link
+// is evidence that nothing quadratic materialized.
 
 constexpr int kClusterHosts = 1000;
 constexpr int kClusterPartitions = 256;
 
-struct ClusterConstructResult {
-  double wall_s = 0.0;
-  size_t live_links = 0;
-};
-
-ClusterConstructResult ClusterConstruct() {
+/// Returns the construction's wall-clock seconds.
+double ClusterConstruct() {
   const auto start = Clock::now();
   sim::Simulation sim(7);
   sim::Network network(&sim);
@@ -91,12 +86,11 @@ ClusterConstructResult ClusterConstruct() {
   broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
   const auto created = cluster.CreateTopic("wide", kClusterPartitions);
   CRAYFISH_CHECK(created.ok()) << created.ToString();
-  ClusterConstructResult r;
-  r.wall_s = SecondsSince(start);
-  r.live_links = network.live_link_count();
-  CRAYFISH_CHECK(r.live_links == 0)
-      << "lean construction materialized " << r.live_links << " links";
-  return r;
+  const double wall_s = SecondsSince(start);
+  CRAYFISH_CHECK(network.live_link_count() == 0)
+      << "lean construction materialized " << network.live_link_count()
+      << " links";
+  return wall_s;
 }
 
 void RunHarness() {
@@ -117,19 +111,17 @@ void RunHarness() {
               "%d partitions, lazy broker state)...\n",
               kClusterHosts, kClusterPartitions);
   (void)ClusterConstruct();
-  const ClusterConstructResult cluster = ClusterConstruct();
-  std::printf("  construct  %8.3f s  %zu live links\n", cluster.wall_s,
-              cluster.live_links);
+  const double construct_s = ClusterConstruct();
+  std::printf("  construct  %8.3f s  0 live links\n", construct_s);
 
   // The JSON lands in the working directory, not out_dir: unlike the
   // generated CSVs it is committed, so the perf trajectory is diffable
   // per PR.
   const std::string path = "BENCH_perf.json";
-  std::ofstream out(path, std::ios::trunc);
-  CRAYFISH_CHECK(static_cast<bool>(out)) << "cannot open " << path;
-  char buf[4096];
-  std::snprintf(
-      buf, sizeof(buf),
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  CRAYFISH_CHECK(out != nullptr) << "cannot open " << path;
+  std::fprintf(
+      out,
       "{\n"
       "  \"hardware_concurrency\": %u,\n"
       "  \"sweep\": {\n"
@@ -143,15 +135,15 @@ void RunHarness() {
       "    \"hosts\": %d,\n"
       "    \"partitions\": %d,\n"
       "    \"wall_s\": %.3f,\n"
-      "    \"live_links\": %zu,\n"
+      "    \"live_links\": 0,\n"
       "    \"note\": \"lazy links and null partition slots: construction is "
       "linear in hosts + partitions, no host-pair links or eager partition "
       "state\"\n"
       "  }\n"
       "}\n",
       hw, configs.size(), parallel_jobs, serial_s, parallel_s, sweep_speedup,
-      kClusterHosts, kClusterPartitions, cluster.wall_s, cluster.live_links);
-  out << buf;
+      kClusterHosts, kClusterPartitions, construct_s);
+  std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
 }
 

@@ -48,6 +48,7 @@ namespace {
 using core::ExperimentConfig;
 using core::ReportTable;
 using Results = std::vector<core::ExperimentResult>;
+using Groups = std::vector<Results>;  ///< one Results per config
 using Edit = std::function<void(ExperimentConfig&)>;
 
 /// Runs configs through the sweep pool (--jobs threads), results in
@@ -62,8 +63,8 @@ Results RunAll(const std::vector<ExperimentConfig>& configs) {
 /// Runs `configs[i]` `runs[i]` times, all in one pool submission: 2 is the
 /// paper's protocol (repeats with derived seeds), 1 a single run at the
 /// config's own seed. Group i holds config i's runs in order.
-std::vector<Results> RunGroups(const std::vector<ExperimentConfig>& configs,
-                               const std::vector<int>& runs) {
+Groups RunGroups(const std::vector<ExperimentConfig>& configs,
+                 const std::vector<int>& runs) {
   std::vector<ExperimentConfig> flat;
   for (size_t i = 0; i < configs.size(); ++i) {
     const std::vector<ExperimentConfig> repeats =
@@ -72,7 +73,7 @@ std::vector<Results> RunGroups(const std::vector<ExperimentConfig>& configs,
     flat.insert(flat.end(), repeats.begin(), repeats.end());
   }
   Results all = RunAll(flat);
-  std::vector<Results> groups;
+  Groups groups;
   auto next = std::make_move_iterator(all.begin());
   for (int n : runs) {
     groups.emplace_back(next, next + n);
@@ -81,31 +82,21 @@ std::vector<Results> RunGroups(const std::vector<ExperimentConfig>& configs,
   return groups;
 }
 
-/// A figure's output files: `names` inside `dir`.
-struct Out {
-  std::string dir;
-  std::vector<std::string> names;
+/// A figure's output files, in the order its declaration names them.
+using Paths = std::vector<std::string>;
 
-  std::string Path(size_t i) const {
-    return (std::filesystem::path(dir) / names[i]).string();
-  }
-  /// Prints the table and writes it as CSV file `names[i]`.
-  Status Emit(const ReportTable& table, size_t i = 0) const {
-    table.Print();
-    CRAYFISH_RETURN_IF_ERROR(table.WriteCsv(Path(i)));
-    std::printf("[csv: %s]\n\n", Path(i).c_str());
-    return Status::Ok();
-  }
-};
+/// Prints `table` and writes it as CSV to `path`.
+Status Emit(const ReportTable& table, const std::string& path) {
+  table.Print();
+  return table.WriteCsv(path);
+}
 
 /// Open-loop base (Tables 4/5, Figs. 6/7/11/12): overload the SUT and
 /// measure the sustained output rate.
 ExperimentConfig Throughput(double duration_s = 12.0,
-                            const char* engine = "flink",
-                            const char* model = "ffnn") {
+                            const char* engine = "flink") {
   ExperimentConfig cfg;
   cfg.engine = engine;
-  cfg.model = model;
   cfg.input_rate = 30000.0;
   cfg.duration_s = duration_s;
   cfg.drain_s = 1.0;
@@ -126,10 +117,6 @@ Edit Closed(int batch_size, double duration_s = 60.0) {
 ExperimentConfig With(ExperimentConfig cfg, const Edit& edit) {
   edit(cfg);
   return cfg;
-}
-
-ExperimentConfig ClosedLoop(int batch_size = 1) {
-  return With(Throughput(), Closed(batch_size));
 }
 
 /// One value on a grid axis: the label cells it gives its rows and the
@@ -198,18 +185,24 @@ Axis SpsPairs(const std::vector<double>& paper = {}) {
 /// A value column: a statistic over one cell's runs.
 struct Column {
   /// Mean or stddev of throughput or latency, the first run's p95
-  /// latency, or cell 1's mean throughput over cell 0's.
+  /// latency, or the cell's mean throughput over cell 0's.
   enum Stat { kThr, kThrSd, kLat, kLatSd, kP95, kRatio };
   const char* header;
   Stat stat;
   int cell = 0;
-  int precision = 2;
   const char* suffix = "";
 };
 const Column kThroughput = {"Throughput ev/s", Column::kThr};
 const Column kThroughputSd = {"StdDev", Column::kThrSd};
 const Column kLatency = {"Latency ms", Column::kLat};
 const Column kLatencySd = {"StdDev ms", Column::kLatSd};
+
+/// One CSV row: its labels and where its cells start in the sweep, whose
+/// results come back as one group of runs per cell.
+struct Row {
+  std::vector<std::string> labels;
+  size_t first = 0;
+};
 
 /// A figure declared as data. One row per combination of the axes' points
 /// (first axis outermost) applied to `base`, and per row one config for
@@ -226,16 +219,13 @@ struct Grid {
   std::vector<const char*> labels = {};
   std::vector<Column> columns = {};
   const char* paper = nullptr;
+  /// Prints what the rows show beyond their columns, after the table.
+  void (*after)(const std::vector<Row>&, const Groups&) = nullptr;
 };
 
-/// One CSV row: its labels, its cells' configs and their runs' results.
-struct Row {
-  std::vector<std::string> labels;
-  std::vector<ExperimentConfig> cells;
-  std::vector<Results> results = {};
-};
-
-std::vector<Row> Expand(const Grid& grid) {
+/// Returns the grid's rows and appends their cells' configs to `cells`.
+std::vector<Row> Expand(const Grid& grid,
+                        std::vector<ExperimentConfig>* cells) {
   size_t total = 1;
   for (const Axis& axis : grid.axes) total *= axis.size();
   std::vector<Row> rows(total);
@@ -249,39 +239,29 @@ std::vector<Row> Expand(const Grid& grid) {
                             p.labels.end());
       p.edit(cfg);
     }
+    rows[n].first = cells->size();
     for (const Edit& cell : grid.cells) {
-      rows[n].cells.push_back(cfg);
-      if (cell) cell(rows[n].cells.back());
+      cells->push_back(cfg);
+      if (cell) cell(cells->back());
     }
   }
   return rows;
 }
 
-std::string Format(const Column& col, const Row& row) {
-  const Results& runs = row.results[col.cell];
-  const auto num = [&](double value) {
-    return ReportTable::Num(value, col.precision) + col.suffix;
-  };
-  switch (col.stat) {
-    case Column::kThr:
-      return num(core::AggregateThroughput(runs).mean);
-    case Column::kThrSd:
-      return num(core::AggregateThroughput(runs).stddev);
-    case Column::kLat:
-      return num(core::AggregateLatencyMean(runs).mean);
-    case Column::kLatSd:
-      return num(core::AggregateLatencyMean(runs).stddev);
-    case Column::kP95:
-      return num(runs[0].summary.latency_p95_ms);
-    case Column::kRatio:
-      return num(core::AggregateThroughput(row.results[1]).mean /
-                 core::AggregateThroughput(row.results[0]).mean);
-  }
-  return "";
+std::string Format(const Column& col, const Row& row, const Groups& groups) {
+  const Results& runs = groups[row.first + col.cell];
+  const core::Aggregate thr = core::AggregateThroughput(runs);
+  const core::Aggregate lat = core::AggregateLatencyMean(runs);
+  const double values[] = {  // in Column::Stat order
+      thr.mean, thr.stddev, lat.mean, lat.stddev,
+      runs[0].summary.latency_p95_ms,
+      thr.mean / core::AggregateThroughput(groups[row.first]).mean};
+  return ReportTable::Num(values[col.stat]) + col.suffix;
 }
 
 Status EmitGrid(const char* title, const Grid& grid,
-                const std::vector<Row>& rows, const Out& out) {
+                const std::vector<Row>& rows, const Groups& groups,
+                const Paths& out) {
   std::vector<std::string> headers(grid.labels.begin(), grid.labels.end());
   for (const Column& col : grid.columns) headers.push_back(col.header);
   if (grid.paper != nullptr) headers.push_back(grid.paper);
@@ -289,18 +269,34 @@ Status EmitGrid(const char* title, const Grid& grid,
   for (const Row& row : rows) {
     std::vector<std::string> cells(row.labels.begin(),
                                    row.labels.begin() + grid.labels.size());
-    for (const Column& col : grid.columns) cells.push_back(Format(col, row));
+    for (const Column& col : grid.columns) {
+      cells.push_back(Format(col, row, groups));
+    }
     if (grid.paper != nullptr) cells.push_back(row.labels.back());
     table.AddRow(std::move(cells));
   }
-  return out.Emit(table);
+  CRAYFISH_RETURN_IF_ERROR(Emit(table, out[0]));
+  if (grid.after != nullptr) grid.after(rows, groups);
+  return Status::Ok();
+}
+
+/// Fig. 9's result: each tool's latency improvement on GPU over CPU (its
+/// rows come in cpu, gpu pairs).
+void PrintGpuGain(const std::vector<Row>& rows, const Groups& groups) {
+  for (size_t i = 0; i + 1 < rows.size(); i += 2) {
+    const double cpu = core::AggregateLatencyMean(groups[rows[i].first]).mean;
+    const double gpu =
+        core::AggregateLatencyMean(groups[rows[i + 1].first]).mean;
+    std::printf("%s improvement vs cpu: %.1f%%\n",
+                rows[i + 1].labels[0].c_str(), 100.0 * (1.0 - gpu / cpu));
+  }
 }
 
 // Table 2. Paper reference: FFNN 28K params; sizes ONNX 113 KB /
 // SavedModel 508 KB / Torch 115 KB / H5 133 KB. ResNet50 23M params
 // (canonical architecture carries 25.6M); sizes ONNX 97 MB / SavedModel
 // 101 MB / Torch 98 MB / H5 98 MB.
-Status RunTable2(const Out& out) {
+Status RunTable2(const Paths& out) {
   crayfish::Rng rng(2024);
   ReportTable table("Table 2: pre-trained model statistics and export sizes",
                     {"Model", "Input", "Output", "Params", "ONNX",
@@ -330,7 +326,7 @@ Status RunTable2(const Out& out) {
       {113, 508, 115, 133});
   add("ResNet50", model::BuildResNet50(), "224x224x3", "1000x1", "23M",
       1024.0 * 1024.0, "MB", {97, 101, 98, 98});
-  return out.Emit(table);
+  return Emit(table, out[0]);
 }
 
 /// Phase 1 of the load-relative studies (Fig. 8, fault recovery,
@@ -370,7 +366,7 @@ ExperimentConfig Bursty(const char* tool, double st) {
 // reference: best recovery 41.37 s (ONNX) / 34.16 s (TF-Serving);
 // average recovery 46.52 s (ONNX) / 56.15 s (TF-Serving). TF-Serving can
 // recover faster but varies much more between bursts; ONNX is steadier.
-Status RunFig8(const Out& out) {
+Status RunFig8(const Paths& out) {
   const char* tools[] = {"onnx", "tf-serving"};
   const double paper_best[] = {41.37, 34.16};
   const double paper_mean[] = {46.52, 56.15};
@@ -385,7 +381,7 @@ Status RunFig8(const Out& out) {
       SustainableThroughput({tools[0], tools[1]}, 10.0);
   const std::vector<ExperimentConfig> bursts = {Bursty(tools[0], sts[0]),
                                                 Bursty(tools[1], sts[1])};
-  const std::vector<Results> grouped = RunGroups(bursts, {2, 2});
+  const Groups grouped = RunGroups(bursts, {2, 2});
   for (size_t i = 0; i < std::size(tools); ++i) {
     crayfish::RunningStats recovery;
     int burst_no = 0;
@@ -413,7 +409,7 @@ Status RunFig8(const Out& out) {
                     ReportTable::Num(paper_best[i], 2),
                     ReportTable::Num(paper_mean[i], 2)});
   }
-  CRAYFISH_RETURN_IF_ERROR(out.Emit(table));
+  CRAYFISH_RETURN_IF_ERROR(Emit(table, out[0]));
   summary.Print();
   return Status::Ok();
 }
@@ -425,17 +421,19 @@ Status RunFig8(const Out& out) {
 //
 // Paper reference: ~2.42% throughput overhead; up to 59% lower latency in
 // the standalone configuration.
-Status RunFig13(const Out& out) {
+Status RunFig13(const Paths& out) {
   const int batch_sizes[] = {1, 32, 128, 512};
   std::vector<ExperimentConfig> configs;
-  for (int bsz : batch_sizes) configs.push_back(ClosedLoop(bsz));
+  for (int bsz : batch_sizes) {
+    configs.push_back(With(Throughput(), Closed(bsz)));
+  }
   // The throughput config rides in the same sweep (last slot). The
   // standalone pipeline has no stage decoupling knob; its scoring stage is
   // the bottleneck either way.
   configs.push_back(Throughput(10.0));
   configs.back().source_parallelism = 32;
   configs.back().sink_parallelism = 32;
-  const std::vector<Results> grouped = RunGroups(configs, {2, 2, 2, 2, 2});
+  const Groups grouped = RunGroups(configs, {2, 2, 2, 2, 2});
   const auto standalone = [&](size_t i) {
     auto r = core::RunStandaloneFlink(configs[i]);
     CRAYFISH_CHECK(r.ok()) << r.status().ToString();
@@ -453,21 +451,21 @@ Status RunFig13(const Out& out) {
                     ReportTable::Num(100.0 * (1.0 - nokafka_ms / kafka_ms),
                                      1)});
   }
-  CRAYFISH_RETURN_IF_ERROR(out.Emit(latency, 0));
+  CRAYFISH_RETURN_IF_ERROR(Emit(latency, out[0]));
   ReportTable thr("Fig. 13 (throughput): kafka vs no-kafka, flink[32-1-32]",
                   {"Config", "Throughput ev/s"});
   thr.AddRow({"kafka (Crayfish)",
               ReportTable::Num(core::AggregateThroughput(grouped[4]).mean)});
   thr.AddRow({"no-kafka (standalone)",
               ReportTable::Num(standalone(4).throughput_eps)});
-  return out.Emit(thr, 1);
+  return Emit(thr, out[1]);
 }
 
 // Ext (b), §7.1's "micro-batching support for external servers"
 // recommendation (Clipper/InferLine-style), measured on the server alone:
 // 1000 single-sample requests arriving at 500/s open loop, with and
 // without server-side batching.
-Status RunAdaptiveBatching(const Out& out) {
+Status RunAdaptiveBatching(const Paths& out) {
   ReportTable table("Ext (b): server-side adaptive batching (TorchServe, "
                     "FFNN)",
                     {"Config", "requests", "model runs", "makespan s"});
@@ -500,13 +498,13 @@ Status RunAdaptiveBatching(const Out& out) {
                   std::to_string((*server)->batches_executed()),
                   ReportTable::Num(done_at - 3.0, 2)});
   }
-  return out.Emit(table);
+  return Emit(table, out[0]);
 }
 
 // Ext (c), §7.2's "decoupled scalability" under bursts: burst recovery of
 // Flink + TF-Serving on the Fig. 8 workload, with a fixed single-worker
 // pool and with the pool an autoscaler converges to.
-Status RunAutoscaling(const Out& out) {
+Status RunAutoscaling(const Paths& out) {
   // ST is measured once, at the fixed single-worker configuration.
   const double st = SustainableThroughput({"tf-serving"}, 8.0)[0];
   const ExperimentConfig fixed = Bursty("tf-serving", st);
@@ -516,7 +514,7 @@ Status RunAutoscaling(const Out& out) {
   // autoscaler converges to during the burst).
   ExperimentConfig scaled = fixed;
   scaled.parallelism = 2;  // burst-time capacity an autoscaler reaches
-  const std::vector<Results> grouped = RunGroups({fixed, scaled}, {2, 2});
+  const Groups grouped = RunGroups({fixed, scaled}, {2, 2});
   ReportTable table(
       "Ext (c): serving-side autoscaling under the Fig. 8 burst workload "
       "(Flink + TF-Serving)",
@@ -532,7 +530,7 @@ Status RunAutoscaling(const Out& out) {
     }
     table.AddRow({labels[i], ReportTable::Num(recovery.mean(), 2)});
   }
-  return out.Emit(table);
+  return Emit(table, out[0]);
 }
 
 // Extension beyond the paper (companion to Fig. 8's burst recovery):
@@ -546,7 +544,7 @@ Status RunAutoscaling(const Out& out) {
 // ONNX (embedded) vs TF-Serving (external). Serving-side faults only
 // apply to the external tool — an embedded library has no server to
 // degrade, which is itself a finding the table makes visible.
-Status RunFaults(const Out& out) {
+Status RunFaults(const Paths& out) {
   using fault::FaultKind;
   // {scenario, fault, fault name, repair time}, each starting at t=30s.
   const std::tuple<const char*, FaultKind, const char*, double> scenarios[] =
@@ -608,7 +606,7 @@ Status RunFaults(const Out& out) {
          ReportTable::Num(faulted ? f.goodput_eps : r.summary.throughput_eps),
          baseline});
   }
-  return out.Emit(table);
+  return Emit(table, out[0]);
 }
 
 // Extension beyond the paper (ROADMAP item 2, Theodolite-style): the
@@ -624,7 +622,7 @@ Status RunFaults(const Out& out) {
 // Each cell is a deterministic bisection over replica counts; every
 // still-searching cell contributes its midpoint probe to one wave, and the
 // wave runs through the sweep pool (`core::RunExperiments`).
-Status RunScaleDemand(const Out& out) {
+Status RunScaleDemand(const Paths& out) {
   scale::DemandConfig dcfg;
   dcfg.engines = {"flink", "kafka-streams", "spark"};
   dcfg.loads_eps = {200.0, 500.0, 800.0};
@@ -667,13 +665,10 @@ Status RunScaleDemand(const Out& out) {
                    std::to_string(c.probes),
                    ReportTable::Num(c.achieved_eps)});
   }
-  CRAYFISH_RETURN_IF_ERROR(out.Emit(report, 0));
+  CRAYFISH_RETURN_IF_ERROR(Emit(report, out[0]));
   // The machine-readable demand table itself (the artifact CI uploads).
-  CRAYFISH_RETURN_IF_ERROR(demand.WriteCsv(out.Path(1)));
-  CRAYFISH_RETURN_IF_ERROR(demand.WriteJson(out.Path(2)));
-  std::printf("[demand table: %s, %s]\n", out.Path(1).c_str(),
-              out.Path(2).c_str());
-  return Status::Ok();
+  CRAYFISH_RETURN_IF_ERROR(demand.WriteCsv(out[1]));
+  return demand.WriteJson(out[2]);
 }
 
 struct Figure {
@@ -682,7 +677,7 @@ struct Figure {
   const char* title;      ///< the grid's table title
   const char* reference;  ///< the paper's values or shape, printed after
   Grid grid = {};         ///< used when `study` is null
-  Status (*study)(const Out&) = nullptr;
+  Status (*study)(const Paths&) = nullptr;
 };
 
 std::vector<Figure> Figures() {
@@ -756,7 +751,7 @@ std::vector<Figure> Figures() {
        "Fig. 5: e2e latency vs batch size, Flink + FFNN (ir=1, mp=1)",
        "Paper reference @bsz=128: TF-Serving 191 ms, DL4J 229 ms, "
        "SavedModel 188 ms",
-       {.base = ClosedLoop(), .axes = {five_tools, bszs},
+       {.base = With(Throughput(), Closed(1)), .axes = {five_tools, bszs},
         .labels = {"Tool", "bsz"},
         .columns = {kLatency, kLatencySd, {"p95 ms", Column::kP95}}}},
       // Fig. 6: external tools keep scaling with added resources; embedded
@@ -776,8 +771,9 @@ std::vector<Figure> Figures() {
        "Fig. 7: scaling up ResNet50 serving on Flink (ir=256, bsz=1)",
        "Paper reference shape: ONNX scales; TF-Serving ~flat; TorchServe "
        "overtakes TF-Serving past mp=8",
-       {.base = With(Throughput(240.0, "flink", "resnet50"),
+       {.base = With(Throughput(240.0),
                      [](ExperimentConfig& c) {
+                       c.model = "resnet50";
                        c.input_rate = 256.0;
                        c.drain_s = 2.0;
                      }),
@@ -790,7 +786,7 @@ std::vector<Figure> Figures() {
        "Fig. 9: GPU acceleration, Flink + ResNet50 (ir=0.2, mp=1, bsz=8)",
        "Paper reference, improvement vs cpu: onnx-gpu 16.4%, tf-serving-gpu "
        "24.1%",
-       {.base = With(ClosedLoop(8),
+       {.base = With(With(Throughput(), Closed(8)),
                      [](ExperimentConfig& c) {
                        c.model = "resnet50";
                        c.input_rate = 0.2;
@@ -798,7 +794,8 @@ std::vector<Figure> Figures() {
                        c.drain_s = 20.0;
                      }),
         .axes = {fig9}, .labels = {"Config"},
-        .columns = {kLatency, kLatencySd}, .paper = "Paper ms"}},
+        .columns = {kLatency, kLatencySd}, .paper = "Paper ms",
+        .after = PrintGpuGain}},
       // Fig. 10: Kafka Streams beats Flink at 512 because Flink's buffer
       // quota hurts large records; Spark is highest across the board
       // because of micro-batching.
@@ -806,7 +803,7 @@ std::vector<Figure> Figures() {
        "Fig. 10: e2e latency of the SPSs vs batch size, FFNN (ir=1, mp=1)",
        "Paper reference: Flink lowest @32/128, KS wins @512, Spark highest; "
        "external @128: Ray 169.7 ms vs Flink 167.44 ms",
-       {.base = ClosedLoop(), .axes = {SpsPairs(), bszs},
+       {.base = With(Throughput(), Closed(1)), .axes = {SpsPairs(), bszs},
         .labels = {"SPS", "Serving", "bsz"},
         .columns = {kLatency, kLatencySd}}},
       // Fig. 11: Spark's 10.2k with TF-Serving at mp=2 is 7.2x Kafka
@@ -835,7 +832,7 @@ std::vector<Figure> Figures() {
         .labels = {"Tool", "N"},
         .columns = {{"flink[N-N-N] ev/s", Column::kThr, 0},
                     {"flink[32-N-32] ev/s", Column::kThr, 1},
-                    {"Ratio", Column::kRatio}}}},
+                    {"Ratio", Column::kRatio, 1}}}},
       {"fig13",
        {"fig13_kafka_overhead_latency.csv",
         "fig13_kafka_overhead_throughput.csv"},
@@ -921,7 +918,7 @@ std::vector<Figure> Figures() {
         .runs = 1, .labels = {"Tool", "mp"},
         .columns = {{"blocking ev/s", Column::kThr, 0},
                     {"async ev/s", Column::kThr, 1},
-                    {"speedup", Column::kRatio, 0, 2, "x"}}}},
+                    {"speedup", Column::kRatio, 1, "x"}}}},
       {"ext_adaptive_batching", {"ext_adaptive_batching.csv"}, nullptr,
        "Batching amortizes the Python-handler overhead across grouped "
        "requests — the mechanism behind Spark's Table 5 advantage, moved "
@@ -997,41 +994,35 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Every cell of every selected grid in one sweep; each cell's runs then
-  // go back to its row, in the same order.
+  // Every cell of every selected grid in one sweep.
   std::vector<std::vector<Row>> rows(figures.size());
   std::vector<ExperimentConfig> cells;
   std::vector<int> runs;
   for (size_t f = 0; f < figures.size(); ++f) {
     if (!selected[f] || figures[f].study != nullptr) continue;
-    rows[f] = Expand(figures[f].grid);
-    for (const Row& row : rows[f]) {
-      cells.insert(cells.end(), row.cells.begin(), row.cells.end());
-      runs.resize(cells.size(), figures[f].grid.runs);
-    }
+    rows[f] = Expand(figures[f].grid, &cells);
+    runs.resize(cells.size(), figures[f].grid.runs);
   }
-  std::vector<Results> groups = RunGroups(cells, runs);
-  auto group = std::make_move_iterator(groups.begin());
-  for (std::vector<Row>& figure_rows : rows) {
-    for (Row& row : figure_rows) {
-      row.results.assign(group, group + row.cells.size());
-      group += row.cells.size();
-    }
-  }
+  const Groups groups = RunGroups(cells, runs);
 
   for (size_t f = 0; f < figures.size(); ++f) {
     if (!selected[f]) continue;
     const Figure& fig = figures[f];
-    const Out out{out_dir, fig.outputs};
+    Paths out;
+    for (const std::string& name : fig.outputs) {
+      out.push_back((std::filesystem::path(out_dir) / name).string());
+    }
     const Status s = fig.study != nullptr
                          ? fig.study(out)
-                         : EmitGrid(fig.title, fig.grid, rows[f], out);
+                         : EmitGrid(fig.title, fig.grid, rows[f], groups, out);
     if (!s.ok()) {
       std::fprintf(stderr, "%s: %s\n", fig.name, s.ToString().c_str());
       return 1;
     }
-    if (fig.reference != nullptr) std::printf("%s\n\n", fig.reference);
+    if (fig.reference != nullptr) std::printf("%s\n", fig.reference);
+    std::printf("\n");
   }
+  std::printf("outputs written to %s\n", out_dir.c_str());
   return 0;
 }
 
