@@ -34,22 +34,22 @@ if(NOT rc_help EQUAL 0)
   message(FATAL_ERROR "expected exit 0 for --help, got ${rc_help}")
 endif()
 
-# A clean tree exits 0, and --jobs must not change the output bytes.
-execute_process(
-  COMMAND ${LINT_BIN} ${SRC_DIR}
-  RESULT_VARIABLE rc_serial
-  OUTPUT_VARIABLE out_serial
-  ERROR_QUIET)
+# An unknown flag is a usage error (2), never silently ignored.
 execute_process(
   COMMAND ${LINT_BIN} --jobs=4 ${SRC_DIR}
-  RESULT_VARIABLE rc_jobs
-  OUTPUT_VARIABLE out_jobs
-  ERROR_QUIET)
-if(NOT rc_serial EQUAL rc_jobs)
-  message(FATAL_ERROR "exit code differs under --jobs: ${rc_serial} vs ${rc_jobs}")
-endif()
-if(NOT out_serial STREQUAL out_jobs)
-  message(FATAL_ERROR "stdout differs between serial and --jobs=4 runs; parallel output must be deterministic")
+  RESULT_VARIABLE rc_flag
+  OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc_flag EQUAL 2)
+  message(FATAL_ERROR "expected exit 2 for an unknown flag, got ${rc_flag}")
 endif()
 
-message(STATUS "crayfish_lint exit codes and --jobs determinism verified")
+# A clean tree exits 0.
+execute_process(
+  COMMAND ${LINT_BIN} ${SRC_DIR}
+  RESULT_VARIABLE rc_clean
+  OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc_clean EQUAL 0)
+  message(FATAL_ERROR "expected exit 0 for a clean tree, got ${rc_clean}")
+endif()
+
+message(STATUS "crayfish_lint exit codes verified")

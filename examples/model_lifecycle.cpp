@@ -1,9 +1,9 @@
 // Model lifecycle management on an external serving tier — the §7
 // capabilities that make external serving "the more attractive
-// alternative" in the paper's discussion: multi-model serving, hot
-// version swaps without touching the stream processor, and queue-depth
-// autoscaling. Also shows a non-paper model (a GRU sequence classifier)
-// benchmarked through the FLOP-fallback cost model.
+// alternative" in the paper's discussion: multi-model serving and hot
+// version swaps without touching the stream processor. Also shows a
+// non-paper model (a GRU sequence classifier) benchmarked through the
+// FLOP-fallback cost model.
 //
 // Run: ./model_lifecycle
 
@@ -29,10 +29,6 @@ int main() {
 
   serving::ExternalServerOptions opts;
   opts.model = serving::ModelProfile::Ffnn();
-  opts.autoscale = true;
-  opts.max_workers = 8;
-  opts.scale_up_queue_depth = 16;
-  opts.autoscale_interval_s = 1.0;
   auto server =
       serving::CreateExternalServer(&sim, &network, "tf-serving", opts);
   CRAYFISH_CHECK(server.ok());
@@ -61,10 +57,8 @@ int main() {
   sim.Run(60.0);
   std::printf("multi-model server: ffnn answered %d, gru answered %d\n",
               ffnn_ok, gru_ok);
-  std::printf("ffnn version after hot swap: v%d\n",
+  std::printf("ffnn version after hot swap: v%d\n\n",
               (*server)->ModelVersion("ffnn"));
-  std::printf("autoscaler settled at %d worker(s)\n\n",
-              (*server)->workers());
 
   // --- 2. benchmark the GRU model inside the streaming pipeline -----------
   core::ExperimentConfig cfg;

@@ -88,15 +88,6 @@ double SampleSet::Percentile(double p) const {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-void SampleSet::DiscardWarmup(double fraction) {
-  CRAYFISH_CHECK_GE(fraction, 0.0);
-  CRAYFISH_CHECK_LT(fraction, 1.0);
-  const size_t drop =
-      static_cast<size_t>(fraction * static_cast<double>(samples_.size()));
-  samples_.erase(samples_.begin(),
-                 samples_.begin() + static_cast<std::ptrdiff_t>(drop));
-}
-
 Histogram::Histogram(double min_value, double max_value, size_t num_buckets)
     : min_value_(min_value), counts_(num_buckets, 0) {
   CRAYFISH_CHECK_GT(min_value, 0.0);
@@ -153,39 +144,6 @@ std::string Histogram::ToString() const {
        << "): " << counts_[i] << "\n";
   }
   return os.str();
-}
-
-WindowedThroughput::WindowedThroughput(double window_seconds)
-    : window_seconds_(window_seconds) {
-  CRAYFISH_CHECK_GT(window_seconds, 0.0);
-}
-
-void WindowedThroughput::Record(double time_seconds, uint64_t events) {
-  CRAYFISH_CHECK_GE(time_seconds, 0.0);
-  const size_t idx = static_cast<size_t>(time_seconds / window_seconds_);
-  if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
-  counts_[idx] += events;
-}
-
-std::vector<double> WindowedThroughput::RatesPerSecond() const {
-  std::vector<double> rates;
-  rates.reserve(counts_.size());
-  for (uint64_t c : counts_) {
-    rates.push_back(static_cast<double>(c) / window_seconds_);
-  }
-  return rates;
-}
-
-double WindowedThroughput::SteadyStateRate(double warmup_fraction) const {
-  if (counts_.empty()) return 0.0;
-  size_t start = static_cast<size_t>(warmup_fraction *
-                                     static_cast<double>(counts_.size()));
-  if (start >= counts_.size()) start = counts_.size() - 1;
-  uint64_t total = 0;
-  for (size_t i = start; i < counts_.size(); ++i) total += counts_[i];
-  const double span =
-      static_cast<double>(counts_.size() - start) * window_seconds_;
-  return static_cast<double>(total) / span;
 }
 
 }  // namespace crayfish

@@ -57,10 +57,6 @@ class SampleSet {
   /// Returns 0 for an empty set.
   double Percentile(double p) const;
 
-  /// Drops the first `fraction` of the samples in insertion order —
-  /// mirrors the paper's "discard the first 25% to eliminate warmup".
-  void DiscardWarmup(double fraction);
-
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -101,28 +97,6 @@ class Histogram {
   double log_step_;
   std::vector<size_t> counts_;
   size_t total_ = 0;
-};
-
-/// Tracks throughput as completed events per fixed-width time window.
-/// Feed Record(t) for each completion; windows are [0,w), [w,2w), ...
-class WindowedThroughput {
- public:
-  explicit WindowedThroughput(double window_seconds);
-
-  void Record(double time_seconds, uint64_t events = 1);
-
-  /// Events/second per window, in order. Trailing partially filled window
-  /// is included.
-  std::vector<double> RatesPerSecond() const;
-  /// Mean rate over the middle of the run: ignores `warmup_fraction` of the
-  /// windows at the front.
-  double SteadyStateRate(double warmup_fraction) const;
-  double window_seconds() const { return window_seconds_; }
-  const std::vector<uint64_t>& window_counts() const { return counts_; }
-
- private:
-  double window_seconds_;
-  std::vector<uint64_t> counts_;
 };
 
 }  // namespace crayfish

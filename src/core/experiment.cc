@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "core/dataset.h"
 #include "core/input_producer.h"
-#include "core/sweep.h"
 #include "fault/injector.h"
 #include "model/formats.h"
 #include "model/graph.h"
@@ -304,16 +303,9 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
       };
       hooks.serving_down = [srv](bool down) { srv->SetServerDown(down); };
       hooks.serving_worker_delta = [srv](int delta) {
-        // Scale-in drains in-flight requests before removing workers
-        // (graceful resize); scale-out takes effect immediately. Deltas
-        // stack on the *target* width so a resize issued mid-drain
+        // Deltas stack on the *target* width so a resize issued mid-drain
         // composes instead of resurrecting the pre-drain width.
-        const int target = std::max(1, srv->target_workers() + delta);
-        if (delta < 0) {
-          srv->SetWorkersGraceful(target);
-        } else {
-          srv->SetWorkers(target);
-        }
+        srv->SetWorkers(std::max(1, srv->target_workers() + delta));
       };
     }
     sps::StreamEngine* eng = engine.get();
@@ -337,18 +329,11 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   if (autoscaled) {
     serving::ExternalServingServer* srv = server.get();
     scale::ActuatorHooks ahooks;
-    // The loop reasons about the *target* width: during a graceful drain
+    // The loop reasons about the *target* width: during a scale-in drain
     // the pool converges to the pending target, and basing decisions on it
     // keeps the policy from re-issuing the same shrink every tick.
     ahooks.current_replicas = [srv]() { return srv->target_workers(); };
-    ahooks.set_replicas = [srv](int n) {
-      if (n < srv->target_workers()) {
-        // Scale-in drains in-flight requests before removing workers.
-        srv->SetWorkersGraceful(n);
-      } else {
-        srv->SetWorkers(n);
-      }
-    };
+    ahooks.set_replicas = [srv](int n) { srv->SetWorkers(n); };
     actuator.emplace(&sim, config.serving, std::move(ahooks));
 
     // Window deltas (busy seconds, events sent) between consecutive ticks,
@@ -508,14 +493,6 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     sim.AttachObservability(nullptr, nullptr);
   }
   return result;
-}
-
-crayfish::StatusOr<std::vector<ExperimentResult>> RunRepeated(
-    ExperimentConfig config, int repeats) {
-  // The seed chain is materialized up front and the repeats run through the
-  // sweep pool (serial when the resolved job count is 1); results come back
-  // in submission order, so output is identical to the old serial loop.
-  return RunExperiments(MakeRepeatedConfigs(std::move(config), repeats));
 }
 
 namespace {

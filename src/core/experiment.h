@@ -177,11 +177,6 @@ struct ExperimentResult {
 crayfish::StatusOr<ExperimentResult> RunExperiment(
     const ExperimentConfig& config);
 
-/// Runs the experiment `repeats` times with derived seeds and returns all
-/// results (the paper reports mean and stddev over two runs).
-crayfish::StatusOr<std::vector<ExperimentResult>> RunRepeated(
-    ExperimentConfig config, int repeats);
-
 /// Mean / stddev of a metric across repeated results.
 struct Aggregate {
   double mean = 0.0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "common/json.h"
@@ -76,28 +75,6 @@ std::string MetricsSummary::ToJson() const {
   return obj.Dump();
 }
 
-std::vector<WindowStats> MetricsAnalyzer::TimeSeries(
-    const std::vector<Measurement>& ms, double window_s) {
-  std::map<uint64_t, crayfish::SampleSet> windows;
-  for (const Measurement& m : ms) {
-    if (m.append_time < 0.0) continue;
-    windows[static_cast<uint64_t>(m.append_time / window_s)].Add(
-        m.latency_s() * 1000.0);
-  }
-  std::vector<WindowStats> out;
-  out.reserve(windows.size());
-  for (const auto& [idx, samples] : windows) {
-    WindowStats w;
-    w.window_start_s = static_cast<double>(idx) * window_s;
-    w.count = samples.count();
-    w.throughput_eps = static_cast<double>(samples.count()) / window_s;
-    w.latency_mean_ms = samples.mean();
-    w.latency_p95_ms = samples.Percentile(95.0);
-    out.push_back(w);
-  }
-  return out;
-}
-
 crayfish::Status MetricsAnalyzer::WriteMeasurementsCsv(
     const std::string& path, const std::vector<Measurement>& ms) {
   std::ofstream out(path, std::ios::trunc);
@@ -113,15 +90,6 @@ crayfish::Status MetricsAnalyzer::WriteMeasurementsCsv(
   }
   if (!out) return crayfish::Status::IoError("short write: " + path);
   return crayfish::Status::Ok();
-}
-
-std::vector<double> MetricsAnalyzer::ThroughputSeries(
-    const std::vector<Measurement>& ms, double window_s) {
-  crayfish::WindowedThroughput wt(window_s);
-  for (const Measurement& m : ms) {
-    if (m.append_time >= 0.0) wt.Record(m.append_time);
-  }
-  return wt.RatesPerSecond();
 }
 
 std::vector<BurstRecovery> MetricsAnalyzer::BurstRecoveryTimes(

@@ -33,15 +33,6 @@ struct MetricsSummary {
   std::string ToJson() const;
 };
 
-/// Per-window latency/throughput statistics over append time.
-struct WindowStats {
-  double window_start_s = 0.0;
-  uint64_t count = 0;
-  double throughput_eps = 0.0;
-  double latency_mean_ms = 0.0;
-  double latency_p95_ms = 0.0;
-};
-
 /// Recovery analysis of one burst (Fig. 8): time from the burst's end
 /// until the measured latency stabilizes back at the pre-burst level.
 struct BurstRecovery {
@@ -58,15 +49,6 @@ class MetricsAnalyzer {
   /// (paper: 25%).
   static MetricsSummary Summarize(const std::vector<Measurement>& ms,
                                   double warmup_fraction = 0.25);
-
-  /// Per-window output rates (events/s) over append time.
-  static std::vector<double> ThroughputSeries(
-      const std::vector<Measurement>& ms, double window_s);
-
-  /// Per-window latency + throughput time series (empty windows omitted).
-  /// The raw material of the Fig. 8-style plots.
-  static std::vector<WindowStats> TimeSeries(
-      const std::vector<Measurement>& ms, double window_s);
 
   /// Writes the raw measurement log as CSV
   /// (batch_id,create_time_s,append_time_s,latency_ms,batch_size).

@@ -97,8 +97,7 @@ std::vector<ExperimentConfig> MakeRepeatedConfigs(ExperimentConfig config,
   std::vector<ExperimentConfig> configs;
   configs.reserve(static_cast<size_t>(repeats < 0 ? 0 : repeats));
   for (int i = 0; i < repeats; ++i) {
-    // Cumulative chain, matching the original serial RunRepeated loop
-    // bit-for-bit: iteration i derives from iteration i-1's seed.
+    // Cumulative chain: iteration i derives from iteration i-1's seed.
     config.seed = config.seed * 1000003 + static_cast<uint64_t>(i) + 1;
     configs.push_back(config);
   }

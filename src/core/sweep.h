@@ -55,10 +55,11 @@ int ResolveSweepJobs(int jobs);
 crayfish::StatusOr<std::vector<ExperimentResult>> RunExperiments(
     const std::vector<ExperimentConfig>& configs, int jobs = 0);
 
-/// The exact config sequence RunRepeated executes: the seed derivation is
-/// cumulative (each iteration rewrites config.seed from the previous
-/// iteration's value), so parallel callers must materialize the chain
-/// up front rather than re-deriving seeds per index.
+/// The configs of `repeats` runs of one experiment with derived seeds (the
+/// paper reports mean and stddev over two runs). The seed derivation is
+/// cumulative (each repeat rewrites config.seed from the previous repeat's
+/// value), so the chain is materialized up front rather than re-derived
+/// per index.
 std::vector<ExperimentConfig> MakeRepeatedConfigs(ExperimentConfig config,
                                                   int repeats);
 

@@ -12,19 +12,16 @@
 
 namespace crayfish::scale {
 
-/// Resize plumbing the actuator drives: the same injector paths the PR 5
-/// `worker_resize`/`task_restart` fault kinds use, handed in as closures so
-/// scale stays below core in the layering DAG.
+/// Resize plumbing the actuator drives: the same serving-pool resize the
+/// `worker_resize` fault kind uses, handed in as closures so scale stays
+/// below core in the layering DAG.
 struct ActuatorHooks {
   /// Current serving replica count.
   std::function<int()> current_replicas;
   /// Resize the serving pool to an absolute replica count. Shrinks must
-  /// drain in-flight work (ServerPool::ResizeGraceful) — the autoscaler
-  /// asserts zero losses across scale-in.
+  /// drain queued work (ServerPool::Resize) — the autoscaler asserts zero
+  /// losses across scale-in.
   std::function<void(int)> set_replicas;
-  /// Optional: restart operator task `index` (consumer session rewind), so
-  /// policies can force a rebalance after repeated breaches.
-  std::function<void(int)> task_restart;
 };
 
 /// One applied resize, for the run report.
@@ -45,11 +42,10 @@ struct AutoscaleSummary {
   std::vector<ScalingAction> actions;
 };
 
-/// Applies resize decisions through the injector hooks and reports them:
-/// timeline annotations ("autoscale-up:<name>:<target>" /
-/// "autoscale-down:<name>:<target>", matching the embedded serving
-/// autoscaler's naming), the `autoscale_events` window counter, and
-/// `autoscale_*` registry metrics.
+/// Applies resize decisions through the hooks and reports them: timeline
+/// annotations ("autoscale-up:<name>:<target> (<reason>)" /
+/// "autoscale-down:<name>:<target> (<reason>)"), the `autoscale_events`
+/// window counter, and `autoscale_*` registry metrics.
 class Actuator {
  public:
   Actuator(sim::Simulation* sim, std::string name, ActuatorHooks hooks);

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/registry.h"
-#include "obs/timeline.h"
 
 namespace crayfish::serving {
 
@@ -47,10 +46,6 @@ void ExternalServingServer::Start() {
       static_cast<double>(options_.model.weight_bytes) /
           costs_.load_bytes_per_s;
   sim_->Schedule(load, [this]() { ready_ = true; });
-  if (options_.autoscale) {
-    sim_->Schedule(options_.autoscale_interval_s,
-                   [this]() { AutoscaleTick(); });
-  }
 }
 
 void ExternalServingServer::DeployModel(const ModelProfile& profile) {
@@ -121,7 +116,7 @@ void ExternalServingServer::Invoke(sim::HostId client, int batch_size,
   CRAYFISH_CHECK_GT(batch_size, 0);
   const uint32_t r =
       NewRequest(client, default_model_, batch_size, std::move(on_response));
-  const uint64_t bytes = RequestWireBytes(options_.model, batch_size);
+  const uint64_t bytes = RequestWireBytes(*default_model_, batch_size);
   if (!network_->Send(client, host_id_, bytes,
                       [this, r]() { HandleArrival(r); })) {
     ReleaseRequest(r);
@@ -311,7 +306,7 @@ void ExternalServingServer::RespondAll(uint32_t head) {
     const uint32_t next = req.next;
     ++requests_served_;
     if (!network_->Send(host_id_, req.client,
-                        ResponseWireBytes(options_.model, req.batch_size),
+                        ResponseWireBytes(*req.model, req.batch_size),
                         [this, r]() { DeliverResponse(r); })) {
       ReleaseRequest(r);
     }
@@ -325,38 +320,9 @@ void ExternalServingServer::DeliverResponse(uint32_t r) {
   if (on_response) on_response();
 }
 
-void ExternalServingServer::AutoscaleTick() {
-  const size_t depth = queue_depth();
-  const int current = workers_->servers();
-  if (depth > options_.scale_up_queue_depth &&
-      current < options_.max_workers) {
-    workers_->Resize(current + 1);
-    if (obs::TimelineSampler* tl = sim_->timeline()) {
-      tl->Annotate(sim_->Now(), "autoscale-up:" + tool_name_ + ":" +
-                                    std::to_string(current + 1));
-      tl->Count("autoscale_events", sim_->Now());
-    }
-  } else if (depth == 0 && current > options_.min_workers) {
-    workers_->Resize(current - 1);
-    if (obs::TimelineSampler* tl = sim_->timeline()) {
-      tl->Annotate(sim_->Now(), "autoscale-down:" + tool_name_ + ":" +
-                                    std::to_string(current - 1));
-      tl->Count("autoscale_events", sim_->Now());
-    }
-  }
-  sim_->Schedule(options_.autoscale_interval_s,
-                 [this]() { AutoscaleTick(); });
-}
-
 void ExternalServingServer::SetWorkers(int workers) {
   CRAYFISH_CHECK_GT(workers, 0);
   workers_->Resize(workers);
-  options_.workers = workers;
-}
-
-void ExternalServingServer::SetWorkersGraceful(int workers) {
-  CRAYFISH_CHECK_GT(workers, 0);
-  workers_->ResizeGraceful(workers);
   options_.workers = workers;
 }
 

@@ -42,15 +42,6 @@ struct ExternalServerOptions {
   bool adaptive_batching = false;
   int max_batch = 32;
   double batch_timeout_s = 0.005;
-
-  /// Queue-depth autoscaler (the "auto-scaling" external tools offer,
-  /// §7.2): every `autoscale_interval_s`, add a worker when the queue
-  /// exceeds `scale_up_queue_depth`, remove one when it is empty.
-  bool autoscale = false;
-  int min_workers = 1;
-  int max_workers = 16;
-  size_t scale_up_queue_depth = 32;
-  double autoscale_interval_s = 2.0;
 };
 
 /// A standalone model-serving service (TF-Serving / TorchServe /
@@ -104,15 +95,12 @@ class ExternalServingServer {
   /// Current version of a deployed model (1-based; 0 = unknown).
   int ModelVersion(const std::string& model_name) const;
 
-  /// Re-provisions the worker pool (the serving-side mp knob).
+  /// Re-provisions the worker pool (the serving-side mp knob). A shrink
+  /// with requests queued drains them first (ServerPool::Resize).
   void SetWorkers(int workers);
-  /// Like SetWorkers, but a shrink drains the worker queue before the
-  /// lower width applies (ServerPool::ResizeGraceful): the autoscaler
-  /// scale-in path, which must never strand queued inferences.
-  void SetWorkersGraceful(int workers);
   int workers() const;
-  /// Width the pool is converging to (equals workers() unless a graceful
-  /// shrink is still draining).
+  /// Width the pool is converging to (equals workers() unless a shrink is
+  /// still draining).
   int target_workers() const;
 
   // --- fault-injection hooks ---
@@ -133,7 +121,8 @@ class ExternalServingServer {
   const std::string& tool_name() const { return tool_name_; }
   const std::string& host() const { return options_.host; }
   const ExternalCosts& costs() const { return costs_; }
-  const ModelProfile& model() const { return options_.model; }
+  /// The default model as currently deployed (follows hot swaps).
+  const ModelProfile& model() const { return *default_model_; }
   bool ready() const { return ready_; }
   uint64_t requests_served() const { return requests_served_; }
   size_t queue_depth() const;
@@ -180,9 +169,6 @@ class ExternalServingServer {
   void RespondAll(uint32_t head);
   /// Hands the response to the client and frees the slot.
   void DeliverResponse(uint32_t request);
-  /// Reads queue depth across the whole service and resizes the worker
-  /// pool.
-  void AutoscaleTick();
   double ComputeSeconds(const ModelProfile& model, int batch_size);
   uint64_t RequestWireBytes(const ModelProfile& model,
                             int batch_size) const;

@@ -26,6 +26,10 @@ void ServerPool::Submit(SimTime service_time,
 
 void ServerPool::Resize(int servers) {
   CRAYFISH_CHECK_GT(servers, 0);
+  if (servers < servers_ && servers <= target_servers() && !queue_.empty()) {
+    pending_target_ = servers;
+    return;
+  }
   pending_target_.reset();
   servers_ = servers;
   while (busy_ < servers_ && !queue_.empty()) {
@@ -33,16 +37,6 @@ void ServerPool::Resize(int servers) {
     queue_.pop_front();
     StartJob(std::move(job));
   }
-}
-
-void ServerPool::ResizeGraceful(int servers) {
-  CRAYFISH_CHECK_GT(servers, 0);
-  if (servers >= servers_ || queue_.empty()) {
-    // Grows, and shrinks with no backlog, behave exactly like Resize.
-    Resize(servers);
-    return;
-  }
-  pending_target_ = servers;
 }
 
 void ServerPool::StartJob(Job job) {

@@ -44,16 +44,14 @@ class ServerPool {
   /// queued (not serving).
   void Submit(SimTime service_time, std::function<void(SimTime)> on_done);
 
-  /// Changes the number of servers. Growing dispatches queued jobs
-  /// immediately; shrinking takes effect as running jobs finish.
+  /// Changes the number of servers. A shrink below the current width and
+  /// at or below target_servers() while jobs are queued drains first:
+  /// queued jobs keep dispatching at the current width and the lower
+  /// target applies once the queue empties, so removing servers never
+  /// strands queued work. Any other resize applies at once (growing
+  /// dispatches queued jobs immediately) and cancels a pending shrink.
+  /// Running jobs always finish.
   void Resize(int servers);
-
-  /// Like Resize, but a shrink drains first: queued jobs keep dispatching
-  /// at the current width and the lower target applies once the backlog
-  /// empties (running jobs always finish either way). A grow cancels any
-  /// pending shrink and applies immediately. Autoscaler scale-in uses this
-  /// so removing workers can never strand queued work.
-  void ResizeGraceful(int servers);
 
   int servers() const { return servers_; }
   /// Drain-pending shrink target, or servers() when none is pending. This
@@ -90,7 +88,7 @@ class ServerPool {
   std::string name_;
   int servers_;
   int busy_ = 0;
-  /// Deferred shrink width from ResizeGraceful, applied when queue_ drains.
+  /// Deferred shrink width from Resize, applied when queue_ drains.
   std::optional<int> pending_target_;
   std::deque<Job> queue_;
   uint64_t completed_ = 0;

@@ -260,14 +260,6 @@ TEST(SampleSetTest, ExactPercentiles) {
   EXPECT_NEAR(s.Percentile(95), 95.05, 1e-9);
 }
 
-TEST(SampleSetTest, DiscardWarmupDropsPrefix) {
-  SampleSet s;
-  for (int i = 0; i < 100; ++i) s.Add(i < 25 ? 1000.0 : 1.0);
-  s.DiscardWarmup(0.25);
-  EXPECT_EQ(s.count(), 75u);
-  EXPECT_DOUBLE_EQ(s.mean(), 1.0);
-}
-
 TEST(SampleSetTest, StddevOfConstantIsZero) {
   SampleSet s;
   for (int i = 0; i < 10; ++i) s.Add(3.0);
@@ -332,30 +324,6 @@ TEST(HistogramDeathTest, MergeChecksBucketGeometry) {
   Histogram shifted(0.2, 1000.0, 32);
   EXPECT_DEATH(coarse.Merge(fine), "");
   EXPECT_DEATH(coarse.Merge(shifted), "");
-}
-
-TEST(WindowedThroughputTest, RatesPerWindow) {
-  WindowedThroughput wt(1.0);
-  for (int i = 0; i < 10; ++i) wt.Record(0.5);      // 10 in window 0
-  for (int i = 0; i < 20; ++i) wt.Record(1.5);      // 20 in window 1
-  wt.Record(3.2, 5);                                 // 5 in window 3
-  auto rates = wt.RatesPerSecond();
-  ASSERT_EQ(rates.size(), 4u);
-  EXPECT_DOUBLE_EQ(rates[0], 10.0);
-  EXPECT_DOUBLE_EQ(rates[1], 20.0);
-  EXPECT_DOUBLE_EQ(rates[2], 0.0);
-  EXPECT_DOUBLE_EQ(rates[3], 5.0);
-}
-
-TEST(WindowedThroughputTest, SteadyStateSkipsWarmup) {
-  WindowedThroughput wt(1.0);
-  for (int w = 0; w < 10; ++w) {
-    const int events = w < 5 ? 1 : 100;
-    for (int i = 0; i < events; ++i) {
-      wt.Record(w + 0.5);
-    }
-  }
-  EXPECT_NEAR(wt.SteadyStateRate(0.5), 100.0, 1e-9);
 }
 
 // ------------------------------------------------------------------- rng --

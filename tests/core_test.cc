@@ -279,14 +279,6 @@ TEST(MetricsAnalyzerTest, EmptyInputYieldsZeroSummary) {
   EXPECT_EQ(s.throughput_eps, 0.0);
 }
 
-TEST(MetricsAnalyzerTest, ThroughputSeriesBucketsByAppendTime) {
-  auto ms = SyntheticMeasurements(100, 0.0, 50.0);  // 2 seconds of data
-  auto series = MetricsAnalyzer::ThroughputSeries(ms, 1.0);
-  ASSERT_GE(series.size(), 2u);
-  EXPECT_NEAR(series[0], 50.0, 1.0);
-  EXPECT_NEAR(series[1], 50.0, 1.0);
-}
-
 TEST(MetricsAnalyzerTest, BurstRecoveryDetectsStabilization) {
   // Latency 10 ms normally; a burst at t=60..90 drives latency to 500 ms,
   // decaying back by t=130.
@@ -325,37 +317,6 @@ TEST(MetricsAnalyzerTest, NonBurstyScheduleYieldsNoRecoveries) {
   RateSchedule schedule;  // not bursty
   EXPECT_TRUE(
       MetricsAnalyzer::BurstRecoveryTimes(ms, schedule, 100.0).empty());
-}
-
-
-TEST(MetricsAnalyzerTest, TimeSeriesBucketsLatencyAndThroughput) {
-  auto ms = SyntheticMeasurements(200, 0.020, 100.0);  // 2 s of data
-  auto series = MetricsAnalyzer::TimeSeries(ms, 0.5);
-  ASSERT_GE(series.size(), 4u);
-  // The trailing window is partially filled; check the full ones.
-  for (size_t i = 0; i + 1 < series.size(); ++i) {
-    const WindowStats& w = series[i];
-    EXPECT_NEAR(w.throughput_eps, 100.0, 10.0);
-    EXPECT_NEAR(w.latency_mean_ms, 20.0, 1e-6);
-    EXPECT_NEAR(w.latency_p95_ms, 20.0, 1e-6);
-  }
-  EXPECT_DOUBLE_EQ(series[1].window_start_s, 0.5);
-}
-
-TEST(MetricsAnalyzerTest, TimeSeriesOmitsEmptyWindows) {
-  std::vector<Measurement> ms;
-  Measurement a;
-  a.create_time = 0.0;
-  a.append_time = 0.1;
-  ms.push_back(a);
-  Measurement b;
-  b.create_time = 10.0;
-  b.append_time = 10.1;
-  ms.push_back(b);
-  auto series = MetricsAnalyzer::TimeSeries(ms, 1.0);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0].window_start_s, 0.0);
-  EXPECT_DOUBLE_EQ(series[1].window_start_s, 10.0);
 }
 
 TEST(MetricsSummaryTest, JsonRoundTripsThroughParser) {

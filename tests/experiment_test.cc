@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "core/experiment.h"
 #include "core/properties.h"
+#include "core/sweep.h"
 
 namespace crayfish::core {
 namespace {
@@ -215,9 +216,9 @@ TEST(ExperimentTest, GpuReducesResNetLatency) {
   EXPECT_LT(r_gpu->summary.latency_mean_ms, r_cpu->summary.latency_mean_ms);
 }
 
-TEST(ExperimentTest, RunRepeatedAggregatesAcrossSeeds) {
+TEST(ExperimentTest, RepeatedRunsAggregateAcrossSeeds) {
   ExperimentConfig cfg = QuickConfig("kafka-streams", "onnx");
-  auto results = RunRepeated(cfg, 2);
+  auto results = RunExperiments(MakeRepeatedConfigs(cfg, 2));
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   Aggregate thr = AggregateThroughput(*results);

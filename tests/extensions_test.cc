@@ -1,7 +1,7 @@
 // Tests for the §7 "future work" extensions: Flink async I/O, server-side
-// adaptive batching, multi-model serving with hot version swaps, and the
-// queue-depth autoscaler. These features are off in every paper
-// experiment (parity with §4.3) and opt-in here.
+// adaptive batching, and multi-model serving with hot version swaps. These
+// features are off in every paper experiment (parity with §4.3) and opt-in
+// here.
 
 #include <gtest/gtest.h>
 
@@ -207,44 +207,50 @@ TEST_F(ServerExtensionsTest, HotSwapBumpsVersionWithoutDowntime) {
   EXPECT_EQ(server->ModelVersion("ffnn"), 2);
 }
 
-// -------------------------------------------------------- autoscaling --
-
-TEST_F(ServerExtensionsTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
+TEST_F(ServerExtensionsTest, WireBytesFollowTheServedModel) {
+  // Each response is sized by the model that served it, and each Invoke
+  // request by the default model as deployed now, hot swaps included.
   ExternalServerOptions opts;
   opts.model = ModelProfile::Ffnn();
-  opts.workers = 1;
-  opts.autoscale = true;
-  opts.min_workers = 1;
-  opts.max_workers = 8;
-  opts.scale_up_queue_depth = 8;
-  opts.autoscale_interval_s = 0.5;
   auto server = Make(opts);
-
-  // Flood with requests over several seconds: the queue backs up and the
-  // autoscaler adds workers.
-  int completed = 0;
-  std::function<void(int)> flood = [&](int remaining) {
-    if (remaining == 0) return;
-    for (int i = 0; i < 40; ++i) {
-      server->Invoke("client", 1, [&]() { ++completed; });
-    }
-    sim_.Schedule(0.05, [&, remaining]() { flood(remaining - 1); });
-  };
-  int peak_workers = 1;
-  sim_.Schedule(3.0, [&]() { flood(60); });
-  for (int t = 0; t < 40; ++t) {
-    sim_.Schedule(3.0 + t * 0.25, [&]() {
-      peak_workers = std::max(peak_workers, server->workers());
+  const ModelProfile resnet = ModelProfile::ResNet50();
+  server->DeployModel(resnet);
+  ModelProfile wide_ffnn = ModelProfile::Ffnn();
+  wide_ffnn.input_elements *= 10;
+  wide_ffnn.output_elements *= 10;
+  int answered = 0;
+  uint64_t before = 0;
+  uint64_t resnet_bytes = 0;
+  sim_.Schedule(10.0, [&]() {  // after the ResNet50 load
+    before = network_.total_bytes_sent();
+    server->InvokeModel("client", "resnet50", 2, [&](bool ok) {
+      EXPECT_TRUE(ok);
+      ++answered;
+      resnet_bytes = network_.total_bytes_sent() - before;
     });
-  }
-  sim_.Run(60.0);
-  EXPECT_GT(peak_workers, 2);
-  // Everything eventually served and the pool shrank back to min.
-  sim_.Run(300.0);
-  EXPECT_EQ(completed, 60 * 40);
-  EXPECT_EQ(server->workers(), 1);
+  });
+  sim_.Schedule(20.0, [&]() { server->DeployModel(wide_ffnn); });
+  uint64_t swapped_bytes = 0;
+  sim_.Schedule(40.0, [&]() {  // after the hot swap of the default model
+    before = network_.total_bytes_sent();
+    server->Invoke("client", 3, [&]() {
+      ++answered;
+      swapped_bytes = network_.total_bytes_sent() - before;
+    });
+  });
+  sim_.RunUntilIdle();
+  ASSERT_EQ(answered, 2);
+  EXPECT_EQ(server->ModelVersion("ffnn"), 2);
+  // 256 B request and 128 B response headers plus 4 B per element.
+  auto wire = [](const ModelProfile& m, uint64_t batch) {
+    return 256 + 128 +
+           4 * batch *
+               static_cast<uint64_t>(m.input_elements + m.output_elements);
+  };
+  EXPECT_EQ(resnet_bytes, wire(resnet, 2));
+  EXPECT_EQ(swapped_bytes, wire(wide_ffnn, 3));
+  EXPECT_EQ(server->model().input_elements, wide_ffnn.input_elements);
 }
-
 
 // --------------------------------------- checkpointing + continuous mode --
 

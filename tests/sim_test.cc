@@ -435,6 +435,100 @@ TEST(ServerPoolTest, ResizeGrowDispatchesQueuedJobs) {
   EXPECT_DOUBLE_EQ(done_at[3], 1.5);
 }
 
+// Resize's drain-before-shrink rule: a shrink below the current width and
+// at or below the target waits while jobs are queued; any other resize
+// applies at once and cancels a pending shrink.
+
+TEST(ServerPoolTest, ShrinkWithQueuedJobsWaitsForTheQueueToDrain) {
+  Simulation sim;
+  ServerPool pool(&sim, "p", 2);
+  std::vector<double> done_at;
+  for (int i = 0; i < 4; ++i) {
+    pool.Submit(1.0, [&](SimTime) { done_at.push_back(sim.Now()); });
+  }
+  sim.Schedule(0.5, [&] {
+    pool.Resize(1);
+    EXPECT_EQ(pool.servers(), 2);
+    EXPECT_EQ(pool.target_servers(), 1);
+  });
+  sim.RunUntilIdle();
+  // Both queued jobs still start at t=1 on two servers.
+  EXPECT_EQ(done_at, (std::vector<double>{1.0, 1.0, 2.0, 2.0}));
+  EXPECT_EQ(pool.servers(), 1);
+  EXPECT_EQ(pool.target_servers(), 1);
+}
+
+TEST(ServerPoolTest, ShrinkWithEmptyQueueAppliesAtOnce) {
+  Simulation sim;
+  ServerPool pool(&sim, "p", 3);
+  pool.Submit(1.0, nullptr);
+  pool.Submit(1.0, nullptr);
+  pool.Resize(1);
+  EXPECT_EQ(pool.servers(), 1);
+  EXPECT_EQ(pool.target_servers(), 1);
+  std::vector<double> done_at;
+  pool.Submit(1.0, [&](SimTime) { done_at.push_back(sim.Now()); });
+  sim.RunUntilIdle();
+  // One server: the third job waits until both running jobs finish at t=1
+  // (at the old width of 3 it would have started at once).
+  EXPECT_EQ(done_at, (std::vector<double>{2.0}));
+}
+
+TEST(ServerPoolTest, GrowDuringPendingShrinkAppliesAtOnceAndCancelsIt) {
+  Simulation sim;
+  ServerPool pool(&sim, "p", 2);
+  std::vector<double> done_at;
+  for (int i = 0; i < 4; ++i) {
+    pool.Submit(1.0, [&](SimTime) { done_at.push_back(sim.Now()); });
+  }
+  sim.Schedule(0.5, [&] {
+    pool.Resize(1);
+    pool.Resize(3);
+    EXPECT_EQ(pool.servers(), 3);
+    EXPECT_EQ(pool.target_servers(), 3);
+    EXPECT_EQ(pool.busy(), 3);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(done_at, (std::vector<double>{1.0, 1.0, 1.5, 2.0}));
+  EXPECT_EQ(pool.servers(), 3);
+}
+
+TEST(ServerPoolTest, SecondShrinkAtOrBelowPendingTargetKeepsWaiting) {
+  Simulation sim;
+  ServerPool pool(&sim, "p", 4);
+  std::vector<double> done_at;
+  for (int i = 0; i < 6; ++i) {
+    pool.Submit(1.0, [&](SimTime) { done_at.push_back(sim.Now()); });
+  }
+  sim.Schedule(0.5, [&] {
+    pool.Resize(3);
+    pool.Resize(3);
+    EXPECT_EQ(pool.servers(), 4);
+    EXPECT_EQ(pool.target_servers(), 3);
+    pool.Resize(1);
+    EXPECT_EQ(pool.servers(), 4);
+    EXPECT_EQ(pool.target_servers(), 1);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(done_at,
+            (std::vector<double>{1.0, 1.0, 1.0, 1.0, 2.0, 2.0}));
+  EXPECT_EQ(pool.servers(), 1);
+}
+
+TEST(ServerPoolTest, ResizeAbovePendingTargetAppliesAtOnce) {
+  Simulation sim;
+  ServerPool pool(&sim, "p", 4);
+  for (int i = 0; i < 6; ++i) pool.Submit(1.0, nullptr);
+  pool.Resize(1);
+  EXPECT_EQ(pool.target_servers(), 1);
+  // Above the pending target but below the width: not a further shrink.
+  pool.Resize(2);
+  EXPECT_EQ(pool.servers(), 2);
+  EXPECT_EQ(pool.target_servers(), 2);
+  sim.RunUntilIdle();
+  EXPECT_EQ(pool.servers(), 2);
+}
+
 TEST(ServerPoolTest, UtilizationReflectsBusyTime) {
   Simulation sim;
   ServerPool pool(&sim, "p", 2);

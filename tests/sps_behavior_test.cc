@@ -194,15 +194,20 @@ TEST(WarmupTest, EarlyLatenciesElevatedAndDiscardRemovesThem) {
   cfg.input_rate = 10.0;
   cfg.duration_s = 40.0;
   cfg.drain_s = 3.0;
+  cfg.timeline_interval_s = 1.0;
   auto r = RunExperiment(cfg);
   ASSERT_TRUE(r.ok());
-  auto series = MetricsAnalyzer::TimeSeries(r->measurements, 1.0);
-  ASSERT_GT(series.size(), 10u);
+  ASSERT_NE(r->timeline, nullptr);
+  // Mean latency (ms) of the non-empty 1 s windows, in time order.
+  std::vector<double> window_ms;
+  for (const obs::TimelineWindow& w : r->timeline->windows()) {
+    if (w.completions > 0) window_ms.push_back(w.latency.mean() * 1000.0);
+  }
+  ASSERT_GT(window_ms.size(), 10u);
   // First window clearly hotter than a late one.
-  EXPECT_GT(series[0].latency_mean_ms, series[10].latency_mean_ms * 1.5);
+  EXPECT_GT(window_ms[0], window_ms[10] * 1.5);
   // Summary (post-discard) reflects steady state, not the warm phase.
-  EXPECT_LT(r->summary.latency_mean_ms,
-            series[0].latency_mean_ms * 0.8);
+  EXPECT_LT(r->summary.latency_mean_ms, window_ms[0] * 0.8);
 }
 
 TEST(GpuBehaviorTest, EmbeddedGpuLatencyBeatsCpuOnlyForLargeModels) {

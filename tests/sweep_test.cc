@@ -153,11 +153,11 @@ TEST(SweepTest, EarliestSubmittedErrorWins) {
 }
 
 TEST(SweepTest, MakeRepeatedConfigsReproducesTheSeedChain) {
-  // RunRepeated's historical seed derivation is cumulative and applies
-  // before every run (the first included):
+  // The repeat seed derivation is cumulative and applies before every run
+  // (the first included):
   // seed_i = seed_{i-1} * 1000003 + i + 1, seed_{-1} = config.seed.
-  // The materialized chain must match, or parallel repeats would diverge
-  // from the serial protocol.
+  // The materialized chain must match, or repeats would diverge from the
+  // serial protocol.
   ExperimentConfig base = SmallConfig(42);
   const auto chain = MakeRepeatedConfigs(base, 4);
   ASSERT_EQ(chain.size(), 4u);

@@ -67,14 +67,12 @@ bool InMetricsCode(std::string_view path) {
          PathEndsWith(path, "src/core/breakdown.cc") || InDir(path, "src/obs");
 }
 
-/// R6 allowlist: the sweep runner owns the host thread pool, bench harness
-/// code may measure with host threads, and the lint tool's own --jobs pool
-/// runs outside any simulation; simulated components must stay
-/// single-threaded so event order is bit-deterministic.
+/// R6 allowlist: the sweep runner owns the host thread pool and bench
+/// harness code may measure with host threads; simulated components must
+/// stay single-threaded so event order is bit-deterministic.
 bool IsHostThreadingAllowlisted(std::string_view path) {
   return PathEndsWith(path, "src/core/sweep.h") ||
-         PathEndsWith(path, "src/core/sweep.cc") || InDir(path, "bench") ||
-         InDir(path, "tools/crayfish_lint");
+         PathEndsWith(path, "src/core/sweep.cc") || InDir(path, "bench");
 }
 
 /// R1 allowlist: the logging real-time sink is the single src/ place allowed

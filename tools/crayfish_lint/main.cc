@@ -3,8 +3,8 @@
 // layering" for the rule set.
 //
 // Usage:
-//   crayfish_lint [--fix-suggestions] [--format=text|json] [--jobs=N]
-//                 [--dump-dag] <file-or-dir>...
+//   crayfish_lint [--fix-suggestions] [--format=text|json] [--dump-dag]
+//                 <file-or-dir>...
 //
 // Text output is machine readable, one finding per line:
 //   <file>:<line>: <rule>: <message>
@@ -14,7 +14,6 @@
 // findings of the rest; any such error still forces exit status 2.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,7 +21,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "crayfish_lint/include_graph.h"
@@ -79,7 +77,7 @@ bool ReadFile(const std::string& path, std::string* out) {
 int Usage() {
   std::cerr
       << "usage: crayfish_lint [--fix-suggestions] [--format=text|json]\n"
-         "                     [--jobs=N] [--dump-dag] <file-or-dir>...\n"
+         "                     [--dump-dag] <file-or-dir>...\n"
          "\n"
          "Determinism & correctness rules enforced over the Crayfish "
          "sources:\n"
@@ -90,8 +88,8 @@ int Usage() {
          "      (src/sim, src/broker, src/sps, src/serving, src/core)\n"
          "  R5  no float accumulators in metrics/stats code\n"
          "  R6  no host-threading primitives (std::thread, std::mutex,\n"
-         "      std::atomic, ...) outside src/core/sweep.{h,cc}, bench/,\n"
-         "      and tools/crayfish_lint/\n"
+         "      std::atomic, ...) outside src/core/sweep.{h,cc} and\n"
+         "      bench/\n"
          "  R7  include graph must follow the module DAG\n"
          "      common -> obs -> {sim, tensor} -> {broker, model} ->\n"
          "      fault -> scale -> {sps, serving} -> core\n"
@@ -102,8 +100,6 @@ int Usage() {
          "Flags:\n"
          "  --fix-suggestions  append a remediation hint to each finding\n"
          "  --format=json      one JSON document on stdout instead of lines\n"
-         "  --jobs=N           lint files with N worker threads (output\n"
-         "                     order stays deterministic)\n"
          "  --dump-dag         print the observed module edges (the block\n"
          "                     DESIGN.md §4.3 embeds) and exit\n"
          "\n"
@@ -119,7 +115,6 @@ int Usage() {
 int main(int argc, char** argv) {
   crayfish::lint::LintOptions options;
   std::string format = "text";
-  int jobs = 1;
   bool dump_dag = false;
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
@@ -130,12 +125,6 @@ int main(int argc, char** argv) {
       format = arg.substr(9);
       if (format != "text" && format != "json") {
         std::cerr << "crayfish_lint: unknown format '" << format << "'\n";
-        return Usage();
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::cerr << "crayfish_lint: --jobs wants a positive integer\n";
         return Usage();
       }
     } else if (arg == "--dump-dag") {
@@ -194,36 +183,13 @@ int main(int argc, char** argv) {
     return errors.empty() ? 0 : 2;
   }
 
-  // Pass 2: run the rules, optionally across worker threads. Results land in
-  // a per-file slot indexed by the pass-1 order, so output is byte-identical
-  // whatever --jobs is.
-  std::vector<std::vector<crayfish::lint::Finding>> results(irs.size());
-  int workers = jobs;
-  if (static_cast<size_t>(workers) > irs.size()) {
-    workers = static_cast<int>(irs.size());
-  }
-  if (workers <= 1) {
-    for (size_t i = 0; i < irs.size(); ++i) {
-      results[i] = crayfish::lint::LintFile(irs[i], ctx, options);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < irs.size();
-             i = next.fetch_add(1)) {
-          results[i] = crayfish::lint::LintFile(irs[i], ctx, options);
-        }
-      });
-    }
-  }
-
+  // Pass 2: run the rules file by file, in the pass-1 (path) order.
   std::vector<crayfish::lint::Finding> all;
-  for (std::vector<crayfish::lint::Finding>& per_file : results) {
-    all.insert(all.end(), std::make_move_iterator(per_file.begin()),
-               std::make_move_iterator(per_file.end()));
+  for (const crayfish::lint::FileIR& ir : irs) {
+    std::vector<crayfish::lint::Finding> found =
+        crayfish::lint::LintFile(ir, ctx, options);
+    all.insert(all.end(), std::make_move_iterator(found.begin()),
+               std::make_move_iterator(found.end()));
   }
   // Project-level R7: module cycles are emergent facts of the whole include
   // graph.
@@ -231,12 +197,11 @@ int main(int argc, char** argv) {
       crayfish::lint::LintIncludeCycles(graph);
   all.insert(all.end(), std::make_move_iterator(cycles.begin()),
              std::make_move_iterator(cycles.end()));
-  // Strict (file, line) order for the whole run: per-file slots already come
-  // out in path order, and this folds the project-level findings into the
-  // same order instead of tacking them onto the end, so text output is
-  // byte-identical for every --jobs value *and* sorted like the JSON.
-  // Rule id breaks (file, line) ties so multi-rule hits on one line
-  // serialize identically for every --jobs value.
+  // Strict (file, line) order for the whole run: per-file findings already
+  // come out in path order, and this folds the project-level findings into
+  // the same order instead of tacking them onto the end, so text output is
+  // sorted like the JSON. Rule id breaks (file, line) ties so multi-rule
+  // hits on one line always serialize in the same order.
   std::stable_sort(all.begin(), all.end(),
                    [](const crayfish::lint::Finding& a,
                       const crayfish::lint::Finding& b) {
