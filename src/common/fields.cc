@@ -45,11 +45,6 @@ Status FieldValue::To(std::string* out) const {
   return Status::Ok();
 }
 
-StatusOr<JsonValue> FieldValue::AsJson() const {
-  if (text_ != nullptr) return JsonValue::Parse(*text_);
-  return *json_;
-}
-
 StatusOr<JsonValue> LoadJsonFile(const std::string& path,
                                  std::string_view what) {
   CRAYFISH_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path, what));

@@ -36,9 +36,6 @@ class FieldValue {
   /// The JSON value, or nullptr for text: fields holding a nested object
   /// or array of specs load from JSON only.
   const JsonValue* json() const { return json_; }
-  /// The value as a JSON document: the JSON value, or the text parsed as
-  /// JSON (`workload.points = [[0, 100], [60, 400]]`).
-  StatusOr<JsonValue> AsJson() const;
 
  private:
   const JsonValue* json_ = nullptr;

@@ -53,6 +53,15 @@ std::string ExperimentConfig::Label() const {
   return os.str();
 }
 
+namespace {
+
+// Names of the cluster-scale workload's hosts and topics (scale::WorkloadSpec).
+constexpr const char* kFleetHostPrefix = "fleet-";
+constexpr const char* kTenantHostPrefix = "tenant-";
+constexpr const char* kTenantTopicPrefix = "crayfish-bg-";
+
+}  // namespace
+
 crayfish::StatusOr<ExperimentResult> RunExperiment(
     const ExperimentConfig& config) {
   if (config.batch_size <= 0 || config.parallelism <= 0 ||
@@ -166,13 +175,12 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   if (config.workload.enabled) {
     for (int i = 0; i < config.workload.fleet_hosts; ++i) {
       CRAYFISH_RETURN_IF_ERROR(network.AddHost(
-          sim::Host{config.workload.fleet_host_prefix + std::to_string(i),
+          sim::Host{kFleetHostPrefix + std::to_string(i),
                     /*vcpus=*/4, /*memory_bytes=*/15ULL << 30,
                     /*has_gpu=*/false}));
     }
     for (int t = 0; t < config.workload.tenants; ++t) {
-      const std::string topic =
-          config.workload.tenant_topic_prefix + std::to_string(t);
+      const std::string topic = kTenantTopicPrefix + std::to_string(t);
       CRAYFISH_RETURN_IF_ERROR(
           cluster.CreateTopic(topic, config.workload.tenant_partitions));
       if (config.retention_records > 0) {
@@ -271,9 +279,8 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   if (config.workload.enabled) {
     for (int t = 0; t < config.workload.tenants; ++t) {
       InputProducer::Options topts;
-      topts.client_host =
-          config.workload.tenant_host_prefix + std::to_string(t);
-      topts.topic = config.workload.tenant_topic_prefix + std::to_string(t);
+      topts.client_host = kTenantHostPrefix + std::to_string(t);
+      topts.topic = kTenantTopicPrefix + std::to_string(t);
       const scale::WorkloadShape shape = config.workload.shape;
       const double factor = config.workload.tenant_rate_factor;
       topts.schedule.rate_fn = [shape, factor](double t_s) {
@@ -324,51 +331,40 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
 
   // Elastic autoscaler: all ticks are pre-scheduled here, before the first
   // simulated event.
-  std::optional<scale::Actuator> actuator;
   std::optional<scale::Autoscaler> autoscaler;
   if (autoscaled) {
     serving::ExternalServingServer* srv = server.get();
-    scale::ActuatorHooks ahooks;
+    scale::ResizeHooks hooks;
     // The loop reasons about the *target* width: during a scale-in drain
     // the pool converges to the pending target, and basing decisions on it
-    // keeps the policy from re-issuing the same shrink every tick.
-    ahooks.current_replicas = [srv]() { return srv->target_workers(); };
-    ahooks.set_replicas = [srv](int n) { srv->SetWorkers(n); };
-    actuator.emplace(&sim, config.serving, std::move(ahooks));
+    // keeps the loop from re-issuing the same shrink every tick.
+    hooks.current_replicas = [srv]() { return srv->target_workers(); };
+    hooks.set_replicas = [srv](int n) { srv->SetWorkers(n); };
 
-    // Window deltas (busy seconds, events sent) between consecutive ticks,
-    // which execute in strict time order.
+    // Busy-second deltas between consecutive ticks, which execute in
+    // strict time order.
     struct SamplerState {
       double prev_t = 0.0;
       double prev_busy = 0.0;
-      uint64_t prev_sent = 0;
     };
     auto state = std::make_shared<SamplerState>();
     sps::StreamEngine* eng = engine.get();
-    InputProducer* prod = &producer;
-    auto sampler = [srv, eng, prod, state](double now_s) {
+    auto sampler = [srv, eng, state](double now_s) {
       scale::PolicyInput in;
-      const sps::EngineTelemetry telemetry = eng->Telemetry();
-      in.total_lag = static_cast<double>(telemetry.consumer_lag);
-      in.max_partition_lag =
-          static_cast<double>(telemetry.max_partition_lag);
+      in.total_lag = static_cast<double>(eng->Telemetry().consumer_lag);
       const double busy = srv->worker_busy_seconds();
-      const uint64_t sent = prod->events_sent();
       const double dt = now_s - state->prev_t;
       if (dt > 0.0) {
         const int width = std::max(1, srv->workers());
         in.utilization = std::clamp(
             (busy - state->prev_busy) / (dt * width), 0.0, 1.0);
-        in.arrival_rate_eps =
-            static_cast<double>(sent - state->prev_sent) / dt;
       }
       state->prev_t = now_s;
       state->prev_busy = busy;
-      state->prev_sent = sent;
       return in;
     };
-    autoscaler.emplace(&sim, config.autoscaler, &*actuator,
-                       std::move(sampler));
+    autoscaler.emplace(&sim, config.serving, config.autoscaler,
+                       std::move(hooks), std::move(sampler));
     CRAYFISH_RETURN_IF_ERROR(
         autoscaler->Arm(config.duration_s + config.drain_s));
   }

@@ -100,11 +100,10 @@ struct ExperimentConfig {
 
   /// Elastic autoscaler: when `autoscaler.enabled`, a DES-scheduled
   /// control loop samples broker lag / serving utilization every
-  /// `interval_s` and resizes the external serving worker pool through
-  /// scale::Actuator. Requires an external serving tool (the embedded
-  /// libraries have no worker pool to resize). A RecoveryTracker scores
-  /// the run (as in fault runs) so scale-in can be asserted loss-free.
-  /// Inert by default.
+  /// `interval_s` and resizes the external serving worker pool. Requires
+  /// an external serving tool (the embedded libraries have no worker pool
+  /// to resize). A RecoveryTracker scores the run (as in fault runs) so
+  /// scale-in can be asserted loss-free. Inert by default.
   scale::PolicyConfig autoscaler;
 
   // --- observability ---

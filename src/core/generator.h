@@ -35,6 +35,10 @@ struct RateSchedule {
   bool InBurst(double t) const;
 };
 
+/// Simulated cost of generating one sample before its send: the JSON
+/// encode of the synthetic tensors, ~12 us per sample.
+inline constexpr double kGenerateSecondsPerSample = 12e-6;
+
 /// Synthetic tensor-like data generator (§4.1): produces batches of
 /// user-defined shape with uniform random content. Content is irrelevant
 /// to inference cost, so by default only batch *metadata* is materialized

@@ -37,7 +37,7 @@ void InputProducer::EmitNext() {
   }
 
   // Start timestamp recorded prior to the Kafka write (§3.3 step 1).
-  const double generate = options_.generate_per_sample_s *
+  const double generate = kGenerateSecondsPerSample *
                           static_cast<double>(generator_.batch_size());
   sim_->Schedule(generate, [this]() {
     if (stopped_) return;

@@ -27,9 +27,6 @@ class InputProducer {
     uint64_t max_events = 0;
     /// Stop generating at this simulated time (0 = unlimited).
     double stop_at_s = 0.0;
-    /// Per-batch generation cost charged before the send (JSON encode of
-    /// the synthetic tensors, ~12 us per sample).
-    double generate_per_sample_s = 12e-6;
     /// Materialize real JSON payloads into the records (validation mode:
     /// scoring operators can run true inference on them). Costs host
     /// memory/time; sized-only records are the default.

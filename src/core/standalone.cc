@@ -44,7 +44,7 @@ crayfish::StatusOr<ExperimentResult> RunStandaloneFlink(
                           sim.ForkRng());
   const uint64_t wire = generator.BatchWireBytes();
   const double generate_s =
-      12e-6 * static_cast<double>(config.batch_size);
+      kGenerateSecondsPerSample * static_cast<double>(config.batch_size);
 
   const int n = config.parallelism;
   std::vector<StandaloneSlot> slots(static_cast<size_t>(n));
@@ -64,22 +64,15 @@ crayfish::StatusOr<ExperimentResult> RunStandaloneFlink(
     slot.busy = true;
     broker::Record r = std::move(slot.queue.front());
     slot.queue.pop_front();
-    const double source =
-        costs.source_fixed_s +
-        costs.source_per_byte_s * static_cast<double>(wire);
+    const double source = costs.SourceSeconds(wire);
     // Flush-wait latency of large records (pure latency, no occupancy —
     // matching the Kafka-based Flink adapter).
-    const double buffer_penalty =
-        static_cast<double>(wire / costs.network_buffer_bytes) *
-        costs.buffer_cycle_s;
+    const double buffer_penalty = costs.BufferPenaltySeconds(wire);
     const double apply = library->ApplyTimeSeconds(
         profile, config.batch_size, config.parallelism, config.use_gpu,
         slot.queue.size(), &jitter_rng);
-    const uint64_t out_bytes =
-        profile.OutputBatchWireBytes(config.batch_size);
     const double sink =
-        costs.sink_fixed_s +
-        costs.sink_per_byte_s * static_cast<double>(out_bytes);
+        costs.SinkSeconds(profile.OutputBatchWireBytes(config.batch_size));
     // Chained mode occupies the slot with the whole operator chain; with
     // operator-level parallelism (Fig. 12 style, source/sink scaled to
     // the partitions) only the scoring stage occupies this task while the

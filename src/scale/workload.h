@@ -3,32 +3,18 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
 
 namespace crayfish::scale {
 
-/// Load-shape families for cluster-scale traffic generation (ROADMAP item
-/// 2). Every shape is a pure function of (spec, seed, t): no RNG stream is
-/// consumed, so two runs with the same config produce byte-identical
-/// producer pacing.
+/// Load-shape families for cluster-scale traffic generation. Every shape
+/// is a pure function of (spec, seed, t): no RNG stream is consumed, so two
+/// runs with the same config produce byte-identical producer pacing.
 enum class ShapeKind {
   kConstant,    ///< flat base_rate
-  kDiurnal,     ///< sinusoid: base * (1 + amplitude * sin(2*pi*t/period))
   kFlashCrowd,  ///< base, then ramp to base*spike_mult, hold, decay back
-  kRamp,        ///< linear base_rate -> end_rate over a window, flat after
-  kReplay,      ///< piecewise-linear profile through (t, rate) points
-};
-
-const char* ShapeKindName(ShapeKind kind);
-StatusOr<ShapeKind> ParseShapeKind(const std::string& name);
-
-/// One (time, rate) knot of a replayed profile.
-struct ProfilePoint {
-  double t_s = 0.0;
-  double rate = 0.0;
 };
 
 /// A deterministic, seeded load-shape driver. `RateAt(t)` modulates the
@@ -39,19 +25,11 @@ struct ProfilePoint {
 struct WorkloadShape {
   ShapeKind kind = ShapeKind::kConstant;
   double base_rate = 1000.0;  ///< events/s
-  /// Rates never drop below this floor (the producer pacing loop divides
-  /// by the rate, so it must stay strictly positive).
-  double floor_rate = 1.0;
-  /// Multiplicative noise amplitude in [0, 1): each jitter window's factor
-  /// is uniform in [1 - jitter, 1 + jitter], hashed from (seed, window).
+  /// Multiplicative noise amplitude in [0, 1): each 1 s jitter window's
+  /// factor is uniform in [1 - jitter, 1 + jitter], hashed from (seed,
+  /// window).
   double jitter = 0.0;
-  double jitter_window_s = 1.0;
   uint64_t seed = 42;
-
-  // --- diurnal ---
-  double amplitude = 0.5;  ///< fraction of base_rate, in [0, 1]
-  double period_s = 240.0;
-  double phase_s = 0.0;
 
   // --- flash crowd ---
   double spike_at_s = 60.0;
@@ -60,17 +38,8 @@ struct WorkloadShape {
   double hold_s = 20.0;
   double decay_s = 30.0;
 
-  // --- ramp ---
-  double ramp_start_s = 0.0;
-  double ramp_duration_s = 60.0;
-  double end_rate = 2000.0;
-
-  // --- replay ---
-  /// Piecewise-linear profile; must be sorted by t_s. Before the first
-  /// point and after the last the profile clamps to the edge rate.
-  std::vector<ProfilePoint> points;
-
-  /// Instantaneous target rate at simulated time `t` (>= floor_rate).
+  /// Instantaneous target rate at simulated time `t`. Never below 1 event/s:
+  /// the producer pacing loop divides by the rate.
   double RateAt(double t) const;
 
   /// Trapezoid integral of RateAt over [t0, t1]: the event volume the
@@ -99,20 +68,18 @@ struct WorkloadSpec {
   int tenants = 0;
   int tenant_partitions = 8;
   double tenant_rate_factor = 0.05;
-  std::string tenant_topic_prefix = "crayfish-bg-";
-  std::string tenant_host_prefix = "tenant-";
 
   /// Extra registered (idle) hosts standing in for the rest of the fleet;
   /// they join the network topology.
   int fleet_hosts = 0;
-  std::string fleet_host_prefix = "fleet-";
 
   Status Validate() const;
+  /// A flat object: the shape's keys sit beside the spec's own.
   static StatusOr<WorkloadSpec> FromJson(const JsonValue& v);
   static StatusOr<WorkloadSpec> FromJsonText(const std::string& text);
   static StatusOr<WorkloadSpec> FromFile(const std::string& path);
-  /// Sets one field by key ("kind", "base_rate", "tenants", ...; "points"
-  /// takes a JSON array text). Marks the spec enabled.
+  /// Sets one field by key ("kind", "base_rate", "tenants", ...), as a
+  /// member of the JSON object would. Marks the spec enabled.
   Status ApplyOverride(const std::string& key, const std::string& value);
 };
 

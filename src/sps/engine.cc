@@ -296,8 +296,7 @@ crayfish::Status StreamEngine::EmitScored(broker::KafkaProducer* producer,
   // output topic's LogAppendTime (§3.3).
   out.create_time = in.create_time;
   out.batch_size = in.batch_size;
-  out.wire_size = scoring_.model.OutputBatchWireBytes(
-      static_cast<int>(in.batch_size));
+  out.wire_size = OutputWireBytes(in);
   ++records_emitted_;
   if (!output_topic_) {
     CRAYFISH_ASSIGN_OR_RETURN(output_topic_,

@@ -194,6 +194,12 @@ class StreamEngine {
   /// Stage-mark hook: no-op when tracing is disabled.
   void TraceMark(uint64_t batch_id, obs::Stage stage);
 
+  /// Wire bytes of the scored output record for input record `in`.
+  uint64_t OutputWireBytes(const broker::Record& in) const {
+    return scoring_.model.OutputBatchWireBytes(
+        static_cast<int>(in.batch_size));
+  }
+
   /// Emits the scored record to the output topic through `producer`,
   /// preserving batch identity and the original create_time.
   crayfish::Status EmitScored(broker::KafkaProducer* producer,

@@ -16,23 +16,6 @@ FlinkEngine::FlinkEngine(sim::Simulation* sim, sim::Network* network,
       config_.source_parallelism == 0 && config_.sink_parallelism == 0;
 }
 
-double FlinkEngine::SourceSeconds(const broker::Record& r) const {
-  return costs_.source_fixed_s +
-         costs_.source_per_byte_s * static_cast<double>(r.wire_size);
-}
-
-double FlinkEngine::BufferPenaltySeconds(const broker::Record& r) const {
-  const uint64_t extra_buffers = r.wire_size / costs_.network_buffer_bytes;
-  return static_cast<double>(extra_buffers) * costs_.buffer_cycle_s;
-}
-
-double FlinkEngine::SinkSeconds(const broker::Record& r) const {
-  const uint64_t out_bytes = scoring_.model.OutputBatchWireBytes(
-      static_cast<int>(r.batch_size));
-  return costs_.sink_fixed_s +
-         costs_.sink_per_byte_s * static_cast<double>(out_bytes);
-}
-
 crayfish::Status FlinkEngine::Start() {
   CRAYFISH_RETURN_IF_ERROR(chained_ ? StartChained() : StartUnchained());
   sim_->Schedule(ModelLoadSeconds(), [this]() {
@@ -91,7 +74,8 @@ void FlinkEngine::ProcessChainedRecords(
   // The record leaves the consumer buffer here: queue-wait ends, operator
   // service begins.
   TraceMark(r.batch_id, obs::Stage::kQueueWait);
-  double source_time = SourceSeconds(r) + costs_.scoring_wrapper_s;
+  double source_time =
+      costs_.SourceSeconds(r.wire_size) + costs_.scoring_wrapper_s;
   // Checkpoint barrier: periodically stall the task for alignment and
   // the state snapshot (exactly-once mode; off by default).
   if (costs_.checkpoint_interval_s > 0.0) {
@@ -121,9 +105,11 @@ void FlinkEngine::ProcessChainedRecords(
                 --s2.in_flight;
                 ++events_scored_;
                 const broker::Record rec = (*records)[index];
-                const double penalty = BufferPenaltySeconds(rec);
+                const double penalty =
+                    costs_.BufferPenaltySeconds(rec.wire_size);
                 s2.emitter->Post(
-                    SinkSeconds(rec), [this, slot, rec, penalty]() {
+                    costs_.SinkSeconds(OutputWireBytes(rec)),
+                    [this, slot, rec, penalty]() {
                       TraceMark(rec.batch_id, obs::Stage::kSerialize);
                       sim_->Schedule(penalty, [this, slot, rec]() {
                         if (stopped_) return;
@@ -162,9 +148,9 @@ void FlinkEngine::ProcessChainedRecords(
     // occupancy: it delays the emit but does not block the task, so it
     // vanishes from throughput measurements and dominates large-record
     // closed-loop latency (§5.3.2).
-    const double penalty = BufferPenaltySeconds(rec);
-    sim_->Schedule(SinkSeconds(rec), [this, slot, records, index,
-                                      penalty]() {
+    const double penalty = costs_.BufferPenaltySeconds(rec.wire_size);
+    const double sink = costs_.SinkSeconds(OutputWireBytes(rec));
+    sim_->Schedule(sink, [this, slot, records, index, penalty]() {
       if (stopped_) return;
       TraceMark((*records)[index].batch_id, obs::Stage::kSerialize);
       sim_->Schedule(penalty, [this, slot, records, index]() {
@@ -216,8 +202,8 @@ crayfish::Status FlinkEngine::StartUnchained() {
         "flink-sink-" + std::to_string(i),
         [this, producer](broker::Record r, std::function<void()> done) {
           TraceMark(r.batch_id, obs::Stage::kQueueWait);
-          const double penalty = BufferPenaltySeconds(r);
-          sim_->Schedule(SinkSeconds(r),
+          const double penalty = costs_.BufferPenaltySeconds(r.wire_size);
+          sim_->Schedule(costs_.SinkSeconds(OutputWireBytes(r)),
                          [this, producer, penalty, r = std::move(r),
                           done = std::move(done)]() {
                            TraceMark(r.batch_id, obs::Stage::kSerialize);
@@ -271,7 +257,7 @@ void FlinkEngine::ForwardToScoring(
   const broker::Record& r = (*records)[index];
   // Source task picks the record out of the consumer buffer.
   TraceMark(r.batch_id, obs::Stage::kQueueWait);
-  const double source_time = SourceSeconds(r);
+  const double source_time = costs_.SourceSeconds(r.wire_size);
   sim_->Schedule(source_time, [this, source_idx, records, index]() {
     OfferToScoring(source_idx, records, index);
   });

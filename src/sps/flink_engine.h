@@ -45,6 +45,22 @@ struct FlinkCosts {
   /// measurable.
   double checkpoint_interval_s = 0.0;
   double checkpoint_stall_s = 50e-3;
+
+  /// Source cost of one input record of `wire_bytes`.
+  double SourceSeconds(uint64_t wire_bytes) const {
+    return source_fixed_s +
+           source_per_byte_s * static_cast<double>(wire_bytes);
+  }
+  /// Flush-wait latency of a record of `wire_bytes`: one buffer cycle per
+  /// full network buffer it spans. Pure latency: no task is occupied.
+  double BufferPenaltySeconds(uint64_t wire_bytes) const {
+    return static_cast<double>(wire_bytes / network_buffer_bytes) *
+           buffer_cycle_s;
+  }
+  /// Sink cost of one scored record of `out_bytes`.
+  double SinkSeconds(uint64_t out_bytes) const {
+    return sink_fixed_s + sink_per_byte_s * static_cast<double>(out_bytes);
+  }
 };
 
 /// Apache Flink adapter: a push-based, pipelined dataflow engine.
@@ -112,10 +128,6 @@ class FlinkEngine : public StreamEngine {
   /// Runs and clears the continuations parked on `task`.
   static void WakeWaiters(
       std::map<int, std::vector<std::function<void()>>>* waiters, int task);
-
-  double SourceSeconds(const broker::Record& r) const;
-  double BufferPenaltySeconds(const broker::Record& r) const;
-  double SinkSeconds(const broker::Record& r) const;
 
   FlinkCosts costs_;
   bool chained_ = true;

@@ -95,8 +95,7 @@ void KafkaStreamsEngine::ProcessRecords(
     const double produce =
         costs_.produce_fixed_s +
         costs_.produce_per_byte_s *
-            static_cast<double>(scoring_.model.OutputBatchWireBytes(
-                static_cast<int>(rec.batch_size)));
+            static_cast<double>(OutputWireBytes(rec));
     sim_->Schedule(produce, [this, thread, records, index]() {
       if (stopped_) return;
       TraceMark((*records)[index].batch_id, obs::Stage::kSerialize);

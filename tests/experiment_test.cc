@@ -439,6 +439,18 @@ TEST(PropertiesTest, RejectsNonIntegralAndOutOfRangeOverrides) {
   EXPECT_EQ(ok->autoscaler.max_replicas, 8);
 }
 
+TEST(PropertiesTest, RejectsUnknownAutoscalerKindAtLoadTime) {
+  // The only autoscaler policy is reactive: another kind fails when the
+  // file loads, before any run starts.
+  auto cfg = ExperimentConfigFromProperties(
+      Props("engine = flink\nserving = torchserve\n"
+            "autoscaler.kind = predictive\n"));
+  ASSERT_FALSE(cfg.ok());
+  EXPECT_TRUE(cfg.status().IsInvalidArgument());
+  EXPECT_NE(cfg.status().message().find("predictive"), std::string::npos)
+      << cfg.status().ToString();
+}
+
 TEST(PropertiesTest, RejectsBadEngineOverridesAtLoadTime) {
   // Engine cost overrides are checked when the file loads, like every
   // other key, not after the cluster of the run is built.

@@ -1,7 +1,7 @@
 // Seeded byte-mutation test over every user input the simulator reads:
 // the example properties files and JSON specs, and serialized models. Each
 // mutated input must either load or return a Status error — no crash, no
-// hang, and (in the ASan/UBSan CI leg, `ctest -L inputs`) no sanitizer
+// hang, and (in the ASan/UBSan CI job; `ctest -L inputs`) no sanitizer
 // report. The seed and iteration counts are fixed, so a failure replays
 // exactly.
 

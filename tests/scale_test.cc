@@ -1,12 +1,12 @@
-// Cluster-scale subsystem tests (src/scale, ROADMAP item 2): workload
-// shapes are seed-deterministic and integrate to their configured volume;
-// the autoscaler's guard rails (bounds, step clamp, cooldown, scale-in
-// hysteresis) hold; the reactive policy rides a flash crowd up and back
-// down without losing a record; the predictive policy beats the reactive
-// one on SLO-breach windows under a diurnal load; the demand search
-// bisects to the minimal SLO-holding replica count; and the thousand-host
-// multi-tenant acceptance run is byte-for-byte identical to serial under
-// the partitioned DES engine.
+// Cluster-scale subsystem tests (src/scale): workload shapes are
+// seed-deterministic and the producer follows their volume; workload and
+// autoscaler specs load from flat JSON and override text, and reject the
+// keys, kinds and layout they do not take; the reactive rule votes on lag
+// and utilization and its guard rails (bounds, cooldown, scale-in
+// hysteresis) hold; an autoscaled run rides a flash crowd up and back down
+// without losing a record; the demand search bisects to the minimal
+// SLO-holding replica count; and the thousand-host multi-tenant acceptance
+// run is byte-for-byte identical across runs of one seed.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/cluster.h"
@@ -57,7 +58,7 @@ TEST(WorkloadShapeTest, ShapesAreSeedDeterministic) {
   bool any_jittered = false;
   for (double t = 0.0; t < 60.0; t += 0.37) {
     ASSERT_DOUBLE_EQ(a.RateAt(t), b.RateAt(t)) << "t=" << t;
-    ASSERT_GE(a.RateAt(t), a.floor_rate);
+    ASSERT_GE(a.RateAt(t), 1.0);
     WorkloadShape smooth = a;
     smooth.jitter = 0.0;
     if (a.RateAt(t) != smooth.RateAt(t)) any_jittered = true;
@@ -78,18 +79,6 @@ TEST(WorkloadShapeTest, JitterVariesWithSeed) {
   EXPECT_TRUE(any_diff) << "the seed is not reaching the jitter hash";
 }
 
-TEST(WorkloadShapeTest, DiurnalIntegratesToBaseVolumeOverFullPeriods) {
-  WorkloadShape s;
-  s.kind = ShapeKind::kDiurnal;
-  s.base_rate = 500.0;
-  s.amplitude = 0.8;
-  s.period_s = 60.0;
-  // The sinusoid integrates to zero over whole periods, so two periods of
-  // volume must equal the flat base-rate volume.
-  const double volume = s.IntegrateRate(0.0, 120.0);
-  EXPECT_NEAR(volume, 500.0 * 120.0, 0.01 * 500.0 * 120.0);
-}
-
 TEST(WorkloadShapeTest, FlashCrowdPeaksAtSpikeMultiple) {
   WorkloadShape s = FlashCrowdShape();
   EXPECT_DOUBLE_EQ(s.RateAt(0.0), 100.0);
@@ -97,15 +86,6 @@ TEST(WorkloadShapeTest, FlashCrowdPeaksAtSpikeMultiple) {
   EXPECT_DOUBLE_EQ(s.RateAt(40.0), 100.0);  // after decay
   EXPECT_GT(s.RateAt(11.0), 100.0);         // mid-ramp
   EXPECT_LT(s.RateAt(11.0), 400.0);
-}
-
-TEST(WorkloadShapeTest, ReplayInterpolatesAndClampsAtEdges) {
-  WorkloadShape s;
-  s.kind = ShapeKind::kReplay;
-  s.points = {{10.0, 100.0}, {20.0, 200.0}};
-  EXPECT_DOUBLE_EQ(s.RateAt(0.0), 100.0);   // clamps before first knot
-  EXPECT_DOUBLE_EQ(s.RateAt(15.0), 150.0);  // linear between knots
-  EXPECT_DOUBLE_EQ(s.RateAt(30.0), 200.0);  // clamps after last knot
 }
 
 TEST(WorkloadShapeTest, ValidateRejectsBadShapes) {
@@ -116,17 +96,12 @@ TEST(WorkloadShapeTest, ValidateRejectsBadShapes) {
   s = FlashCrowdShape();
   s.spike_mult = 0.5;
   EXPECT_FALSE(s.Validate().ok());
-  WorkloadShape r;
-  r.kind = ShapeKind::kReplay;
-  EXPECT_FALSE(r.Validate().ok()) << "replay needs points";
-  r.points = {{20.0, 100.0}, {10.0, 50.0}};
-  EXPECT_FALSE(r.Validate().ok()) << "replay points must be sorted";
 }
 
 TEST(WorkloadSpecTest, JsonAndOverridesRoundTrip) {
   auto spec = WorkloadSpec::FromJsonText(R"({
-    "shape": {"kind": "flash-crowd", "base_rate": 250, "spike_at_s": 30,
-              "spike_mult": 3, "jitter": 0.1, "seed": 7},
+    "kind": "flash-crowd", "base_rate": 250, "spike_at_s": 30,
+    "spike_mult": 3, "jitter": 0.1, "seed": 7,
     "tenants": 4, "tenant_partitions": 16, "tenant_rate_factor": 0.1,
     "fleet_hosts": 100})");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -140,11 +115,11 @@ TEST(WorkloadSpecTest, JsonAndOverridesRoundTrip) {
 
   WorkloadSpec o;
   EXPECT_FALSE(o.enabled);
-  ASSERT_TRUE(o.ApplyOverride("kind", "diurnal").ok());
+  ASSERT_TRUE(o.ApplyOverride("kind", "flash_crowd").ok());
   ASSERT_TRUE(o.ApplyOverride("base_rate", "750").ok());
   ASSERT_TRUE(o.ApplyOverride("tenants", "3").ok());
   EXPECT_TRUE(o.enabled);
-  EXPECT_EQ(o.shape.kind, ShapeKind::kDiurnal);
+  EXPECT_EQ(o.shape.kind, ShapeKind::kFlashCrowd);
   EXPECT_DOUBLE_EQ(o.shape.base_rate, 750.0);
   EXPECT_EQ(o.tenants, 3);
   EXPECT_FALSE(o.ApplyOverride("no_such_key", "1").ok());
@@ -162,7 +137,6 @@ TEST(WorkloadSpecTest, IntegerOverridesRejectFractionsAndOverflow) {
 
   PolicyConfig p;
   EXPECT_FALSE(p.ApplyOverride("min_replicas", "2.5").ok());
-  EXPECT_FALSE(p.ApplyOverride("seed", "-1").ok());
   ASSERT_TRUE(p.ApplyOverride("max_replicas", "16.0").ok());
   EXPECT_EQ(p.max_replicas, 16);
 }
@@ -175,23 +149,14 @@ TEST(WorkloadSpecTest, JsonSeedPastTwoToThe53IsRejectedNotRounded) {
                   R"({"kind": "constant", "seed": )" + kPastExact + "}")
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(PolicyConfig::FromJsonText(R"({"seed": )" + kPastExact + "}")
-                  .status()
-                  .IsInvalidArgument());
   auto shape = WorkloadSpec::FromJsonText(
       R"({"kind": "constant", "seed": 9007199254740991})");
   ASSERT_TRUE(shape.ok()) << shape.status().ToString();
   EXPECT_EQ(shape->shape.seed, 9007199254740991u);
-  auto policy = PolicyConfig::FromJsonText(R"({"seed": 9007199254740991})");
-  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
-  EXPECT_EQ(policy->seed, 9007199254740991u);
 
   WorkloadSpec o;
   ASSERT_TRUE(o.ApplyOverride("seed", kPastExact).ok());
   EXPECT_EQ(o.shape.seed, 9007199254740993u);
-  PolicyConfig p;
-  ASSERT_TRUE(p.ApplyOverride("seed", kPastExact).ok());
-  EXPECT_EQ(p.seed, 9007199254740993u);
 }
 
 TEST(WorkloadSpecTest, MisspelledJsonFieldIsRejected) {
@@ -200,38 +165,16 @@ TEST(WorkloadSpecTest, MisspelledJsonFieldIsRejected) {
       R"({"kind": "flash-crowd", "base_rat": 300, "spike_at_s": 12})");
   ASSERT_TRUE(flat.status().IsInvalidArgument()) << flat.status().ToString();
   EXPECT_NE(flat.status().message().find("base_rat"), std::string::npos);
-  // Nested layout: a shape key beside "shape", and a typo inside it.
-  EXPECT_TRUE(WorkloadSpec::FromJsonText(
-                  R"({"shape": {"kind": "constant"}, "base_rate": 300})")
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(WorkloadSpec::FromJsonText(
-                  R"({"shape": {"kind": "constant", "base_rat": 300}})")
-                  .status()
-                  .IsInvalidArgument());
-  // Spec keys sit beside either layout.
-  EXPECT_TRUE(WorkloadSpec::FromJsonText(
-                  R"({"shape": {"kind": "constant"}, "tenants": 2})")
-                  .ok());
+  // Spec keys sit beside the shape's.
   EXPECT_TRUE(
       WorkloadSpec::FromJsonText(R"({"kind": "constant", "tenants": 2})")
           .ok());
-  // Replay points get the same check: "rat" used to load as rate 0.
-  auto point = WorkloadSpec::FromJsonText(
-      R"({"kind": "replay", "points": [{"t_s": 0, "rat": 500}]})");
-  ASSERT_TRUE(point.status().IsInvalidArgument())
-      << point.status().ToString();
-  EXPECT_NE(point.status().message().find("rat"), std::string::npos);
   // Wrong types and out-of-range numbers are errors, not defaults.
   for (const char* json :
        {R"({"kind": "constant", "base_rate": "300"})",
         R"({"kind": "constant", "seed": -1})",
         R"({"kind": "constant", "tenants": 2.5})",
-        R"({"kind": 1})",
-        R"({"kind": "replay", "points": [[0, "5"]]})",
-        R"({"kind": "replay", "points": [[0, 5, 6]]})",
-        R"({"shape": "constant"})",
-        R"({"kind": "constant", "fleet_host_prefix": 3})"}) {
+        R"({"kind": 1})"}) {
     EXPECT_TRUE(WorkloadSpec::FromJsonText(json).status().IsInvalidArgument())
         << json;
   }
@@ -243,11 +186,9 @@ TEST(PolicyConfigTest, MisspelledJsonFieldIsRejected) {
   ASSERT_TRUE(cfg.status().IsInvalidArgument()) << cfg.status().ToString();
   EXPECT_NE(cfg.status().message().find("cooldwn_s"), std::string::npos);
   // JSON numbers convert like override text: 2.5 replicas used to
-  // truncate to 2, "5" fell back to the default interval, and a seed of -1
-  // became 2^64 - 1.
+  // truncate to 2 and "5" fell back to the default interval.
   for (const char* json : {R"({"min_replicas": 2.5})",
                            R"({"interval_s": "5"})",
-                           R"({"seed": -1})",
                            R"({"max_replicas": 1e12})",
                            R"({"kind": 1})"}) {
     EXPECT_TRUE(PolicyConfig::FromJsonText(json).status().IsInvalidArgument())
@@ -272,16 +213,16 @@ TEST(ExampleConfigsTest, EveryJsonConfigLoadsUnderStrictFieldChecks) {
 
 TEST(PolicyConfigTest, JsonAndOverridesRoundTrip) {
   auto cfg = PolicyConfig::FromJsonText(R"({
-    "kind": "predictive", "interval_s": 2, "min_replicas": 1,
+    "kind": "reactive", "interval_s": 2, "min_replicas": 1,
     "max_replicas": 12, "step": 2, "cooldown_s": 6,
-    "scale_in_hysteresis": 2, "rate_per_replica": 500,
-    "target_utilization": 0.7, "hw_alpha": 0.6, "hw_beta": 0.2,
-    "horizon_s": 10})");
+    "scale_in_hysteresis": 2, "scale_up_lag": 500,
+    "scale_down_utilization": 0.2})");
   ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
   EXPECT_TRUE(cfg->enabled);
-  EXPECT_EQ(cfg->kind, "predictive");
+  EXPECT_EQ(cfg->kind, "reactive");
   EXPECT_EQ(cfg->max_replicas, 12);
-  EXPECT_DOUBLE_EQ(cfg->rate_per_replica, 500.0);
+  EXPECT_DOUBLE_EQ(cfg->scale_up_lag, 500.0);
+  EXPECT_DOUBLE_EQ(cfg->scale_down_utilization, 0.2);
   EXPECT_TRUE(cfg->Validate().ok());
 
   PolicyConfig o;
@@ -295,82 +236,124 @@ TEST(PolicyConfigTest, JsonAndOverridesRoundTrip) {
   PolicyConfig bad;
   bad.enabled = true;
   bad.kind = "magic";
-  EXPECT_FALSE(bad.Validate().ok());
-  EXPECT_FALSE(CreatePolicy(bad).ok());
+  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
 }
 
-// --- policies ---
+TEST(PolicyConfigTest, RemovedKeysAndKindsAreRejected) {
+  // Reactive is the only policy: another kind, or a key it does not read,
+  // is an error naming it, in a JSON spec and as override text alike.
+  for (const auto& [name, json] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"predictive",
+            R"({"kind": "predictive", "rate_per_replica": 100})"},
+           {"hw_alpha", R"({"hw_alpha": 0.5})"},
+           {"seed", R"({"seed": 7})"}}) {
+    auto cfg = PolicyConfig::FromJsonText(json);
+    ASSERT_TRUE(cfg.status().IsInvalidArgument()) << json;
+    EXPECT_NE(cfg.status().message().find(name), std::string::npos)
+        << cfg.status().ToString();
+  }
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"kind", "predictive"}, {"hw_alpha", "0.5"}, {"seed", "7"}}) {
+    PolicyConfig o;
+    const Status st = o.ApplyOverride(key, value);
+    ASSERT_TRUE(st.IsInvalidArgument()) << key << " = " << value;
+    EXPECT_NE(st.message().find(key == "kind" ? value : key),
+              std::string::npos)
+        << st.ToString();
+  }
+}
 
-TEST(PolicyTest, ReactiveThresholds) {
+TEST(WorkloadSpecTest, RemovedKeysShapesAndLayoutAreRejected) {
+  // The shapes are constant and flash-crowd, and a spec is one flat
+  // object: another kind, a key no shape reads, a nested "shape" object,
+  // and the fixed rate floor and name prefixes are errors naming them.
+  for (const auto& [name, json] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"diurnal", R"({"kind": "diurnal"})"},
+           {"ramp", R"({"kind": "ramp"})"},
+           {"replay", R"({"kind": "replay", "points": [[0, 100]]})"},
+           {"points", R"({"points": [[0, 100]]})"},
+           {"shape", R"({"shape": {"kind": "constant"}})"},
+           {"floor_rate", R"({"floor_rate": 2})"},
+           {"tenant_topic_prefix", R"({"tenant_topic_prefix": "bg-"})"}}) {
+    auto spec = WorkloadSpec::FromJsonText(json);
+    ASSERT_TRUE(spec.status().IsInvalidArgument()) << json;
+    EXPECT_NE(spec.status().message().find(name), std::string::npos)
+        << spec.status().ToString();
+  }
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"kind", "diurnal"},
+           {"kind", "ramp"},
+           {"kind", "replay"},
+           {"points", "[[0, 100]]"},
+           {"floor_rate", "2"},
+           {"tenant_topic_prefix", "bg-"}}) {
+    WorkloadSpec o;
+    const Status st = o.ApplyOverride(key, value);
+    ASSERT_TRUE(st.IsInvalidArgument()) << key << " = " << value;
+    EXPECT_NE(st.message().find(key == "kind" ? value : key),
+              std::string::npos)
+        << st.ToString();
+  }
+}
+
+// --- autoscaler (pure DES, no pipeline) ---
+
+TEST(AutoscalerTest, ReactiveRuleVotesOnLagAndUtilization) {
+  sim::Simulation sim(7);
+  // The pool stays at 4 whatever is applied, so every tick votes from 4.
+  std::vector<int> applied;
+  ResizeHooks hooks;
+  hooks.current_replicas = []() { return 4; };
+  hooks.set_replicas = [&applied](int n) { applied.push_back(n); };
+
   PolicyConfig cfg;
   cfg.enabled = true;
+  cfg.interval_s = 1.0;
+  cfg.max_replicas = 10;
+  cfg.step = 2;
+  cfg.cooldown_s = 0.0;
+  cfg.scale_in_hysteresis = 1;
   cfg.scale_up_lag = 1000.0;
   cfg.scale_down_lag = 100.0;
   cfg.scale_up_utilization = 0.9;
   cfg.scale_down_utilization = 0.3;
-  cfg.step = 2;
-  ReactivePolicy policy(cfg);
 
-  PolicyInput in;
-  in.current_replicas = 4;
-  in.total_lag = 5000.0;  // lag high -> up
-  in.utilization = 0.5;
-  EXPECT_EQ(policy.Evaluate(in).target, 6);
+  // One sample per tick, at t = 1..5.
+  const std::vector<PolicyInput> samples = {
+      {5000.0, 0.5},  // lag high -> up
+      {500.0, 0.5},   // both mid-band -> steady
+      {500.0, 0.95},  // utilization high -> up
+      {50.0, 0.95},   // lag low but utilization high -> still up
+      {50.0, 0.2},    // both low -> down
+  };
+  Autoscaler as(&sim, "pool", cfg, std::move(hooks),
+                [&samples](double now_s) {
+                  return samples[static_cast<size_t>(now_s) - 1];
+                });
+  ASSERT_TRUE(as.Arm(5.0).ok());
+  sim.Run(6.0);
 
-  in.total_lag = 500.0;  // both mid-band -> steady
-  EXPECT_EQ(policy.Evaluate(in).target, 4);
-
-  in.utilization = 0.95;  // utilization high -> up
-  EXPECT_EQ(policy.Evaluate(in).target, 6);
-
-  in.total_lag = 50.0;  // lag low but utilization high -> still up
-  EXPECT_EQ(policy.Evaluate(in).target, 6);
-
-  in.utilization = 0.2;  // both low -> down
-  EXPECT_EQ(policy.Evaluate(in).target, 2);
+  EXPECT_EQ(applied, (std::vector<int>{6, 6, 6, 2}));
+  const AutoscaleSummary s = as.Summary();
+  EXPECT_EQ(s.ticks, 5u);
+  ASSERT_EQ(s.actions.size(), 4u);
+  EXPECT_EQ(s.actions[0].reason, "lag-high lag=5000 util=50%");
+  EXPECT_EQ(s.actions[1].reason, "util-high lag=500 util=95%");
+  EXPECT_EQ(s.actions[2].reason, "util-high lag=50 util=95%");
+  EXPECT_EQ(s.actions[3].reason, "idle lag=50 util=20%");
 }
 
-TEST(PolicyTest, PredictiveSizesPoolToForecastDemand) {
-  PolicyConfig cfg;
-  cfg.enabled = true;
-  cfg.kind = "predictive";
-  cfg.interval_s = 5.0;
-  cfg.rate_per_replica = 100.0;
-  cfg.target_utilization = 1.0;
-  cfg.horizon_s = 5.0;
-  cfg.hw_alpha = 0.8;
-  cfg.hw_beta = 0.5;
-  PredictivePolicy policy(cfg);
-
-  // Steady 100 ev/s with no backlog: one replica suffices.
-  PolicyInput in;
-  in.current_replicas = 1;
-  in.arrival_rate_eps = 100.0;
-  for (int i = 0; i < 6; ++i) {
-    in.now_s = 5.0 * (i + 1);
-    EXPECT_EQ(policy.Evaluate(in).target, 1) << "tick " << i;
-  }
-  // Demand ramps 100 ev/s per tick: the trend term must push the forecast
-  // (and the target) ahead of the instantaneous rate.
-  int last_target = 1;
-  for (int i = 0; i < 6; ++i) {
-    in.now_s += 5.0;
-    in.arrival_rate_eps += 100.0;
-    last_target = policy.Evaluate(in).target;
-  }
-  EXPECT_GE(last_target, 7)
-      << "forecast should lead a 100 ev/s-per-tick ramp past 700 ev/s";
-}
-
-// --- autoscaler guard rails (pure DES, no pipeline) ---
 
 TEST(AutoscalerTest, GuardRailsClampCooldownAndHysteresis) {
   sim::Simulation sim(7);
   int replicas = 4;
-  ActuatorHooks hooks;
+  ResizeHooks hooks;
   hooks.current_replicas = [&replicas]() { return replicas; };
   hooks.set_replicas = [&replicas](int n) { replicas = n; };
-  Actuator act(&sim, "pool", std::move(hooks));
 
   PolicyConfig cfg;
   cfg.enabled = true;
@@ -386,7 +369,7 @@ TEST(AutoscalerTest, GuardRailsClampCooldownAndHysteresis) {
   cfg.scale_down_utilization = 0.5;
 
   // Overloaded through t=3, idle afterwards.
-  Autoscaler as(&sim, cfg, &act, [](double now_s) {
+  Autoscaler as(&sim, "pool", cfg, std::move(hooks), [](double now_s) {
     PolicyInput in;
     in.total_lag = now_s <= 3.0 ? 1000.0 : 0.0;
     in.utilization = now_s <= 3.0 ? 1.0 : 0.0;
@@ -415,10 +398,9 @@ TEST(AutoscalerTest, GuardRailsClampCooldownAndHysteresis) {
 TEST(AutoscalerTest, CooldownSuppressesBackToBackResizes) {
   sim::Simulation sim(7);
   int replicas = 1;
-  ActuatorHooks hooks;
+  ResizeHooks hooks;
   hooks.current_replicas = [&replicas]() { return replicas; };
   hooks.set_replicas = [&replicas](int n) { replicas = n; };
-  Actuator act(&sim, "pool", std::move(hooks));
 
   PolicyConfig cfg;
   cfg.enabled = true;
@@ -430,7 +412,7 @@ TEST(AutoscalerTest, CooldownSuppressesBackToBackResizes) {
 
   // Permanently overloaded: without a cooldown the pool would grow every
   // tick; with cooldown_s=3 it can only grow every 3rd tick.
-  Autoscaler as(&sim, cfg, &act, [](double) {
+  Autoscaler as(&sim, "pool", cfg, std::move(hooks), [](double) {
     PolicyInput in;
     in.total_lag = 1000.0;
     in.utilization = 1.0;
@@ -621,77 +603,6 @@ TEST(ScaleIntegrationTest, ReactiveRidesFlashCrowdUpAndDownLossFree) {
   }
   EXPECT_TRUE(saw_up);
   EXPECT_TRUE(saw_down);
-}
-
-TEST(ScaleIntegrationTest, PredictiveBeatsReactiveOnDiurnalBreaches) {
-  core::ExperimentConfig base;
-  base.engine = "flink";
-  base.serving = "torchserve";
-  base.model = "ffnn";
-  base.batch_size = 1;
-  base.input_rate = 100.0;
-  base.parallelism = 6;
-  base.duration_s = 90.0;
-  base.drain_s = 10.0;
-  base.seed = 5;
-  // A steep swing: 60..1140 eps against ~350 eps/worker, phased to start at
-  // the trough. The upswing gains ~94 eps/s at its steepest — more than one
-  // worker's capacity per cooldown — so a follower that waits for
-  // utilization to saturate falls behind the ramp, while the headroom-led
-  // forecast starts climbing ahead of it.
-  base.workload.enabled = true;
-  base.workload.shape.kind = ShapeKind::kDiurnal;
-  base.workload.shape.base_rate = 600.0;
-  base.workload.shape.amplitude = 0.9;
-  base.workload.shape.period_s = 36.0;
-  base.workload.shape.phase_s = 27.0;
-  auto slo = obs::SloConfig::FromJsonText(
-      R"({"slos": [{"name": "p95", "metric": "p95_latency_s",
-                    "max": 0.5, "error_budget": 0.99}]})");
-  ASSERT_TRUE(slo.ok());
-  base.slo = *slo;
-
-  // Fast ticks keep the forecast well sampled; the cooldown paces resizes
-  // for both policies, so the only difference is when each starts moving.
-  base.autoscaler.enabled = true;
-  base.autoscaler.interval_s = 2.0;
-  base.autoscaler.min_replicas = 1;
-  base.autoscaler.max_replicas = 6;
-  base.autoscaler.step = 1;
-  base.autoscaler.cooldown_s = 5.0;
-  base.autoscaler.scale_in_hysteresis = 2;
-
-  core::ExperimentConfig reactive = base;
-  reactive.autoscaler.kind = "reactive";
-  reactive.autoscaler.scale_up_lag = 200.0;
-  reactive.autoscaler.scale_down_lag = 10.0;
-  reactive.autoscaler.scale_up_utilization = 0.9;
-  reactive.autoscaler.scale_down_utilization = 0.3;
-
-  core::ExperimentConfig predictive = base;
-  predictive.autoscaler.kind = "predictive";
-  predictive.autoscaler.hw_alpha = 0.5;
-  predictive.autoscaler.hw_beta = 0.2;
-  predictive.autoscaler.horizon_s = 10.0;
-  predictive.autoscaler.rate_per_replica = 350.0;
-  predictive.autoscaler.target_utilization = 0.65;
-
-  auto reac = core::RunExperiment(reactive);
-  auto pred = core::RunExperiment(predictive);
-  ASSERT_TRUE(reac.ok()) << reac.status().ToString();
-  ASSERT_TRUE(pred.ok()) << pred.status().ToString();
-  ASSERT_TRUE(reac->has_slo_report);
-  ASSERT_TRUE(pred->has_slo_report);
-  ASSERT_EQ(reac->slo_report.objectives.size(), 1u);
-  const size_t reac_breaches =
-      reac->slo_report.objectives[0].windows_breached;
-  const size_t pred_breaches =
-      pred->slo_report.objectives[0].windows_breached;
-  EXPECT_LT(pred_breaches, reac_breaches)
-      << "forecasting the diurnal swing should pre-provision capacity "
-         "(predictive " << pred_breaches << " vs reactive "
-      << reac_breaches << " breached windows)";
-  EXPECT_GE(pred->autoscale.scale_ups, 1u);
 }
 
 // --- memory-lean cluster-scale topology (satellite a) ---

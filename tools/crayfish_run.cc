@@ -22,11 +22,11 @@
 //   --timeline_interval=S   tumbling-window width in seconds (default 1)
 //   --slo=PATH          evaluate SLOs from a JSON spec against the timeline
 //   --slo_out=PATH      write the SLO report as JSON
-//   --workload=PATH     drive the producer with a workload shape (JSON:
-//                       constant|diurnal|flash-crowd|ramp|replay, plus
-//                       multi-tenant fan-out; see README)
-//   --autoscaler=PATH   run the elastic control loop from a policy JSON
-//                       (reactive | predictive) and report scaling actions
+//   --workload=PATH     drive the producer with a workload shape (flat
+//                       JSON: constant|flash-crowd, plus multi-tenant
+//                       fan-out; see README)
+//   --autoscaler=PATH   run the reactive control loop from a policy JSON
+//                       and report scaling actions
 //   --help              this text
 // (--faults, --slo, --workload and --autoscaler win over the config keys
 // of the same name)
@@ -100,10 +100,10 @@ void PrintUsage(const char* prog) {
       "  --timeline_interval=S   timeline window width, seconds (default 1)\n"
       "  --slo=PATH          evaluate SLOs (JSON spec) against the timeline\n"
       "  --slo_out=PATH      SLO report as JSON\n"
-      "  --workload=PATH     workload shape JSON (constant|diurnal|\n"
-      "                      flash-crowd|ramp|replay + multi-tenant fan-out)\n"
-      "  --autoscaler=PATH   elastic-scaling policy JSON (reactive |\n"
-      "                      predictive); scaling actions print after the run\n"
+      "  --workload=PATH     workload shape JSON (constant|flash-crowd +\n"
+      "                      multi-tenant fan-out)\n"
+      "  --autoscaler=PATH   reactive scaling policy JSON; scaling actions\n"
+      "                      print after the run\n"
       "  --help              show this text\n"
       "any observability flag enables tracing; observability flags and the\n"
       "measurements CSV require a single config file\n",
