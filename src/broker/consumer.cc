@@ -1,7 +1,6 @@
 #include "broker/consumer.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 #include "obs/registry.h"
@@ -14,7 +13,6 @@ KafkaConsumer::KafkaConsumer(KafkaCluster* cluster,
                              const std::string& client_host,
                              std::string group, ConsumerConfig config)
     : cluster_(cluster), group_(std::move(group)), config_(config),
-      generation_(std::make_shared<uint64_t>(0)),
       alive_(std::make_shared<bool>(true)) {
   CRAYFISH_CHECK(cluster != nullptr);
   auto id = cluster->network()->FindHost(client_host);
@@ -77,41 +75,6 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
   return crayfish::Status::Ok();
 }
 
-void KafkaConsumer::FailAndRestart(double restart_delay_s) {
-  CRAYFISH_CHECK_GE(restart_delay_s, 0.0);
-  if (closed_) return;
-  // The task dies without committing: everything since the last commit
-  // (including prefetched and delivered-but-uncommitted records) will be
-  // refetched after the restart — duplicates, never loss.
-  std::map<std::string, std::vector<int>> topics;
-  for (const TopicPartition& tp : assignment_) {
-    topics[cluster_->topic_name(tp.topic)].push_back(tp.partition);
-  }
-  ++(*generation_);
-  assignment_.clear();
-  partitions_.clear();
-  buffer_.clear();
-  auto alive = alive_;
-  if (pending_poll_) {
-    // The engine's outstanding Poll sees an empty result once the task is
-    // back (never before: the task is down in between).
-    poll_armed_at_ = -1.0;
-    PollCallback cb = std::move(pending_poll_);
-    pending_poll_ = nullptr;
-    cluster_->simulation()->Schedule(
-        restart_delay_s, [cb = std::move(cb)]() mutable { cb({}); });
-  }
-  cluster_->simulation()->Schedule(
-      restart_delay_s, [this, alive, topics = std::move(topics)]() {
-        if (!*alive || closed_) return;
-        for (const auto& [topic, parts] : topics) {
-          // start_offset -1: resume from the group's committed offsets.
-          crayfish::Status s = Assign(topic, parts);
-          CRAYFISH_CHECK(s.ok()) << s.ToString();
-        }
-      });
-}
-
 int KafkaConsumer::SlotOf(const TopicPartition& tp) const {
   for (size_t i = 0; i < assignment_.size(); ++i) {
     if (assignment_[i] == tp) return static_cast<int>(i);
@@ -127,8 +90,6 @@ void KafkaConsumer::FetchOnce(size_t slot) {
     return;
   }
   const TopicPartition& tp = assignment_[slot];
-  auto generation = generation_;
-  const uint64_t my_generation = *generation;
   if (retry_.enabled() && !cluster_->LeaderAvailable(tp)) {
     // Leader down: back off instead of hammering the dead broker. The loop
     // never gives up — max_retries only caps the backoff exponent.
@@ -148,18 +109,15 @@ void KafkaConsumer::FetchOnce(size_t slot) {
     }
     cluster_->simulation()->Schedule(
         retry_.BackoffFor(attempt, &*rng_),
-        [this, generation, my_generation, slot]() {
-          if (*generation != my_generation) return;
-          FetchOnce(slot);
-        });
+        [this, slot]() { FetchOnce(slot); });
     return;
   }
   state.fetch_attempts = 0;
   cluster_->Fetch(
       client_id_, tp, state.position, config_.fetch_max_records,
       config_.fetch_max_bytes, config_.fetch_max_wait_s,
-      [this, slot, generation, my_generation](std::vector<Record> records) {
-        if (*generation != my_generation) return;  // closed or failed
+      [this, slot](std::vector<Record> records) {
+        if (closed_) return;
         if (!records.empty()) {
           partitions_[slot].position = records.back().offset + 1;
           // The fetch response has reached the client: the long-poll /
@@ -176,8 +134,8 @@ void KafkaConsumer::FetchOnce(size_t slot) {
                                static_cast<double>(records.size());
           partitions_[slot].fetched = std::move(records);
           cluster_->simulation()->Schedule(
-              deser, [this, generation, my_generation, slot]() {
-                if (*generation != my_generation) return;
+              deser, [this, slot]() {
+                if (closed_) return;
                 std::vector<Record>& fetched = partitions_[slot].fetched;
                 if (obs::TraceRecorder* tracer =
                         cluster_->simulation()->tracer()) {
@@ -191,9 +149,6 @@ void KafkaConsumer::FetchOnce(size_t slot) {
                 }
                 fetched = std::vector<Record>();
                 MaybeDeliver();
-                // The poll callback may have failed or closed this
-                // consumer, retiring `slot`.
-                if (*generation != my_generation) return;
                 FetchOnce(slot);
               });
           return;
@@ -280,7 +235,6 @@ void KafkaConsumer::CommitPositions() {
 
 void KafkaConsumer::Close() {
   closed_ = true;
-  ++(*generation_);
   pending_poll_ = nullptr;
 }
 

@@ -78,17 +78,10 @@ class KafkaConsumer {
   /// partitions (offset bookkeeping only; no simulated round trip, as
   /// commits piggyback on fetch sessions). Prefetched-but-undelivered
   /// records are deliberately not covered: committing past them would lose
-  /// them across a task restart (at-least-once requires the commit
-  /// high-water mark to trail delivery, never lead it).
+  /// them for a consumer later assigned from the committed offsets
+  /// (at-least-once requires the commit high-water mark to trail delivery,
+  /// never lead it).
   void CommitPositions();
-
-  /// Fault hook: simulates the crash of the task driving this consumer.
-  /// Nothing is committed (in-flight progress dies with the task); after
-  /// `restart_delay_s` the same assignment is re-adopted and fetch sessions
-  /// resume from the group's committed offsets, re-processing anything
-  /// uncommitted (at-least-once, duplicates possible, no loss). An
-  /// outstanding Poll completes empty once the restart delay elapses.
-  void FailAndRestart(double restart_delay_s);
 
   /// Stops fetch loops; outstanding fetches are dropped on arrival.
   void Close();
@@ -162,8 +155,8 @@ class KafkaConsumer {
   /// pickup walk this vector, so their order is deterministic.
   std::vector<TopicPartition> assignment_;
   /// Parallel to `assignment_`: slot i holds assignment_[i]'s state. Fetch
-  /// callbacks and buffered records carry the slot index; the generation
-  /// guard retires them whenever the assignment is cleared.
+  /// callbacks and buffered records carry the slot index; the assignment
+  /// only grows, so a slot stays valid until Close() retires them all.
   std::vector<PartitionState> partitions_;
   std::deque<BufferedRecord> buffer_;
   /// Effective retry policy (config override or cluster default).
@@ -172,10 +165,9 @@ class KafkaConsumer {
   /// draw exactly the same RNG streams as before this feature existed.
   std::optional<crayfish::Rng> rng_;
   double auto_commit_interval_s_ = 0.0;
+  /// Set by Close(); every pending fetch, backoff and deserialization
+  /// event checks it and drops its work.
   bool closed_ = false;
-  /// Generation counter: Close() and FailAndRestart() bump it so stale
-  /// fetch responses are ignored.
-  std::shared_ptr<uint64_t> generation_;
 
   PollCallback pending_poll_;
   /// Bumped by every Poll: a poll event acts only while its Poll is the

@@ -296,7 +296,7 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   }
 
   // Fault schedule: armed after every component exists (hooks bind to the
-  // live server/engine), before the first simulated event.
+  // live server), before the first simulated event.
   fault::RecoveryTracker tracker;
   std::optional<fault::FaultInjector> injector;
   if (faulted) {
@@ -309,17 +309,7 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
         srv->InjectSlowdown(factor);
       };
       hooks.serving_down = [srv](bool down) { srv->SetServerDown(down); };
-      hooks.serving_worker_delta = [srv](int delta) {
-        // Deltas stack on the *target* width so a resize issued mid-drain
-        // composes instead of resurrecting the pre-drain width.
-        srv->SetWorkers(std::max(1, srv->target_workers() + delta));
-      };
     }
-    sps::StreamEngine* eng = engine.get();
-    hooks.task_failure = [eng](int task_index, double restart_delay_s) {
-      return eng->InjectTaskFailure(task_index, restart_delay_s);
-    };
-    hooks.task_count = eng->RestartableTasks();
     injector->set_hooks(std::move(hooks));
     // A zero-length run (duration and drain 0) only builds and tears down
     // the deployment, which is how crayfish_perf times set-up: no fault of

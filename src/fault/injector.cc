@@ -44,25 +44,6 @@ Status FaultInjector::Arm(double until_s) {
                                             ": no serving_down hook");
         }
         break;
-      case FaultKind::kWorkerResize:
-        if (!hooks_.serving_worker_delta) {
-          return Status::FailedPrecondition(
-              spec.name + ": no serving_worker_delta hook");
-        }
-        break;
-      case FaultKind::kTaskRestart: {
-        if (!hooks_.task_failure) {
-          return Status::FailedPrecondition(spec.name +
-                                            ": no task_failure hook");
-        }
-        if (spec.task_index >= hooks_.task_count) {
-          return Status::InvalidArgument(
-              spec.name + ": task " + std::to_string(spec.task_index) +
-              " does not exist (engine has " +
-              std::to_string(hooks_.task_count) + " restartable tasks)");
-        }
-        break;
-      }
       case FaultKind::kBrokerCrash:
         if (static_cast<size_t>(spec.broker) >=
             cluster_->broker_hosts().size()) {
@@ -87,11 +68,7 @@ Status FaultInjector::Arm(double until_s) {
   armed_ = true;
   for (const FaultSpec& spec : plan_->faults) {
     sim_->ScheduleAt(spec.at_s, [this, &spec]() { Inject(spec); });
-    // kTaskRestart windows end when the task is back, not at until_s.
-    if (spec.kind == FaultKind::kTaskRestart) {
-      sim_->ScheduleAt(spec.at_s + spec.restart_delay_s,
-                       [this, &spec]() { Repair(spec); });
-    } else if (spec.until_s >= 0.0) {
+    if (spec.until_s >= 0.0) {
       sim_->ScheduleAt(spec.until_s, [this, &spec]() { Repair(spec); });
     }
   }
@@ -124,12 +101,6 @@ void FaultInjector::Inject(const FaultSpec& spec) {
     case FaultKind::kServingDown:
       hooks_.serving_down(true);
       break;
-    case FaultKind::kWorkerResize:
-      hooks_.serving_worker_delta(spec.workers_delta);
-      break;
-    case FaultKind::kTaskRestart:
-      hooks_.task_failure(spec.task_index, spec.restart_delay_s);
-      break;
   }
 }
 
@@ -148,12 +119,6 @@ void FaultInjector::Repair(const FaultSpec& spec) {
       break;
     case FaultKind::kServingDown:
       hooks_.serving_down(false);
-      break;
-    case FaultKind::kWorkerResize:
-      hooks_.serving_worker_delta(-spec.workers_delta);
-      break;
-    case FaultKind::kTaskRestart:
-      // The restart itself is the repair; nothing to undo.
       break;
   }
   tracker_->EndFault(spec.name, sim_->Now());

@@ -11,20 +11,14 @@
 
 namespace crayfish::fault {
 
-/// Callbacks into the layers the injector cannot include directly
-/// (serving and sps sit above fault in the module DAG); the experiment
-/// runner wires them to the concrete server/engine instances.
+/// Callbacks into the serving layer, which the injector cannot include
+/// directly (serving sits above fault in the module DAG); the experiment
+/// runner wires them to the concrete server instance.
 struct FaultHooks {
   /// Multiplies the external server's compute time (1.0 = nominal).
   std::function<void(double)> serving_slowdown;
-  /// Adds `delta` workers to the external server (clamped to >= 1).
-  std::function<void(int)> serving_worker_delta;
   /// Drops every request while down.
   std::function<void(bool)> serving_down;
-  /// Crash-restarts one operator task; returns the number of tasks hit.
-  std::function<int(int task_index, double restart_delay_s)> task_failure;
-  /// Number of operator tasks task_failure can restart (indices 0..n-1).
-  int task_count = 0;
 };
 
 /// Turns a validated FaultPlan into DES events against the live topology.

@@ -7,9 +7,8 @@ namespace crayfish::fault {
 namespace {
 
 /// Indexed by FaultKind.
-constexpr const char* kKindNames[] = {"broker_crash",     "link_degrade",
-                                      "serving_slowdown", "serving_down",
-                                      "worker_resize",    "task_restart"};
+constexpr const char* kKindNames[] = {"broker_crash", "link_degrade",
+                                      "serving_slowdown", "serving_down"};
 
 constexpr Field<RetryPolicy> kRetryFields[] = {
     {"max_retries", &RetryPolicy::max_retries},
@@ -51,9 +50,6 @@ constexpr Field<FaultSpec> kSpecFields[] = {
     {"bandwidth_mult", &FaultSpec::bandwidth_mult},
     {"drop", &FaultSpec::drop},
     {"factor", &FaultSpec::factor},
-    {"workers_delta", &FaultSpec::workers_delta},
-    {"task_index", &FaultSpec::task_index},
-    {"restart_delay_s", &FaultSpec::restart_delay_s},
 };
 
 /// JSON-only: a plan's "retry" object and "faults" array.
@@ -143,21 +139,6 @@ Status FaultSpec::Validate() const {
       break;
     case FaultKind::kServingDown:
       break;
-    case FaultKind::kWorkerResize:
-      if (workers_delta == 0) {
-        return Status::InvalidArgument(name +
-                                       ": workers_delta must be nonzero");
-      }
-      break;
-    case FaultKind::kTaskRestart:
-      if (restart_delay_s < 0.0) {
-        return Status::InvalidArgument(
-            name + ": restart_delay_s must be >= 0");
-      }
-      if (task_index < 0) {
-        return Status::InvalidArgument(name + ": task_index must be >= 0");
-      }
-      break;
   }
   return Status::Ok();
 }
@@ -166,12 +147,10 @@ bool FaultSpec::outage() const {
   switch (kind) {
     case FaultKind::kBrokerCrash:
     case FaultKind::kServingDown:
-    case FaultKind::kTaskRestart:
       return true;
     case FaultKind::kLinkDegrade:
       return drop;
     case FaultKind::kServingSlowdown:
-    case FaultKind::kWorkerResize:
       return false;
   }
   return false;

@@ -22,12 +22,6 @@ enum class FaultKind {
   kServingSlowdown,
   /// Serving process down: requests are dropped until `until_s`.
   kServingDown,
-  /// Serving worker crash (negative `workers_delta`) or scale-out; the
-  /// delta is reverted at `until_s`.
-  kWorkerResize,
-  /// SPS operator-task failure: the task's consumer session dies and
-  /// restarts from committed offsets after `restart_delay_s`.
-  kTaskRestart,
 };
 
 const char* FaultKindName(FaultKind kind);
@@ -40,8 +34,7 @@ struct FaultSpec {
   /// names fault windows in metrics and addresses the spec in overrides.
   std::string name;
   double at_s = 0.0;
-  /// Repair instant; < 0 = never repaired (kTaskRestart ignores this and
-  /// ends its window at `at_s + restart_delay_s`).
+  /// Repair instant; < 0 = never repaired.
   double until_s = -1.0;
 
   // kBrokerCrash
@@ -54,11 +47,6 @@ struct FaultSpec {
   bool drop = false;
   // kServingSlowdown
   double factor = 2.0;
-  // kWorkerResize
-  int workers_delta = -1;
-  // kTaskRestart
-  int task_index = 0;
-  double restart_delay_s = 1.0;
 
   Status Validate() const;
   /// True when the fault makes part of the pipeline unavailable (counts
@@ -80,8 +68,8 @@ struct FaultPlan {
                               .backoff_multiplier = 2.0,
                               .max_backoff_s = 2.0,
                               .jitter = 0.2};
-  /// Consumers commit delivered offsets this often, bounding the
-  /// re-processing window of task restarts (Kafka enable.auto.commit).
+  /// Consumers commit delivered offsets this often (Kafka
+  /// enable.auto.commit).
   double auto_commit_interval_s = 1.0;
 
   bool active() const { return !faults.empty(); }

@@ -1,7 +1,5 @@
 #include "model/executor.h"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/logging.h"
@@ -100,76 +98,6 @@ crayfish::StatusOr<Tensor> Executor::Run(const Tensor& input) const {
       case LayerKind::kSoftmax:
         values[i] = tensor::Softmax(in);
         break;
-      case LayerKind::kGru: {
-        // in: [batch, timesteps, features] -> out: [batch, units].
-        if (in.shape().rank() != 3) {
-          return crayfish::Status::InvalidArgument(
-              "GRU input must be [batch, timesteps, features]");
-        }
-        const int64_t b = in.shape()[0];
-        const int64_t timesteps = in.shape()[1];
-        const int64_t features = in.shape()[2];
-        const int64_t h = l.units;
-        const Tensor& wz = l.params.at("kernel_z");
-        const Tensor& wr = l.params.at("kernel_r");
-        const Tensor& wh = l.params.at("kernel_h");
-        const Tensor& uz = l.params.at("recurrent_z");
-        const Tensor& ur = l.params.at("recurrent_r");
-        const Tensor& uh = l.params.at("recurrent_h");
-        const Tensor& bz = l.params.at("bias_z");
-        const Tensor& br = l.params.at("bias_r");
-        const Tensor& bh = l.params.at("bias_h");
-        Tensor out(tensor::Shape{b, h});
-        std::vector<float> hidden(static_cast<size_t>(h));
-        std::vector<float> z(static_cast<size_t>(h));
-        std::vector<float> rgate(static_cast<size_t>(h));
-        std::vector<float> cand(static_cast<size_t>(h));
-        auto sigmoid = [](float v) {
-          return 1.0f / (1.0f + std::exp(-v));
-        };
-        auto gate = [&](const float* x, const std::vector<float>& hprev,
-                        const Tensor& w, const Tensor& u, const Tensor& bias,
-                        std::vector<float>* dst, bool gate_hidden,
-                        const std::vector<float>& gate_vec) {
-          for (int64_t j = 0; j < h; ++j) {
-            double acc = bias.at(j);
-            for (int64_t f = 0; f < features; ++f) {
-              acc += static_cast<double>(x[f]) * w.at2(f, j);
-            }
-            for (int64_t k = 0; k < h; ++k) {
-              const double hk =
-                  gate_hidden ? static_cast<double>(
-                                    gate_vec[static_cast<size_t>(k)]) *
-                                    hprev[static_cast<size_t>(k)]
-                              : hprev[static_cast<size_t>(k)];
-              acc += hk * u.at2(k, j);
-            }
-            (*dst)[static_cast<size_t>(j)] = static_cast<float>(acc);
-          }
-        };
-        for (int64_t sample = 0; sample < b; ++sample) {
-          std::fill(hidden.begin(), hidden.end(), 0.0f);
-          for (int64_t t = 0; t < timesteps; ++t) {
-            const float* x =
-                in.data() + (sample * timesteps + t) * features;
-            gate(x, hidden, wz, uz, bz, &z, false, {});
-            gate(x, hidden, wr, ur, br, &rgate, false, {});
-            for (auto& v : z) v = sigmoid(v);
-            for (auto& v : rgate) v = sigmoid(v);
-            gate(x, hidden, wh, uh, bh, &cand, true, rgate);
-            for (int64_t j = 0; j < h; ++j) {
-              const size_t sj = static_cast<size_t>(j);
-              const float zt = z[sj];
-              hidden[sj] = (1.0f - zt) * hidden[sj] +
-                           zt * std::tanh(cand[sj]);
-            }
-          }
-          std::copy(hidden.begin(), hidden.end(),
-                    out.data() + sample * h);
-        }
-        values[i] = std::move(out);
-        break;
-      }
     }
   }
   return values.back();

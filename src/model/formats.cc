@@ -45,7 +45,7 @@ void EncodeLayerTopology(const Layer& l, ByteWriter* w) {
 
 crayfish::Status DecodeLayerTopology(ByteReader* r, Layer* l) {
   CRAYFISH_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind > static_cast<uint8_t>(LayerKind::kGru)) {
+  if (kind > static_cast<uint8_t>(LayerKind::kSoftmax)) {
     return crayfish::Status::Corruption("bad layer kind");
   }
   l->kind = static_cast<LayerKind>(kind);

@@ -112,15 +112,6 @@ int ModelGraph::AddSoftmax(int input, std::string name) {
   return Append(std::move(l));
 }
 
-int ModelGraph::AddGru(int input, int64_t units, std::string name) {
-  Layer l;
-  l.kind = LayerKind::kGru;
-  l.name = std::move(name);
-  l.inputs = {input};
-  l.units = units;
-  return Append(std::move(l));
-}
-
 crayfish::Status ModelGraph::InferShapes() {
   if (layers_.empty() || layers_[0].kind != LayerKind::kInput) {
     return crayfish::Status::FailedPrecondition(
@@ -217,25 +208,6 @@ crayfish::Status ModelGraph::InferShapes() {
         l.output_shape = Shape{in.NumElements()};
         break;
       }
-      case LayerKind::kGru: {
-        if (in.rank() != 2) {
-          return crayfish::Status::InvalidArgument(
-              "GRU " + l.name + " needs [timesteps, features] input, got " +
-              in.ToString());
-        }
-        const int64_t features = in[1];
-        // Update (z), reset (r) and candidate (h) gates: input kernels
-        // [F,H], recurrent kernels [H,H], biases [H].
-        for (const char* gate : {"z", "r", "h"}) {
-          l.params[std::string("kernel_") + gate] =
-              Tensor(Shape{features, l.units});
-          l.params[std::string("recurrent_") + gate] =
-              Tensor(Shape{l.units, l.units});
-          l.params[std::string("bias_") + gate] = Tensor(Shape{l.units});
-        }
-        l.output_shape = Shape{l.units};
-        break;
-      }
     }
   }
   shapes_inferred_ = true;
@@ -264,17 +236,6 @@ void ModelGraph::InitializeWeights(crayfish::Rng* rng) {
         // beta/mean zero; variance one for an identity transform.
         l.params["variance"] =
             Tensor::Full(l.params["variance"].shape(), 1.0f);
-        break;
-      }
-      case LayerKind::kGru: {
-        for (const char* gate : {"z", "r", "h"}) {
-          for (const char* prefix : {"kernel_", "recurrent_"}) {
-            const std::string key = std::string(prefix) + gate;
-            const int64_t fan_in = l.params[key].shape()[0];
-            l.params[key] =
-                Tensor::HeNormal(l.params[key].shape(), rng, fan_in);
-          }
-        }
         break;
       }
       default:
@@ -338,17 +299,6 @@ int64_t ModelGraph::Flops(int64_t batch) const {
         const Shape& in =
             layers_[static_cast<size_t>(l.inputs[0])].output_shape;
         flops += in.NumElements();
-        break;
-      }
-      case LayerKind::kGru: {
-        const Shape& in =
-            layers_[static_cast<size_t>(l.inputs[0])].output_shape;
-        const int64_t timesteps = in[0];
-        const int64_t features = in[1];
-        const int64_t h = l.units;
-        // Three gates: input GEMV + recurrent GEMV + elementwise updates.
-        flops += timesteps *
-                 (3 * (2 * features * h + 2 * h * h) + 12 * h);
         break;
       }
       case LayerKind::kInput:
@@ -451,52 +401,6 @@ ModelGraph BuildResNet50() {
 
 ModelGraph BuildTinyResNet(int64_t input_hw, int64_t classes) {
   return BuildResNet("tiny_resnet", input_hw, classes, {1, 1, 1, 1});
-}
-
-ModelGraph BuildLeNet(int64_t classes) {
-  ModelGraph g("lenet");
-  int x = g.AddInput(Shape{28, 28, 1}, "image");
-  x = g.AddConv2D(x, 6, 5, 1, Padding::kSame, "conv1");
-  x = g.AddRelu(x, "relu1");
-  x = g.AddMaxPool(x, 2, 2, Padding::kValid, "pool1");
-  x = g.AddConv2D(x, 16, 5, 1, Padding::kValid, "conv2");
-  x = g.AddRelu(x, "relu2");
-  x = g.AddMaxPool(x, 2, 2, Padding::kValid, "pool2");
-  x = g.AddFlatten(x, "flatten");
-  x = g.AddDense(x, 120, "fc1");
-  x = g.AddRelu(x, "relu3");
-  x = g.AddDense(x, 84, "fc2");
-  x = g.AddRelu(x, "relu4");
-  x = g.AddDense(x, classes, "logits");
-  g.AddSoftmax(x, "probabilities");
-  CRAYFISH_CHECK_OK(g.InferShapes());
-  return g;
-}
-
-ModelGraph BuildGruClassifier(int64_t timesteps, int64_t features,
-                              int64_t hidden, int64_t classes) {
-  ModelGraph g("gru_classifier");
-  int x = g.AddInput(Shape{timesteps, features}, "sequence");
-  x = g.AddGru(x, hidden, "gru");
-  x = g.AddDense(x, classes, "logits");
-  g.AddSoftmax(x, "probabilities");
-  CRAYFISH_CHECK_OK(g.InferShapes());
-  return g;
-}
-
-ModelGraph BuildAutoencoder(int64_t code_dim) {
-  ModelGraph g("autoencoder");
-  int x = g.AddInput(Shape{28, 28}, "image");
-  x = g.AddFlatten(x, "flatten");
-  x = g.AddDense(x, 128, "enc1");
-  x = g.AddRelu(x, "enc1_relu");
-  x = g.AddDense(x, code_dim, "code");
-  x = g.AddRelu(x, "code_relu");
-  x = g.AddDense(x, 128, "dec1");
-  x = g.AddRelu(x, "dec1_relu");
-  g.AddDense(x, 784, "reconstruction");
-  CRAYFISH_CHECK_OK(g.InferShapes());
-  return g;
 }
 
 }  // namespace crayfish::model

@@ -40,9 +40,6 @@ class ModelGraph {
   int AddResidualAdd(int a, int b, std::string name);
   int AddFlatten(int input, std::string name);
   int AddSoftmax(int input, std::string name);
-  /// GRU over a [timesteps, features] input; output is the final hidden
-  /// state [units].
-  int AddGru(int input, int64_t units, std::string name);
 
   /// Propagates per-sample shapes from the input layer and sizes all
   /// parameter tensors (zero-filled). Must be called once after building.
@@ -99,20 +96,6 @@ ModelGraph BuildResNet50();
 /// approximated by bottlenecks [1,1,1,1]) used by tests to execute a deep
 /// residual graph quickly.
 ModelGraph BuildTinyResNet(int64_t input_hw = 32, int64_t classes = 10);
-
-/// LeNet-5-style CNN on 28x28x1 input: two conv+pool stages and three
-/// dense layers. Exercises the §4.1 claim that the generator/benchmark
-/// covers CNNs beyond the paper's two models.
-ModelGraph BuildLeNet(int64_t classes = 10);
-
-/// Symmetric dense autoencoder 784 -> ... -> `code_dim` -> ... -> 784
-/// ("Autoencoders can also be benchmarked with Crayfish", §4.1).
-ModelGraph BuildAutoencoder(int64_t code_dim = 32);
-
-/// GRU sequence classifier over [timesteps, features] inputs
-/// ("for testing Recurrent Neural Networks", §4.1).
-ModelGraph BuildGruClassifier(int64_t timesteps = 16, int64_t features = 8,
-                              int64_t hidden = 32, int64_t classes = 4);
 
 }  // namespace crayfish::model
 

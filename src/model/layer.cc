@@ -24,8 +24,6 @@ const char* LayerKindName(LayerKind kind) {
       return "Flatten";
     case LayerKind::kSoftmax:
       return "Softmax";
-    case LayerKind::kGru:
-      return "GRU";
   }
   return "Unknown";
 }

@@ -24,11 +24,6 @@ enum class LayerKind {
   kAdd,
   kFlatten,
   kSoftmax,
-  /// Gated recurrent unit over a [timesteps, features] sample; emits the
-  /// final hidden state ([units]). Covers the paper's RNN workloads
-  /// (§4.1: "for testing Recurrent Neural Networks ... sequence-like
-  /// random data").
-  kGru,
 };
 
 const char* LayerKindName(LayerKind kind);

@@ -11,9 +11,9 @@
 
 namespace crayfish::scale {
 
-/// Resize plumbing the autoscaler drives: the same serving-pool resize the
-/// `worker_resize` fault kind uses, handed in as closures so scale stays
-/// below core in the layering DAG.
+/// Resize plumbing the autoscaler drives: the serving pool's resize
+/// (ExternalServingServer::SetWorkers), handed in as closures so scale
+/// stays below core in the layering DAG.
 struct ResizeHooks {
   /// Current serving replica count.
   std::function<int()> current_replicas;

@@ -35,9 +35,6 @@ ExternalServingServer::ExternalServingServer(sim::Simulation* sim,
   if (options_.use_gpu) {
     gpu_ = std::make_unique<sim::SerialExecutor>(sim_, tool_name_ + "-gpu");
   }
-  models_[options_.model.name] = options_.model;
-  model_versions_[options_.model.name] = 1;
-  default_model_ = &models_[options_.model.name];
 }
 
 void ExternalServingServer::Start() {
@@ -48,51 +45,29 @@ void ExternalServingServer::Start() {
   sim_->Schedule(load, [this]() { ready_ = true; });
 }
 
-void ExternalServingServer::DeployModel(const ModelProfile& profile) {
-  // Loading happens alongside serving (the point of external tools, §7:
-  // model changes without touching the SPS); the version flips once the
-  // load completes.
-  const double load =
-      costs_.load_fixed_s +
-      static_cast<double>(profile.weight_bytes) / costs_.load_bytes_per_s;
-  sim_->Schedule(load, [this, profile]() {
-    models_[profile.name] = profile;
-    ++model_versions_[profile.name];
-  });
-}
-
-int ExternalServingServer::ModelVersion(
-    const std::string& model_name) const {
-  auto it = model_versions_.find(model_name);
-  return it == model_versions_.end() ? 0 : it->second;
-}
-
-uint64_t ExternalServingServer::RequestWireBytes(const ModelProfile& model,
-                                                 int batch_size) const {
+uint64_t ExternalServingServer::RequestWireBytes(int batch_size) const {
   // gRPC sends the tensor as packed f32 protobuf; HTTP (Ray Serve) ships
   // the JSON body, ~4 bytes per element plus headers.
   const uint64_t per_element =
       costs_.protocol == Protocol::kGrpc ? sizeof(float) : 4;
-  return 256 + per_element * static_cast<uint64_t>(model.input_elements) *
+  return 256 + per_element *
+                   static_cast<uint64_t>(options_.model.input_elements) *
                    static_cast<uint64_t>(batch_size);
 }
 
-uint64_t ExternalServingServer::ResponseWireBytes(const ModelProfile& model,
-                                                  int batch_size) const {
+uint64_t ExternalServingServer::ResponseWireBytes(int batch_size) const {
   const uint64_t per_element =
       costs_.protocol == Protocol::kGrpc ? sizeof(float) : 4;
-  return 128 + per_element * static_cast<uint64_t>(model.output_elements) *
+  return 128 + per_element *
+                   static_cast<uint64_t>(options_.model.output_elements) *
                    static_cast<uint64_t>(batch_size);
 }
 
-uint32_t ExternalServingServer::NewRequest(sim::HostId client,
-                                           const ModelProfile* model,
-                                           int batch_size,
+uint32_t ExternalServingServer::NewRequest(sim::HostId client, int batch_size,
                                            OnResponse on_response) {
   const uint32_t r = requests_.Acquire();
   PendingRequest& req = requests_[r];
   req.client = client;
-  req.model = model;
   req.batch_size = batch_size;
   req.on_response = std::move(on_response);
   req.next = kNoRequest;
@@ -114,45 +89,8 @@ void ExternalServingServer::Invoke(const std::string& client_host,
 void ExternalServingServer::Invoke(sim::HostId client, int batch_size,
                                    OnResponse on_response) {
   CRAYFISH_CHECK_GT(batch_size, 0);
-  const uint32_t r =
-      NewRequest(client, default_model_, batch_size, std::move(on_response));
-  const uint64_t bytes = RequestWireBytes(*default_model_, batch_size);
-  if (!network_->Send(client, host_id_, bytes,
-                      [this, r]() { HandleArrival(r); })) {
-    ReleaseRequest(r);
-  }
-}
-
-void ExternalServingServer::InvokeModel(
-    const std::string& client_host, const std::string& model_name,
-    int batch_size, sim::InlineFunction<void(bool)> on_response) {
-  auto client = network_->FindHost(client_host);
-  CRAYFISH_CHECK(client.ok()) << client.status().ToString();
-  auto it = models_.find(model_name);
-  if (it == models_.end()) {
-    // Error responses still cross the network.
-    const uint32_t r = NewRequest(
-        *client, nullptr, batch_size,
-        [on_response = std::move(on_response)]() mutable {
-          on_response(false);
-        });
-    if (!network_->Send(*client, host_id_, 256, [this, r]() {
-          if (!network_->Send(host_id_, requests_[r].client, 128,
-                              [this, r]() { DeliverResponse(r); })) {
-            ReleaseRequest(r);
-          }
-        })) {
-      ReleaseRequest(r);
-    }
-    return;
-  }
-  const uint32_t r = NewRequest(
-      *client, &it->second, batch_size,
-      [on_response = std::move(on_response)]() mutable {
-        on_response(true);
-      });
-  const uint64_t bytes = RequestWireBytes(it->second, batch_size);
-  if (!network_->Send(*client, host_id_, bytes,
+  const uint32_t r = NewRequest(client, batch_size, std::move(on_response));
+  if (!network_->Send(client, host_id_, RequestWireBytes(batch_size),
                       [this, r]() { HandleArrival(r); })) {
     ReleaseRequest(r);
   }
@@ -225,8 +163,8 @@ void ExternalServingServer::FlushBatch() {
   RunGroupOnWorkers(head);
 }
 
-double ExternalServingServer::ComputeSeconds(const ModelProfile& model,
-                                             int batch_size) {
+double ExternalServingServer::ComputeSeconds(int batch_size) {
+  const ModelProfile& model = options_.model;
   const double ps = PerSampleSeconds(costs_.per_sample_s,
                                      costs_.fallback_flops_per_s, model);
   double compute = ps * static_cast<double>(batch_size);
@@ -261,19 +199,12 @@ void ExternalServingServer::RunGroupOnWorkers(uint32_t head) {
                 static_cast<double>(workers_->servers() - 1);
   const double overhead = costs_.server_overhead_s * contention;
   // One amortized inference over the whole group (one per request when
-  // batching is off). Mixed-model groups are charged per model run.
-  double compute = 0.0;
-  int samples_per_model = 0;
-  const ModelProfile* model = requests_[head].model;
+  // batching is off).
+  int samples = 0;
   for (uint32_t r = head; r != kNoRequest; r = requests_[r].next) {
-    const PendingRequest& req = requests_[r];
-    if (req.model == model) {
-      samples_per_model += req.batch_size;
-    } else {
-      compute += ComputeSeconds(*req.model, req.batch_size);
-    }
+    samples += requests_[r].batch_size;
   }
-  compute += ComputeSeconds(*model, samples_per_model);
+  const double compute = ComputeSeconds(samples);
   ++batches_executed_;
 
   const bool offload_compute =
@@ -306,7 +237,7 @@ void ExternalServingServer::RespondAll(uint32_t head) {
     const uint32_t next = req.next;
     ++requests_served_;
     if (!network_->Send(host_id_, req.client,
-                        ResponseWireBytes(*req.model, req.batch_size),
+                        ResponseWireBytes(req.batch_size),
                         [this, r]() { DeliverResponse(r); })) {
       ReleaseRequest(r);
     }

@@ -2,7 +2,6 @@
 #define CRAYFISH_SERVING_EXTERNAL_SERVER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +30,7 @@ struct ExternalServerOptions {
   int workers = 1;
   /// Serve the model on the GPU (Fig. 9 experiments).
   bool use_gpu = false;
-  /// Default model the server hosts (more can be added — §7 multi-model).
+  /// The model the server hosts.
   ModelProfile model;
 
   // --- §7 extensions (off by default; the paper's runs use none) ---
@@ -70,7 +69,7 @@ class ExternalServingServer {
   using OnResponse = sim::InlineFunction<void()>;
 
   /// Issues one inference RPC from `client` for `batch_size` samples
-  /// against the default model. `on_response` fires at the simulated
+  /// against the served model. `on_response` fires at the simulated
   /// instant the client receives the response. The caller is responsible
   /// for modeling its own (blocking) thread occupancy (§4.3: all external
   /// calls execute as blocking).
@@ -78,22 +77,6 @@ class ExternalServingServer {
   /// Resolves `client_host` by name, then invokes as above.
   void Invoke(const std::string& client_host, int batch_size,
               OnResponse on_response);
-
-  /// Multi-model variant (§7: "deploy and serve thousands of models
-  /// concurrently"): targets a model registered via DeployModel.
-  /// Unknown model names answer with an error flag.
-  void InvokeModel(const std::string& client_host,
-                   const std::string& model_name, int batch_size,
-                   sim::InlineFunction<void(bool ok)> on_response);
-
-  /// Registers (or hot-swaps, bumping the version) a model. The new
-  /// version serves after its load time; in-flight requests for the
-  /// model keep using the timings of whatever is loaded (§7 model
-  /// versioning without redeploying the SPS).
-  void DeployModel(const ModelProfile& profile);
-
-  /// Current version of a deployed model (1-based; 0 = unknown).
-  int ModelVersion(const std::string& model_name) const;
 
   /// Re-provisions the worker pool (the serving-side mp knob). A shrink
   /// with requests queued drains them first (ServerPool::Resize).
@@ -121,8 +104,7 @@ class ExternalServingServer {
   const std::string& tool_name() const { return tool_name_; }
   const std::string& host() const { return options_.host; }
   const ExternalCosts& costs() const { return costs_; }
-  /// The default model as currently deployed (follows hot swaps).
-  const ModelProfile& model() const { return *default_model_; }
+  const ModelProfile& model() const { return options_.model; }
   bool ready() const { return ready_; }
   uint64_t requests_served() const { return requests_served_; }
   size_t queue_depth() const;
@@ -144,9 +126,6 @@ class ExternalServingServer {
   /// response, or when the request is dropped.
   struct PendingRequest {
     sim::HostId client{};
-    /// Points into `models_` (map nodes are stable), so a hot-swap is seen
-    /// by requests already in flight, as before.
-    const ModelProfile* model = nullptr;
     int batch_size = 1;
     OnResponse on_response;
     /// Next request of the same worker group (adaptive batching), or
@@ -156,8 +135,8 @@ class ExternalServingServer {
     double compute = 0.0;
   };
 
-  uint32_t NewRequest(sim::HostId client, const ModelProfile* model,
-                      int batch_size, OnResponse on_response);
+  uint32_t NewRequest(sim::HostId client, int batch_size,
+                      OnResponse on_response);
   void ReleaseRequest(uint32_t request);
   /// Server-side handling once the request bytes arrive.
   void HandleArrival(uint32_t request);
@@ -169,11 +148,9 @@ class ExternalServingServer {
   void RespondAll(uint32_t head);
   /// Hands the response to the client and frees the slot.
   void DeliverResponse(uint32_t request);
-  double ComputeSeconds(const ModelProfile& model, int batch_size);
-  uint64_t RequestWireBytes(const ModelProfile& model,
-                            int batch_size) const;
-  uint64_t ResponseWireBytes(const ModelProfile& model,
-                             int batch_size) const;
+  double ComputeSeconds(int batch_size);
+  uint64_t RequestWireBytes(int batch_size) const;
+  uint64_t ResponseWireBytes(int batch_size) const;
 
   sim::Simulation* sim_;
   sim::Network* network_;
@@ -195,13 +172,6 @@ class ExternalServingServer {
   double slow_factor_ = 1.0;
   bool server_down_ = false;
   uint64_t requests_dropped_ = 0;
-  /// Additional models by name (the default model is always present).
-  /// Ordered (lint R3): version sweeps and eviction walk this map during
-  /// simulated serving, so iteration order is scheduling-visible.
-  std::map<std::string, ModelProfile> models_;
-  std::map<std::string, int> model_versions_;
-  /// The default model's entry in `models_`.
-  const ModelProfile* default_model_ = nullptr;
   sim::SlotPool<PendingRequest> requests_;
   /// Adaptive-batching queue of request slots.
   std::vector<uint32_t> batch_queue_;

@@ -110,21 +110,6 @@ class StreamEngine {
   /// dropped.
   void Stop();
 
-  /// Number of operator tasks InjectTaskFailure can restart, known before
-  /// Start() — 0 when the engine does not model restartable tasks.
-  virtual int RestartableTasks() const { return 0; }
-
-  /// Fault hook: crash-restarts operator task `task_index`, which must be
-  /// below RestartableTasks(). The task's consumer session dies uncommitted
-  /// and resumes from the group's committed offsets after
-  /// `restart_delay_s` (at-least-once: duplicates possible, no loss).
-  /// Returns the number of tasks restarted.
-  virtual int InjectTaskFailure(int task_index, double restart_delay_s) {
-    (void)task_index;
-    (void)restart_delay_s;
-    return 0;
-  }
-
   /// Snapshot of the engine's current lag/queue/backpressure state, folded
   /// over its consumers and then its operator tasks in creation order.
   EngineTelemetry Telemetry() const;

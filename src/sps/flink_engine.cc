@@ -311,19 +311,4 @@ void FlinkEngine::WakeWaiters(
   for (auto& w : ready) w();
 }
 
-int FlinkEngine::RestartableTasks() const {
-  // The counts StartChained / StartUnchained create.
-  return chained_ ? config_.parallelism
-                  : std::max(1, config_.source_parallelism);
-}
-
-int FlinkEngine::InjectTaskFailure(int task_index, double restart_delay_s) {
-  if (stopped_) return 0;
-  // Task i's consumer is the slot's (chained) or the source's (unchained).
-  const auto index = static_cast<size_t>(task_index);
-  CRAYFISH_CHECK_LT(index, consumers_.size());
-  consumers_[index]->FailAndRestart(restart_delay_s);
-  return 1;
-}
-
 }  // namespace crayfish::sps

@@ -80,14 +80,6 @@ class FlinkEngine : public StreamEngine {
   const char* name() const override { return "flink"; }
   crayfish::Status Start() override;
 
-  /// One task per slot (chained mode) or per source task (unchained mode).
-  int RestartableTasks() const override;
-
-  /// Crash-restarts one task slot's consumer session (chained mode) or one
-  /// source task (unchained mode); the restarted task resumes from the
-  /// group's committed offsets.
-  int InjectTaskFailure(int task_index, double restart_delay_s) override;
-
   const FlinkCosts& costs() const { return costs_; }
 
  private:

@@ -580,70 +580,5 @@ TEST_F(ClientTest, BrokerCrashRetriesAreAtLeastOnce) {
   EXPECT_TRUE(cluster_.IsBrokerUp(coord));  // restarted
 }
 
-TEST_F(ClientTest, FailAndRestartResumesStaticAssignmentFromCommits) {
-  // The first 20 records are delivered and committed; the next 20 are
-  // delivered but never committed when the task fails at t=2 for 1 s.
-  KafkaProducer producer(&cluster_, "client");
-  KafkaConsumer consumer(&cluster_, "client", "g");
-  ASSERT_TRUE(consumer.Assign("t", {0, 1, 2, 3}).ok());
-  const std::vector<TopicPartition> assigned = consumer.assignment();
-
-  std::multiset<uint64_t> seen;
-  std::vector<std::pair<double, size_t>> polls;  // (time, records)
-  std::function<void()> drain = [&]() {
-    consumer.Poll(0.3, [&](std::vector<Record> records) {
-      polls.emplace_back(sim_.Now(), records.size());
-      for (const Record& r : records) seen.insert(r.batch_id);
-      if (sim_.Now() < 1.0) consumer.CommitPositions();
-      drain();
-    });
-  };
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(producer.Send("t", MakeRecord(i)).ok());
-  }
-  producer.Flush();
-  drain();
-  sim_.Schedule(1.5, [&]() {
-    for (int i = 20; i < 40; ++i) {
-      CRAYFISH_CHECK_OK(producer.Send("t", MakeRecord(i)));
-    }
-    producer.Flush();
-  });
-
-  const GroupId g = cluster_.InternGroup("g");
-  size_t polls_before_failure = 0;
-  sim_.Schedule(2.0, [&]() {
-    ASSERT_EQ(seen.size(), 40u);
-    polls_before_failure = polls.size();
-    consumer.FailAndRestart(1.0);
-    EXPECT_TRUE(consumer.assignment().empty());
-    // Runs right after the restart event at t=3: fetch loops start from
-    // the committed offsets, not from where delivery had got to.
-    sim_.Schedule(1.0, [&]() {
-      EXPECT_EQ(consumer.assignment(), assigned);
-      for (const TopicPartition& tp : assigned) {
-        EXPECT_EQ(cluster_.CommittedOffset(g, tp), 5);
-        EXPECT_EQ(consumer.position(tp), 5);
-      }
-    });
-  });
-  sim_.Schedule(2.5, [&]() {
-    EXPECT_TRUE(consumer.assignment().empty());
-    EXPECT_EQ(polls.size(), polls_before_failure);
-  });
-  sim_.Run(6.0);
-  consumer.Close();
-
-  // The Poll outstanding at the failure completes empty at t=2+1.
-  ASSERT_GT(polls.size(), polls_before_failure);
-  EXPECT_DOUBLE_EQ(polls[polls_before_failure].first, 3.0);
-  EXPECT_EQ(polls[polls_before_failure].second, 0u);
-  // At least once: the uncommitted half is delivered again, the
-  // committed half is not.
-  for (uint64_t id = 0; id < 40; ++id) {
-    EXPECT_EQ(seen.count(id), id < 20 ? 1u : 2u) << "record " << id;
-  }
-}
-
 }  // namespace
 }  // namespace crayfish::broker

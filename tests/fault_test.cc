@@ -81,8 +81,7 @@ constexpr char kPlanJson[] = R"({
     {"kind": "link_degrade", "at_s": 10, "until_s": 20,
      "from": "kafka-0", "latency_mult": 4.0, "bandwidth_mult": 0.25},
     {"kind": "serving_slowdown", "at_s": 5, "until_s": 15, "factor": 3.0},
-    {"kind": "task_restart", "at_s": 12, "task_index": 1,
-     "restart_delay_s": 2.0}
+    {"kind": "serving_down", "at_s": 12, "until_s": 14}
   ]
 })";
 
@@ -105,7 +104,7 @@ TEST(FaultPlanTest, ParsesFullSchema) {
   EXPECT_EQ(plan->faults[1].name, "link_degrade-1");
   EXPECT_FALSE(plan->faults[1].outage());  // degrade without drop
   EXPECT_EQ(plan->faults[2].name, "serving_slowdown-2");
-  EXPECT_EQ(plan->faults[3].kind, fault::FaultKind::kTaskRestart);
+  EXPECT_EQ(plan->faults[3].kind, fault::FaultKind::kServingDown);
   EXPECT_TRUE(plan->faults[3].outage());
 }
 
@@ -209,11 +208,44 @@ TEST(FaultPlanTest, IntegerOverridesRejectFractionsAndOverflow) {
   ASSERT_TRUE(plan.ok());
   EXPECT_FALSE(plan->ApplyOverride("crash0.broker", "1e12").ok());
   EXPECT_FALSE(plan->ApplyOverride("retry.max_retries", "2.5").ok());
-  EXPECT_FALSE(plan->ApplyOverride("3.task_index", "-3e9").ok());
   EXPECT_EQ(plan->faults[0].broker, 1);  // rejected values leave no trace
   EXPECT_EQ(plan->retry.max_retries, 4);
   ASSERT_TRUE(plan->ApplyOverride("crash0.broker", "2.0").ok());
   EXPECT_EQ(plan->faults[0].broker, 2);
+}
+
+TEST(FaultPlanTest, RemovedKindsAndFieldsAreRejected) {
+  // Worker resizes and task restarts are not fault kinds, so a plan that
+  // names one fails at load instead of running without it.
+  for (const char* kind : {"worker_resize", "task_restart"}) {
+    const auto plan = fault::FaultPlan::FromJsonText(
+        std::string(R"({"faults": [{"kind": ")") + kind +
+        R"(", "at_s": 1}]})");
+    ASSERT_FALSE(plan.ok()) << kind;
+    EXPECT_TRUE(plan.status().IsInvalidArgument()) << kind;
+    EXPECT_NE(plan.status().message().find(kind), std::string::npos)
+        << plan.status().ToString();
+  }
+  // Their fields are unknown on every kind, in JSON and as override text.
+  auto plan = fault::FaultPlan::FromJsonText(kPlanJson);
+  ASSERT_TRUE(plan.ok());
+  for (const char* field :
+       {"workers_delta", "task_index", "restart_delay_s"}) {
+    const auto loaded = fault::FaultPlan::FromJsonText(
+        std::string(R"({"faults": [{"kind": "serving_down", "at_s": 1, ")") +
+        field + R"(": 1}]})");
+    ASSERT_FALSE(loaded.ok()) << field;
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << field;
+    EXPECT_NE(loaded.status().message().find(std::string(
+                  "unknown fault field: ") + field),
+              std::string::npos)
+        << loaded.status().ToString();
+    const Status overridden =
+        plan->ApplyOverride(std::string("3.") + field, "1");
+    EXPECT_TRUE(overridden.IsInvalidArgument()) << overridden.ToString();
+    EXPECT_NE(overridden.message().find(field), std::string::npos)
+        << overridden.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -435,44 +467,6 @@ TEST(FaultInjectorTest, ArmRejectsABrokerTheClusterDoesNotHave) {
   EXPECT_TRUE(valid.Arm(kHorizonS).ok());
 }
 
-TEST(FaultInjectorTest, ArmRejectsATaskTheEngineDoesNotHave) {
-  sim::Simulation sim(1);
-  sim::Network network(&sim);
-  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
-  fault::RecoveryTracker tracker;
-  fault::FaultPlan plan;
-  fault::FaultSpec spec;
-  spec.kind = fault::FaultKind::kTaskRestart;
-  spec.name = "restart";
-  spec.at_s = 1.0;
-  spec.task_index = 2;
-  plan.faults.push_back(spec);
-  int restarted = -1;
-  fault::FaultHooks hooks;
-  hooks.task_failure = [&restarted](int task_index, double) {
-    restarted = task_index;
-    return 1;
-  };
-  hooks.task_count = 2;
-  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
-  injector.set_hooks(hooks);
-  const Status armed = injector.Arm(kHorizonS);
-  ASSERT_FALSE(armed.ok());
-  EXPECT_TRUE(armed.IsInvalidArgument());
-  EXPECT_NE(armed.message().find("task 2"), std::string::npos)
-      << armed.ToString();
-  EXPECT_NE(armed.message().find("2 restartable tasks"), std::string::npos)
-      << armed.ToString();
-  EXPECT_EQ(sim.pending_events(), 0u);
-  // The highest real index arms and restarts exactly that task.
-  plan.faults.back().task_index = 1;
-  fault::FaultInjector valid(&sim, &network, &cluster, &tracker, &plan);
-  valid.set_hooks(hooks);
-  ASSERT_TRUE(valid.Arm(kHorizonS).ok());
-  sim.Run(2.0);
-  EXPECT_EQ(restarted, 1);
-}
-
 TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
   sim::Simulation sim(1);
   sim::Network network(&sim);
@@ -517,24 +511,6 @@ TEST(FaultInjectorTest, ArmRejectsALinkHostTheNetworkDoesNotHave) {
   EXPECT_TRUE(to_broker.Arm(kHorizonS).ok());
 }
 
-TEST(FaultExperimentTest, NonexistentTaskFailsTheRun) {
-  core::ExperimentConfig cfg = FaultedConfig("tf-serving");
-  fault::FaultSpec spec;
-  spec.kind = fault::FaultKind::kTaskRestart;
-  spec.name = "restart99";
-  spec.at_s = 12.0;
-  spec.task_index = 99;
-  cfg.fault_plan.faults.push_back(spec);
-  auto result = core::RunExperiment(cfg);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
-  EXPECT_NE(result.status().message().find("task 99"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("2 restartable tasks"),
-            std::string::npos)
-      << result.status().ToString();
-}
-
 TEST(FaultExperimentTest, NonexistentBrokerFailsTheRun) {
   core::ExperimentConfig cfg = FaultedConfig("tf-serving");
   cfg.fault_plan.faults.push_back(BrokerCrash(2.0, 3.0));
@@ -567,25 +543,6 @@ TEST(FaultExperimentTest, FaultedRunIsSeedReproducible) {
     diverged = a->measurements[i].append_time != c->measurements[i].append_time;
   }
   EXPECT_TRUE(diverged) << "seed 43 reproduced seed 42 byte-for-byte";
-}
-
-TEST(FaultExperimentTest, TaskRestartResumesFromCommittedOffsets) {
-  core::ExperimentConfig cfg = FaultedConfig("tf-serving");
-  fault::FaultSpec spec;
-  spec.kind = fault::FaultKind::kTaskRestart;
-  spec.name = "restart0";
-  spec.at_s = 12.0;
-  spec.task_index = 0;
-  spec.restart_delay_s = 2.0;
-  cfg.fault_plan.faults.push_back(spec);
-  auto result = core::RunExperiment(cfg);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const fault::FaultMetrics& m = result->fault_metrics;
-  // Restart-from-committed-offset re-processes the uncommitted tail:
-  // at-least-once means duplicates are possible but losses are not.
-  EXPECT_EQ(m.losses, 0u);
-  EXPECT_EQ(m.unique_deliveries, result->events_sent);
-  EXPECT_GE(m.deliveries, m.unique_deliveries);
 }
 
 TEST(FaultExperimentTest, ServingOutageRetriesThroughIt) {

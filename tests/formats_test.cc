@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -130,6 +131,32 @@ TEST(FormatsTest, SerializeRequiresInferredShapes) {
   g.AddInput(Shape{4}, "in");
   g.AddDense(0, 2, "d");
   EXPECT_FALSE(Serialize(g, ModelFormat::kOnnx).ok());
+}
+
+TEST(FormatsTest, LayerKindPastSoftmaxIsCorruption) {
+  // Byte 10 was a recurrent layer kind no longer supported; it and every
+  // other byte past kSoftmax fail with the same error.
+  ModelGraph g = BuildFfnn();
+  auto bytes = Serialize(g, ModelFormat::kOnnx);
+  ASSERT_TRUE(bytes.ok());
+  // Each layer's topology starts with its kind byte, then its name as a
+  // u32 length and the characters.
+  const std::string name = "flatten";
+  const auto at = std::search(bytes->begin(), bytes->end(), name.begin(),
+                              name.end());
+  ASSERT_NE(at, bytes->end());
+  const auto kind_at = static_cast<size_t>(at - bytes->begin()) - 5;
+  ASSERT_EQ((*bytes)[kind_at], static_cast<uint8_t>(LayerKind::kFlatten));
+  for (const uint8_t kind : {uint8_t{10}, uint8_t{11}, uint8_t{255}}) {
+    Bytes mutated = *bytes;
+    mutated[kind_at] = kind;
+    auto back = Deserialize(mutated);
+    ASSERT_FALSE(back.ok()) << int{kind};
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(back.status().message().find("bad layer kind"),
+              std::string::npos)
+        << back.status().ToString();
+  }
 }
 
 class RepositoryTest : public ::testing::Test {

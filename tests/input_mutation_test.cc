@@ -135,16 +135,13 @@ TEST(InputMutationTest, EveryMutatedConfigLoadsOrFailsWithStatus) {
 }
 
 TEST(InputMutationTest, EveryMutatedModelLoadsOrFailsWithStatus) {
-  // The zoo without ResNet50: its ~100 MB of weights would cost seconds per
-  // mutant, and TinyResNet carries the same layer kinds.
-  std::vector<model::ModelGraph> zoo;
-  zoo.push_back(model::BuildFfnn());
-  zoo.push_back(model::BuildTinyResNet());
-  zoo.push_back(model::BuildLeNet());
-  zoo.push_back(model::BuildAutoencoder());
-  zoo.push_back(model::BuildGruClassifier());
+  // FFNN and TinyResNet, not ResNet50: its ~100 MB of weights would cost
+  // seconds per mutant, and TinyResNet carries the same layer kinds.
+  std::vector<model::ModelGraph> graphs;
+  graphs.push_back(model::BuildFfnn());
+  graphs.push_back(model::BuildTinyResNet());
   Rng rng(kSeed);
-  for (model::ModelGraph& graph : zoo) {
+  for (model::ModelGraph& graph : graphs) {
     graph.InitializeWeights(&rng);
     for (model::ModelFormat format :
          {model::ModelFormat::kOnnx, model::ModelFormat::kSavedModel,

@@ -211,131 +211,14 @@ TEST(ModelProfileTest, ByNameLookup) {
   EXPECT_EQ(serving::ModelProfile::ByName("resnet50").name, "resnet50");
 }
 
-
-TEST(ModelZooTest, LeNetExecutesAndClassifies) {
-  ModelGraph g = BuildLeNet();
-  crayfish::Rng rng(51);
-  g.InitializeWeights(&rng);
-  Executor exec(&g);
-  Tensor input = Tensor::Random(Shape{2, 28, 28, 1}, &rng);
-  auto out = exec.Run(input);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->shape(), Shape({2, 10}));
-  for (int64_t r = 0; r < 2; ++r) {
-    float sum = 0.0f;
-    for (int64_t c = 0; c < 10; ++c) sum += out->at2(r, c);
-    EXPECT_NEAR(sum, 1.0f, 1e-4f);
-  }
-  // Classic LeNet-ish parameter count: two small convs + dense stack.
-  EXPECT_GT(g.ParamCount(), 40000);
-  EXPECT_LT(g.ParamCount(), 80000);
-}
-
-TEST(ModelZooTest, AutoencoderReconstructsShape) {
-  ModelGraph g = BuildAutoencoder(32);
-  crayfish::Rng rng(52);
-  g.InitializeWeights(&rng);
-  Executor exec(&g);
-  Tensor input = Tensor::Random(Shape{3, 28, 28}, &rng);
-  auto out = exec.Run(input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->shape(), Shape({3, 784}));
-  // Encoder bottleneck is the named "code" layer of width 32.
-  bool found_code = false;
-  for (const Layer& l : g.layers()) {
-    if (l.name == "code") {
-      found_code = true;
-      EXPECT_EQ(l.output_shape, Shape({32}));
-    }
-  }
-  EXPECT_TRUE(found_code);
-}
-
 TEST(ModelZooTest, ZooModelsServeThroughProfiles) {
-  // Any zoo model benchmarks through FromGraph + the FLOP fallback.
-  for (ModelGraph g : {BuildLeNet(), BuildAutoencoder(32)}) {
-    serving::ModelProfile p = serving::ModelProfile::FromGraph(g);
-    EXPECT_GT(p.flops_per_sample, 0);
-    EXPECT_GT(p.input_elements, 0);
-    EXPECT_GT(p.InputBatchWireBytes(4), p.InputBatchWireBytes(1));
-  }
-}
-
-
-TEST(ModelZooTest, GruClassifierExecutesSequences) {
-  ModelGraph g = BuildGruClassifier(/*timesteps=*/12, /*features=*/6,
-                                    /*hidden=*/16, /*classes=*/4);
-  crayfish::Rng rng(61);
-  g.InitializeWeights(&rng);
-  Executor exec(&g);
-  Tensor input = Tensor::Random(Shape{3, 12, 6}, &rng, -1.0f, 1.0f);
-  auto out = exec.Run(input);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->shape(), Shape({3, 4}));
-  for (int64_t r = 0; r < 3; ++r) {
-    float sum = 0.0f;
-    for (int64_t c = 0; c < 4; ++c) sum += out->at2(r, c);
-    EXPECT_NEAR(sum, 1.0f, 1e-4f);
-  }
-}
-
-TEST(ModelZooTest, GruParamCountMatchesFormula) {
-  // 3 gates x (F*H + H*H + H).
-  const int64_t timesteps = 10;
-  const int64_t f = 8;
-  const int64_t h = 32;
-  ModelGraph g = BuildGruClassifier(timesteps, f, h, 4);
-  int64_t gru_params = 0;
-  for (const Layer& l : g.layers()) {
-    if (l.kind == LayerKind::kGru) gru_params = l.ParamCount();
-  }
-  EXPECT_EQ(gru_params, 3 * (f * h + h * h + h));
-}
-
-TEST(ModelZooTest, GruFlopsScaleWithTimesteps) {
-  ModelGraph short_seq = BuildGruClassifier(8, 8, 32, 4);
-  ModelGraph long_seq = BuildGruClassifier(32, 8, 32, 4);
-  // GRU FLOPs dominate and scale ~linearly with sequence length.
-  EXPECT_GT(long_seq.Flops(1), short_seq.Flops(1) * 3);
-  EXPECT_LT(long_seq.Flops(1), short_seq.Flops(1) * 5);
-}
-
-TEST(ModelZooTest, GruZeroInputKeepsHiddenNearZero) {
-  // With zero input and zero-ish weights the GRU hidden state stays 0.
-  ModelGraph g("gru_zero");
-  int x = g.AddInput(Shape{4, 3}, "seq");
-  g.AddGru(x, 8, "gru");
-  CRAYFISH_CHECK_OK(g.InferShapes());
-  // Zero weights everywhere: z = sigmoid(0) = 0.5, cand = tanh(0) = 0,
-  // so h stays 0 at every step.
-  Executor exec(&g);
-  auto out = exec.Run(Tensor(Shape{1, 4, 3}));
-  ASSERT_TRUE(out.ok());
-  for (int64_t i = 0; i < out->NumElements(); ++i) {
-    EXPECT_FLOAT_EQ(out->at(i), 0.0f);
-  }
-}
-
-TEST(ModelZooTest, GruRoundTripsThroughAllFormats) {
-  ModelGraph g = BuildGruClassifier();
-  crayfish::Rng rng(62);
-  g.InitializeWeights(&rng);
-  for (model::ModelFormat f :
-       {model::ModelFormat::kOnnx, model::ModelFormat::kSavedModel,
-        model::ModelFormat::kTorch, model::ModelFormat::kH5}) {
-    auto bytes = model::Serialize(g, f);
-    ASSERT_TRUE(bytes.ok());
-    auto back = model::Deserialize(*bytes);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    Tensor input = Tensor::Random(Shape{1, 16, 8}, &rng);
-    Executor a(&g);
-    Executor b(&*back);
-    auto ra = a.Run(input);
-    auto rb = b.Run(input);
-    ASSERT_TRUE(ra.ok());
-    ASSERT_TRUE(rb.ok());
-    EXPECT_TRUE(ra->AllClose(*rb, 0.0f)) << ModelFormatName(f);
-  }
+  // A graph other than the paper's two benchmarks through FromGraph + the
+  // FLOP fallback.
+  const serving::ModelProfile p =
+      serving::ModelProfile::FromGraph(BuildTinyResNet());
+  EXPECT_GT(p.flops_per_sample, 0);
+  EXPECT_GT(p.input_elements, 0);
+  EXPECT_GT(p.InputBatchWireBytes(4), p.InputBatchWireBytes(1));
 }
 
 }  // namespace
